@@ -95,5 +95,37 @@ from .reps import (
 )
 from .stalks import DerivedLabel, GradedDim, derived_hom, e_exponent, pi2_hom
 
+
+def memos() -> dict:
+    """Every `functools` memo in the loaded quiverlab modules, by qualified name.
+
+    Module-level memos and memoized methods alike.  Each is keyed by hashable
+    mathematical data (a quiver, a vertex, a label, ...), so its size is
+    bounded by the quivers a process has seen; `cache_info()` reports it.
+    """
+    import sys
+
+    found = {}
+    for modname, mod in sorted(sys.modules.items()):
+        if modname != __name__ and not modname.startswith(__name__ + "."):
+            continue
+        for obj in list(vars(mod).values()):
+            if getattr(obj, "__module__", None) != modname:
+                continue
+            members = vars(obj).values() if isinstance(obj, type) else (obj,)
+            for fn in members:
+                while fn is not None and not hasattr(fn, "cache_clear"):
+                    fn = getattr(fn, "__wrapped__", None)  # look through wrappers
+                if fn is not None:
+                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return found
+
+
+def clear_caches() -> None:
+    """Empty every in-process memo (see `memos`); results do not change."""
+    for memo in memos().values():
+        memo.cache_clear()
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

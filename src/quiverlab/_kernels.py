@@ -7,18 +7,18 @@ functionals, generic solutions picked from solution spaces) behave like
 characteristic zero at the dimensions that occur here, while every
 intermediate product of two reduced entries stays far inside int64.
 
-Matrices are int64 numpy arrays with entries in [0, P).  Two interchangeable
-backends implement the row-reduction kernel: a jit-compiled one and a pure
-numpy one.  The backend is chosen once at import time from the
-QUIVERLAB_BACKEND environment variable ("numba" or "numpy"); the default is
-numba when it is importable.  `benchmarks/bench_kernels.py` compares the two.
+Matrices are int64 numpy arrays with entries in [0, P).  One pure numpy
+row-reduction kernel, `rref`, does the work; `rank`, `nullspace`, `solve`
+and `row_space_contains` all reach it.  Most matrices met here are small
+(E8 `mpr` reduces none with more than 8 rows or 12 columns, and about half
+of its reductions are single rows), so the per-call overhead matters more
+than the asymptotics.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+BACKEND = "numpy"  # the only row-reduction backend; reported by benchmarks
 P = 32003  # prime; P*P < 2**63 / 8000, so row ops never overflow int64
 
 
@@ -34,106 +34,48 @@ def inv_mod(x: int) -> int:
     return pow(x, -1, P)
 
 
-def _rref_numpy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = a.copy()
+def _rref_single_row(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_rref_general` on a 1 x n matrix: scale by the first nonzero entry."""
+    nz = a[0].nonzero()[0]
+    if nz.size == 0:
+        return a, np.empty(0, dtype=np.int64)
+    col = int(nz[0])
+    return (a * pow(int(a[0, col]), -1, P)) % P, np.array([col], dtype=np.int64)
+
+
+def _rref_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination on a reduced matrix, which it overwrites."""
     m, n = a.shape
     pivots = []
     row = 0
     for col in range(n):
         if row == m:
             break
-        nz = np.nonzero(a[row:, col])[0]
+        nz = a[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         sel = row + int(nz[0])
         if sel != row:
             a[[row, sel]] = a[[sel, row]]
-        a[row] = (a[row] * pow(int(a[row, col]), -1, P)) % P
-        factors = a[:, col].copy()
-        factors[row] = 0
-        a = (a - np.outer(factors, a[row])) % P
+        pivot_row = (a[row] * pow(int(a[row, col]), -1, P)) % P
+        # clears the column everywhere, the pivot row included; entries stay
+        # above -P*P, far inside int64
+        a -= np.multiply.outer(a[:, col], pivot_row)
+        a %= P
+        a[row] = pivot_row
         pivots.append(col)
         row += 1
     return a, np.array(pivots, dtype=np.int64)
 
 
-try:  # pragma: no cover - exercised through the public wrappers
-    import numba as nb
-
-    @nb.njit(cache=True)
-    def _inv_mod_jit(x: np.int64) -> np.int64:
-        # Fermat: x**(P-2) mod P by square-and-multiply.
-        result = np.int64(1)
-        base = x % P
-        exp = P - 2
-        while exp > 0:
-            if exp & 1:
-                result = (result * base) % P
-            base = (base * base) % P
-            exp >>= 1
-        return result
-
-    @nb.njit(cache=True)
-    def _rref_jit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m, n = a.shape
-        pivots = np.empty(min(m, n), dtype=np.int64)
-        npiv = 0
-        row = 0
-        for col in range(n):
-            if row == m:
-                break
-            sel = -1
-            for r in range(row, m):
-                if a[r, col] != 0:
-                    sel = r
-                    break
-            if sel < 0:
-                continue
-            if sel != row:
-                for c in range(n):
-                    t = a[row, c]
-                    a[row, c] = a[sel, c]
-                    a[sel, c] = t
-            inv = _inv_mod_jit(a[row, col])
-            for c in range(n):
-                a[row, c] = (a[row, c] * inv) % P
-            for r in range(m):
-                if r != row and a[r, col] != 0:
-                    f = a[r, col]
-                    for c in range(n):
-                        a[r, c] = (a[r, c] - f * a[row, c]) % P
-            pivots[npiv] = col
-            npiv += 1
-            row += 1
-        return a, pivots[:npiv]
-
-    def _rref_numba(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _rref_jit(a.copy())
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-    _rref_numba = None
-
-_requested = os.environ.get("QUIVERLAB_BACKEND", "").strip().lower()
-if _requested == "numpy":
-    BACKEND = "numpy"
-elif _requested == "numba":
-    if not _HAVE_NUMBA:
-        raise ImportError("QUIVERLAB_BACKEND=numba but numba is not importable")
-    BACKEND = "numba"
-else:
-    BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-_rref_impl = _rref_numba if BACKEND == "numba" else _rref_numpy
-
-
 def rref(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form mod P; returns (matrix, pivot columns)."""
-    a = reduce_mod(a)
+    a = reduce_mod(a)  # always a fresh array, so the callee may overwrite it
     if a.size == 0:
         return a, np.empty(0, dtype=np.int64)
-    return _rref_impl(a)
+    if a.shape[0] == 1:
+        return _rref_single_row(a)
+    return _rref_general(a)
 
 
 def rank(a) -> int:
@@ -146,6 +88,12 @@ def rank(a) -> int:
 def matmul(a, b) -> np.ndarray:
     a = reduce_mod(a)
     b = reduce_mod(b)
+    return (a @ b) % P
+
+
+def matmul_reduced(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`matmul` for int64 arrays whose entries already lie in [0, P), such as
+    the maps of a `reps.Rep`: skips reducing the factors again."""
     return (a @ b) % P
 
 

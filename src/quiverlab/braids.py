@@ -223,9 +223,6 @@ class GarsideForm:
     infimum: int
     factors: tuple[WeylElement, ...]
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def __str__(self) -> str:
         parts = [f"D^{self.infimum}"] if self.infimum else []
         parts.extend(str(f) for f in self.factors)

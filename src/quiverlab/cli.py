@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -55,10 +56,25 @@ class JobSpec:
         return build_quiver(self.dtype, list(self.arrows) if self.arrows is not None else None)
 
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 over the names and bytes of the package's `.py` sources, so that
+    a cache entry written by other code is never replayed."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(b"%s\0%d\0" % (name.encode("utf-8"), os.fstat(fh.fileno()).st_size))
+                h.update(fh.read())
+    return h.hexdigest()
+
+
 def _canonical(job: JobSpec) -> dict:
     # cache_dir deliberately excluded: it locates the cache, it is not input
     return {
         "version": CACHE_VERSION,
+        "code": source_digest(),
         "command": job.command,
         "type": job.dtype,
         "arrows": sorted(list(a) for a in job.arrows) if job.arrows is not None else None,
@@ -78,12 +94,10 @@ def run(job: JobSpec, out=None) -> int:
     if job.cache_dir:
         key = cache_key(job)
         path = os.path.join(job.cache_dir, key + ".json")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                stored = json.load(fh)
-            if stored.get("version") == CACHE_VERSION:
-                out.write(stored["output"])
-                return 0
+        stored = _read_entry(path)
+        if stored is not None:
+            out.write(stored)
+            return 0
     text = _render(job)
     if path is not None:
         os.makedirs(job.cache_dir, exist_ok=True)
@@ -98,6 +112,20 @@ def run(job: JobSpec, out=None) -> int:
         os.replace(tmp, path)
     out.write(text)
     return 0
+
+
+def _read_entry(path: str) -> str | None:
+    """The output stored at `path`, or None on a miss.  An unreadable or
+    malformed entry is a miss too: the caller recomputes and rewrites it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(stored, dict) or stored.get("version") != CACHE_VERSION:
+        return None
+    output = stored.get("output")
+    return output if isinstance(output, str) else None
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +210,22 @@ def _label_json(num: dict, lab) -> dict:
     return {"id": num[lab], "label": str(lab)}
 
 
-def _path_vector(alg, path: str) -> np.ndarray:
-    """Element of the loop algebra given as a dash-separated vertex walk."""
+def _check_vertex(q, v: int) -> None:
+    if v not in q.vertices:
+        raise GuardError(f"no vertex {v} in {q.dtype} (vertices 1..{q.rank})")
+
+
+def _path_vector(alg, path: str, start: int, end: int) -> np.ndarray:
+    """Element of the loop algebra given as a dash-separated vertex walk,
+    which must run from `start` to `end`."""
     try:
         seq = [int(t) for t in path.split("-")]
     except ValueError:
         raise GuardError(f"bad path {path!r} (expected e.g. '1-2-1')") from None
-    if not seq:
-        raise GuardError("empty path")
+    for v in seq:
+        _check_vertex(alg.quiver, v)
+    if (seq[0], seq[-1]) != (start, end):
+        raise GuardError(f"path {path!r} does not run from vertex {start} to vertex {end}")
     vec = alg.unit(seq[0])
     for a, b in zip(seq, seq[1:]):
         step = None
@@ -203,7 +239,7 @@ def _path_vector(alg, path: str) -> np.ndarray:
     return vec
 
 
-def _entry_vector(alg, entry) -> np.ndarray:
+def _entry_vector(alg, entry, start: int, end: int) -> np.ndarray:
     vec = np.zeros(alg.dim, dtype=np.int64)
     if not entry:
         return vec
@@ -212,7 +248,7 @@ def _entry_vector(alg, entry) -> np.ndarray:
         if len(pair) != 2:
             raise GuardError(f"bad entry term {pair!r} (expected [path, coefficient])")
         path, coeff = pair
-        vec = (vec + int(coeff) * _path_vector(alg, str(path))) % K.P
+        vec = (vec + int(coeff) * _path_vector(alg, str(path), start, end)) % K.P
     return K.reduce_mod(vec)
 
 
@@ -253,13 +289,15 @@ def _render_higgs(job: JobSpec) -> str:
             raise GuardError(f"lift spec is missing field {field!r}")
     p1 = [int(v) for v in spec["p1"]]
     p0 = [int(v) for v in spec["p0"]]
+    for v in p1 + p0:
+        _check_vertex(q, v)
     rows = spec["matrix"]
     if len(rows) != len(p0) or any(len(r) != len(p1) for r in rows):
         raise GuardError("lift matrix shape does not match p0 x p1")
     ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
     for r in range(len(p0)):
         for c in range(len(p1)):
-            ent[r, c] = _entry_vector(alg, rows[r][c])
+            ent[r, c] = _entry_vector(alg, rows[r][c], p1[c], p0[r])
     f = higgs.LambdaMorphism(alg, p1, p0, ent)
     lift = higgs.lift_morphism(f, seed)
     return _json_text(
@@ -380,12 +418,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GuardError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise GuardError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def _job_from_args(args) -> JobSpec:
     dtype = getattr(args, "type", None)
     arrows = None
     if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as fh:
-            raw = fh.read()
+        raw = _read_text(args.file)
         try:
             q = quiver_from_json(json.loads(raw))
         except json.JSONDecodeError:
@@ -410,8 +457,7 @@ def _job_from_args(args) -> JobSpec:
         else:
             raw = args.lift
             if raw.startswith("@"):
-                with open(raw[1:], encoding="utf-8") as fh:
-                    raw = fh.read()
+                raw = _read_text(raw[1:])
             try:
                 options.update(op="lift", spec=json.loads(raw))
             except json.JSONDecodeError as exc:

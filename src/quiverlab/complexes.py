@@ -281,8 +281,8 @@ class TauInvFunctor:
             if g is None:
                 self.G[i] = np.zeros((0, len(labels_s)), dtype=np.int64)
             else:
-                off0 = reps.direct_sum([reps.injective_rep(q, v) for v in labels_s])[1]
-                off1 = reps.direct_sum([reps.injective_rep(q, v) for v in labels_w])[1]
+                off0 = reps.injective_sum(q, tuple(labels_s))[1]
+                off1 = reps.injective_sum(q, tuple(labels_w))[1]
                 self.G[i] = reps._scalar_matrix_of_injective_map(g, labels_s, off0, labels_w, off1)
                 rebuilt = reps.assemble_injective_map(q, labels_s, labels_w, self.G[i])
                 for v in q.vertices:
@@ -314,8 +314,8 @@ class TauInvFunctor:
                     rows.append(0)
             return np.array(rows, dtype=np.int64)
 
-        inj_w = [reps.injective_rep(q, v) for v in labels_sw]
-        off_w = reps.direct_sum(inj_w)[1] if inj_w else []
+        codw, off_w = reps.injective_sum(q, tuple(labels_sw))
+        dom = reps.injective_sum(q, tuple(labels_su))[0]
         unknowns = [
             (r, c)
             for r in range(len(labels_sw))
@@ -349,11 +349,7 @@ class TauInvFunctor:
                 else:
                     x_rep = [(a + b2) % K.P for a, b2 in zip(x_rep, scaled)]
         if x_rep is None:
-            dom = reps.direct_sum([reps.injective_rep(q, v) for v in labels_su])[0] if labels_su else reps.zero_rep(q)
-            codw = reps.direct_sum(inj_w)[0] if inj_w else reps.zero_rep(q)
             x_rep = [np.zeros((codw.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
-        dom = reps.direct_sum([reps.injective_rep(q, v) for v in labels_su])[0] if labels_su else reps.zero_rep(q)
-        codw = reps.direct_sum(inj_w)[0] if inj_w else reps.zero_rep(q)
         x_morph = reps.Morphism(dom, codw, [m % K.P for m in x_rep]).validate()
         # check the defining equation at rep level
         lhs = x_morph.compose(emb_u)
@@ -371,8 +367,8 @@ class TauInvFunctor:
         rhs_m = g_w.compose(x_morph) if g_w is not None else None
         if rhs_m is None:
             raise InternalCheckError("missing copresentation connecting map")
-        off_su = reps.direct_sum([reps.injective_rep(q, v) for v in labels_su])[1]
-        off_ww = reps.direct_sum([reps.injective_rep(q, v) for v in labels_ww])[1]
+        off_su = reps.injective_sum(q, tuple(labels_su))[1]
+        off_ww = reps.injective_sum(q, tuple(labels_ww))[1]
         rhs_coords = reps._scalar_matrix_of_injective_map(rhs_m, list(labels_su), off_su, labels_ww, off_ww)
         yunknowns = [
             (r, c)
@@ -505,7 +501,7 @@ def realize(C: PCpx) -> tuple[dict[int, reps.Rep], dict[int, reps.Morphism]]:
     terms = {}
     for d in degs:
         labels = C.term(d)
-        terms[d] = reps.direct_sum([reps.projective_rep(q, v) for v in labels])[0] if labels else reps.zero_rep(q)
+        terms[d] = reps.projective_sum(q, tuple(labels))[0]
     diffs = {}
     for d in degs:
         src = terms.get(d, reps.zero_rep(q))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import re
 
 import numpy as np
@@ -132,12 +131,6 @@ class Quiver:
 
     def arrows_into(self, v: int) -> tuple[tuple[int, int], ...]:
         return tuple(a for a in self.arrows if a[1] == v)
-
-    def sources(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if not self.arrows_into(v))
-
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if not self.arrows_from(v))
 
     @functools.cache
     def topological_order(self) -> tuple[int, ...]:
@@ -317,18 +310,3 @@ def quiver_to_dot(q: Quiver) -> str:
         lines.append(f"  v{i} -> v{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def format_quiver_text(q: Quiver) -> str:
-    rows = [f"type:     {q.dtype}"]
-    rows.append("arrows:   " + " ".join(f"{i}->{j}" for i, j in q.arrows))
-    rows.append("sources:  " + " ".join(map(str, q.sources())))
-    rows.append("sinks:    " + " ".join(map(str, q.sinks())))
-    rows.append(f"coxeter:  {coxeter_number(q.dtype)}")
-    inv = nakayama_involution(q)
-    rows.append("star:     " + " ".join(f"{v}->{inv[v]}" for v in q.vertices))
-    return "\n".join(rows) + "\n"
-
-
-def _json_dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -58,13 +58,17 @@ class MprLabel:
 
 
 class MprObject:
-    """A morphism between sums of projectives, in scalar path coordinates."""
+    """A morphism between sums of projectives, in scalar path coordinates.
+
+    `mat` is read-only: the objects behind labels are shared through a memo.
+    """
 
     def __init__(self, quiver: Quiver, p1, p0, mat):
         self.quiver = quiver
         self.p1 = tuple(int(v) for v in p1)
         self.p0 = tuple(int(v) for v in p0)
         self.mat = K.reduce_mod(np.asarray(mat, dtype=np.int64).reshape(len(self.p0), len(self.p1)))
+        self.mat.setflags(write=False)
         mask = cx._hom_mask(quiver, self.p1, self.p0)
         if np.any(self.mat[~mask]):
             raise InternalCheckError("presentation matrix has entries outside hom spaces")
@@ -171,6 +175,11 @@ def presentation(x) -> MprObject:
         return x
     if not isinstance(x, MprLabel):
         raise InternalCheckError(f"cannot interpret {x!r} as a morphism-category object")
+    return _label_presentation(x)
+
+
+@functools.cache
+def _label_presentation(x: MprLabel) -> MprObject:
     q = x.quiver
     if x.kind == "dzero":
         return MprObject(q, (x.vertex,), (x.vertex,), [[1]])

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import Counter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,14 +46,21 @@ class IndecLabel:
         return f"t-{self.power}P{self.vertex}"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only, so that an object shared through a memo
+    raises on an in-place write instead of corrupting later results."""
+    a.setflags(write=False)
+    return a
+
+
 class Rep:
-    """A representation: dims per vertex and one matrix per arrow."""
+    """A representation: dims per vertex and one read-only matrix per arrow."""
 
     def __init__(self, quiver: Quiver, dims, maps):
         self.quiver = quiver
         self.dims = tuple(int(d) for d in dims)
         # maps[(i, j)] has shape (dims[i-1], dims[j-1]) and sends M_j -> M_i
-        self.maps = {a: K.reduce_mod(m) for a, m in maps.items()}
+        self.maps = MappingProxyType({a: _read_only(K.reduce_mod(m)) for a, m in maps.items()})
         for (i, j), m in self.maps.items():
             if m.shape != (self.dims[i - 1], self.dims[j - 1]):
                 raise InternalCheckError(f"bad map shape at arrow {(i, j)}")
@@ -81,15 +89,16 @@ class Rep:
 class Morphism:
     src: Rep
     tgt: Rep
-    mats: list  # per vertex v (1-based): shape (tgt.dim(v), src.dim(v))
+    mats: list | tuple  # per vertex v (1-based): shape (tgt.dim(v), src.dim(v))
 
     def mat(self, v: int) -> np.ndarray:
         return self.mats[v - 1]
 
     def validate(self) -> "Morphism":
+        mats = [K.reduce_mod(m) for m in self.mats]
         for (i, j) in self.src.quiver.arrows:
-            lhs = K.matmul(self.mat(i), self.src.map((i, j)))
-            rhs = K.matmul(self.tgt.map((i, j)), self.mat(j))
+            lhs = K.matmul_reduced(mats[i - 1], self.src.map((i, j)))
+            rhs = K.matmul_reduced(self.tgt.map((i, j)), mats[j - 1])
             if not np.array_equal(lhs, rhs):
                 raise InternalCheckError(f"matrices do not intertwine at arrow {(i, j)}")
         return self
@@ -116,10 +125,12 @@ def _path_indicator_rep(q: Quiver, cond) -> Rep:
     return Rep(q, dims, maps)
 
 
+@functools.cache
 def projective_rep(q: Quiver, i: int) -> Rep:
     return _path_indicator_rep(q, lambda v: q.has_path(v, i))
 
 
+@functools.cache
 def injective_rep(q: Quiver, i: int) -> Rep:
     return _path_indicator_rep(q, lambda v: q.has_path(i, v))
 
@@ -135,7 +146,7 @@ def path_action(M: Rep, a: int, b: int) -> np.ndarray:
         raise InternalCheckError(f"no path {a} ~> {b}")
     out = np.eye(M.dim(b), dtype=np.int64)
     for u, w in zip(reversed(path[:-1]), reversed(path[1:])):
-        out = K.matmul(M.map((u, w)), out)
+        out = K.matmul_reduced(M.map((u, w)), out)
     return out
 
 
@@ -162,22 +173,47 @@ def direct_sum(reps: list[Rep]) -> tuple[Rep, list[list[int]]]:
     return Rep(q, dims, maps), offsets
 
 
+def _indicator_sum(build, q: Quiver, labels: tuple[int, ...]):
+    if not labels:
+        return zero_rep(q), ()
+    total, offsets = direct_sum([build(q, v) for v in labels])
+    return total, tuple(tuple(off) for off in offsets)
+
+
+@functools.cache
+def projective_sum(q: Quiver, labels: tuple[int, ...]) -> tuple[Rep, tuple[tuple[int, ...], ...]]:
+    """`direct_sum` of the projectives at `labels` (zero for no labels)."""
+    return _indicator_sum(projective_rep, q, labels)
+
+
+@functools.cache
+def injective_sum(q: Quiver, labels: tuple[int, ...]) -> tuple[Rep, tuple[tuple[int, ...], ...]]:
+    """`direct_sum` of the injectives at `labels` (zero for no labels)."""
+    return _indicator_sum(injective_rep, q, labels)
+
+
+def _all_ones_morphism(src: Rep, tgt: Rep) -> Morphism:
+    """The validated morphism whose every defined entry is 1, with read-only
+    matrices: the canonical basis morphisms are shared through memos."""
+    mats = tuple(_read_only(np.ones((tgt.dim(v), src.dim(v)), dtype=np.int64))
+                 for v in src.quiver.vertices)
+    return Morphism(src, tgt, mats).validate()
+
+
+@functools.cache
 def canonical_projective_morphism(q: Quiver, u: int, w: int) -> Morphism:
     """The basis morphism P_u -> P_w appending the path u ~> w."""
     if not q.has_path(u, w):
         raise InternalCheckError(f"Hom(P{u}, P{w}) = 0: no path")
-    src, tgt = projective_rep(q, u), projective_rep(q, w)
-    mats = [np.ones((tgt.dim(v), src.dim(v)), dtype=np.int64) for v in q.vertices]
-    return Morphism(src, tgt, mats).validate()
+    return _all_ones_morphism(projective_rep(q, u), projective_rep(q, w))
 
 
+@functools.cache
 def canonical_injective_morphism(q: Quiver, v0: int, w: int) -> Morphism:
     """The basis morphism I_v0 -> I_w stripping the path v0 ~> w."""
     if not q.has_path(v0, w):
         raise InternalCheckError(f"Hom(I{v0}, I{w}) = 0: no path")
-    src, tgt = injective_rep(q, v0), injective_rep(q, w)
-    mats = [np.ones((tgt.dim(v), src.dim(v)), dtype=np.int64) for v in q.vertices]
-    return Morphism(src, tgt, mats).validate()
+    return _all_ones_morphism(injective_rep(q, v0), injective_rep(q, w))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +334,6 @@ def radical_projections(M: Rep) -> list[np.ndarray]:
     return out
 
 
-def top_dims(M: Rep) -> list[int]:
-    return [p.shape[0] for p in radical_projections(M)]
-
-
 # ---------------------------------------------------------------------------
 # projective covers and presentations
 
@@ -323,13 +355,12 @@ def projective_cover(M: Rep) -> tuple[list[int], Morphism]:
         for c in range(t):
             labels.append(v)
             gens.append((v, lift[:, c]))
-    summands = [projective_rep(q, v) for v in labels]
-    if not summands:
+    if not labels:
         return [], Morphism(zero_rep(q), M, [np.zeros((M.dim(v), 0), dtype=np.int64) for v in q.vertices])
-    dom, offsets = direct_sum(summands)
+    dom, offsets = projective_sum(q, tuple(labels))
     mats = [np.zeros((M.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
     for slot, (v, vec) in enumerate(gens):
-        pv_rep = summands[slot]
+        pv_rep = projective_rep(q, v)
         for u in q.vertices:
             if pv_rep.dim(u) == 0:
                 continue
@@ -370,12 +401,12 @@ def min_presentation(M: Rep) -> tuple[list[int], list[int], np.ndarray]:
     labels1, cover1 = projective_cover(ker)
     if not ker.is_zero():
         # over a hereditary algebra the kernel is projective: the cover is an iso
-        if sum(projective_rep(q, v).total_dim for v in labels1) != ker.total_dim:
+        if projective_sum(q, tuple(labels1))[0].total_dim != ker.total_dim:
             raise InternalCheckError("first syzygy of a module is not projective")
     d = incl.compose(cover1)
     if labels1 and labels0:
-        off1 = direct_sum([projective_rep(q, v) for v in labels1])[1]
-        off0 = direct_sum([projective_rep(q, v) for v in labels0])[1]
+        off1 = projective_sum(q, tuple(labels1))[1]
+        off0 = projective_sum(q, tuple(labels0))[1]
         scal = scalar_matrix_of_projective_map(d, labels1, off1, labels0, off0)
         rebuilt = assemble_projective_map(q, labels1, labels0, scal)
         for v in q.vertices:
@@ -388,10 +419,8 @@ def min_presentation(M: Rep) -> tuple[list[int], list[int], np.ndarray]:
 
 def assemble_projective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
     """Rebuild the rep-level morphism from canonical-basis scalars."""
-    src = [projective_rep(q, v) for v in src_labels]
-    tgt = [projective_rep(q, v) for v in tgt_labels]
-    dom, off_s = direct_sum(src) if src else (zero_rep(q), [])
-    cod, off_t = direct_sum(tgt) if tgt else (zero_rep(q), [])
+    dom, off_s = projective_sum(q, tuple(src_labels))
+    cod, off_t = projective_sum(q, tuple(tgt_labels))
     mats = [np.zeros((cod.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
     for c, u in enumerate(src_labels):
         for r, w in enumerate(tgt_labels):
@@ -436,14 +465,13 @@ def _injective_envelope(M: Rep) -> tuple[list[int], Morphism]:
         for c in range(s):
             labels.append(v)
             funcs.append((v, finv[c]))
-    summands = [injective_rep(q, v) for v in labels]
-    if not summands:
+    if not labels:
         cod = zero_rep(q)
         return [], Morphism(M, cod, [np.zeros((0, M.dim(v)), dtype=np.int64) for v in q.vertices])
-    cod, offsets = direct_sum(summands)
+    cod, offsets = injective_sum(q, tuple(labels))
     mats = [np.zeros((cod.dim(v), M.dim(v)), dtype=np.int64) for v in q.vertices]
     for slot, (v, phi) in enumerate(funcs):
-        iv = summands[slot]
+        iv = injective_rep(q, v)
         for u in q.vertices:
             if iv.dim(u) == 0:
                 continue
@@ -469,14 +497,8 @@ def _scalar_matrix_of_injective_map(f: Morphism, src_labels, src_offsets, tgt_la
 
 def assemble_injective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
     """Rebuild a morphism between sums of injectives from path-basis scalars."""
-    src = [injective_rep(q, v) for v in src_labels]
-    tgt = [injective_rep(q, v) for v in tgt_labels]
-    dom, off_s = direct_sum(src) if src else (None, [])
-    cod, off_t = direct_sum(tgt) if tgt else (None, [])
-    if dom is None:
-        dom = zero_rep(q)
-    if cod is None:
-        cod = zero_rep(q)
+    dom, off_s = injective_sum(q, tuple(src_labels))
+    cod, off_t = injective_sum(q, tuple(tgt_labels))
     mats = [np.zeros((cod.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
     for c, u in enumerate(src_labels):
         for r, w in enumerate(tgt_labels):
@@ -509,8 +531,8 @@ def tau_inv_rep(M: Rep) -> Rep:
         return zero_rep(q)
     labels1, emb1 = _injective_envelope(cok)
     g = emb1.compose(proj)
-    off0 = direct_sum([injective_rep(q, v) for v in labels0])[1]
-    off1 = direct_sum([injective_rep(q, v) for v in labels1])[1]
+    off0 = injective_sum(q, tuple(labels0))[1]
+    off1 = injective_sum(q, tuple(labels1))[1]
     scal = _scalar_matrix_of_injective_map(g, labels0, off0, labels1, off1)
     rebuilt = assemble_injective_map(q, labels0, labels1, scal)
     for v in q.vertices:

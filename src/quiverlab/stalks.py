@@ -107,9 +107,6 @@ class GradedDim:
     def total(self) -> int:
         return sum(v for _, v in self._entries)
 
-    def degree0(self) -> int:
-        return self[0]
-
     def __repr__(self) -> str:
         if not self._entries:
             return "{}"

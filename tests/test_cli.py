@@ -207,6 +207,24 @@ def test_cache_key_separates_orientations_and_formats():
     assert len({cli.cache_key(x) for x in (a, b, c)}) == 3
 
 
+def test_cache_key_covers_the_source_digest(monkeypatch):
+    job = cli.JobSpec("mpr", "A3", None, "json", {}, None)
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    old = cli.cache_key(job)
+    monkeypatch.setattr(cli, "source_digest", lambda: "1" * 64)
+    assert cli.cache_key(job) != old
+
+
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
+    argv = ["--cache-dir", str(tmp_path), "quiver", "--type", "A2"]
+    first = run_ok(capsys, argv)
+    (entry,) = tmp_path.iterdir()
+    entry.write_text('{"version": 1, "outp')
+    assert run_ok(capsys, argv) == first
+    assert json.loads(entry.read_text())["output"] == first
+    assert list(tmp_path.iterdir()) == [entry]
+
+
 def test_render_is_deterministic(capsys):
     one = run_ok(capsys, ["ice", "--type", "A3", "--format", "json"])
     two = run_ok(capsys, ["ice", "--type", "A3", "--format", "json"])
@@ -224,6 +242,30 @@ def test_exit_code_guard_error(capsys):
 
 def test_exit_code_bad_pair(capsys):
     assert cli.main(["hom", "--type", "A1", "--pair", "1", "4"]) == 3
+
+
+def test_exit_code_missing_file(capsys, tmp_path):
+    missing = tmp_path / "nonexistent"
+    assert cli.main(["quiver", "--file", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "p1, p0, path, words",
+    [
+        ([1], [2], "9-9", "vertex 9"),  # a walk through a missing vertex
+        ([9], [2], "1", "vertex 9"),  # a summand at a missing vertex
+        ([1], [2], "2-1", "from vertex 1 to vertex 2"),  # a walk between the wrong ends
+    ],
+)
+def test_exit_code_bad_lift_spec(capsys, p1, p0, path, words):
+    spec = json.dumps({"p1": p1, "p0": p0, "matrix": [[[[path, 1]]]]})
+    assert cli.main(["higgs", "--type", "A3", "--lift", spec]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and words in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_exit_code_usage():

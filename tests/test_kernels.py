@@ -88,3 +88,16 @@ def test_matmul_matches_numpy():
 def test_rank_of_identity_and_zero():
     assert K.rank(np.eye(5, dtype=np.int64)) == 5
     assert K.rank(np.zeros((4, 6), dtype=np.int64)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.sampled_from([0, 0, 0, 1, 2, K.P - 1, 12345]), min_size=n, max_size=n)))
+def test_rref_single_row_matches_general_path(row):
+    a = np.array([row], dtype=np.int64)
+    fast, fast_piv = K.rref(a)
+    slow, slow_piv = K._rref_general(K.reduce_mod(a))
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(fast_piv, slow_piv)
+    assert fast.dtype == slow.dtype == np.int64
+    assert fast_piv.dtype == slow_piv.dtype == np.int64
