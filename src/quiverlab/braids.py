@@ -3,14 +3,16 @@ left-greedy normal form, the canonical positive lift of Weyl elements,
 the star involution, fixed-subgroup membership, and the induced
 reflection action on the class lattice.
 
-Weyl elements are integer matrices in the reflection representation on
-the root lattice; simple factors of the normal form are Weyl elements,
-with the longest element as the Garside element.
+Weyl elements are the permutations they induce on the root system, so
+products, inverses and descents are exact index arithmetic; simple
+factors of the normal form are Weyl elements, with the longest element
+as the Garside element.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +60,12 @@ class BraidWord:
         return " ".join(str(i * s) for (i, s) in self.letters) or "(empty)"
 
 
-@dataclasses.dataclass(frozen=True)
-class WeylElement:
-    dtype: DynkinType
-    mat: tuple[tuple[int, ...], ...]
+class WeylElement(NamedTuple):
+    """A Weyl group element as the permutation it induces on the roots:
+    `perm[k]` is the index of w(root k) in its diagram's root list."""
 
-    def matrix(self) -> np.ndarray:
-        return np.array(self.mat, dtype=np.int64)
+    dtype: DynkinType
+    perm: tuple[int, ...]
 
     def __str__(self) -> str:
         word = canonical_lift(self)
@@ -72,79 +73,68 @@ class WeylElement:
 
 
 class _WeylContext:
-    """Reflection matrices, roots, and longest element for one diagram."""
+    """Roots, simple reflections and longest element for one diagram.
+
+    Roots are indexed positive roots first, then their negatives in the
+    same order, so index k names a negative root iff k >= npos."""
 
     def __init__(self, dtype: DynkinType):
         self.dtype = dtype
         self.vertices = dtype.vertices
-        n = len(self.vertices)
+        pos = np.array(positive_roots(dtype), dtype=np.int64)
+        R = np.concatenate([pos, -pos])
+        self.npos = len(pos)
+        self.roots = [tuple(r) for r in R.tolist()]
+        index = {r: k for k, r in enumerate(self.roots)}
         C = dtype.cartan_matrix()
-        self.gens: dict[int, np.ndarray] = {}
+        unit = np.eye(len(C), dtype=np.int64).tolist()
+        self.simple = {i: index[tuple(unit[a])] for a, i in enumerate(self.vertices)}
+        self.gens = {}
         for a, i in enumerate(self.vertices):
-            M = np.eye(n, dtype=np.int64)
-            M[a, :] -= C[a, :]
-            self.gens[i] = M
-        self.roots = [np.asarray(r, dtype=np.int64) for r in positive_roots(dtype)]
-        self.identity = self._freeze(np.eye(n, dtype=np.int64))
+            img = R.copy()
+            img[:, a] -= R @ C[a]  # s_a(r) = r - <r, alpha_a> alpha_a
+            self.gens[i] = WeylElement(dtype, tuple(index[tuple(r)] for r in img.tolist()))
+        self.identity = WeylElement(dtype, tuple(range(len(self.roots))))
         w = self.identity
-        while True:
-            asc = [i for i in self.vertices if not self._descent_right(w, i)]
-            if not asc:
-                break
-            w = self.mul(w, self.gen(asc[0]))
+        while asc := [i for i in self.vertices if i not in self.right_descents(w)]:
+            w = self.mul(w, self.gens[asc[0]])
         self.w0 = w
-        if self.length(w) != len(self.roots):
+        if self.length(w) != self.npos:
             raise InternalCheckError("longest element has wrong length")
 
-    def _freeze(self, M: np.ndarray) -> WeylElement:
-        return WeylElement(self.dtype, tuple(tuple(int(x) for x in row) for row in M))
-
-    def gen(self, i: int) -> WeylElement:
-        return self._freeze(self.gens[i])
-
-    @functools.lru_cache(maxsize=None)
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._freeze(a.matrix() @ b.matrix())
+        return WeylElement(self.dtype, tuple(map(a.perm.__getitem__, b.perm)))
 
-    @functools.lru_cache(maxsize=None)
     def inv(self, a: WeylElement) -> WeylElement:
-        M = a.matrix()
-        R = np.linalg.inv(M.astype(float)).round().astype(np.int64)
-        if not np.array_equal(M @ R, np.eye(M.shape[0], dtype=np.int64)):
-            raise InternalCheckError("reflection matrix is not invertible over Z")
-        return self._freeze(R)
+        return WeylElement(
+            self.dtype, tuple(sorted(range(len(a.perm)), key=a.perm.__getitem__))
+        )
 
-    @functools.lru_cache(maxsize=None)
     def length(self, a: WeylElement) -> int:
-        M = a.matrix()
-        return sum(1 for r in self.roots if int((M @ r).sum()) < 0)
+        """Number of positive roots sent to negative roots."""
+        return sum(k >= self.npos for k in a.perm[: self.npos])
 
-    def _descent_right(self, a: WeylElement, i: int) -> bool:
-        """w alpha_i negative, i.e. l(w s_i) < l(w)."""
-        v = a.matrix()[:, self.vertices.index(i)]
-        return int(v.sum()) < 0
-
-    @functools.lru_cache(maxsize=None)
     def right_descents(self, a: WeylElement) -> tuple[int, ...]:
-        return tuple(i for i in self.vertices if self._descent_right(a, i))
+        """i with w(alpha_i) negative, i.e. l(w s_i) < l(w)."""
+        return tuple(i for i in self.vertices if a.perm[self.simple[i]] >= self.npos)
 
-    @functools.lru_cache(maxsize=None)
     def left_descents(self, a: WeylElement) -> tuple[int, ...]:
-        ai = self.inv(a)
-        return tuple(i for i in self.vertices if self._descent_right(ai, i))
+        """i with w^-1(alpha_i) negative, i.e. l(s_i w) < l(w)."""
+        return tuple(
+            i for i in self.vertices if a.perm.index(self.simple[i]) >= self.npos
+        )
 
     def meet_prefix(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        """Largest common prefix in the left weak order."""
-        out = self.identity
+        """Largest common prefix in the left weak order: strip common left
+        descents off both; what was stripped off `a` is the meet."""
+        a0 = a
         while True:
-            common = [i for i in self.left_descents(a) if i in self.left_descents(b)]
-            if not common:
-                return out
-            i = common[0]
-            s = self.gen(i)
-            out = self.mul(out, s)
-            a = self.mul(s, a)
-            b = self.mul(s, b)
+            db = self.left_descents(b)
+            i = next((i for i in self.left_descents(a) if i in db), None)
+            if i is None:
+                return self.mul(a0, self.inv(a))
+            s = self.gens[i]
+            a, b = self.mul(s, a), self.mul(s, b)
 
     def right_complement(self, a: WeylElement) -> WeylElement:
         return self.mul(self.inv(a), self.w0)
@@ -174,7 +164,7 @@ def project_to_weyl(w: BraidWord) -> WeylElement:
     ctx = _ctx_of(w)
     out = ctx.identity
     for (i, _) in w.letters:
-        out = ctx.mul(out, ctx.gen(i))
+        out = ctx.mul(out, ctx.gens[i])
     return out
 
 
@@ -186,7 +176,7 @@ def canonical_lift(w: WeylElement) -> BraidWord:
     while cur != ctx.identity:
         i = min(ctx.left_descents(cur))
         letters.append((i, 1))
-        cur = ctx.mul(ctx.gen(i), cur)
+        cur = ctx.mul(ctx.gens[i], cur)
     return BraidWord(w.dtype, tuple(letters))
 
 
@@ -202,7 +192,7 @@ def reduced_words(w: WeylElement, limit: int = 10000) -> list[tuple[int, ...]]:
             out.append(tuple(acc))
             return
         for i in ctx.left_descents(cur):
-            rec(ctx.mul(ctx.gen(i), cur), acc + [i])
+            rec(ctx.mul(ctx.gens[i], cur), acc + [i])
 
     rec(w, [])
     if len(out) > limit:
@@ -236,27 +226,25 @@ def _guard_garside(dtype: DynkinType):
         )
 
 
-def _normalize(ctx: _WeylContext, infimum: int, factors: list[WeylElement]):
-    factors = [f for f in factors if f != ctx.identity]
-    changed = True
-    while changed:
-        changed = False
-        k = 0
-        while k < len(factors):
-            if factors[k] == ctx.w0:
-                factors = [ctx.tau(x) for x in factors[:k]] + factors[k + 1 :]
-                infimum += 1
-                changed = True
-                continue
-            k += 1
-        for k in range(len(factors) - 1):
-            a, b = factors[k], factors[k + 1]
-            u = ctx.meet_prefix(ctx.right_complement(a), b)
-            if u != ctx.identity:
-                factors[k] = ctx.mul(a, u)
-                factors[k + 1] = ctx.mul(ctx.inv(u), b)
-                changed = True
-        factors = [f for f in factors if f != ctx.identity]
+def _append_simple(ctx: _WeylContext, infimum: int, factors: list[WeylElement],
+                   s: WeylElement):
+    """Right-multiply a left-weighted form by one simple factor: a single
+    right-to-left sweep of local sliding, which stops at the first pair
+    that is already left-weighted (the domino rule)."""
+    factors = factors + [s]
+    for k in range(len(factors) - 2, -1, -1):
+        a, b = factors[k], factors[k + 1]
+        u = ctx.meet_prefix(ctx.right_complement(a), b)
+        if u == ctx.identity:
+            break
+        factors[k] = ctx.mul(a, u)
+        factors[k + 1] = ctx.mul(ctx.inv(u), b)
+    # full twists can only lead and identities only trail a left-weighted form
+    while factors and factors[0] == ctx.w0:
+        factors.pop(0)
+        infimum += 1
+    while factors and factors[-1] == ctx.identity:
+        factors.pop()
     return infimum, factors
 
 
@@ -269,12 +257,12 @@ def garside_normal_form(w: BraidWord) -> GarsideForm:
     factors: list[WeylElement] = []
     for (i, s) in w.letters:
         if s > 0:
-            factors.append(ctx.gen(i))
+            infimum, factors = _append_simple(ctx, infimum, factors, ctx.gens[i])
         else:
-            infimum -= 1
             factors = [ctx.tau(x) for x in factors]
-            factors.append(ctx.mul(ctx.w0, ctx.gen(i)))
-        infimum, factors = _normalize(ctx, infimum, factors)
+            infimum, factors = _append_simple(
+                ctx, infimum - 1, factors, ctx.mul(ctx.w0, ctx.gens[i])
+            )
     for a, b in zip(factors, factors[1:]):
         if not set(ctx.left_descents(b)) <= set(ctx.right_descents(a)):
             raise InternalCheckError("normal form is not left-weighted")
@@ -315,15 +303,13 @@ def is_in_B_star(w: BraidWord) -> bool:
 
 
 def k0_action(w: BraidWord) -> np.ndarray:
-    """Induced matrix on the class lattice: each letter acts by its
-    simple-reflection matrix (an involution, so signs collapse)."""
+    """Induced matrix on the class lattice: the reflection matrix of the
+    Weyl image, whose column j is the root w(alpha_j).  Each letter acts
+    by its simple reflection, an involution, so signs collapse."""
     ctx = _ctx_of(w)
-    n = len(ctx.vertices)
-    out = np.eye(n, dtype=np.int64)
-    for (i, s) in w.letters:
-        M = ctx.gens[i]
-        out = out @ (M if s > 0 else np.linalg.inv(M.astype(float)).round().astype(np.int64))
-    return out
+    perm = project_to_weyl(w).perm
+    cols = [ctx.roots[perm[ctx.simple[i]]] for i in ctx.vertices]
+    return np.array(cols, dtype=np.int64).T
 
 
 # ---------------------------------------------------------------------------

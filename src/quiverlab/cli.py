@@ -240,15 +240,15 @@ def _path_vector(alg, path: str, start: int, end: int) -> np.ndarray:
 
 
 def _entry_vector(alg, entry, start: int, end: int) -> np.ndarray:
+    if not isinstance(entry, list) or entry and isinstance(entry[0], str):
+        entry = [entry]
     vec = np.zeros(alg.dim, dtype=np.int64)
-    if not entry:
-        return vec
-    pairs = [entry] if isinstance(entry[0], str) else entry
-    for pair in pairs:
-        if len(pair) != 2:
+    for pair in entry:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and type(pair[1]) is int):
             raise GuardError(f"bad entry term {pair!r} (expected [path, coefficient])")
         path, coeff = pair
-        vec = (vec + int(coeff) * _path_vector(alg, str(path), start, end)) % K.P
+        vec = (vec + coeff % K.P * _path_vector(alg, path, start, end)) % K.P
     return K.reduce_mod(vec)
 
 
@@ -283,17 +283,20 @@ def _render_higgs(job: JobSpec) -> str:
             {"orbit": [_label_json(num, l) for l in orbit], "order": len(orbit)}
         )
     spec = job.options["spec"]
-    alg = higgs.preprojective_algebra(q, seed)
+    if not isinstance(spec, dict):
+        raise GuardError("lift spec must be a JSON object {p1, p0, matrix}")
     for field in ("p1", "p0", "matrix"):
         if field not in spec:
             raise GuardError(f"lift spec is missing field {field!r}")
-    p1 = [int(v) for v in spec["p1"]]
-    p0 = [int(v) for v in spec["p0"]]
+    p1, p0, rows = spec["p1"], spec["p0"], spec["matrix"]
+    if not all(isinstance(vs, list) and all(type(v) is int for v in vs) for vs in (p1, p0)):
+        raise GuardError("lift spec fields 'p1' and 'p0' must be lists of vertices")
     for v in p1 + p0:
         _check_vertex(q, v)
-    rows = spec["matrix"]
-    if len(rows) != len(p0) or any(len(r) != len(p1) for r in rows):
+    if not (isinstance(rows, list) and len(rows) == len(p0)
+            and all(isinstance(r, list) and len(r) == len(p1) for r in rows)):
         raise GuardError("lift matrix shape does not match p0 x p1")
+    alg = higgs.preprojective_algebra(q, seed)
     ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
     for r in range(len(p0)):
         for c in range(len(p1)):

@@ -158,7 +158,6 @@ def shift_pcpx(C: PCpx, s: int) -> PCpx:
 def cone(f: ChainMap) -> PCpx:
     """Mapping cone: degree d is src^{d+1} + tgt^d."""
     A, B = f.src, f.tgt
-    degs = sorted({d for d in A.degrees()} | {d + 1 for d in A.degrees()} | set(B.degrees()) | {d for d in B.degrees()})
     terms = {}
     for d in set([x - 1 for x in A.degrees()] + B.degrees()):
         t = tuple(A.term(d + 1)) + tuple(B.term(d))

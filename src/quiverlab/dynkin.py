@@ -267,8 +267,14 @@ def quiver_to_json(q: Quiver) -> dict:
     }
 
 
-def quiver_from_json(data: dict) -> Quiver:
-    return build_quiver(data["type"], [tuple(a) for a in data["arrows"]])
+def quiver_from_json(data) -> Quiver:
+    """Inverse of `quiver_to_json`; any other value is a `GuardError`."""
+    arrows = data.get("arrows") if isinstance(data, dict) and "type" in data else None
+    if not (isinstance(arrows, list) and all(
+        isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a) for a in arrows
+    )):
+        raise GuardError('quiver JSON must be {"type": ..., "arrows": [[source, target], ...]}')
+    return build_quiver(data["type"], [tuple(a) for a in arrows])
 
 
 def quiver_to_text(q: Quiver) -> str:

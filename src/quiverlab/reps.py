@@ -417,25 +417,30 @@ def min_presentation(M: Rep) -> tuple[list[int], list[int], np.ndarray]:
     return labels1, labels0, scal
 
 
-def assemble_projective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
-    """Rebuild the rep-level morphism from canonical-basis scalars."""
-    dom, off_s = projective_sum(q, tuple(src_labels))
-    cod, off_t = projective_sum(q, tuple(tgt_labels))
+def _assemble_map(make_sum, canonical, q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
+    """Rebuild a morphism between direct sums (built by `make_sum`) from its
+    scalars on the basis morphisms (built by `canonical`) between summands."""
+    dom, off_s = make_sum(q, tuple(src_labels))
+    cod, off_t = make_sum(q, tuple(tgt_labels))
     mats = [np.zeros((cod.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
     for c, u in enumerate(src_labels):
         for r, w in enumerate(tgt_labels):
             s = int(scal[r, c]) % K.P
             if s == 0:
                 continue
-            if not q.has_path(u, w):
-                raise InternalCheckError("scalar entry without a path")
-            base = canonical_projective_morphism(q, u, w)
+            base = canonical(q, u, w)
             for v in q.vertices:
                 if base.src.dim(v) and base.tgt.dim(v):
                     mats[v - 1][off_t[r][v - 1], off_s[c][v - 1]] = (
                         mats[v - 1][off_t[r][v - 1], off_s[c][v - 1]] + s
                     ) % K.P
     return Morphism(dom, cod, mats).validate()
+
+
+def assemble_projective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
+    """Rebuild the rep-level morphism from canonical-basis scalars."""
+    return _assemble_map(projective_sum, canonical_projective_morphism,
+                         q, src_labels, tgt_labels, scal)
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +502,8 @@ def _scalar_matrix_of_injective_map(f: Morphism, src_labels, src_offsets, tgt_la
 
 def assemble_injective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
     """Rebuild a morphism between sums of injectives from path-basis scalars."""
-    dom, off_s = injective_sum(q, tuple(src_labels))
-    cod, off_t = injective_sum(q, tuple(tgt_labels))
-    mats = [np.zeros((cod.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
-    for c, u in enumerate(src_labels):
-        for r, w in enumerate(tgt_labels):
-            s = int(scal[r, c]) % K.P
-            if s == 0:
-                continue
-            base = canonical_injective_morphism(q, u, w)
-            for v in q.vertices:
-                if base.src.dim(v) and base.tgt.dim(v):
-                    mats[v - 1][off_t[r][v - 1], off_s[c][v - 1]] = (
-                        mats[v - 1][off_t[r][v - 1], off_s[c][v - 1]] + s
-                    ) % K.P
-    return Morphism(dom, cod, mats).validate()
+    return _assemble_map(injective_sum, canonical_injective_morphism,
+                         q, src_labels, tgt_labels, scal)
 
 
 def tau_inv_rep(M: Rep) -> Rep:

@@ -7,7 +7,9 @@ import random
 import numpy as np
 import pytest
 
+import quiverlab
 from quiverlab import braids as br
+from quiverlab.dynkin import DynkinType
 from quiverlab.errors import GuardError
 
 W = br.BraidWord.from_ints
@@ -205,6 +207,33 @@ def test_distinct_projections_have_distinct_forms():
     assert seen > 10
 
 
+def test_trailing_full_twist_moves_into_the_infimum():
+    rng = random.Random(47)
+    for t in ("A3", "D4", "E6"):
+        D = br.garside_element(t)
+        delta = br.project_to_weyl(D)
+        for _ in range(4):
+            w = random_word(D.dtype, 8, rng)
+            form = nf(w * D)
+            assert form.infimum == nf(w).infimum + 1
+            assert form == nf(D * br.star_involution(w))
+            for f in form.factors:
+                assert f != delta and br.canonical_lift(f).letters
+
+
+def test_cancelling_the_last_factor_drops_it():
+    rng = random.Random(53)
+    for t in ("A3", "D4", "E6"):
+        base = W(t, [])
+        for _ in range(4):
+            w = random_word(base.dtype, 8, rng)
+            form = nf(w)
+            if not form.factors:
+                continue
+            u = w * br.canonical_lift(form.factors[-1]).inverse()
+            assert nf(u) == br.GarsideForm(form.dtype, form.infimum, form.factors[:-1])
+
+
 def test_garside_guard():
     with pytest.raises(GuardError):
         nf(W("E7", [1]))
@@ -262,6 +291,29 @@ def test_k0_generator_fixture():
     assert br.k0_action(W("A2", [1])).tolist() == [[-1, 1], [0, 1]]
 
 
+def reflection_matrix(dtype, word):
+    """Product of the simple reflections s_i = I - e_i C[i, :] along a word."""
+    C = dtype.cartan_matrix()
+    n = dtype.rank
+    out = np.eye(n, dtype=np.int64)
+    for i in word:
+        M = np.eye(n, dtype=np.int64)
+        M[i - 1, :] -= C[i - 1, :]
+        out = out @ M
+    return out
+
+
+def test_k0_is_the_reflection_matrix_of_the_weyl_image():
+    rng = random.Random(59)
+    for t in ("A3", "D4", "E6"):
+        dt = DynkinType.parse(t)
+        for _ in range(5):
+            w = random_word(dt, 12, rng)
+            lift = br.canonical_lift(br.project_to_weyl(w))
+            expect = reflection_matrix(dt, [i for i, _ in lift.letters])
+            assert np.array_equal(br.k0_action(w), expect)
+
+
 def test_k0_kills_cancelling_pairs():
     assert np.array_equal(br.k0_action(W("A2", [1, -1])), np.eye(2, dtype=np.int64))
 
@@ -292,6 +344,23 @@ def test_k0_constant_on_equivalence_classes():
         w = random_word(base.dtype, 6, rng)
         u = rewrite(w, adj)
         assert np.array_equal(br.k0_action(w), br.k0_action(u))
+
+
+# ---------------------------------------------------------------------------
+# the Weyl layer
+
+
+def test_only_the_context_is_memoized():
+    names = [n for n in quiverlab.memos() if n.startswith("quiverlab.braids.")]
+    assert names == ["quiverlab.braids._context"]
+
+
+def test_weyl_elements_are_root_permutations():
+    w0 = br.project_to_weyl(br.garside_element("D4"))
+    n = len(w0.perm)
+    assert sorted(w0.perm) == list(range(n))
+    # the longest element sends every positive root to a negative one
+    assert n == 24 and all(k >= n // 2 for k in w0.perm[: n // 2])
 
 
 # ---------------------------------------------------------------------------

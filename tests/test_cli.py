@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface: rendering, file input,
 the artifact cache, and exit codes."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quiverlab import boundary
 from quiverlab import cli
@@ -266,6 +270,86 @@ def test_exit_code_bad_lift_spec(capsys, p1, p0, path, words):
     err = capsys.readouterr().err
     assert err.startswith("error:") and words in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"p1": ["x"], "p0": [2], "matrix": [[["1-2", 1]]]},  # a non-numeric summand
+        {"p1": 5, "p0": [2], "matrix": [[["1-2", 1]]]},  # summands not a list
+        {"p1": [1], "p0": [2], "matrix": 5},  # matrix not a list of rows
+        {"p1": [1], "p0": [2], "matrix": [[["1-2", "x"]]]},  # a non-numeric coefficient
+        {"p1": [1], "p0": [2], "matrix": [[[7, 1]]]},  # an entry term that is not a pair
+        [1, 2],  # not an object
+    ],
+)
+def test_exit_code_ill_typed_lift_spec(capsys, spec):
+    assert cli.main(["higgs", "--type", "A3", "--lift", json.dumps(spec)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"arrows": [[1, 2]]},  # no type
+        {"type": "A3", "arrows": [[1]]},  # an arrow that is not a pair
+        {"type": "A3", "arrows": 5},  # arrows not a list
+        [1, 2],  # not an object
+        "A3",
+    ],
+)
+def test_exit_code_ill_typed_quiver_json(capsys, tmp_path, content):
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps(content))
+    assert cli.main(["quiver", "--file", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+_vertex = st.integers(-1, 4) | _json
+_term = st.lists(st.sampled_from(["1", "2-1", "3-2-1", "1-2", "", "x"]) | st.integers(-3, 3) | _json,
+                 min_size=2, max_size=2)
+_entry = st.lists(_term, max_size=2) | _term | _json
+_lift_spec = _json | st.fixed_dictionaries({
+    "p1": st.lists(_vertex, max_size=2) | _json,
+    "p0": st.lists(_vertex, max_size=2) | _json,
+    "matrix": st.lists(st.lists(_entry, max_size=2), max_size=2) | _json,
+})
+_quiver_json = _json | st.fixed_dictionaries({
+    "type": st.sampled_from(["A1", "A2", "A3"]) | _json,
+    "arrows": st.lists(st.lists(_vertex, max_size=3), max_size=3) | _json,
+})
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rank=st.integers(1, 3), lift=st.booleans(), spec=_lift_spec, content=_quiver_json)
+def test_fuzz_json_inputs_exit_cleanly(tmp_path, monkeypatch, rank, lift, spec, content):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    if lift:
+        argv = ["higgs", "--type", f"A{rank}", "--lift", json.dumps(spec)]
+    else:
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps(content))
+        argv = ["quiver", "--file", str(f)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == 3:
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().strip().splitlines()) == 1
 
 
 def test_exit_code_usage():
