@@ -8,92 +8,51 @@ the projective-morphism category (`morphcat`), the decorated quiver with
 potential (`ice`), graded hom tables over the embedded copies
 (`boundary`), the loop-algebra presentation calculus (`higgs`), and
 braid words with their normal forms (`braids`).
+
+The exports are lazy (PEP 562): `import quiverlab` loads neither a
+submodule nor numpy.  Reading an exported name imports the submodule that
+defines it, and reading a submodule name such as `quiverlab.reps` imports
+that submodule, so a process loads only the layers it uses.
 """
 
-from .boundary import HomTable, export_hom_table, gamma_hom, hom_table, thm1_hom, thm2_hom
-from .braids import (
-    BraidWord,
-    GarsideForm,
-    SiltingLabel,
-    WeylElement,
-    braid_equal,
-    canonical_lift,
-    garside_element,
-    garside_normal_form,
-    is_in_B_star,
-    k0_action,
-    project_to_weyl,
-    reduced_words,
-    star_involution,
-    triangular_extension,
-)
-from .dynkin import (
-    DynkinType,
-    Quiver,
-    build_quiver,
-    coxeter_number,
-    nakayama_involution,
-    positive_roots,
-    quiver_from_json,
-    quiver_from_text,
-    quiver_to_dot,
-    quiver_to_json,
-    quiver_to_text,
-)
-from .errors import GuardError, InternalCheckError
-from .higgs import (
-    Conflation,
-    HiggsLift,
-    LambdaMorphism,
-    PreprojAlgebra,
-    TQAlgebra,
-    hom_pair_dim,
-    is_indecomposable,
-    is_isomorphic,
-    lift_morphism,
-    omega_action,
-    omega_orbit,
-    omega_order,
-    phi_image,
-    preprojective_algebra,
-    realize_lift,
-    split_summands,
-    tq_algebra,
-)
-from .ice import IceQuiver, build_ice_quiver, export_ice, mutable_part
-from .morphcat import (
-    MprLabel,
-    MprObject,
-    f_power_label,
-    f_presentation,
-    hom_dim_mpr,
-    label_by_number,
-    mpr_ar_quiver,
-    mpr_indecomposables,
-    mpr_number,
-    presentation,
-    tau_mpr,
-    window,
-)
-from .reps import (
-    ARQuiver,
-    IndecLabel,
-    Morphism,
-    Rep,
-    decompose,
-    ext1_dim,
-    euler_form,
-    hom_basis,
-    hom_dim,
-    injective_rep,
-    knit_ar_quiver,
-    list_indecomposables,
-    min_presentation,
-    projective_rep,
-    simple_rep,
-    tau_inv_rep,
-)
-from .stalks import DerivedLabel, GradedDim, derived_hom, e_exponent, pi2_hom
+import importlib
+
+_EXPORTS = {
+    "boundary": "HomTable export_hom_table gamma_hom hom_table thm1_hom thm2_hom",
+    "braids": "BraidWord GarsideForm SiltingLabel WeylElement braid_equal canonical_lift "
+              "garside_element garside_normal_form is_in_B_star k0_action project_to_weyl "
+              "reduced_words star_involution triangular_extension",
+    "dynkin": "DynkinType Quiver build_quiver coxeter_number nakayama_involution "
+              "positive_roots quiver_from_json quiver_from_text quiver_to_dot quiver_to_json "
+              "quiver_to_text",
+    "errors": "GuardError InternalCheckError",
+    "higgs": "Conflation HiggsLift LambdaMorphism PreprojAlgebra TQAlgebra hom_pair_dim "
+             "is_indecomposable is_isomorphic lift_morphism omega_action omega_orbit "
+             "omega_order phi_image preprojective_algebra realize_lift split_summands "
+             "tq_algebra",
+    "ice": "IceQuiver build_ice_quiver export_ice mutable_part",
+    "morphcat": "MprLabel MprObject f_power_label f_presentation hom_dim_mpr label_by_number "
+                "mpr_ar_quiver mpr_indecomposables mpr_number presentation tau_mpr window",
+    "reps": "ARQuiver IndecLabel Morphism Rep decompose ext1_dim euler_form hom_basis hom_dim "
+            "injective_rep knit_ar_quiver list_indecomposables min_presentation "
+            "projective_rep simple_rep tau_inv_rep",
+    "stalks": "DerivedLabel GradedDim derived_hom e_exponent pi2_hom",
+}
+# exported name -> the submodule that defines it
+_ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = (*_EXPORTS, "complexes")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _ORIGIN:
+        return getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))
 
 
 def memos() -> dict:
@@ -127,5 +86,5 @@ def clear_caches() -> None:
         memo.cache_clear()
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_ORIGIN, *_SUBMODULES, "clear_caches", "memos"])
 __version__ = "0.1.0"

@@ -6,6 +6,11 @@ tables, the projective-presentation calculus over the loop algebra, and
 the braid-word toolkit.  Output is deterministic for a fixed job, so a
 content digest of the canonicalized job doubles as a cache key; cached
 artifacts are replayed byte for byte.
+
+A cache hit needs only the job and the stored entry, so this module loads
+nothing at import time beyond the standard library, `errors` and `dynkin`
+(the parsers and serializers of quivers, which never touch numpy).  Each
+renderer imports the layers it uses.
 """
 from __future__ import annotations
 
@@ -16,13 +21,8 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels as K
-from . import boundary, braids, higgs
-from . import morphcat as mp
 from .dynkin import (
     build_quiver,
     quiver_from_json,
@@ -32,8 +32,11 @@ from .dynkin import (
     quiver_to_text,
 )
 from .errors import GuardError, InternalCheckError
-from .ice import build_ice_quiver, export_ice
-from .reps import IndecLabel, knit_ar_quiver
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import higgs
 
 CACHE_VERSION = 1
 CACHE_ENV = "QUIVERLAB_CACHE_DIR"
@@ -100,6 +103,8 @@ def run(job: JobSpec, out=None) -> int:
             return 0
     text = _render(job)
     if path is not None:
+        import tempfile
+
         os.makedirs(job.cache_dir, exist_ok=True)
         payload = {"version": CACHE_VERSION, "job": _canonical(job), "output": text}
         fd, tmp = tempfile.mkstemp(dir=job.cache_dir, suffix=".tmp")
@@ -150,6 +155,8 @@ def _render_quiver(job: JobSpec) -> str:
 
 
 def _render_ar(job: JobSpec) -> str:
+    from .reps import knit_ar_quiver
+
     ar = knit_ar_quiver(job.quiver())
     if job.fmt == "json":
         return _json_text(ar.to_json())
@@ -162,6 +169,8 @@ def _render_ar(job: JobSpec) -> str:
 
 
 def _render_mpr(job: JobSpec) -> str:
+    from . import morphcat as mp
+
     ar = mp.mpr_ar_quiver(job.quiver())
     if job.fmt == "json":
         return _json_text(ar.to_json())
@@ -179,10 +188,15 @@ def _render_mpr(job: JobSpec) -> str:
 
 
 def _render_ice(job: JobSpec) -> str:
+    from .ice import build_ice_quiver, export_ice
+
     return export_ice(build_ice_quiver(job.quiver()), job.fmt)
 
 
 def _render_hom(job: JobSpec) -> str:
+    from . import boundary
+    from .reps import IndecLabel
+
     q = job.quiver()
     table = boundary.hom_table(q)
     if job.options["mode"] == "table":
@@ -240,6 +254,10 @@ def _path_vector(alg, path: str, start: int, end: int) -> np.ndarray:
 
 
 def _entry_vector(alg, entry, start: int, end: int) -> np.ndarray:
+    import numpy as np
+
+    from . import _kernels as K
+
     if not isinstance(entry, list) or entry and isinstance(entry[0], str):
         entry = [entry]
     vec = np.zeros(alg.dim, dtype=np.int64)
@@ -253,6 +271,10 @@ def _entry_vector(alg, entry, start: int, end: int) -> np.ndarray:
 
 
 def _entry_json(alg, vec) -> list:
+    import numpy as np
+
+    from . import _kernels as K
+
     return [[alg.path_string(int(i)), int(vec[i])] for i in np.nonzero(vec % K.P)[0]]
 
 
@@ -268,6 +290,11 @@ def _morphism_json(f: higgs.LambdaMorphism) -> dict:
 
 
 def _render_higgs(job: JobSpec) -> str:
+    import numpy as np
+
+    from . import higgs
+    from . import morphcat as mp
+
     q = job.quiver()
     num = mp.mpr_number(q)
     seed = job.options.get("seed", 0)
@@ -315,6 +342,8 @@ def _render_higgs(job: JobSpec) -> str:
 
 
 def _render_braid(job: JobSpec) -> str:
+    from . import braids
+
     if job.dtype is None:
         raise GuardError("braid needs --type")
     letters = job.options["word"]
@@ -326,7 +355,7 @@ def _render_braid(job: JobSpec) -> str:
         [i for i, _ in braids.canonical_lift(w).letters] for w in nf.factors
     ]
     star = braids.star_involution(word)
-    member = braids.is_in_B_star(word)
+    member = braids.garside_normal_form(star) == nf  # is_in_B_star(word), one form fewer
     k0 = braids.k0_action(word)
     data = {
         "type": str(word.dtype),

@@ -9,16 +9,21 @@ Vertex numbering convention, fixed once for the whole package:
 The default orientation points every edge from its smaller to its larger
 endpoint.  A custom orientation may flip any subset of edges; the underlying
 diagram is always the one above.
+
+Only the three functions that return arrays import numpy, so building,
+parsing and serializing quivers load no numpy.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import re
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GuardError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RANK_RANGE = {"A": (1, 8), "D": (4, 8), "E": (6, 8)}
 
@@ -71,6 +76,8 @@ class DynkinType:
         return tuple((i, i + 1) for i in range(1, n - 1)) + ((3, n),)
 
     def cartan_matrix(self) -> np.ndarray:
+        import numpy as np
+
         n = self.rank
         c = 2 * np.eye(n, dtype=np.int64)
         for i, j in self.edges:
@@ -117,6 +124,17 @@ class Quiver:
 
     dtype: DynkinType
     arrows: tuple[tuple[int, int], ...]  # (source, target), sorted
+
+    def __post_init__(self):
+        # every memo lookup hashes its quiver, so hash the fields once
+        object.__setattr__(self, "_hash", hash((self.dtype, self.arrows)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes differ between processes
+        return Quiver, (self.dtype, self.arrows)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -169,6 +187,8 @@ class Quiver:
         return self.path_vertices(u, w) is not None
 
     def path_count_matrix(self) -> np.ndarray:
+        import numpy as np
+
         n = self.rank
         m = np.zeros((n, n), dtype=np.int64)
         for u in self.vertices:
@@ -236,6 +256,8 @@ def nakayama_involution(q: Quiver | DynkinType | str) -> dict[int, int]:
 
 def positive_roots(dtype: DynkinType | str) -> list[np.ndarray]:
     """All positive roots, generated by reflection closure from the simples."""
+    import numpy as np
+
     dtype = DynkinType.parse(dtype)
     cartan = dtype.cartan_matrix()
     n = dtype.rank

@@ -111,6 +111,24 @@ def test_braid_json_fields(capsys):
     assert out["k0"] == [[-1, 1], [0, 1]]
 
 
+def test_braid_job_normalises_twice(capsys, monkeypatch):
+    from quiverlab import braids
+
+    calls = []
+    normal_form = braids.garside_normal_form
+
+    def counted(word):
+        calls.append(word)
+        return normal_form(word)
+
+    monkeypatch.setattr(braids, "garside_normal_form", counted)
+    out = json.loads(
+        run_ok(capsys, ["braid", "--type", "A3", "--word", "1 2 -3 1", "--format", "json"])
+    )
+    assert len(calls) == 2  # the word and its star image
+    word = braids.BraidWord.from_ints("A3", [1, 2, -3, 1])
+    assert out["in_b_star"] is braids.is_in_B_star(word) is False
+
 def test_higgs_phi(capsys):
     q = dy.build_quiver("A2")
     num = mc.mpr_number(q)
@@ -351,6 +369,42 @@ def test_fuzz_json_inputs_exit_cleanly(tmp_path, monkeypatch, rank, lift, spec, 
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().strip().splitlines()) == 1
 
+
+_arg_text = st.text(alphabet="0123-> ,x#\n", max_size=12) | st.text(max_size=6)
+_text_line = st.sampled_from(
+    ["type A 3", "type A 2", "type A1", "type E 9", "1 -> 2", "2 -> 1", "2->3", "3 -> 2",
+     "1 -> 1", "# note", ""]
+) | _arg_text
+_quiver_text = st.lists(_text_line, max_size=5).map("\n".join)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rank=st.integers(1, 3), word=_arg_text, orient=_arg_text,
+       pair=st.lists(st.integers(-1, 12).map(str) | _arg_text, min_size=2, max_size=2),
+       content=_quiver_text)
+def test_fuzz_argv_text_exits_cleanly(tmp_path, monkeypatch, rank, word, orient, pair, content):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    f = tmp_path / "q.txt"
+    f.write_text(content)
+    dtype = f"A{rank}"
+    for argv in (
+        ["braid", "--type", dtype, "--word", word],
+        ["quiver", "--type", dtype, "--orient", orient],
+        ["hom", "--type", dtype, "--pair", *pair],
+        ["quiver", "--file", str(f)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+        assert rc in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc == 3:
+            assert err.getvalue().startswith("error:")
+            assert len(err.getvalue().strip().splitlines()) == 1
 
 def test_exit_code_usage():
     with pytest.raises(SystemExit) as exc:

@@ -176,3 +176,24 @@ def test_cartan_matrix_symmetric_with_twos():
         assert (np.diag(c) == 2).all()
         off = c - np.diag(np.diag(c))
         assert set(np.unique(off)) <= {0, -1}
+
+
+def test_unpickled_quiver_rehashes_in_its_own_process():
+    # string hashes differ between processes, so a hash cached at build
+    # time must not travel with a pickle
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import quiverlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quiverlab.__file__)))
+    dump = "import pickle, sys; from quiverlab.dynkin import build_quiver; " \
+           "sys.stdout.buffer.write(pickle.dumps(build_quiver('D5', '2->1 2->3 3->4 5->3')))"
+    blob = subprocess.run([sys.executable, "-c", dump], capture_output=True, check=True,
+                          env=dict(env, PYTHONHASHSEED="1")).stdout
+    q = pickle.loads(blob)
+    fresh = build_quiver("D5", "2->1 2->3 3->4 5->3")
+    assert q == fresh and hash(q) == hash(fresh)
+    assert {fresh: 1}[q] == 1

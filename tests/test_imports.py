@@ -1,0 +1,111 @@
+"""What a process loads: `import quiverlab` binds its exports lazily, and a
+command-line job that needs no computation (a cache hit, or the quiver
+itself) imports neither numpy nor a compute module.
+
+Each check runs in a fresh interpreter, since the test process has long
+since loaded every module."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import quiverlab
+
+# `quiverlab.__all__` as the package exported it with eager imports
+EXPORTS = """
+ARQuiver BraidWord Conflation DerivedLabel DynkinType GarsideForm GradedDim GuardError
+HiggsLift HomTable IceQuiver IndecLabel InternalCheckError LambdaMorphism Morphism MprLabel
+MprObject PreprojAlgebra Quiver Rep SiltingLabel TQAlgebra WeylElement boundary braid_equal
+braids build_ice_quiver build_quiver canonical_lift clear_caches complexes coxeter_number
+decompose derived_hom dynkin e_exponent errors euler_form export_hom_table export_ice
+ext1_dim f_power_label f_presentation gamma_hom garside_element garside_normal_form higgs
+hom_basis hom_dim hom_dim_mpr hom_pair_dim hom_table ice injective_rep is_in_B_star
+is_indecomposable is_isomorphic k0_action knit_ar_quiver label_by_number lift_morphism
+list_indecomposables memos min_presentation morphcat mpr_ar_quiver mpr_indecomposables
+mpr_number mutable_part nakayama_involution omega_action omega_orbit omega_order phi_image
+pi2_hom positive_roots preprojective_algebra presentation project_to_weyl projective_rep
+quiver_from_json quiver_from_text quiver_to_dot quiver_to_json quiver_to_text realize_lift
+reduced_words reps simple_rep split_summands stalks star_involution tau_inv_rep tau_mpr
+thm1_hom thm2_hom tq_algebra triangular_extension window
+""".split()
+
+LIGHT = ["quiverlab", "quiverlab.cli", "quiverlab.dynkin", "quiverlab.errors"]
+
+
+def run_python(code: str) -> dict:
+    """Run `code` in a fresh interpreter on the package under test; it
+    prints one JSON document last on stdout."""
+    env = dict(os.environ)
+    env.pop("QUIVERLAB_CACHE_DIR", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(quiverlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_cli(argv: list) -> dict:
+    """Exit code, output and loaded modules of one in-process `cli.main`."""
+    return run_python(f"""
+import contextlib, io, json, sys
+from quiverlab import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main({argv!r})
+print(json.dumps({{
+    "rc": rc,
+    "out": out.getvalue(),
+    "numpy": "numpy" in sys.modules,
+    "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "quiverlab"),
+}}))
+""")
+
+
+def test_cache_hit_loads_no_numpy_and_no_compute_module(tmp_path):
+    argv = ["--cache-dir", str(tmp_path), "mpr", "--type", "E8"]
+    cold = run_cli(argv)
+    assert cold["rc"] == 0 and cold["numpy"] and "quiverlab.morphcat" in cold["modules"]
+    replay = run_cli(argv)
+    assert replay["rc"] == 0 and replay["out"] == cold["out"]
+    assert not replay["numpy"]
+    assert replay["modules"] == LIGHT
+
+
+def test_quiver_job_loads_no_numpy_and_no_compute_module():
+    job = run_cli(["quiver", "--type", "D5", "--orient", "2->1 2->3 4->3 3->5"])
+    assert job["rc"] == 0
+    assert job["out"] == "type D 5\n2 -> 1\n2 -> 3\n3 -> 5\n4 -> 3\n"
+    assert not job["numpy"]
+    assert job["modules"] == LIGHT
+
+
+def test_star_import_binds_every_export_lazily():
+    got = run_python("""
+import json, sys
+import quiverlab
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "quiverlab")
+numpy = "numpy" in sys.modules
+before = set(globals())
+from quiverlab import *
+names = sorted(set(globals()) - before - {"before"})
+same = []
+for name in names:
+    obj = globals()[name]
+    if type(obj) is type(sys):
+        same.append(obj is sys.modules["quiverlab." + name])
+    else:
+        same.append(obj is getattr(sys.modules[obj.__module__], name))
+print(json.dumps({"loaded": loaded, "numpy": numpy, "names": names, "same": same,
+                  "all": quiverlab.__all__, "dir": dir(quiverlab)}))
+""")
+    assert got["loaded"] == ["quiverlab"] and not got["numpy"]
+    assert got["all"] == sorted(EXPORTS)
+    assert got["names"] == sorted(EXPORTS)
+    assert all(got["same"])
+    assert set(EXPORTS) <= set(got["dir"])
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quiverlab.no_such_name  # noqa: B018

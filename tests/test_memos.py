@@ -75,3 +75,15 @@ def test_shared_objects_cannot_be_rebound():
         reps.projective_rep(q, 3).maps[(1, 2)] = np.zeros((1, 1), dtype=np.int64)
     with pytest.raises(TypeError):
         reps.canonical_projective_morphism(q, 1, 3).mats[0] = np.zeros((1, 1), dtype=np.int64)
+
+
+def test_equal_quivers_share_hash_and_memo_entries():
+    a, b = build_quiver("D5"), build_quiver("D5", "1->2 2->3 3->4 3->5")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != build_quiver("D5", "2->1 2->3 3->4 3->5")
+    assert build_quiver("A3") < a  # ordering stays field by field
+    reps.projective_rep.cache_clear()
+    P = reps.projective_rep(a, 2)
+    assert reps.projective_rep(b, 2) is P
+    info = reps.projective_rep.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
