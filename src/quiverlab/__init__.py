@@ -1,13 +1,14 @@
 """Combinatorial structures attached to simply laced Dynkin quivers.
 
-Submodules, bottom up: exact linear algebra over a fixed prime field
-(`_kernels`), diagrams and quivers (`dynkin`), representations and their
-translation quiver (`reps`), graded stalk calculus in the derived
-category (`stalks`), two-term complexes of projectives (`complexes`),
-the projective-morphism category (`morphcat`), the decorated quiver with
-potential (`ice`), graded hom tables over the embedded copies
-(`boundary`), the loop-algebra presentation calculus (`higgs`), and
-braid words with their normal forms (`braids`).
+Submodules, bottom up: diagrams and quivers (`dynkin`); the module
+category as labels, dimension vectors and translation quiver, with the
+graded stalk calculus in the derived category, all in plain integers
+(`stalks`); exact linear algebra over a fixed prime field (`_kernels`);
+representations as matrices (`reps`); two-term complexes of projectives
+(`complexes`); the projective-morphism category (`morphcat`); the
+decorated quiver with potential (`ice`); graded hom tables over the
+embedded copies (`boundary`); the loop-algebra presentation calculus
+(`higgs`); and braid words with their normal forms (`braids`).
 
 The exports are lazy (PEP 562): `import quiverlab` loads neither a
 submodule nor numpy.  Reading an exported name imports the submodule that
@@ -33,10 +34,10 @@ _EXPORTS = {
     "ice": "IceQuiver build_ice_quiver export_ice mutable_part",
     "morphcat": "MprLabel MprObject f_power_label f_presentation hom_dim_mpr label_by_number "
                 "mpr_ar_quiver mpr_indecomposables mpr_number presentation tau_mpr window",
-    "reps": "ARQuiver IndecLabel Morphism Rep decompose ext1_dim euler_form hom_basis hom_dim "
-            "injective_rep knit_ar_quiver list_indecomposables min_presentation "
-            "projective_rep simple_rep tau_inv_rep",
-    "stalks": "DerivedLabel GradedDim derived_hom e_exponent pi2_hom",
+    "reps": "Morphism Rep decompose ext1_dim euler_form hom_basis hom_dim injective_rep "
+            "list_indecomposables min_presentation projective_rep simple_rep tau_inv_rep",
+    "stalks": "ARQuiver DerivedLabel GradedDim IndecLabel derived_hom e_exponent knit_ar_quiver "
+              "pi2_hom",
 }
 # exported name -> the submodule that defines it
 _ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

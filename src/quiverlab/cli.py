@@ -155,7 +155,7 @@ def _render_quiver(job: JobSpec) -> str:
 
 
 def _render_ar(job: JobSpec) -> str:
-    from .reps import knit_ar_quiver
+    from .stalks import knit_ar_quiver
 
     ar = knit_ar_quiver(job.quiver())
     if job.fmt == "json":
@@ -195,16 +195,16 @@ def _render_ice(job: JobSpec) -> str:
 
 def _render_hom(job: JobSpec) -> str:
     from . import boundary
-    from .reps import IndecLabel
+    from .stalks import IndecLabel
 
     q = job.quiver()
-    table = boundary.hom_table(q)
     if job.options["mode"] == "table":
-        return boundary.export_hom_table(table, job.fmt)
+        return boundary.export_hom_table(boundary.hom_table(q), job.fmt)
+    keys = boundary.table_keys(q)
     i, j = job.options["pair"]
-    if not (1 <= i <= len(table.keys) and 1 <= j <= len(table.keys)):
-        raise GuardError(f"pair indices must lie in 1..{len(table.keys)}")
-    (ei, u), (ej, v) = table.keys[i - 1], table.keys[j - 1]
+    if not (1 <= i <= len(keys) and 1 <= j <= len(keys)):
+        raise GuardError(f"pair indices must lie in 1..{len(keys)}")
+    (ei, u), (ej, v) = keys[i - 1], keys[j - 1]
     g = boundary.thm1_hom(ei, IndecLabel(q, u, 0), ej, IndecLabel(q, v, 0))
     name = lambda e, w: f"D{e}P{w}"
     if job.fmt == "json":

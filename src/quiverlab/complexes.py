@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels as K
 from . import reps
 from .dynkin import Quiver
-from .errors import InternalCheckError
+from .errors import GuardError, InternalCheckError
 from .stalks import DerivedLabel, normalize_label
 
 
@@ -583,3 +583,129 @@ def cochain_cohomology_dims(dims: dict[int, int], mats: dict[int, np.ndarray]) -
         if h:
             out[d] = h
     return out
+
+
+# ---------------------------------------------------------------------------
+# hom complexes between complexes, and two-column totalization
+
+
+def _hom_bases(A: PCpx, B: PCpx):
+    """Basis (a-degree, target slot, source slot) of each graded piece of
+    the hom complex, with its differential matrices."""
+    q = A.quiver
+    bases: dict[int, list[tuple[int, int, int]]] = {}
+    if A.is_zero() or B.is_zero():
+        return bases, {}
+    adeg, bdeg = A.degrees(), B.degrees()
+    for d in range(min(bdeg) - max(adeg), max(bdeg) - min(adeg) + 1):
+        basis = []
+        for e in adeg:
+            src, tgt = A.term(e), B.term(e + d)
+            if not src or not tgt:
+                continue
+            mask = _hom_mask(q, src, tgt)
+            basis.extend((e, r, c) for r in range(len(tgt)) for c in range(len(src)) if mask[r, c])
+        if basis:
+            bases[d] = basis
+    diffs: dict[int, np.ndarray] = {}
+    for d, basis in bases.items():
+        tgt_basis = bases.get(d + 1, [])
+        index = {b: i for i, b in enumerate(tgt_basis)}
+        M = np.zeros((len(tgt_basis), len(basis)), dtype=np.int64)
+        sgn = -1 if d % 2 == 0 else 1  # coefficient of f∘dA in D(f) = dB∘f - (-1)^d f∘dA
+        for ci, (e, r, c) in enumerate(basis):
+            dB = B.diff(e + d)
+            for rp in range(dB.shape[0]):
+                if dB[rp, r] % K.P:
+                    M[index[(e, rp, c)], ci] += dB[rp, r]
+            dA = A.diff(e - 1)
+            if dA.size:
+                for cp in range(dA.shape[1]):
+                    if dA[c, cp] % K.P:
+                        M[index[(e - 1, r, cp)], ci] += sgn * dA[c, cp]
+        diffs[d] = K.reduce_mod(M)
+    return bases, diffs
+
+
+def _delta_matrix(b0, b1, b01, d, xmap: ChainMap, nmap: ChainMap) -> np.ndarray:
+    """delta(f0, f1) = f0∘x - n∘f1, from Hom^d(X0,N0)⊕Hom^d(X1,N1) to Hom^d(X1,N0)."""
+    src0, src1 = b0.get(d, []), b1.get(d, [])
+    tgt = b01.get(d, [])
+    index = {b: i for i, b in enumerate(tgt)}
+    M = np.zeros((len(tgt), len(src0) + len(src1)), dtype=np.int64)
+    for ci, (e, r, c) in enumerate(src0):
+        xm = xmap.comp(e)
+        if xm.size:
+            for cp in range(xm.shape[1]):
+                if xm[c, cp] % K.P:
+                    M[index[(e, r, cp)], ci] += xm[c, cp]
+    for ci, (e, r, c) in enumerate(src1):
+        nm = nmap.comp(e + d)
+        if nm.size:
+            for rp in range(nm.shape[0]):
+                if nm[rp, r] % K.P:
+                    M[index[(e, rp, c)], len(src0) + ci] -= nm[rp, r]
+    return K.reduce_mod(M)
+
+
+def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
+    """Cohomology dims of Tot[Hom(X0,N0)⊕Hom(X1,N1) -> Hom(X1,N0)[+1]]."""
+    b0, d0 = _hom_bases(X0, N0)
+    b1, d1 = _hom_bases(X1, N1)
+    b01, d01 = _hom_bases(X1, N0)
+    degs = set(b0) | set(b1) | {d + 1 for d in b01}
+    if not degs:
+        return {}
+    lo, hi = min(degs) - 1, max(degs) + 1
+
+    def tot_dim(d):
+        return len(b0.get(d, [])) + len(b1.get(d, [])) + len(b01.get(d - 1, []))
+
+    def tot_diff(d):
+        n_src0, n_src1 = len(b0.get(d, [])), len(b1.get(d, []))
+        n_src01 = len(b01.get(d - 1, []))
+        n_tgt0, n_tgt1 = len(b0.get(d + 1, [])), len(b1.get(d + 1, []))
+        n_tgt01 = len(b01.get(d, []))
+        M = np.zeros((n_tgt0 + n_tgt1 + n_tgt01, n_src0 + n_src1 + n_src01), dtype=np.int64)
+        if d in d0 and d0[d].size:
+            M[:n_tgt0, :n_src0] = d0[d]
+        if d in d1 and d1[d].size:
+            M[n_tgt0:n_tgt0 + n_tgt1, n_src0:n_src0 + n_src1] = d1[d]
+        delta = _delta_matrix(b0, b1, b01, d, xmap, nmap)
+        if delta.size:
+            M[n_tgt0 + n_tgt1:, :n_src0 + n_src1] = delta
+        if d - 1 in d01 and d01[d - 1].size:
+            M[n_tgt0 + n_tgt1:, n_src0 + n_src1:] = -d01[d - 1]
+        return K.reduce_mod(M)
+
+    mats = {d: tot_diff(d) for d in range(lo, hi + 1)}
+    for d in range(lo, hi):
+        if mats[d].size and mats[d + 1].size:
+            if np.any(K.matmul(mats[d + 1], mats[d])):
+                raise InternalCheckError("totalization differential does not square to zero")
+    out = {}
+    for d in range(lo, hi + 1):
+        n = tot_dim(d)
+        if n == 0:
+            continue
+        r_out = K.rank(mats[d]) if mats[d].size else 0
+        r_in = K.rank(mats[d - 1]) if mats.get(d - 1) is not None and mats[d - 1].size else 0
+        h = n - r_out - r_in
+        if h < 0:
+            raise InternalCheckError("negative cohomology dimension in totalization")
+        if h:
+            out[d] = h
+    return out
+
+
+def embedding_slots(j: int, C: PCpx):
+    """Slots (N0, N1, connecting map) of the j-embedded object with
+    presentation complex C."""
+    Z = PCpx(C.quiver, {}, {})
+    if j == -1:
+        return C, Z, ChainMap(Z, C, {})
+    if j == 0:
+        return C, C, identity_map(C)
+    if j == 1:
+        return Z, C, ChainMap(C, Z, {})
+    raise GuardError("embedding index must lie in {-1, 0, 1}")

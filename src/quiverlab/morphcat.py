@@ -22,8 +22,7 @@ from . import complexes as cx
 from . import reps, stalks
 from .dynkin import Quiver, nakayama_involution
 from .errors import GuardError, InternalCheckError
-from .reps import IndecLabel
-from .stalks import DerivedLabel, e_exponent
+from .stalks import DerivedLabel, IndecLabel, e_exponent
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -120,10 +119,11 @@ def _slot(label: MprLabel) -> tuple[int, int]:
 
 @functools.cache
 def _simple_coords(q: Quiver) -> dict[int, tuple[int, int]]:
-    """Orbit coordinates (j, k) of each simple module S_i."""
+    """Orbit coordinates (j, k) of each simple module S_i, whose dimension
+    vector is the unit vector e_i."""
     out = {}
     for i in q.vertices:
-        lab = reps.label_by_dim_vector(q, reps.simple_rep(q, i).dim_vector())
+        lab = stalks.label_by_dim_vector(q, tuple(int(v == i) for v in q.vertices))
         out[i] = (lab.vertex, lab.power)
     return out
 

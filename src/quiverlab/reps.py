@@ -16,7 +16,10 @@ Conventions, fixed package-wide:
 
 The irreducible data extracted from a quiver is the orbit structure of the
 inverse translate: every indecomposable is tauinv^k applied to a projective,
-which is how `list_indecomposables` generates them.
+which is how `list_indecomposables` generates them.  The labels, dimension
+vectors and translation quiver alone are knitted in integers by `stalks`
+(and re-exported here); the matrix route of this module is the independent
+check on them.
 """
 from __future__ import annotations
 
@@ -29,21 +32,11 @@ import numpy as np
 
 from . import _kernels as K
 from .dynkin import Quiver, positive_roots
-from .errors import GuardError, InternalCheckError
-
-
-@dataclasses.dataclass(frozen=True, order=True)
-class IndecLabel:
-    """Label (vertex, power) for the module tauinv^power applied to P_vertex."""
-
-    quiver: Quiver
-    vertex: int
-    power: int
-
-    def __str__(self) -> str:
-        if self.power == 0:
-            return f"P{self.vertex}"
-        return f"t-{self.power}P{self.vertex}"
+from .errors import InternalCheckError
+# labels, orbit lengths (the exponents e_v) and the translation quiver are
+# knitted in integers
+from .stalks import ARQuiver, IndecLabel, knit_ar_quiver, label_by_dim_vector
+from .stalks import e_exponent as orbit_lengths
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -583,24 +576,11 @@ def list_indecomposables(q: Quiver) -> list[tuple[IndecLabel, Rep]]:
     return sorted(table.items(), key=lambda it: (it[0].power, topo[it[0].vertex]))
 
 
-def orbit_lengths(q: Quiver) -> dict[int, int]:
-    """Length of the inverse-translate orbit through each projective."""
-    return dict(_indec_data(q)[1])
-
-
 def indec_rep(label: IndecLabel) -> Rep:
     table, _ = _indec_data(label.quiver)
     if label not in table:
         raise InternalCheckError(f"{label} is not a valid indecomposable label")
     return table[label]
-
-
-def label_by_dim_vector(q: Quiver, dims) -> IndecLabel:
-    dims = tuple(int(d) for d in dims)
-    for lab, rep in _indec_data(q)[0].items():
-        if rep.dim_vector() == dims:
-            return lab
-    raise GuardError(f"no indecomposable with dimension vector {dims}")
 
 
 def decompose(M: Rep) -> Counter:
@@ -635,76 +615,6 @@ def is_injective_rep(M: Rep) -> bool:
     q = M.quiver
     inj_labels = {label_by_dim_vector(q, injective_rep(q, v).dim_vector()) for v in q.vertices}
     return all(lab in inj_labels for lab in decompose(M))
-
-
-# ---------------------------------------------------------------------------
-# translation structure of the module category
-
-
-@dataclasses.dataclass(frozen=True)
-class ARQuiver:
-    quiver: Quiver
-    vertices: tuple[IndecLabel, ...]
-    arrows: tuple[tuple[IndecLabel, IndecLabel], ...]
-    tau_pairs: tuple[tuple[IndecLabel, IndecLabel], ...]  # (x, translate of x)
-
-    def to_json(self) -> dict:
-        def lab(l):
-            return {"vertex": l.vertex, "power": l.power}
-
-        return {
-            "type": str(self.quiver.dtype),
-            "quiver_arrows": [list(a) for a in self.quiver.arrows],
-            "vertices": [lab(l) for l in self.vertices],
-            "arrows": [[lab(a), lab(b)] for a, b in self.arrows],
-            "tau_pairs": [[lab(a), lab(b)] for a, b in self.tau_pairs],
-        }
-
-    def to_dot(self) -> str:
-        idx = {l: i for i, l in enumerate(self.vertices)}
-        lines = ["digraph ar {", "  rankdir=LR;"]
-        by_power: dict[int, list[IndecLabel]] = {}
-        for l in self.vertices:
-            by_power.setdefault(l.power, []).append(l)
-        for l in self.vertices:
-            lines.append(f'  n{idx[l]} [label="{l}"];')
-        for k in sorted(by_power):
-            same = " ".join(f"n{idx[l]};" for l in sorted(by_power[k]))
-            lines.append("  { rank=same; %s }" % same)
-        for a, b in self.arrows:
-            lines.append(f"  n{idx[a]} -> n{idx[b]};")
-        for a, b in self.tau_pairs:
-            lines.append(f"  n{idx[a]} -> n{idx[b]} [style=dotted, constraint=false];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def knit_ar_quiver(q: Quiver) -> ARQuiver:
-    """The translation quiver of the module category, generated orbitwise.
-
-    Vertices are the labels (v, k); for every quiver arrow u -> w there are
-    arrows (u, k) -> (w, k) and (w, k) -> (u, k+1) whenever both endpoints
-    exist.  Translate pairs link (v, k+1) back to (v, k).
-    """
-    e = orbit_lengths(q)
-    verts = [lab for lab, _ in list_indecomposables(q)]
-    vs = set(verts)
-    arrows = []
-    for (u, w) in q.arrows:
-        for k in range(0, max(e.values())):
-            a, b = IndecLabel(q, u, k), IndecLabel(q, w, k)
-            if a in vs and b in vs:
-                arrows.append((a, b))
-            c, d = IndecLabel(q, w, k), IndecLabel(q, u, k + 1)
-            if c in vs and d in vs:
-                arrows.append((c, d))
-    tau_pairs = []
-    for v in q.vertices:
-        for k in range(1, e[v]):
-            tau_pairs.append((IndecLabel(q, v, k), IndecLabel(q, v, k - 1)))
-    order = {lab: i for i, lab in enumerate(verts)}
-    arrows = sorted(set(arrows), key=lambda ab: (order[ab[0]], order[ab[1]]))
-    return ARQuiver(q, tuple(verts), tuple(arrows), tuple(sorted(tau_pairs, key=lambda ab: order[ab[0]])))
 
 
 # ---------------------------------------------------------------------------

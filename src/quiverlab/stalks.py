@@ -1,15 +1,23 @@
-"""Derived-category bookkeeping for stalk objects Sigma^s tauinv^k P_v.
+"""Derived-category bookkeeping for stalk objects Sigma^s tauinv^k P_v,
+and the module category as labels and dimension vectors.
 
 Everything in the bounded derived category of a Dynkin quiver is a sum of
 (de)suspended indecomposable modules, and every indecomposable module is
 tauinv^k of a projective.  This module works purely with such labels and
-two knitting tables:
+two knitting tables, in plain integers (it imports no numpy and no matrix
+layer):
 
 * the defect table: dimension vectors of tauinv^k P_v, continued formally
   past the module range, where the value at (v, k) equals (-1)^s times the
   dimension vector of the normalized stalk;
 * the hom table f^(i): dim Hom(P_i, tauinv^m P_j), same recursion because
   Hom(P_i, -) is exact on almost-split sequences.
+
+The module window of the defect table (k < e_v) is the module category:
+its labels, their dimension vectors (by Gabriel's theorem, the positive
+roots), the orbit lengths and the translation quiver `knit_ar_quiver`.
+The matrix representations behind the same labels live in `reps`, which
+serves as the independent route.
 
 Degree convention for graded hom spaces: entry d of `derived_hom(x, y)`
 is dim Hom(x, Sigma^d y); the suspension Sigma moves entries down one
@@ -20,13 +28,24 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from types import MappingProxyType
 
-import numpy as np
-
-from . import reps
 from .dynkin import Quiver, coxeter_number, nakayama_involution
-from .errors import InternalCheckError
-from .reps import IndecLabel
+from .errors import GuardError, InternalCheckError
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class IndecLabel:
+    """Label (vertex, power) for the module tauinv^power applied to P_vertex."""
+
+    quiver: Quiver
+    vertex: int
+    power: int
+
+    def __str__(self) -> str:
+        if self.power == 0:
+            return f"P{self.vertex}"
+        return f"t-{self.power}P{self.vertex}"
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -120,34 +139,39 @@ ZERO = GradedDim()
 # knitting tables
 
 
-def _knit(q: Quiver, seed: dict[int, np.ndarray], depth: int) -> dict[int, list[np.ndarray]]:
+Vector = tuple[int, ...]
+
+
+def _knit(q: Quiver, seed: dict[int, Vector], depth: int) -> dict[int, list[Vector]]:
     """Run the mesh recursion t(i, k+1) = sum_{j->i} t(j, k+1)
     + sum_{i->j} t(j, k) - t(i, k) from the given degree-0 seed."""
-    topo = q.topological_order()
-    table = {v: [np.asarray(seed[v], dtype=np.int64)] for v in q.vertices}
+    before = {i: [j for j, _ in q.arrows_into(i)] for i in q.vertices}
+    after = {i: [j for _, j in q.arrows_from(i)] for i in q.vertices}
+    table = {v: [tuple(seed[v])] for v in q.vertices}
     for k in range(depth):
-        for i in topo:
-            acc = -table[i][k]
-            for (j, _) in q.arrows_into(i):
-                acc = acc + table[j][k + 1]
-            for (_, j) in q.arrows_from(i):
-                acc = acc + table[j][k]
-            table[i].append(acc)
+        for i in q.topological_order():
+            terms = [table[j][k + 1] for j in before[i]] + [table[j][k] for j in after[i]]
+            table[i].append(tuple(sum(col) - x for x, *col in zip(table[i][k], *terms)))
     return table
+
+
+def _scaled(c: int, vec: Vector) -> Vector:
+    return tuple(c * x for x in vec)
 
 
 @functools.cache
 def _defect_data(q: Quiver):
     h = coxeter_number(q.dtype)
     depth = 2 * h
-    seed = {v: np.array(reps.projective_rep(q, v).dim_vector(), dtype=np.int64) for v in q.vertices}
+    # dim (P_v)_w = 1 exactly when there is a path w ~> v
+    seed = {v: tuple(int(q.has_path(w, v)) for w in q.vertices) for v in q.vertices}
     table = _knit(q, seed, depth)
     star = nakayama_involution(q)
     exponents = {}
     for v in q.vertices:
-        e = next(k for k in range(1, depth + 1) if table[v][k].min() < 0)
+        e = next(k for k in range(1, depth + 1) if min(table[v][k]) < 0)
         exponents[v] = e
-        if not np.array_equal(table[v][e], -seed[star[v]]):
+        if table[v][e] != _scaled(-1, seed[star[v]]):
             raise InternalCheckError(f"first negative defect at vertex {v} is not minus a projective")
     for v in q.vertices:
         if exponents[v] + exponents[star[v]] != h:
@@ -157,7 +181,7 @@ def _defect_data(q: Quiver):
     for v in q.vertices:
         for k in range(depth + 1):
             vv, kk, ss = _normalize_raw(exponents, star, v, k, 0)
-            if not np.array_equal(table[v][k], (-1) ** ss * table[vv][kk]):
+            if table[v][k] != _scaled((-1) ** ss, table[vv][kk]):
                 raise InternalCheckError("defect table continuation is inconsistent")
     return table, exponents
 
@@ -197,23 +221,131 @@ def e_exponent(q: Quiver, vertex: int | None = None):
 def _hom_table(q: Quiver, i: int):
     """f[j][m] = dim Hom(P_i, tauinv^m P_j) on the principal window, with
     formal continuation asserted against normalization."""
-    table_d, exponents = _defect_data(q)
+    _, exponents = _defect_data(q)
     h = coxeter_number(q.dtype)
     depth = 2 * h
-    seed = {j: np.array([1 if q.has_path(i, j) else 0], dtype=np.int64) for j in q.vertices}
+    seed = {j: (int(q.has_path(i, j)),) for j in q.vertices}
     table = _knit(q, seed, depth)
     star = nakayama_involution(q)
     for j in q.vertices:
         for m in range(depth + 1):
             jj, mm, ss = _normalize_raw(exponents, star, j, m, 0)
-            if int(table[j][m][0]) != (-1) ** ss * int(table[jj][mm][0]):
+            if table[j][m][0] != (-1) ** ss * table[jj][mm][0]:
                 raise InternalCheckError("hom table continuation is inconsistent")
-    out = {j: tuple(int(table[j][m][0]) for m in range(depth + 1)) for j in q.vertices}
+    out = {j: tuple(table[j][m][0] for m in range(depth + 1)) for j in q.vertices}
     for j in q.vertices:
         for m in range(exponents[j]):
             if out[j][m] < 0:
                 raise InternalCheckError("negative hom dimension inside the module window")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the module category: the window k < e_v of the defect table
+
+
+def _tits_form(q: Quiver, d: Vector) -> int:
+    """sum d_i^2 - sum over edges d_i d_j; a nonnegative vector is a positive
+    root exactly when this is 1."""
+    return sum(x * x for x in d) - sum(d[i - 1] * d[j - 1] for i, j in q.arrows)
+
+
+@functools.cache
+def _module_window(q: Quiver):
+    """Dimension vector of each indecomposable tauinv^k P_v (k < e_v), in the
+    order (power, topological position of the vertex), and the inverse map;
+    both read-only, since the memo shares them."""
+    table, exponents = _defect_data(q)
+    topo = {v: i for i, v in enumerate(q.topological_order())}
+    labels = sorted((IndecLabel(q, v, k) for v in q.vertices for k in range(exponents[v])),
+                    key=lambda lab: (lab.power, topo[lab.vertex]))
+    dims = {lab: table[lab.vertex][lab.power] for lab in labels}
+    expected = q.dtype.positive_root_count()
+    if len(dims) != expected:
+        raise InternalCheckError(
+            f"found {len(dims)} indecomposables, expected {expected} for {q.dtype}"
+        )
+    by_dims = {d: lab for lab, d in dims.items()}
+    if len(by_dims) != len(dims):
+        raise InternalCheckError("two indecomposables share a dimension vector")
+    for lab, d in dims.items():
+        if _tits_form(q, d) != 1:
+            raise InternalCheckError(f"dimension vector of {lab} is not a root")
+    return MappingProxyType(dims), MappingProxyType(by_dims)
+
+
+def label_by_dim_vector(q: Quiver, dims) -> IndecLabel:
+    dims = tuple(int(d) for d in dims)
+    lab = _module_window(q)[1].get(dims)
+    if lab is None:
+        raise GuardError(f"no indecomposable with dimension vector {dims}")
+    return lab
+
+
+@dataclasses.dataclass(frozen=True)
+class ARQuiver:
+    quiver: Quiver
+    vertices: tuple[IndecLabel, ...]
+    arrows: tuple[tuple[IndecLabel, IndecLabel], ...]
+    tau_pairs: tuple[tuple[IndecLabel, IndecLabel], ...]  # (x, translate of x)
+
+    def to_json(self) -> dict:
+        def lab(l):
+            return {"vertex": l.vertex, "power": l.power}
+
+        return {
+            "type": str(self.quiver.dtype),
+            "quiver_arrows": [list(a) for a in self.quiver.arrows],
+            "vertices": [lab(l) for l in self.vertices],
+            "arrows": [[lab(a), lab(b)] for a, b in self.arrows],
+            "tau_pairs": [[lab(a), lab(b)] for a, b in self.tau_pairs],
+        }
+
+    def to_dot(self) -> str:
+        idx = {l: i for i, l in enumerate(self.vertices)}
+        lines = ["digraph ar {", "  rankdir=LR;"]
+        by_power: dict[int, list[IndecLabel]] = {}
+        for l in self.vertices:
+            by_power.setdefault(l.power, []).append(l)
+        for l in self.vertices:
+            lines.append(f'  n{idx[l]} [label="{l}"];')
+        for k in sorted(by_power):
+            same = " ".join(f"n{idx[l]};" for l in sorted(by_power[k]))
+            lines.append("  { rank=same; %s }" % same)
+        for a, b in self.arrows:
+            lines.append(f"  n{idx[a]} -> n{idx[b]};")
+        for a, b in self.tau_pairs:
+            lines.append(f"  n{idx[a]} -> n{idx[b]} [style=dotted, constraint=false];")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+
+def knit_ar_quiver(q: Quiver) -> ARQuiver:
+    """The translation quiver of the module category, generated orbitwise.
+
+    Vertices are the labels (v, k); for every quiver arrow u -> w there are
+    arrows (u, k) -> (w, k) and (w, k) -> (u, k+1) whenever both endpoints
+    exist.  Translate pairs link (v, k+1) back to (v, k).
+    """
+    e = e_exponent(q)
+    verts = list(_module_window(q)[0])
+    vs = set(verts)
+    arrows = []
+    for (u, w) in q.arrows:
+        for k in range(0, max(e.values())):
+            a, b = IndecLabel(q, u, k), IndecLabel(q, w, k)
+            if a in vs and b in vs:
+                arrows.append((a, b))
+            c, d = IndecLabel(q, w, k), IndecLabel(q, u, k + 1)
+            if c in vs and d in vs:
+                arrows.append((c, d))
+    tau_pairs = []
+    for v in q.vertices:
+        for k in range(1, e[v]):
+            tau_pairs.append((IndecLabel(q, v, k), IndecLabel(q, v, k - 1)))
+    order = {lab: i for i, lab in enumerate(verts)}
+    arrows = sorted(set(arrows), key=lambda ab: (order[ab[0]], order[ab[1]]))
+    return ARQuiver(q, tuple(verts), tuple(arrows), tuple(sorted(tau_pairs, key=lambda ab: order[ab[0]])))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +373,19 @@ def sigma(x, s: int = 1) -> DerivedLabel:
     return DerivedLabel(lab.quiver, lab.vertex, lab.power, lab.shift + s)
 
 
+def _matrix_layer(*xs):
+    """The `reps` module when some argument is a representation, else None.
+    Labels alone never load the matrix layer."""
+    if all(isinstance(x, (DerivedLabel, IndecLabel)) for x in xs):
+        return None
+    from . import reps
+
+    return reps if any(isinstance(x, reps.Rep) for x in xs) else None
+
+
 def tau(x):
     """The translate: on representations, derived labels or module labels."""
-    if isinstance(x, reps.Rep):
+    if (reps := _matrix_layer(x)) is not None:
         return reps.tau_rep(x)
     if isinstance(x, DerivedLabel):
         return normalize_label(x.quiver, x.vertex, x.power - 1, x.shift)
@@ -256,7 +398,7 @@ def tau(x):
 
 def tau_inv(x):
     """The inverse translate, in the same three flavours as `tau`."""
-    if isinstance(x, reps.Rep):
+    if (reps := _matrix_layer(x)) is not None:
         return reps.tau_inv_rep(x)
     if isinstance(x, DerivedLabel):
         return normalize_label(x.quiver, x.vertex, x.power + 1, x.shift)
@@ -342,7 +484,7 @@ def one_cluster_hom(x, y) -> int:
 
 def hom_dim(m, n) -> int:
     """Module-category hom dimension; accepts stalk labels or representations."""
-    if isinstance(m, (reps.Rep,)) or isinstance(n, (reps.Rep,)):
+    if (reps := _matrix_layer(m, n)) is not None:
         return reps.hom_dim(m, n)
     g = derived_hom(m, n)
     return g[0]
@@ -350,7 +492,7 @@ def hom_dim(m, n) -> int:
 
 def ext1_dim(m, n) -> int:
     """Module-category first extension dimension via labels or representations."""
-    if isinstance(m, (reps.Rep,)) or isinstance(n, (reps.Rep,)):
+    if (reps := _matrix_layer(m, n)) is not None:
         return reps.ext1_dim(m, n)
     a, b = as_derived_label(m), as_derived_label(n)
     if a.shift or b.shift:

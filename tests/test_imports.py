@@ -1,10 +1,12 @@
-"""What a process loads: `import quiverlab` binds its exports lazily, and a
+"""What a process loads: `import quiverlab` binds its exports lazily, a
 command-line job that needs no computation (a cache hit, or the quiver
-itself) imports neither numpy nor a compute module.
+itself) imports neither numpy nor a compute module, and the label-level
+jobs (`ar`, `hom`) load only the integer layers `stalks` and `boundary`.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded every module."""
 
+import ast
 import json
 import os
 import subprocess
@@ -109,3 +111,65 @@ print(json.dumps({"loaded": loaded, "numpy": numpy, "names": names, "same": same
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         quiverlab.no_such_name  # noqa: B018
+
+
+def test_ar_job_loads_no_numpy():
+    job = run_cli(["ar", "--type", "E8"])
+    assert job["rc"] == 0 and job["out"].startswith("vertices: P1 ")
+    assert not job["numpy"]
+    assert job["modules"] == sorted(LIGHT + ["quiverlab.stalks"])
+
+
+def test_hom_table_job_loads_no_numpy():
+    job = run_cli(["hom", "--type", "D8", "--table"])
+    assert job["rc"] == 0 and job["out"].startswith("hom0\t")
+    assert not job["numpy"]
+    assert job["modules"] == sorted(LIGHT + ["quiverlab.boundary", "quiverlab.stalks"])
+
+
+def test_module_category_exports_load_no_matrix_layer():
+    got = run_python("""
+import json, sys
+import quiverlab
+quiverlab.IndecLabel, quiverlab.ARQuiver, quiverlab.knit_ar_quiver
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "quiverlab")}))
+""")
+    assert not got["numpy"]
+    assert got["modules"] == ["quiverlab", "quiverlab.dynkin", "quiverlab.errors", "quiverlab.stalks"]
+
+
+MATRIX_LAYERS = {"numpy", "quiverlab._kernels", "quiverlab.reps", "quiverlab.complexes",
+                 "quiverlab.morphcat"}
+
+
+def module_level_imports(name: str) -> set:
+    """Modules that `quiverlab.<name>` imports when it is itself imported:
+    every import statement outside a function body, relative ones resolved."""
+    path = os.path.join(os.path.dirname(quiverlab.__file__), f"{name}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(p for p in ("quiverlab" if node.level else "", node.module) if p)
+            found.add(base)
+            found.update(f"{base}.{a.name}" for a in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return {m for m in found if m in MATRIX_LAYERS or m.startswith("numpy.")}
+
+
+@pytest.mark.parametrize("name", ["stalks", "boundary"])
+def test_integer_layers_import_no_matrix_layer(name):
+    assert module_level_imports(name) == set()
+
+
+def test_matrix_layer_imports_are_detected():
+    assert module_level_imports("reps") == {"numpy", "quiverlab._kernels"}
+    assert module_level_imports("morphcat") >= {"numpy", "quiverlab.complexes", "quiverlab.reps"}

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverlab.dynkin import build_quiver, coxeter_number, nakayama_involution
+from quiverlab import reps, stalks
+from quiverlab.dynkin import DynkinType, build_quiver, coxeter_number, nakayama_involution
+from quiverlab.errors import GuardError
 from quiverlab.reps import IndecLabel, ext1_dim as rep_ext1, hom_dim as rep_hom, list_indecomposables, orbit_lengths
 from quiverlab.stalks import (
     GradedDim,
@@ -12,6 +15,7 @@ from quiverlab.stalks import (
     as_derived_label,
     derived_hom,
     e_exponent,
+    knit_ar_quiver,
     normalize_label,
     one_cluster_hom,
     pi2_hom,
@@ -243,3 +247,46 @@ def test_orbit_closure_is_shift_equivariant():
                     assert normalize_label(
                         q, cur.vertex, cur.power, cur.shift
                     ) == normalize_label(q, want.vertex, want.power, want.shift)
+
+
+# ---------------------------------------------------------------------------
+# the knitted module category against the matrix route
+
+
+ORACLE_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+
+
+def _oracle_quivers():
+    """Each type in its default orientation and in two seeded ones."""
+    for t in ORACLE_TYPES:
+        yield pytest.param(build_quiver(t), id=f"{t}-default")
+        for seed in (1, 2):
+            rng = random.Random(f"{t}/{seed}")
+            edges = [(i, j) if rng.random() < 0.5 else (j, i) for i, j in DynkinType.parse(t).edges]
+            yield pytest.param(build_quiver(t, edges), id=f"{t}-seed{seed}")
+
+
+@pytest.mark.parametrize("q", list(_oracle_quivers()))
+def test_knitted_window_matches_matrix_route(q):
+    table, orbit_len = reps._indec_data(q)
+    dims, _ = stalks._module_window(q)
+    # same labels in the same order, same dimension vectors, same orbits
+    assert list(dims) == [lab for lab, _ in reps.list_indecomposables(q)]
+    assert dims == {lab: rep.dim_vector() for lab, rep in table.items()}
+    assert e_exponent(q) == orbit_len
+    ar = knit_ar_quiver(q)
+    assert list(ar.vertices) == list(dims)
+
+    def matrix_label(d):
+        return next(lab for lab, rep in table.items() if rep.dim_vector() == d)
+
+    for v in q.vertices:
+        for rep in (reps.simple_rep(q, v), reps.injective_rep(q, v)):
+            d = rep.dim_vector()
+            assert stalks.label_by_dim_vector(q, d) == matrix_label(d)
+
+
+def test_label_by_dim_vector_rejects_non_roots():
+    q = build_quiver("A3")
+    with pytest.raises(GuardError, match=r"\(1, 0, 1\)"):
+        stalks.label_by_dim_vector(q, (1, 0, 1))
