@@ -4,9 +4,13 @@ the star involution, fixed-subgroup membership, and the induced
 reflection action on the class lattice.
 
 Weyl elements are the permutations they induce on the root system, so
-products, inverses and descents are exact index arithmetic; simple
-factors of the normal form are Weyl elements, with the longest element
-as the Garside element.
+products and descents are exact index arithmetic; simple factors of the
+normal form are Weyl elements, with the longest element as the Garside
+element.  The normal form is built by local sliding: a pair of simple
+factors (a, b) is left-weighted iff L(b) is contained in R(a), so letters
+of L(b) outside R(a) move from b to a one at a time.  Roots come from
+integer Cartan entries and the class-lattice rows are plain ints; only
+`k0_action`, which returns an array, imports numpy.
 """
 from __future__ import annotations
 
@@ -14,9 +18,7 @@ import dataclasses
 import functools
 from typing import NamedTuple
 
-import numpy as np
-
-from .dynkin import DynkinType, nakayama_involution, positive_roots
+from .dynkin import DynkinType, _reflect, nakayama_involution, positive_roots
 from .errors import GuardError, InternalCheckError
 
 _GARSIDE_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
@@ -81,19 +83,16 @@ class _WeylContext:
     def __init__(self, dtype: DynkinType):
         self.dtype = dtype
         self.vertices = dtype.vertices
-        pos = np.array(positive_roots(dtype), dtype=np.int64)
-        R = np.concatenate([pos, -pos])
+        pos = positive_roots(dtype)
         self.npos = len(pos)
-        self.roots = [tuple(r) for r in R.tolist()]
+        self.roots = pos + [tuple(-x for x in r) for r in pos]
         index = {r: k for k, r in enumerate(self.roots)}
-        C = dtype.cartan_matrix()
-        unit = np.eye(len(C), dtype=np.int64).tolist()
-        self.simple = {i: index[tuple(unit[a])] for a, i in enumerate(self.vertices)}
+        self.simple = {i: index[tuple(int(i == j) for j in self.vertices)]
+                       for i in self.vertices}
         self.gens = {}
-        for a, i in enumerate(self.vertices):
-            img = R.copy()
-            img[:, a] -= R @ C[a]  # s_a(r) = r - <r, alpha_a> alpha_a
-            self.gens[i] = WeylElement(dtype, tuple(index[tuple(r)] for r in img.tolist()))
+        for a, (i, row) in enumerate(zip(self.vertices, dtype.cartan_rows())):
+            perm = tuple(index[_reflect(r, a, row)] for r in self.roots)
+            self.gens[i] = WeylElement(dtype, perm)
         self.identity = WeylElement(dtype, tuple(range(len(self.roots))))
         w = self.identity
         while asc := [i for i in self.vertices if i not in self.right_descents(w)]:
@@ -101,14 +100,15 @@ class _WeylContext:
         self.w0 = w
         if self.length(w) != self.npos:
             raise InternalCheckError("longest element has wrong length")
+        # (alpha_i's index, s_i) per vertex, the sliding moves of the normal form
+        self.slides = tuple((self.simple[i], self.gens[i].perm) for i in self.vertices)
+        # w0 s_i, the simple factor left after Delta^-1 absorbs a letter s_i^-1
+        self.neg_factor = {i: self.mul(w, self.gens[i]).perm for i in self.vertices}
+        # conjugation by w0 is trivial iff w0 = -1 (D_even, E7, E8)
+        self.w0_central = w.perm == (*range(self.npos, 2 * self.npos), *range(self.npos))
 
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return WeylElement(self.dtype, tuple(map(a.perm.__getitem__, b.perm)))
-
-    def inv(self, a: WeylElement) -> WeylElement:
-        return WeylElement(
-            self.dtype, tuple(sorted(range(len(a.perm)), key=a.perm.__getitem__))
-        )
 
     def length(self, a: WeylElement) -> int:
         """Number of positive roots sent to negative roots."""
@@ -123,25 +123,6 @@ class _WeylContext:
         return tuple(
             i for i in self.vertices if a.perm.index(self.simple[i]) >= self.npos
         )
-
-    def meet_prefix(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        """Largest common prefix in the left weak order: strip common left
-        descents off both; what was stripped off `a` is the meet."""
-        a0 = a
-        while True:
-            db = self.left_descents(b)
-            i = next((i for i in self.left_descents(a) if i in db), None)
-            if i is None:
-                return self.mul(a0, self.inv(a))
-            s = self.gens[i]
-            a, b = self.mul(s, a), self.mul(s, b)
-
-    def right_complement(self, a: WeylElement) -> WeylElement:
-        return self.mul(self.inv(a), self.w0)
-
-    def tau(self, a: WeylElement) -> WeylElement:
-        """Conjugation by the longest element (the diagram involution)."""
-        return self.mul(self.w0, self.mul(a, self.w0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,26 +207,34 @@ def _guard_garside(dtype: DynkinType):
         )
 
 
-def _append_simple(ctx: _WeylContext, infimum: int, factors: list[WeylElement],
-                   s: WeylElement):
-    """Right-multiply a left-weighted form by one simple factor: a single
-    right-to-left sweep of local sliding, which stops at the first pair
-    that is already left-weighted (the domino rule)."""
-    factors = factors + [s]
+def _append_simple(ctx: _WeylContext, infimum: int, factors: list[tuple[int, ...]],
+                   s: tuple[int, ...]):
+    """Right-multiply a left-weighted form (factors as root permutations,
+    changed in place) by one simple factor: a single right-to-left sweep of
+    local sliding, which stops at the first pair that is already
+    left-weighted (the domino rule)."""
+    npos = ctx.npos
+    factors.append(s)
     for k in range(len(factors) - 2, -1, -1):
         a, b = factors[k], factors[k + 1]
-        u = ctx.meet_prefix(ctx.right_complement(a), b)
-        if u == ctx.identity:
+        moved, slid = True, False
+        while moved:  # until a pass finds no i in L(b) \ R(a)
+            moved = False
+            for (r, g) in ctx.slides:
+                # i in L(b) \ R(a): b = s_i b' and a s_i stays simple
+                if a[r] < npos and b.index(r) >= npos:
+                    a, b = tuple(map(a.__getitem__, g)), tuple(map(g.__getitem__, b))
+                    moved = slid = True
+        if not slid:
             break
-        factors[k] = ctx.mul(a, u)
-        factors[k + 1] = ctx.mul(ctx.inv(u), b)
+        factors[k], factors[k + 1] = a, b
     # full twists can only lead and identities only trail a left-weighted form
-    while factors and factors[0] == ctx.w0:
+    while factors and factors[0] == ctx.w0.perm:
         factors.pop(0)
         infimum += 1
-    while factors and factors[-1] == ctx.identity:
+    while factors and factors[-1] == ctx.identity.perm:
         factors.pop()
-    return infimum, factors
+    return infimum
 
 
 def garside_normal_form(w: BraidWord) -> GarsideForm:
@@ -253,20 +242,22 @@ def garside_normal_form(w: BraidWord) -> GarsideForm:
     iff their forms coincide."""
     _guard_garside(w.dtype)
     ctx = _ctx_of(w)
+    w0 = ctx.w0.perm
     infimum = 0
-    factors: list[WeylElement] = []
+    factors: list[tuple[int, ...]] = []
     for (i, s) in w.letters:
         if s > 0:
-            infimum, factors = _append_simple(ctx, infimum, factors, ctx.gens[i])
+            infimum = _append_simple(ctx, infimum, factors, ctx.gens[i].perm)
         else:
-            factors = [ctx.tau(x) for x in factors]
-            infimum, factors = _append_simple(
-                ctx, infimum - 1, factors, ctx.mul(ctx.w0, ctx.gens[i])
-            )
-    for a, b in zip(factors, factors[1:]):
+            # x Delta^-1 = Delta^-1 tau(x), with tau conjugation by w0
+            if not ctx.w0_central:
+                factors = [tuple(map(w0.__getitem__, map(x.__getitem__, w0))) for x in factors]
+            infimum = _append_simple(ctx, infimum - 1, factors, ctx.neg_factor[i])
+    form = tuple(WeylElement(w.dtype, x) for x in factors)
+    for a, b in zip(form, form[1:]):
         if not set(ctx.left_descents(b)) <= set(ctx.right_descents(a)):
             raise InternalCheckError("normal form is not left-weighted")
-    return GarsideForm(w.dtype, infimum, tuple(factors))
+    return GarsideForm(w.dtype, infimum, form)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -302,14 +293,21 @@ def is_in_B_star(w: BraidWord) -> bool:
 # action on the class lattice
 
 
-def k0_action(w: BraidWord) -> np.ndarray:
-    """Induced matrix on the class lattice: the reflection matrix of the
-    Weyl image, whose column j is the root w(alpha_j).  Each letter acts
-    by its simple reflection, an involution, so signs collapse."""
+def k0_rows(w: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """Induced matrix on the class lattice, as rows of ints: the reflection
+    matrix of the Weyl image, whose column j is the root w(alpha_j).  Each
+    letter acts by its simple reflection, an involution, so signs
+    collapse."""
     ctx = _ctx_of(w)
     perm = project_to_weyl(w).perm
-    cols = [ctx.roots[perm[ctx.simple[i]]] for i in ctx.vertices]
-    return np.array(cols, dtype=np.int64).T
+    return tuple(zip(*(ctx.roots[perm[ctx.simple[i]]] for i in ctx.vertices)))
+
+
+def k0_action(w: BraidWord):
+    """`k0_rows` as an int64 numpy array."""
+    import numpy as np
+
+    return np.array(k0_rows(w), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

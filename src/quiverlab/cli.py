@@ -356,14 +356,13 @@ def _render_braid(job: JobSpec) -> str:
     ]
     star = braids.star_involution(word)
     member = braids.garside_normal_form(star) == nf  # is_in_B_star(word), one form fewer
-    k0 = braids.k0_action(word)
     data = {
         "type": str(word.dtype),
         "word": [i * s for i, s in word.letters],
         "normal_form": {"delta_power": nf.infimum, "factors": factors},
         "star": [i * s for i, s in star.letters],
         "in_b_star": member,
-        "k0": [[int(x) for x in row] for row in k0],
+        "k0": [list(row) for row in braids.k0_rows(word)],
     }
     if job.fmt == "json":
         return _json_text(data)

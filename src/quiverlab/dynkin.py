@@ -10,8 +10,9 @@ The default orientation points every edge from its smaller to its larger
 endpoint.  A custom orientation may flip any subset of edges; the underlying
 diagram is always the one above.
 
-Only the three functions that return arrays import numpy, so building,
-parsing and serializing quivers load no numpy.
+Only the two functions that return arrays (`cartan_matrix` and
+`path_count_matrix`) import numpy, so building, parsing and serializing
+quivers and enumerating roots load no numpy.
 """
 from __future__ import annotations
 
@@ -75,15 +76,18 @@ class DynkinType:
             return tuple((i, i + 1) for i in range(1, n - 1)) + ((n - 2, n),)
         return tuple((i, i + 1) for i in range(1, n - 1)) + ((3, n),)
 
+    def cartan_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix as rows of Python ints."""
+        n = self.rank
+        c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for i, j in self.edges:
+            c[i - 1][j - 1] = c[j - 1][i - 1] = -1
+        return tuple(map(tuple, c))
+
     def cartan_matrix(self) -> np.ndarray:
         import numpy as np
 
-        n = self.rank
-        c = 2 * np.eye(n, dtype=np.int64)
-        for i, j in self.edges:
-            c[i - 1, j - 1] = -1
-            c[j - 1, i - 1] = -1
-        return c
+        return np.array(self.cartan_rows(), dtype=np.int64)
 
     def positive_root_count(self) -> int:
         n = self.rank
@@ -254,27 +258,30 @@ def nakayama_involution(q: Quiver | DynkinType | str) -> dict[int, int]:
     return _vertex_involution(dtype)
 
 
-def positive_roots(dtype: DynkinType | str) -> list[np.ndarray]:
-    """All positive roots, generated by reflection closure from the simples."""
-    import numpy as np
+def _reflect(root: tuple[int, ...], a: int, cartan_row: tuple[int, ...]) -> tuple[int, ...]:
+    """s_a(r) = r - <r, alpha_a> alpha_a in the simple-root basis, where
+    `cartan_row` is row `a` (0-based) of the Cartan matrix."""
+    return root[:a] + (root[a] - sum(map(int.__mul__, root, cartan_row)),) + root[a + 1:]
 
+
+def positive_roots(dtype: DynkinType | str) -> list[tuple[int, ...]]:
+    """All positive roots in the simple-root basis, generated by reflection
+    closure from the simples; sorted by height, then lexicographically."""
     dtype = DynkinType.parse(dtype)
-    cartan = dtype.cartan_matrix()
+    cartan = dtype.cartan_rows()
     n = dtype.rank
-    seen: dict[bytes, np.ndarray] = {}
-    frontier = [np.eye(n, dtype=np.int64)[i] for i in range(n)]
-    for r in frontier:
-        seen[r.tobytes()] = r
+    frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(frontier)
     while frontier:
         nxt = []
         for r in frontier:
-            for i in range(n):
-                refl = r - int(r @ cartan[:, i]) * np.eye(n, dtype=np.int64)[i]
-                if (refl >= 0).all() and refl.tobytes() not in seen:
-                    seen[refl.tobytes()] = refl
+            for a, row in enumerate(cartan):
+                refl = _reflect(r, a, row)
+                if min(refl) >= 0 and refl not in seen:
+                    seen.add(refl)
                     nxt.append(refl)
         frontier = nxt
-    return sorted(seen.values(), key=lambda r: (int(r.sum()), r.tolist()))
+    return sorted(seen, key=lambda r: (sum(r), r))
 
 
 # ---------------------------------------------------------------------------

@@ -562,7 +562,7 @@ def _indec_data(q: Quiver):
         raise InternalCheckError(
             f"found {len(table)} indecomposables, expected {expected} for {q.dtype}"
         )
-    roots = {tuple(int(x) for x in r) for r in positive_roots(q.dtype)}
+    roots = set(positive_roots(q.dtype))
     for lab, rep in table.items():
         if rep.dim_vector() not in roots:
             raise InternalCheckError(f"dimension vector of {lab} is not a root")

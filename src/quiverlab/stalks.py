@@ -161,6 +161,8 @@ def _scaled(c: int, vec: Vector) -> Vector:
 
 @functools.cache
 def _defect_data(q: Quiver):
+    """The defect table, the orbit exponents e_v and the vertex involution,
+    the last read-only since every label normalization reads it."""
     h = coxeter_number(q.dtype)
     depth = 2 * h
     # dim (P_v)_w = 1 exactly when there is a path w ~> v
@@ -183,7 +185,7 @@ def _defect_data(q: Quiver):
             vv, kk, ss = _normalize_raw(exponents, star, v, k, 0)
             if table[v][k] != _scaled((-1) ** ss, table[vv][kk]):
                 raise InternalCheckError("defect table continuation is inconsistent")
-    return table, exponents
+    return table, exponents, MappingProxyType(star)
 
 
 def _normalize_raw(exponents: dict[int, int], star: dict[int, int], v: int, k: int, s: int):
@@ -209,7 +211,7 @@ def e_exponent(q: Quiver, vertex: int | None = None):
     """Number of module-category steps in the tauinv orbit of P_vertex
     (tauinv^e P_v first leaves the module range, as the suspended projective
     at the involuted vertex)."""
-    _, exponents = _defect_data(q)
+    _, exponents, _ = _defect_data(q)
     if vertex is None:
         return dict(exponents)
     if vertex not in exponents:
@@ -221,12 +223,11 @@ def e_exponent(q: Quiver, vertex: int | None = None):
 def _hom_table(q: Quiver, i: int):
     """f[j][m] = dim Hom(P_i, tauinv^m P_j) on the principal window, with
     formal continuation asserted against normalization."""
-    _, exponents = _defect_data(q)
+    _, exponents, star = _defect_data(q)
     h = coxeter_number(q.dtype)
     depth = 2 * h
     seed = {j: (int(q.has_path(i, j)),) for j in q.vertices}
     table = _knit(q, seed, depth)
-    star = nakayama_involution(q)
     for j in q.vertices:
         for m in range(depth + 1):
             jj, mm, ss = _normalize_raw(exponents, star, j, m, 0)
@@ -255,7 +256,7 @@ def _module_window(q: Quiver):
     """Dimension vector of each indecomposable tauinv^k P_v (k < e_v), in the
     order (power, topological position of the vertex), and the inverse map;
     both read-only, since the memo shares them."""
-    table, exponents = _defect_data(q)
+    table, exponents, _ = _defect_data(q)
     topo = {v: i for i, v in enumerate(q.topological_order())}
     labels = sorted((IndecLabel(q, v, k) for v in q.vertices for k in range(exponents[v])),
                     key=lambda lab: (lab.power, topo[lab.vertex]))
@@ -353,8 +354,7 @@ def knit_ar_quiver(q: Quiver) -> ARQuiver:
 
 
 def normalize_label(q: Quiver, vertex: int, power: int, shift: int = 0) -> DerivedLabel:
-    _, exponents = _defect_data(q)
-    star = nakayama_involution(q)
+    _, exponents, star = _defect_data(q)
     v, k, s = _normalize_raw(exponents, star, vertex, power, shift)
     return DerivedLabel(q, v, k, s)
 

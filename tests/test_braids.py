@@ -240,6 +240,95 @@ def test_garside_guard():
 
 
 # ---------------------------------------------------------------------------
+# oracle: the meet-based sweep the sliding replaced
+
+
+def weyl_inverse(x):
+    perm = [0] * len(x.perm)
+    for k, image in enumerate(x.perm):
+        perm[image] = k
+    return br.WeylElement(x.dtype, tuple(perm))
+
+
+def meet_prefix(ctx, a, b):
+    """Largest common prefix in the left weak order: strip common left
+    descents off both; what was stripped off `a` is the meet."""
+    a0 = a
+    while True:
+        db = ctx.left_descents(b)
+        i = next((i for i in ctx.left_descents(a) if i in db), None)
+        if i is None:
+            return ctx.mul(a0, weyl_inverse(a))
+        a, b = ctx.mul(ctx.gens[i], a), ctx.mul(ctx.gens[i], b)
+
+
+def right_complement(ctx, a):
+    return ctx.mul(weyl_inverse(a), ctx.w0)
+
+
+def meet_append_simple(ctx, infimum, factors, s):
+    factors = factors + [s]
+    for k in range(len(factors) - 2, -1, -1):
+        a, b = factors[k], factors[k + 1]
+        u = meet_prefix(ctx, right_complement(ctx, a), b)
+        if u == ctx.identity:
+            break
+        factors[k] = ctx.mul(a, u)
+        factors[k + 1] = ctx.mul(weyl_inverse(u), b)
+    while factors and factors[0] == ctx.w0:
+        factors.pop(0)
+        infimum += 1
+    while factors and factors[-1] == ctx.identity:
+        factors.pop()
+    return infimum, factors
+
+
+def meet_normal_form(w):
+    ctx = br._ctx_of(w)
+    infimum, factors = 0, []
+    for (i, s) in w.letters:
+        if s > 0:
+            infimum, factors = meet_append_simple(ctx, infimum, factors, ctx.gens[i])
+        else:
+            factors = [ctx.mul(ctx.w0, ctx.mul(x, ctx.w0)) for x in factors]
+            infimum, factors = meet_append_simple(
+                ctx, infimum - 1, factors, ctx.mul(ctx.w0, ctx.gens[i])
+            )
+    return br.GarsideForm(w.dtype, infimum, tuple(factors))
+
+
+def oracle_words(t):
+    """25 seeded words of 1-24 letters, an all-negative word, w w^-1 and
+    powers of the Garside element, mixed with a word."""
+    rng = random.Random(f"oracle-{t}")
+    dt = DynkinType.parse(t)
+    D = br.garside_element(dt)
+    words = [random_word(dt, rng.randrange(1, 25), rng) for _ in range(25)]
+    w = words[0]
+    words.append(br.BraidWord(dt, tuple((i, -1) for i in rng.choices(dt.vertices, k=12))))
+    words += [w * w.inverse(), D * D, D.inverse(), D * w * D.inverse() * D.inverse()]
+    return words
+
+
+@pytest.mark.parametrize("t", br._GARSIDE_TYPES)
+def test_sliding_matches_the_meet_sweep(t):
+    for w in oracle_words(t):
+        form, expect = nf(w), meet_normal_form(w)
+        assert form.infimum == expect.infimum
+        assert form.factors == expect.factors
+
+
+@pytest.mark.parametrize("t", br._GARSIDE_TYPES)
+def test_form_word_acts_like_the_input(t):
+    # invariants of the braid group element that need no normal form
+    for w in oracle_words(t):
+        u = br._form_to_word(nf(w))
+        assert br.project_to_weyl(u) == br.project_to_weyl(w)
+        assert np.array_equal(br.k0_action(u), br.k0_action(w))
+        assert sum(s for _, s in u.letters) == sum(s for _, s in w.letters)
+
+
+# ---------------------------------------------------------------------------
 # the star involution and the full twist
 
 

@@ -1,7 +1,8 @@
 """What a process loads: `import quiverlab` binds its exports lazily, a
 command-line job that needs no computation (a cache hit, or the quiver
-itself) imports neither numpy nor a compute module, and the label-level
-jobs (`ar`, `hom`) load only the integer layers `stalks` and `boundary`.
+itself) imports neither numpy nor a compute module, the label-level jobs
+(`ar`, `hom`) load only the integer layers `stalks` and `boundary`, and a
+`braid` job loads only `braids`.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded every module."""
@@ -139,6 +140,26 @@ print(json.dumps({"numpy": "numpy" in sys.modules,
     assert got["modules"] == ["quiverlab", "quiverlab.dynkin", "quiverlab.errors", "quiverlab.stalks"]
 
 
+def test_braid_job_loads_no_numpy():
+    job = run_cli(["braid", "--type", "E6", "--word", "1 -2 3 4 -6 5 2 -1", "--format", "json"])
+    assert job["rc"] == 0
+    out = json.loads(job["out"])
+    assert out["in_b_star"] is False and len(out["k0"]) == 6
+    assert not job["numpy"]
+    assert job["modules"] == sorted(LIGHT + ["quiverlab.braids"])
+
+
+def test_positive_roots_load_no_numpy():
+    got = run_python("""
+import json, sys
+import quiverlab
+roots = quiverlab.positive_roots("E8")
+print(json.dumps({"numpy": "numpy" in sys.modules, "count": len(roots),
+                  "ints": all(type(x) is int for r in roots for x in r)}))
+""")
+    assert got == {"numpy": False, "count": 120, "ints": True}
+
+
 MATRIX_LAYERS = {"numpy", "quiverlab._kernels", "quiverlab.reps", "quiverlab.complexes",
                  "quiverlab.morphcat"}
 
@@ -165,7 +186,7 @@ def module_level_imports(name: str) -> set:
     return {m for m in found if m in MATRIX_LAYERS or m.startswith("numpy.")}
 
 
-@pytest.mark.parametrize("name", ["stalks", "boundary"])
+@pytest.mark.parametrize("name", ["stalks", "boundary", "braids"])
 def test_integer_layers_import_no_matrix_layer(name):
     assert module_level_imports(name) == set()
 
