@@ -297,11 +297,10 @@ def _render_higgs(job: JobSpec) -> str:
 
     q = job.quiver()
     num = mp.mpr_number(q)
-    seed = job.options.get("seed", 0)
     op = job.options["op"]
     if op == "phi":
         lab = mp.label_by_number(q, job.options["label"])
-        f = higgs.phi_image(lab, seed)
+        f = higgs.phi_image(lab)
         return _json_text({"label": _label_json(num, lab), **_morphism_json(f)})
     if op == "omega-orbit":
         lab = mp.label_by_number(q, job.options["label"])
@@ -323,13 +322,13 @@ def _render_higgs(job: JobSpec) -> str:
     if not (isinstance(rows, list) and len(rows) == len(p0)
             and all(isinstance(r, list) and len(r) == len(p1) for r in rows)):
         raise GuardError("lift matrix shape does not match p0 x p1")
-    alg = higgs.preprojective_algebra(q, seed)
+    alg = higgs.preprojective_algebra(q)
     ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
     for r in range(len(p0)):
         for c in range(len(p1)):
             ent[r, c] = _entry_vector(alg, rows[r][c], p1[c], p0[r])
     f = higgs.LambdaMorphism(alg, p1, p0, ent)
-    lift = higgs.lift_morphism(f, seed)
+    lift = higgs.lift_morphism(f)
     return _json_text(
         {
             "labels": [_label_json(num, l) for l in lift.labels],
@@ -437,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON {p1,p0,matrix} (inline, or @file); entries are [path, coeff] lists")
     op.add_argument("--omega-orbit", type=int, metavar="N",
                     help="rotation orbit of the numbered frozen label")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json",), default="json")
 
     p = cmds.add_parser("braid", help="normal form, star image, membership, K0 matrix")
@@ -480,7 +478,6 @@ def _job_from_args(args) -> JobSpec:
     if args.command == "hom":
         options = {"mode": "table"} if args.table else {"mode": "pair", "pair": list(args.pair)}
     elif args.command == "higgs":
-        options["seed"] = args.seed
         if args.phi is not None:
             options.update(op="phi", label=args.phi)
         elif args.omega_orbit is not None:

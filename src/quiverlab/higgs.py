@@ -1,10 +1,11 @@
 """Preprojective algebra, its triangular block extension, and the lift
 between morphism-category labels and modules over the block algebra.
 
-The preprojective algebra is built word by word over the doubled quiver,
-with the mesh relations imposed degree by degree.  A seeded Frobenius
-form supported on the socle yields the twist automorphism used in the
-corner block of the 3x3 triangular algebra.  Labels of the morphism
+The preprojective algebra is built degree by degree over the doubled
+quiver: the degree-d basis words are degree-(d-1) basis words followed by
+one arrow, modulo the mesh relations.  A Frobenius form supported on the
+socle, with fixed pseudo-random values, yields the twist automorphism used
+in the corner block of the 3x3 triangular algebra.  Labels of the morphism
 category embed via base change along quiver-paths, and the partial
 inverse splits an arbitrary block morphism into labelled summands plus
 a universal two-term conflation witness for everything else.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import warnings
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class PreprojAlgebra:
     fixed path-word basis; products read diagrammatically (x * y is the
     path x followed by the path y)."""
 
-    def __init__(self, q: Quiver, seed: int = 0):
+    def __init__(self, q: Quiver):
         if str(q.dtype) not in _LIFTABLE:
             raise GuardError(
                 f"preprojective word basis only built for {sorted(_LIFTABLE)}, not {q.dtype}"
@@ -48,137 +48,106 @@ class PreprojAlgebra:
         for (i, j) in q.arrows:
             self.darrows.append((i, j))
             self.darrows.append((j, i))
-        self._build_basis()
-        self._build_mult()
-        self._build_frobenius(seed)
+        self._build_by_degree()
+        self._build_frobenius()
 
     # -- construction -------------------------------------------------------
 
-    def _paths(self, length: int):
-        if length == 0:
-            return [(v, ()) for v in self.quiver.vertices]
-        out = []
-        for (start, word) in self._paths(length - 1):
-            end = self.darrows[word[-1]][1] if word else start
-            for a, (s, _) in enumerate(self.darrows):
-                if s == end:
-                    out.append((start, word + (a,)))
-        return out
+    def _build_by_degree(self):
+        """Basis words, their reductions and the multiplication table, one
+        degree at a time.
 
-    def _build_basis(self):
-        q = self.quiver
-        self.basis: list[tuple[int, tuple[int, ...]]] = []
-        self.coords: dict[tuple[int, tuple[int, ...]], np.ndarray | None] = {}
-        degree = 0
-        per_degree: list[list[tuple[int, tuple[int, ...]]]] = []
+        The degree-d candidates are the degree-(d-1) basis words followed by
+        one arrow: parents in basis order, then arrows by index.  Degree d of
+        the relation ideal is spanned by b * rho_v for the degree-(d-2) basis
+        words b ending at v, where rho_v is the signed sum of a * a-star over
+        the arrows a leaving v (quiver arrows carry +) and b * a is already
+        reduced in degree d-1.  The candidates that are no pivot of the fully
+        reduced relations form the basis, and each pivot reduces to the later
+        basis words of its row.  Candidates miss no basis word: the basis is
+        closed under prefixes, and a word whose prefix reduces to later words
+        reduces to later words itself."""
+        P = K.P
+        verts = self.quiver.vertices
+        self.basis: list[tuple[int, tuple[int, ...]]] = [(v, ()) for v in verts]
+        ends = list(verts)
+        last: list[tuple[int, int]] = []  # (parent, arrow) of each word past degree 0
+        layers = [range(len(verts))]
+        # (basis index, arrow) -> coordinates of the product on the next layer
+        step: dict[tuple[int, int], np.ndarray] = {}
         while True:
-            words = self._paths(degree)
-            if not words:
-                break
-            rel_rows = self._relation_rows(degree, words) if degree >= 2 else []
-            keep = list(range(len(words)))
-            red = np.eye(len(words), dtype=np.int64)
-            if rel_rows:
-                R = np.array(rel_rows, dtype=np.int64)
-                rr, pivots = K.rref(R)
-                piv = set(int(p) for p in pivots)
-                keep = [i for i in range(len(words)) if i not in piv]
-                # rref rows express each pivot word in non-pivot words
-                red = np.eye(len(words), dtype=np.int64)
-                for ri, p in enumerate(pivots):
-                    row = rr[ri].copy()
-                    row[p] = 0
-                    if any(int(row[pp]) % K.P for pp in piv):
-                        raise InternalCheckError("relation rref is not fully reduced")
-                    red[int(p)] = (-row) % K.P
+            prev = layers[-1]
+            below = layers[-2] if len(layers) > 1 else range(0)
+            cands = [(p, a) for p in prev for a, (s, _) in enumerate(self.darrows) if s == ends[p]]
+            col = {c: k for k, c in enumerate(cands)}
+            rel = np.zeros((len(below), len(cands)), dtype=np.int64)
+            for r, b in enumerate(below):
+                for a, (s, _) in enumerate(self.darrows):
+                    if s == ends[b]:
+                        sign = 1 if a % 2 == 0 else -1
+                        for u, c in zip(prev, step[(b, a)]):
+                            if c:
+                                rel[r, col[(u, a ^ 1)]] += sign * c
+            rr, pivots = K.rref(rel)
+            piv = set(pivots.tolist())
+            keep = [k for k in range(len(cands)) if k not in piv]
             if not keep:
                 break
+            red = np.eye(len(cands), dtype=np.int64)[:, keep]
+            for r, p in enumerate(pivots):
+                if np.count_nonzero(rr[r, pivots]) != 1:
+                    raise InternalCheckError("relation rref is not fully reduced")
+                red[p] = -rr[r, keep] % P
             base = len(self.basis)
-            local = {}
-            for slot, wi in enumerate(keep):
-                self.basis.append(words[wi])
-                local[wi] = base + slot
-            for wi, w in enumerate(words):
-                vec_local = red[wi]
-                self.coords[w] = (vec_local, {k: local[k] for k in keep}, keep)
-            per_degree.append([words[i] for i in keep])
-            degree += 1
-        self.dim = len(self.basis)
-        self.max_degree = degree - 1
-        # rebuild coords as global dense vectors
-        dense = {}
-        for w, (vec, localmap, keep) in self.coords.items():
-            out = np.zeros(self.dim, dtype=np.int64)
             for k in keep:
-                if vec[k] % K.P:
-                    out[localmap[k]] = vec[k] % K.P
-            dense[w] = out
-        self.coords = dense
+                p, a = cands[k]
+                self.basis.append((self.basis[p][0], self.basis[p][1] + (a,)))
+                ends.append(self.darrows[a][1])
+                last.append((p, a))
+            step.update(zip(cands, red))
+            layers.append(range(base, len(self.basis)))
+        self.dim = dim = len(self.basis)
+        self.max_degree = len(layers) - 1
+        self.e_index = {v: i for i, v in enumerate(verts)}
+        # right action of each arrow; words past the top degree map to zero
+        right = np.zeros((len(self.darrows), dim, dim), dtype=np.int64)
+        unit = np.eye(dim, dtype=np.int64)
+        self.coords: dict[tuple[int, tuple[int, ...]], np.ndarray] = {
+            w: unit[i] for i, w in enumerate(self.basis[: len(verts)])
+        }
+        for (p, a), vec in step.items():
+            s, w = self.basis[p]
+            nxt = layers[len(w) + 1]
+            right[a, p, nxt.start : nxt.stop] = vec
+            self.coords[(s, w + (a,))] = right[a, p]
         self.word_degree = {w: len(w[1]) for w in self.coords}
-        self.e_index = {v: self.basis.index((v, ())) for v in self.quiver.vertices}
+        # b_i * b_j for j = parent * a is (b_i * parent) * a: zero unless b_i
+        # ends where b_j starts, and only words ending where a starts reach a
+        ending = {v: [i for i in range(dim) if ends[i] == v] for v in verts}
+        self.table = np.zeros((dim, dim, dim), dtype=np.int64)
+        for j, v in enumerate(verts):
+            self.table[ending[v], j, ending[v]] = 1
+        for j, (p, a) in enumerate(last, start=len(verts)):
+            rows, at = ending[self.basis[j][0]], ending[self.darrows[a][0]]
+            self.table[rows, j] = self.table[rows, p][:, at] @ right[a, at] % P
 
-    def _relation_rows(self, degree: int, words):
-        index = {w: i for i, w in enumerate(words)}
-        rows = []
-        star_of = {}
-        for k in range(0, len(self.darrows), 2):
-            star_of[k] = k + 1
-            star_of[k + 1] = k
-        for plen in range(degree - 1):
-            for (ps, pw) in self._paths(plen):
-                pe = self.darrows[pw[-1]][1] if pw else ps
-                # one relation per (prefix, suffix) pair: the relation at
-                # vertex pe is the signed sum over doubled arrows a leaving
-                # pe of a * a-star, with quiver arrows carrying +.
-                for (ss, sw) in self._paths(degree - plen - 2):
-                    if ss != pe:
-                        continue
-                    row = np.zeros(len(words), dtype=np.int64)
-                    nonzero = False
-                    for a, (s, _) in enumerate(self.darrows):
-                        if s != pe:
-                            continue
-                        sign = 1 if a % 2 == 0 else -1
-                        w = (ps, pw + (a, star_of[a]) + sw)
-                        row[index[w]] += sign
-                        nonzero = True
-                    if nonzero:
-                        rows.append(row % K.P)
-        return rows
-
-    def _build_mult(self):
-        self.table = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
-        for i, (s1, w1) in enumerate(self.basis):
-            e1 = self.darrows[w1[-1]][1] if w1 else s1
-            for j, (s2, w2) in enumerate(self.basis):
-                if s2 != e1:
-                    continue
-                if len(w1) + len(w2) > self.max_degree:
-                    continue
-                self.table[i, j] = self.coords[(s1, w1 + w2)]
-
-    def _build_frobenius(self, seed: int):
-        rng = np.random.default_rng(seed)
+    def _build_frobenius(self):
+        rng = np.random.default_rng(0)
+        top = [i for i, (_, w) in enumerate(self.basis) if len(w) == self.max_degree]
         for _ in range(64):
             f = np.zeros(self.dim, dtype=np.int64)
-            for i, (s, w) in enumerate(self.basis):
-                if len(w) == self.max_degree:
-                    f[i] = int(rng.integers(1, K.P))
-            gram = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for i in range(self.dim):
-                gram[i] = K.reduce_mod(self.table[i] @ f)
+            for i in top:
+                f[i] = int(rng.integers(1, K.P))
+            gram = K.reduce_mod(self.table @ f)  # gram[i, j] = f(b_i b_j)
             if K.rank(gram) == self.dim:
                 break
         else:
             raise InternalCheckError("no nondegenerate socle-supported form found")
         self.frobenius = f
-        theta = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for j in range(self.dim):
-            rhs = K.reduce_mod(self.table[j] @ f)  # rhs_i = f(b_j b_i)
-            sol = K.solve(gram, rhs)
-            if sol is None:
-                raise InternalCheckError("twist solve failed")
-            theta[:, j] = sol
+        # column j of theta solves gram @ x = (f(b_j b_i))_i
+        theta = K.solve(gram, gram.T)
+        if theta is None:
+            raise InternalCheckError("twist solve failed")
         self.theta = K.reduce_mod(theta)
         for v in self.quiver.vertices:
             img = self.theta[:, self.e_index[v]]
@@ -187,7 +156,7 @@ class PreprojAlgebra:
             if not np.array_equal(img % K.P, want):
                 raise InternalCheckError("twist does not permute the idempotents correctly")
         # multiplicativity spot check
-        rng2 = np.random.default_rng(seed + 1)
+        rng2 = np.random.default_rng(1)
         for _ in range(8):
             x = rng2.integers(0, K.P, self.dim)
             y = rng2.integers(0, K.P, self.dim)
@@ -252,8 +221,8 @@ class PreprojAlgebra:
 
 
 @functools.cache
-def preprojective_algebra(q: Quiver, seed: int = 0) -> PreprojAlgebra:
-    return PreprojAlgebra(q, seed)
+def preprojective_algebra(q: Quiver) -> PreprojAlgebra:
+    return PreprojAlgebra(q)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +240,15 @@ class TQAlgebra:
     BLOCKS = ((0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2))
     CORNER = (0, 2)
 
-    def __init__(self, q: Quiver, seed: int = 0):
-        self.algebra = preprojective_algebra(q, seed)
+    def __init__(self, q: Quiver):
+        self.algebra = preprojective_algebra(q)
         self.quiver = q
         d = self.algebra.dim
         self.entry_dims = {b: d for b in self.BLOCKS}
         self.total_dim = 6 * d
         self.basis = [(b, k) for b in self.BLOCKS for k in range(d)]
         self.index = {bk: i for i, bk in enumerate(self.basis)}
-        self._check_associativity(seed)
+        self._check_associativity()
 
     def block_product(self, b1, x, b2, y):
         """Product of an element x in block b1 with y in block b2; returns
@@ -291,8 +260,8 @@ class TQAlgebra:
             return None  # forced zero through a vanishing block
         return tgt, self.algebra.mult(x, y)
 
-    def _check_associativity(self, seed):
-        rng = np.random.default_rng(seed + 2)
+    def _check_associativity(self):
+        rng = np.random.default_rng(2)
         d = self.algebra.dim
         for b1 in self.BLOCKS:
             for b2 in self.BLOCKS:
@@ -386,8 +355,8 @@ class TQAlgebra:
         return int(order)
 
 
-def tq_algebra(q: Quiver, seed: int = 0) -> TQAlgebra:
-    return TQAlgebra(q, seed)
+def tq_algebra(q: Quiver) -> TQAlgebra:
+    return TQAlgebra(q)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +409,10 @@ class LambdaMorphism:
         return f"LambdaMorphism({list(self.p1)} -> {list(self.p0)})"
 
 
-def phi_image(label: MprLabel, seed: int = 0) -> LambdaMorphism:
+def phi_image(label: MprLabel) -> LambdaMorphism:
     """Base change of the label's presentation along quiver paths."""
     obj = mp.presentation(label)
-    alg = preprojective_algebra(label.quiver, seed)
+    alg = preprojective_algebra(label.quiver)
     ent = np.zeros((len(obj.p0), len(obj.p1), alg.dim), dtype=np.int64)
     for r in range(len(obj.p0)):
         for c in range(len(obj.p1)):
@@ -520,13 +489,13 @@ def _invertible(m: LambdaMorphism | None, n_src, n_tgt) -> bool:
     return U.shape[0] == U.shape[1] and K.rank(U) == U.shape[0]
 
 
-def is_isomorphic(X: LambdaMorphism, Y: LambdaMorphism, seed: int = 0) -> bool:
+def is_isomorphic(X: LambdaMorphism, Y: LambdaMorphism) -> bool:
     if sorted(X.p1) != sorted(Y.p1) or sorted(X.p0) != sorted(Y.p0):
         return False
     slots1, slots0, basis = _hom_pair_space(X, Y)
     if basis.shape[1] == 0:
         return len(X.p1) + len(X.p0) == 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(24):
         vec = K.reduce_mod(basis @ rng.integers(0, K.P, basis.shape[1]))
         f1, f0 = _pair_matrices(X, Y, slots1, slots0, vec)
@@ -741,20 +710,18 @@ def _charpoly_modp(M: np.ndarray) -> list[int]:
     return c
 
 
-def split_summands(X: LambdaMorphism, seed: int = 0) -> list[LambdaMorphism]:
+def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
     """Fitting decomposition via eigen-projectors of random endomorphism
     pairs, recursing until every piece has local endomorphism ring."""
     if len(X.p1) + len(X.p0) == 0:
         return []
     if is_indecomposable(X):
         return [X]
-    import sympy
-
     slots1, slots0, basis = _hom_pair_space(X, X)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     d1 = X.source_dim()
-    x = sympy.Symbol("x")
-    for trial in range(40):
+    points = np.arange(K.P, dtype=np.int64)
+    for _ in range(40):
         vec = K.reduce_mod(basis @ rng.integers(0, K.P, basis.shape[1]))
         f1, f0 = _pair_matrices(X, X, slots1, slots0, vec)
         U1 = f1.underlying_matrix() if f1 is not None else np.zeros((0, 0), dtype=np.int64)
@@ -762,34 +729,33 @@ def split_summands(X: LambdaMorphism, seed: int = 0) -> list[LambdaMorphism]:
         M = np.zeros((U1.shape[0] + U0.shape[0],) * 2, dtype=np.int64)
         M[:U1.shape[0], :U1.shape[0]] = U1
         M[U1.shape[0]:, U1.shape[0]:] = U0
-        poly = sympy.Poly(_charpoly_modp(M), x, modulus=K.P)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # sympy sorts GF coefficients
-            factors = sympy.factor_list(poly.as_expr(), modulus=K.P)[1]
-        if len(factors) < 2:
+        # an eigenvalue: the first root of the characteristic polynomial
+        value = np.zeros(K.P, dtype=np.int64)
+        for cf in _charpoly_modp(M):
+            value = (value * points + cf) % K.P
+        roots = np.flatnonzero(value == 0)
+        if roots.size == 0:
             continue
-        # idempotent projector onto the first primary component
-        f_first, m_first = factors[0]
-        g1 = sympy.Poly(f_first ** m_first, x, modulus=K.P)
-        g2 = sympy.Poly(sympy.prod([f ** m for f, m in factors[1:]]), x, modulus=K.P)
-        a, b, g = g1.gcdex(g2)
-        if g.degree() != 0:
-            raise InternalCheckError("primary factors are not coprime")
-        # a*g1 + b*g2 = g (unit); projector = (b*g2/g)(M)
-        proj_poly = (b * g2) * K.inv_mod(int(g.LC()) % K.P)
-        coeffs = [int(cf) % K.P for cf in proj_poly.all_coeffs()]
-        E = np.zeros_like(M)
-        for cf in coeffs:
-            E = K.reduce_mod(K.matmul(E, M))
-            E[np.diag_indices_from(E)] = (E.diagonal() + cf) % K.P
+        # Fitting projector onto ker A along im A, for A = (M - lam)^n
+        n = M.shape[0]
+        eye = np.eye(n, dtype=np.int64)
+        A = K.reduce_mod(M - int(roots[0]) * eye)
+        for _ in range(n.bit_length()):
+            A = K.matmul(A, A)
+        ker = K.nullspace(A)
+        im = K.rref(A.T)[0][: n - ker.shape[1]].T
+        inv = K.solve(np.concatenate([ker, im], axis=1), eye)
+        if inv is None:
+            raise InternalCheckError("Fitting kernel and image do not span")
+        E = K.matmul(ker, inv[: ker.shape[1]])
         if not np.array_equal(K.matmul(E, E), E):
             continue
-        if not np.any(E % K.P) or np.array_equal(E % K.P, np.eye(E.shape[0], dtype=np.int64) % K.P):
+        if not np.any(E) or np.array_equal(E, eye):
             continue
         pieces = []
-        for proj in (E, (np.eye(E.shape[0], dtype=np.int64) - E) % K.P):
+        for proj in (E, (eye - E) % K.P):
             piece = _restrict_to_image(X, proj[:d1, :d1], proj[d1:, d1:])
-            pieces.extend(split_summands(piece, seed + trial + 1))
+            pieces.extend(split_summands(piece))
         if sum(p.source_dim() for p in pieces) != X.source_dim() or sum(
             p.target_dim() for p in pieces
         ) != X.target_dim():
@@ -831,14 +797,14 @@ class HiggsLift:
 
 
 @functools.cache
-def _phi_table(q: Quiver, seed: int = 0):
-    return tuple((lab, phi_image(lab, seed)) for lab in mp.mpr_indecomposables(q))
+def _phi_table(q: Quiver):
+    return tuple((lab, phi_image(lab)) for lab in mp.mpr_indecomposables(q))
 
 
 _REP_FINITE = {"A1", "A2", "A3", "A4"}
 
 
-def lift_morphism(f: LambdaMorphism, seed: int = 0) -> HiggsLift:
+def lift_morphism(f: LambdaMorphism) -> HiggsLift:
     """Partial inverse of the embedding: identity summands come back as
     identity-object labels, remaining indecomposable pieces are matched
     against the label table, and anything unmatched is witnessed by its
@@ -852,10 +818,10 @@ def lift_morphism(f: LambdaMorphism, seed: int = 0) -> HiggsLift:
     reduced, stripped = strip_identity_summands(f)
     labels = [MprLabel(q, "dzero", v) for v in stripped]
     unresolved = []
-    for piece in split_summands(reduced, seed):
+    for piece in split_summands(reduced):
         match = None
-        for lab, img in _phi_table(q, seed):
-            if is_isomorphic(piece, img, seed):
+        for lab, img in _phi_table(q):
+            if is_isomorphic(piece, img):
                 match = lab
                 break
         if match is not None:
@@ -883,13 +849,13 @@ def direct_sum(alg: PreprojAlgebra, pieces) -> LambdaMorphism:
     return LambdaMorphism(alg, p1, p0, ent)
 
 
-def realize_lift(q: Quiver, lift: HiggsLift, seed: int = 0) -> LambdaMorphism:
+def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
     """Image of a lifted object back in the morphism category: labelled
     summands map through the embedding, conflation witnesses through a
-    generic (seeded) radical extension class of their two-term shape."""
-    alg = preprojective_algebra(q, seed)
-    rng = np.random.default_rng(seed + 7)
-    pieces = [phi_image(lab, seed) for lab in lift.labels]
+    generic radical extension class of their two-term shape."""
+    alg = preprojective_algebra(q)
+    rng = np.random.default_rng(7)
+    pieces = [phi_image(lab) for lab in lift.labels]
     for conf in lift.unresolved:
         p1 = tuple(lab.vertex for lab in conf.quot)
         p0 = tuple(lab.vertex for lab in conf.sub)

@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -167,6 +168,16 @@ def test_higgs_lift_inline_identity(capsys):
     spec = json.dumps({"p1": [1], "p0": [1], "matrix": [[["1", 1]]]})
     out = json.loads(run_ok(capsys, ["higgs", "--type", "A2", "--lift", spec]))
     assert [x["label"] for x in out["labels"]] == ["Z(1)"]
+
+
+def test_higgs_lift_decomposable_needs_numpy_only(capsys, monkeypatch):
+    # the zero map P1 -> P1 splits into two labelled summands; importing
+    # anything beyond numpy on the way would fail here
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    spec = json.dumps({"p1": [1], "p0": [1], "matrix": [[["1", 0]]]})
+    out = json.loads(run_ok(capsys, ["higgs", "--type", "A1", "--lift", spec]))
+    assert sorted(x["label"] for x in out["labels"]) == ["E(1)", "M(P1)"]
+    assert out["unresolved"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from quiverlab import dynkin as dy
 from quiverlab import higgs as hg
 from quiverlab import morphcat as mc
 from quiverlab.errors import GuardError, InternalCheckError
+from tests.test_stalks import _oracle_quivers
 
 LAMBDA_DIMS = {"A1": 1, "A2": 4, "A3": 10, "A4": 20, "D4": 28}
 
@@ -110,6 +111,102 @@ def test_tree_path_embedding():
 def test_unsupported_type_guard():
     with pytest.raises(GuardError):
         hg.preprojective_algebra(dy.build_quiver("E6"))
+
+
+@pytest.mark.parametrize(
+    "q", [p for p in _oracle_quivers() if str(p.values[0].dtype) in hg._LIFTABLE]
+)
+def test_hilbert_series(q):
+    # dim e_i Pi_d e_j = (M_d)_ij, where M_0 = I, M_1 = C and
+    # M_d = C M_{d-1} - M_{d-2}; M_{h-1} vanishes
+    alg = hg.preprojective_algebra(q)
+    n, h = len(q.vertices), dy.coxeter_number(q.dtype)
+    C = np.zeros((n, n), dtype=np.int64)
+    for i, j in q.arrows:
+        C[i - 1, j - 1] = C[j - 1, i - 1] = 1
+    M = [np.eye(n, dtype=np.int64), C]
+    while len(M) < h:
+        M.append(C @ M[-1] - M[-2])
+    counts = np.zeros((h, n, n), dtype=np.int64)
+    for k, w in enumerate(alg.basis):
+        counts[alg.word_degree[w], alg.word_start(k) - 1, alg.word_end(k) - 1] += 1
+    for d in range(h):
+        assert np.array_equal(counts[d], M[d]), d
+    assert alg.dim == n * h * (h + 1) // 6
+    assert alg.max_degree == h - 2
+
+
+def all_words_algebra(q, darrows):
+    """The preprojective algebra from every word of the doubled quiver: one
+    relation row per (prefix, suffix) pair around each mesh, reduced degree
+    by degree.  Returns the basis, the multiplication table and the
+    coordinates of every word."""
+
+    def paths(length):
+        if length == 0:
+            return [(v, ()) for v in q.vertices]
+        out = []
+        for start, word in paths(length - 1):
+            end = darrows[word[-1]][1] if word else start
+            out.extend((start, word + (a,)) for a, (s, _) in enumerate(darrows) if s == end)
+        return out
+
+    basis, per_degree = [], []
+    degree = 0
+    while True:
+        words = paths(degree)
+        if not words:
+            break
+        index = {w: i for i, w in enumerate(words)}
+        rows = []
+        for plen in range(degree - 1):
+            for ps, pw in paths(plen):
+                pe = darrows[pw[-1]][1] if pw else ps
+                for ss, sw in paths(degree - plen - 2):
+                    if ss != pe:
+                        continue
+                    row = np.zeros(len(words), dtype=np.int64)
+                    for a, (s, _) in enumerate(darrows):
+                        if s == pe:
+                            row[index[(ps, pw + (a, a ^ 1) + sw)]] += 1 if a % 2 == 0 else -1
+                    rows.append(row)
+        red = np.eye(len(words), dtype=np.int64)
+        keep = list(range(len(words)))
+        if rows:
+            rr, pivots = K.rref(np.array(rows))
+            keep = [i for i in keep if i not in set(pivots.tolist())]
+            for r, p in enumerate(pivots):
+                red[p] = -rr[r] % K.P
+        if not keep:
+            break
+        per_degree.append((words, red[:, keep], len(basis)))
+        basis.extend(words[i] for i in keep)
+        degree += 1
+    dim, top = len(basis), degree - 1
+    coords = {}
+    for words, red, offset in per_degree:
+        for w, vec in zip(words, red):
+            coords[w] = np.zeros(dim, dtype=np.int64)
+            coords[w][offset : offset + len(vec)] = vec
+    table = np.zeros((dim, dim, dim), dtype=np.int64)
+    for i, (s1, w1) in enumerate(basis):
+        e1 = darrows[w1[-1]][1] if w1 else s1
+        for j, (s2, w2) in enumerate(basis):
+            if s2 == e1 and len(w1) + len(w2) <= top:
+                table[i, j] = coords[(s1, w1 + w2)]
+    return basis, table, coords
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+def test_degree_by_degree_matches_all_words(t):
+    alg = alg_for(t)
+    basis, table, coords = all_words_algebra(alg.quiver, alg.darrows)
+    assert alg.basis == basis
+    assert np.array_equal(alg.table, table)
+    arrows = [w for w in coords if len(w[1]) == 1]
+    assert len(arrows) == len(alg.darrows)
+    for w in arrows:
+        assert np.array_equal(alg.coords[w], coords[w])
 
 
 # ---------------------------------------------------------------------------

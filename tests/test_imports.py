@@ -194,3 +194,29 @@ def test_integer_layers_import_no_matrix_layer(name):
 def test_matrix_layer_imports_are_detected():
     assert module_level_imports("reps") == {"numpy", "quiverlab._kernels"}
     assert module_level_imports("morphcat") >= {"numpy", "quiverlab.complexes", "quiverlab.reps"}
+
+
+def third_party_imports() -> dict:
+    """Top-level packages outside the standard library, numpy and quiverlab
+    that any package module imports anywhere, function bodies included."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "quiverlab"}
+    pkg = os.path.dirname(quiverlab.__file__)
+    found = {}
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            found.update({(name, t): node.lineno for t in tops if t not in allowed})
+    return found
+
+
+def test_numpy_is_the_only_third_party_import():
+    assert third_party_imports() == {}
