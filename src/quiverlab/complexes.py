@@ -17,6 +17,14 @@ degree -1 cohomology is the suspended part.  Lifting the generator
 morphisms (one per quiver arrow) once and composing along paths makes the
 functor strictly multiplicative, since a tree quiver has no relations
 between distinct paths.
+
+Each arrow lift is solved in scalar coordinates, one masked linear solve
+per block.  A morphism out of P_u is fixed by its value at the generator of
+P_u, so the envelope block X solves X e_u = t_w, where e_u and t_w are the
+generator coordinates of the envelope embedding of P_u and of the arrow
+followed by the envelope embedding of P_w; the cosyzygy block Y then solves
+Y G_u = G_w X.  Only the solved X is assembled into a representation
+morphism, to check the lift equation at every vertex.
 """
 from __future__ import annotations
 
@@ -37,6 +45,21 @@ def _hom_mask(q: Quiver, src_labels, tgt_labels) -> np.ndarray:
         for c, u in enumerate(src_labels):
             out[r, c] = q.has_path(u, w)
     return out
+
+
+def _masked_solve(mask: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """One Z supported on `mask` with Z A = B (free entries set to 0), or
+    None.  Unknowns are the mask entries in row-major order; equation (r, j)
+    is sum_c Z[r, c] A[c, j] = B[r, j]."""
+    rows, cols = np.nonzero(mask)
+    eqs = np.zeros((mask.shape[0], A.shape[1], rows.size), dtype=np.int64)
+    eqs[rows, :, np.arange(rows.size)] = A[cols]
+    sol = K.solve(eqs.reshape(mask.shape[0] * A.shape[1], rows.size), np.reshape(B, -1))
+    if sol is None:
+        return None
+    Z = np.zeros(mask.shape, dtype=np.int64)
+    Z[rows, cols] = sol
+    return Z
 
 
 class PCpx:
@@ -263,140 +286,44 @@ class TauInvFunctor:
         self.S: dict[int, tuple[int, ...]] = {}
         self.W: dict[int, tuple[int, ...]] = {}
         self.G: dict[int, np.ndarray] = {}
-        env = {}
-        conn = {}
+        emb = {}
         for i in q.vertices:
-            P = reps.projective_rep(q, i)
-            labels_s, emb = reps._injective_envelope(P)
-            cok, proj = reps.cokernel(emb)
-            if cok.is_zero():
-                labels_w: list[int] = []
-                g = None
-            else:
-                labels_w, emb1 = reps._injective_envelope(cok)
-                g = emb1.compose(proj)
-            self.S[i] = tuple(labels_s)
-            self.W[i] = tuple(labels_w)
-            if g is None:
-                self.G[i] = np.zeros((0, len(labels_s)), dtype=np.int64)
-            else:
-                off0 = reps.injective_sum(q, tuple(labels_s))[1]
-                off1 = reps.injective_sum(q, tuple(labels_w))[1]
-                self.G[i] = reps._scalar_matrix_of_injective_map(g, labels_s, off0, labels_w, off1)
-                rebuilt = reps.assemble_injective_map(q, labels_s, labels_w, self.G[i])
-                for v in q.vertices:
-                    if not np.array_equal(rebuilt.mat(v), g.mat(v)):
-                        raise InternalCheckError("copresentation of a projective is not in scalar form")
-            env[i] = (labels_s, emb)
-            conn[i] = g
+            labels_s, emb[i], labels_w, self.G[i] = reps.min_copresentation(reps.projective_rep(q, i))
+            self.S[i], self.W[i] = tuple(labels_s), tuple(labels_w)
         self._X: dict[tuple[int, int], np.ndarray] = {}
         self._Y: dict[tuple[int, int], np.ndarray] = {}
         for (u, w) in q.arrows:
-            self._X[(u, w)], self._Y[(u, w)] = self._lift_arrow(u, w, env, conn)
+            self._X[(u, w)], self._Y[(u, w)] = self._lift_arrow(u, w, emb)
 
     # -- construction helpers ------------------------------------------------
 
-    def _lift_arrow(self, u: int, w: int, env, conn):
+    def _generator_coords(self, f: reps.Morphism, labels, u: int) -> np.ndarray:
+        """Column of scalars of f: P_u -> (sum of I_v over labels) at the
+        generator of P_u; slots whose injective vanishes at u read 0."""
         q = self.quiver
-        labels_su, emb_u = env[u]
-        labels_sw, emb_w = env[w]
-        g_a = reps.canonical_projective_morphism(q, u, w)
-        target = emb_w.compose(g_a)  # P_u -> E_w
+        off = reps.injective_sum(q, tuple(labels))[1]
+        return np.array([[f.mat(u)[off[t][u - 1], 0] if q.has_path(v, u) else 0]
+                         for t, v in enumerate(labels)], dtype=np.int64)
 
-        def coords_from_pu(f, slot_labels, offsets):
-            # scalar coordinates of a morphism P_u -> sum of injectives
-            rows = []
-            for t, v in enumerate(slot_labels):
-                if q.has_path(v, u):
-                    rows.append(int(f.mat(u)[offsets[t][u - 1], 0]))
-                else:
-                    rows.append(0)
-            return np.array(rows, dtype=np.int64)
-
-        codw, off_w = reps.injective_sum(q, tuple(labels_sw))
-        dom = reps.injective_sum(q, tuple(labels_su))[0]
-        unknowns = [
-            (r, c)
-            for r in range(len(labels_sw))
-            for c in range(len(labels_su))
-            if q.has_path(labels_su[c], labels_sw[r])
-        ]
-        cols = []
-        basis_morphs = []
-        for (r, c) in unknowns:
-            scal = np.zeros((len(labels_sw), len(labels_su)), dtype=np.int64)
-            scal[r, c] = 1
-            B = reps.assemble_injective_map(q, list(labels_su), list(labels_sw), scal)
-            basis_morphs.append(B)
-            cols.append(coords_from_pu(B.compose(emb_u), labels_sw, off_w))
-        b = coords_from_pu(target, labels_sw, off_w)
-        if unknowns:
-            sol = K.solve(np.array(cols, dtype=np.int64).T, b)
-        else:
-            sol = np.zeros(0, dtype=np.int64) if not np.any(b) else None
-        if sol is None:
+    def _lift_arrow(self, u: int, w: int, emb):
+        """Scalar blocks of the image of the arrow u -> w: X with
+        X emb_u = emb_w g_a on the envelopes, read at the generator of P_u,
+        and Y with Y G_u = G_w X on the cosyzygies."""
+        q = self.quiver
+        su, sw = self.S[u], self.S[w]
+        target = emb[w].compose(reps.canonical_projective_morphism(q, u, w))  # P_u -> E_w
+        X = _masked_solve(_hom_mask(q, su, sw), self._generator_coords(emb[u], su, u),
+                          self._generator_coords(target, sw, u))
+        if X is None:
             raise InternalCheckError("arrow lift through the envelope does not exist")
-        X = np.zeros((len(labels_sw), len(labels_su)), dtype=np.int64)
-        for k, (r, c) in enumerate(unknowns):
-            X[r, c] = int(sol[k]) % K.P
-        x_rep = None
-        for k, (r, c) in enumerate(unknowns):
-            if sol[k] % K.P:
-                scaled = [m * int(sol[k]) for m in basis_morphs[k].mats]
-                if x_rep is None:
-                    x_rep = scaled
-                else:
-                    x_rep = [(a + b2) % K.P for a, b2 in zip(x_rep, scaled)]
-        if x_rep is None:
-            x_rep = [np.zeros((codw.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
-        x_morph = reps.Morphism(dom, codw, [m % K.P for m in x_rep]).validate()
-        # check the defining equation at rep level
-        lhs = x_morph.compose(emb_u)
-        rhs = target
-        for v in q.vertices:
-            if not np.array_equal(lhs.mat(v), rhs.mat(v)):
-                raise InternalCheckError("arrow lift equation fails at rep level")
-
-        # now the degree-0 part: Y with Y G_u = G_w X
-        labels_wu, labels_ww = list(self.W[u]), list(self.W[w])
-        g_u, g_w = conn[u], conn[w]
-        if not labels_ww:
-            Y = np.zeros((0, len(labels_wu)), dtype=np.int64)
-            return X, Y
-        rhs_m = g_w.compose(x_morph) if g_w is not None else None
-        if rhs_m is None:
-            raise InternalCheckError("missing copresentation connecting map")
-        off_su = reps.injective_sum(q, tuple(labels_su))[1]
-        off_ww = reps.injective_sum(q, tuple(labels_ww))[1]
-        rhs_coords = reps._scalar_matrix_of_injective_map(rhs_m, list(labels_su), off_su, labels_ww, off_ww)
-        yunknowns = [
-            (r, c)
-            for r in range(len(labels_ww))
-            for c in range(len(labels_wu))
-            if q.has_path(labels_wu[c], labels_ww[r])
-        ]
-        ycols = []
-        for (r, c) in yunknowns:
-            scal = np.zeros((len(labels_ww), len(labels_wu)), dtype=np.int64)
-            scal[r, c] = 1
-            B = reps.assemble_injective_map(q, labels_wu, labels_ww, scal)
-            comp = B.compose(g_u) if g_u is not None else None
-            if comp is None:
-                ycols.append(np.zeros(rhs_coords.size, dtype=np.int64))
-            else:
-                ycols.append(
-                    reps._scalar_matrix_of_injective_map(comp, list(labels_su), off_su, labels_ww, off_ww).reshape(-1)
-                )
-        if yunknowns:
-            ysol = K.solve(np.array(ycols, dtype=np.int64).T, rhs_coords.reshape(-1))
-        else:
-            ysol = np.zeros(0, dtype=np.int64) if not np.any(rhs_coords) else None
-        if ysol is None:
+        lhs = reps.assemble_injective_map(q, su, sw, X).compose(emb[u])
+        if any(not np.array_equal(lhs.mat(v), target.mat(v)) for v in q.vertices):
+            raise InternalCheckError("arrow lift equation fails at rep level")
+        GX = K.matmul(self.G[w], X)
+        Y = _masked_solve(_hom_mask(q, self.W[u], self.W[w]), self.G[u], GX)
+        if Y is None:
             raise InternalCheckError("degree-0 arrow lift does not exist")
-        Y = np.zeros((len(labels_ww), len(labels_wu)), dtype=np.int64)
-        for k, (r, c) in enumerate(yunknowns):
-            Y[r, c] = int(ysol[k]) % K.P
-        if not np.array_equal(K.matmul(self.G[w], X), K.matmul(Y, self.G[u])):
+        if not np.array_equal(GX, K.matmul(Y, self.G[u])):
             raise InternalCheckError("arrow lift does not commute with copresentations")
         return X, Y
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -172,11 +173,16 @@ class PreprojAlgebra:
         out[self.e_index[v]] = 1
         return out
 
+    def left_matrix(self, x) -> np.ndarray:
+        """Matrix of y -> x * y; leading axes of x stack elements."""
+        return K.reduce_mod(np.tensordot(K.reduce_mod(x), self.table, axes=(-1, 0))).swapaxes(-1, -2)
+
+    def right_matrix(self, y) -> np.ndarray:
+        """Matrix of x -> x * y; leading axes of y stack elements."""
+        return K.reduce_mod(np.tensordot(K.reduce_mod(y), self.table, axes=(-1, 1))).swapaxes(-1, -2)
+
     def mult(self, x, y) -> np.ndarray:
-        x = K.reduce_mod(np.asarray(x, dtype=np.int64))
-        y = K.reduce_mod(np.asarray(y, dtype=np.int64))
-        left = K.reduce_mod(np.tensordot(x, self.table, axes=(0, 0)))
-        return K.reduce_mod(y @ left)
+        return K.matmul(self.left_matrix(x), y)
 
     def apply_theta(self, x) -> np.ndarray:
         return K.reduce_mod(self.theta @ K.reduce_mod(np.asarray(x, dtype=np.int64)))
@@ -296,40 +302,27 @@ class TQAlgebra:
         """Socle chase: each left projective has simple socle, whose weight
         is the image idempotent."""
         alg = self.algebra
-        d = alg.dim
+        rad = [k for k, w in enumerate(alg.basis) if alg.word_degree[w] > 0]
         perm = {}
-        # radical generators: all off-diagonal block basis elements plus
-        # diagonal radical elements
-        rad_gens = []
-        for b in self.BLOCKS:
-            for k in range(d):
-                if b[0] == b[1] and alg.word_degree[alg.basis[k]] == 0:
-                    continue
-                rad_gens.append((b, k))
         for (r, v) in self.idempotents():
             pbasis = self.projective_basis(r, v)
-            pindex = {bk: i for i, bk in enumerate(pbasis)}
-            n = len(pbasis)
+            mod = alg.module_indices(v)
+            m = len(mod)
+            # act[g] is left multiplication by basis word g on the paths ending at v
+            act = alg.table[np.ix_(range(alg.dim), mod, mod)].swapaxes(1, 2)
+            col = {b: t * m for t, b in enumerate(b for b in self.BLOCKS if b[1] == r)}
+            # the radical generators are the off-diagonal block basis elements
+            # plus the diagonal radical elements; each one kills the socle
             rows = []
-            for (gb, gk) in rad_gens:
-                gvec = np.zeros(d, dtype=np.int64)
-                gvec[gk] = 1
-                mat = np.zeros((n, n), dtype=np.int64)
-                touched = False
-                for ci, (b, k) in enumerate(pbasis):
-                    xvec = np.zeros(d, dtype=np.int64)
-                    xvec[k] = 1
-                    prod = self.block_product(gb, gvec, b, xvec)
-                    if prod is None:
-                        continue
-                    tb, tv = prod
-                    for kk in np.nonzero(tv % K.P)[0]:
-                        mat[pindex[(tb, int(kk))], ci] += tv[kk]
-                        touched = True
-                if touched:
-                    rows.append(mat)
-            stack = np.vstack(rows) if rows else np.zeros((0, n), dtype=np.int64)
-            ns = K.nullspace(stack)
+            for gb in self.BLOCKS:
+                if (gb[0], r) not in col or (gb[1], r) not in col:
+                    continue  # the product leaves the block pattern
+                gens = rad if gb[0] == gb[1] else range(alg.dim)
+                eq = np.zeros((len(gens) * m, len(pbasis)), dtype=np.int64)
+                c = col[(gb[1], r)]
+                eq[:, c : c + m] = act[gens].reshape(-1, m)
+                rows.append(eq)
+            ns = K.nullspace(np.vstack(rows))
             if ns.shape[1] != 1:
                 raise InternalCheckError(
                     f"left projective at {(r, v)} has socle dimension {ns.shape[1]}"
@@ -351,8 +344,8 @@ class TQAlgebra:
             cur, n = perm[start], 1
             while cur != start:
                 cur, n = perm[cur], n + 1
-            order = order * n // np.gcd(order, n)
-        return int(order)
+            order = math.lcm(order, n)
+        return order
 
 
 def tq_algebra(q: Quiver) -> TQAlgebra:
@@ -392,18 +385,13 @@ class LambdaMorphism:
         """The induced linear map on underlying spaces (source basis maps
         through right multiplication by the entries)."""
         alg = self.alg
-        src = [(c, k) for c, v in enumerate(self.p1) for k in alg.module_indices(v)]
-        tgt = [(r, k) for r, v in enumerate(self.p0) for k in alg.module_indices(v)]
-        tindex = {t: i for i, t in enumerate(tgt)}
-        M = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for si, (c, k) in enumerate(src):
-            zvec = np.zeros(alg.dim, dtype=np.int64)
-            zvec[k] = 1
-            for r in range(len(self.p0)):
-                img = alg.mult(zvec, self.entries[r, c])
-                for kk in np.nonzero(img % K.P)[0]:
-                    M[tindex[(r, int(kk))], si] += img[kk]
-        return K.reduce_mod(M)
+        rows = [alg.module_indices(v) for v in self.p0]
+        cols = [alg.module_indices(v) for v in self.p1]
+        if not rows or not cols:
+            return np.zeros((self.target_dim(), self.source_dim()), dtype=np.int64)
+        acts = alg.right_matrix(self.entries)
+        return np.block([[acts[r, c][np.ix_(kr, kc)] for c, kc in enumerate(cols)]
+                         for r, kr in enumerate(rows)])
 
     def __repr__(self) -> str:
         return f"LambdaMorphism({list(self.p1)} -> {list(self.p0)})"
@@ -442,20 +430,20 @@ def _hom_pair_space(X: LambdaMorphism, Y: LambdaMorphism):
         for i in alg.block_indices(X.p0[c], Y.p0[r])
     ]
     nvar = len(slots1) + len(slots0)
+    # column i of xacts[cc, c] is x * b_i for the entry x = X.entries[cc, c];
+    # column i of yacts[r, rr] is b_i * y for y = Y.entries[r, rr]
+    xacts = alg.left_matrix(X.entries)
+    yacts = alg.right_matrix(Y.entries)
     rows = []
     for r in range(len(Y.p0)):
         for c in range(len(X.p1)):
             eq = np.zeros((alg.dim, nvar), dtype=np.int64)
             for k, (rr, cc, i) in enumerate(slots0):
                 if rr == r:
-                    base = np.zeros(alg.dim, dtype=np.int64)
-                    base[i] = 1
-                    eq[:, len(slots1) + k] += alg.mult(X.entries[cc, c], base)
+                    eq[:, len(slots1) + k] = xacts[cc, c][:, i]
             for k, (rr, cc, i) in enumerate(slots1):
                 if cc == c:
-                    base = np.zeros(alg.dim, dtype=np.int64)
-                    base[i] = 1
-                    eq[:, k] -= alg.mult(base, Y.entries[r, rr])
+                    eq[:, k] = -yacts[r, rr][:, i]
             rows.append(eq)
     if rows:
         system = K.reduce_mod(np.vstack(rows))
@@ -516,21 +504,14 @@ def _unit_component(alg: PreprojAlgebra, vec, v: int) -> int:
 def _local_inverse(alg: PreprojAlgebra, vec, v: int) -> np.ndarray:
     """Inverse of an element of the local endomorphism ring at v."""
     idx = list(alg.block_indices(v, v))
-    A = np.zeros((len(idx), len(idx)), dtype=np.int64)
-    for ci, i in enumerate(idx):
-        base = np.zeros(alg.dim, dtype=np.int64)
-        base[i] = 1
-        prod = alg.mult(vec, base)
-        for ri, j in enumerate(idx):
-            A[ri, ci] = prod[j]
+    A = alg.left_matrix(vec)[np.ix_(idx, idx)]
     rhs = np.zeros(len(idx), dtype=np.int64)
     rhs[idx.index(alg.e_index[v])] = 1
     sol = K.solve(A, rhs)
     if sol is None:
         raise InternalCheckError("local element is not invertible")
     out = np.zeros(alg.dim, dtype=np.int64)
-    for ci, i in enumerate(idx):
-        out[i] = sol[ci]
+    out[idx] = sol
     if not np.array_equal(alg.mult(vec, out), alg.unit(v)):
         raise InternalCheckError("local inverse failed")
     return out
@@ -612,6 +593,14 @@ def is_indecomposable(X: LambdaMorphism) -> bool:
     return _end_corank(X) == 1
 
 
+def _left_actions(alg: PreprojAlgebra, basis_slots, words) -> np.ndarray:
+    """Left multiplication by each basis word on a sum of left projectives
+    with basis `basis_slots`, in row form: x @ out[t] is words[t] * x."""
+    comp = np.array([c for c, _ in basis_slots])
+    flat = [k for _, k in basis_slots]
+    return alg.table[np.ix_(words, flat, flat)] * (comp[:, None] == comp[None, :])
+
+
 def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
     """Given an idempotent endomorphism of a sum of left projectives,
     realign its image as a sum of projectives: returns (new labels,
@@ -622,25 +611,8 @@ def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
     W = img  # rows span the image
     if W.shape[0] == 0:
         return (), [], basis_slots
-    # left action of radical generators on the ambient space
-    def left_mult_matrix(z):
-        M = np.zeros((len(basis_slots), len(basis_slots)), dtype=np.int64)
-        for ci, (c, k) in enumerate(basis_slots):
-            base = np.zeros(alg.dim, dtype=np.int64)
-            base[k] = 1
-            out = alg.mult(z, base)
-            for kk in np.nonzero(out % K.P)[0]:
-                M[basis_slots.index((c, int(kk))), ci] += out[kk]
-        return K.reduce_mod(M)
-
-    rad_elems = []
-    for i in range(alg.dim):
-        if alg.word_degree[alg.basis[i]] > 0:
-            z = np.zeros(alg.dim, dtype=np.int64)
-            z[i] = 1
-            rad_elems.append(z)
-    JW_rows = [K.matmul(W, left_mult_matrix(z).T) for z in rad_elems]
-    JW = np.vstack(JW_rows) if JW_rows else np.zeros((0, W.shape[1]), dtype=np.int64)
+    rad = [i for i in range(alg.dim) if alg.word_degree[alg.basis[i]] > 0]
+    JW = K.matmul(W, _left_actions(alg, basis_slots, rad)).reshape(-1, W.shape[1])
     # generators: weight components of the image that are new modulo the
     # radical part (weight projections of a submodule stay inside it)
     gens = []
@@ -667,21 +639,9 @@ def _express_in_generators(alg, labels, gens, basis_slots, target_vec):
     cols = []
     keys = []
     for j, v in enumerate(labels):
-        for k in alg.module_indices(v):
-            z = np.zeros(alg.dim, dtype=np.int64)
-            z[k] = 1
-            vec = np.zeros(len(basis_slots), dtype=np.int64)
-            base = gens[j]
-            # z acting on the generator: left multiplication componentwise
-            for ci, (c, kk) in enumerate(basis_slots):
-                if base[ci] % K.P:
-                    unit = np.zeros(alg.dim, dtype=np.int64)
-                    unit[kk] = 1
-                    out = alg.mult(z, unit) * base[ci]
-                    for k2 in np.nonzero(out % K.P)[0]:
-                        vec[basis_slots.index((c, int(k2)))] += out[k2]
-            cols.append(K.reduce_mod(vec))
-            keys.append((j, k))
+        ks = alg.module_indices(v)
+        cols.extend(K.matmul(gens[j], _left_actions(alg, basis_slots, ks)))
+        keys.extend((j, k) for k in ks)
     A = np.array(cols, dtype=np.int64).T if cols else np.zeros((len(basis_slots), 0), dtype=np.int64)
     sol = K.solve(A, K.reduce_mod(target_vec))
     if sol is None:
@@ -900,6 +860,5 @@ def omega_order(q: Quiver) -> int:
     order = 1
     for v in q.vertices:
         for kind in ("mod", "dzero", "done"):
-            n = len(omega_orbit(MprLabel(q, kind, v)))
-            order = order * n // np.gcd(order, n)
-    return int(order)
+            order = math.lcm(order, len(omega_orbit(MprLabel(q, kind, v))))
+    return order

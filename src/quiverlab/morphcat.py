@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels as K
 from . import complexes as cx
 from . import reps, stalks
-from .dynkin import Quiver, nakayama_involution
+from .dynkin import Quiver
 from .errors import GuardError, InternalCheckError
 from .stalks import DerivedLabel, IndecLabel, e_exponent
 
@@ -76,11 +76,11 @@ class MprObject:
         return cx.PCpx(self.quiver, {-1: self.p1, 0: self.p0}, {-1: self.mat}).validate()
 
     def dim_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        q = self.quiver
+
         def dims(labels):
-            out = np.zeros(self.quiver.rank, dtype=np.int64)
-            for v in labels:
-                out += np.array(reps.projective_rep(self.quiver, v).dim_vector())
-            return tuple(int(x) for x in out)
+            # dim (P_v)_w = 1 exactly when there is a path w ~> v
+            return tuple(sum(q.has_path(w, v) for v in labels) for w in q.vertices)
 
         return dims(self.p1), dims(self.p0)
 
@@ -92,10 +92,6 @@ class MprObject:
 # labels, windows, numbering
 
 
-def _star(q: Quiver) -> dict[int, int]:
-    return nakayama_involution(q)
-
-
 def window(q: Quiver, i: int, k: int) -> MprLabel:
     """Slot (i, k) of the knitting plan: presentations inside the orbit,
     the kill object of the involuted vertex at the far edge."""
@@ -104,7 +100,7 @@ def window(q: Quiver, i: int, k: int) -> MprLabel:
         raise InternalCheckError(f"slot ({i}, {k}) outside the window of vertex {i}")
     if k < e:
         return MprLabel(q, "mod", i, k)
-    return MprLabel(q, "done", _star(q)[i])
+    return MprLabel(q, "done", stalks._defect_data(q)[2][i])
 
 
 def _slot(label: MprLabel) -> tuple[int, int]:
@@ -112,7 +108,7 @@ def _slot(label: MprLabel) -> tuple[int, int]:
     if label.kind == "mod":
         return label.vertex, label.power
     if label.kind == "done":
-        i = _star(q)[label.vertex]
+        i = stalks._defect_data(q)[2][label.vertex]
         return i, e_exponent(q, i)
     raise InternalCheckError("identity objects have no slot")
 
@@ -406,7 +402,7 @@ def f_power_label(x, p: int) -> MprQuotientLabel:
     if p < 0:
         raise GuardError("the power functor walk runs forward only")
     q = state.quiver
-    star = _star(q)
+    star = stalks._defect_data(q)[2]
     fam, v, k, s = state.family, state.vertex, state.power, state.shift
     for _ in range(p):
         if fam == "mod":

@@ -499,21 +499,16 @@ def assemble_injective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
                          q, src_labels, tgt_labels, scal)
 
 
-def tau_inv_rep(M: Rep) -> Rep:
-    """The inverse translate of a module (zero on injectives).
-
-    Computed from the two-step injective envelope: embed M, take the
-    cokernel, embed again; transport the connecting map to projectives
-    through the canonical degree-preserving identification and take its
-    cokernel.
-    """
+def min_copresentation(M: Rep) -> tuple[list[int], Morphism, list[int], np.ndarray]:
+    """Minimal injective copresentation 0 -> M -> I0 -> I1 from the two-step
+    injective envelope (embed M, take the cokernel, embed again): labels of
+    I0, the embedding M -> I0, labels of I1 and the path-basis scalars of
+    the connecting map I0 -> I1, asserted to rebuild it."""
     q = M.quiver
-    if M.is_zero():
-        return M
     labels0, emb = _injective_envelope(M)
     cok, proj = cokernel(emb)
     if cok.is_zero():
-        return zero_rep(q)
+        return labels0, emb, [], np.zeros((0, len(labels0)), dtype=np.int64)
     labels1, emb1 = _injective_envelope(cok)
     g = emb1.compose(proj)
     off0 = injective_sum(q, tuple(labels0))[1]
@@ -523,8 +518,20 @@ def tau_inv_rep(M: Rep) -> Rep:
     for v in q.vertices:
         if not np.array_equal(rebuilt.mat(v), g.mat(v)):
             raise InternalCheckError("copresentation map is not a scalar combination of path morphisms")
-    ghat = assemble_projective_map(q, labels0, labels1, scal)
-    result, _ = cokernel(ghat)
+    return labels0, emb, labels1, scal
+
+
+def tau_inv_rep(M: Rep) -> Rep:
+    """The inverse translate of a module (zero on injectives): the cokernel
+    of the connecting map of `min_copresentation`, transported to
+    projectives through the canonical degree-preserving identification."""
+    q = M.quiver
+    if M.is_zero():
+        return M
+    labels0, _, labels1, scal = min_copresentation(M)
+    if not labels1:
+        return zero_rep(q)
+    result, _ = cokernel(assemble_projective_map(q, labels0, labels1, scal))
     return result
 
 

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverlab.dynkin import build_quiver, coxeter_number, nakayama_involution
+from quiverlab import _kernels as K
 from quiverlab import complexes as cx
 from quiverlab import reps
 from quiverlab.errors import InternalCheckError
 from quiverlab.stalks import DerivedLabel, normalize_label
 
 from tests.test_dynkin import quiver_strategy
+from tests.test_stalks import _oracle_quivers
 
 SMALL = ["A2", "A3", "D4"]
 
@@ -150,3 +152,92 @@ def test_hom_from_projective_computes_graded_homs():
         hdims = cx.cochain_cohomology_dims(dims, mats)
         want = reps.hom_dim(reps.projective_rep(q, i), reps.indec_rep(lab))
         assert hdims.get(0, 0) == want
+
+
+def rep_level_arrow_lifts(q):
+    """The scalar blocks (X, Y) of every arrow lift, solved one unknown at a
+    time: each unknown entry is assembled into a representation morphism and
+    its coordinates are read back after composing."""
+    P = 32003
+    env, conn, G, W = {}, {}, {}, {}
+    for i in q.vertices:
+        labels_s, emb = reps._injective_envelope(reps.projective_rep(q, i))
+        cok, proj = reps.cokernel(emb)
+        labels_w, g = [], None
+        if not cok.is_zero():
+            labels_w, emb1 = reps._injective_envelope(cok)
+            g = emb1.compose(proj)
+        env[i], conn[i], W[i] = (labels_s, emb), g, labels_w
+        G[i] = np.zeros((0, len(labels_s)), dtype=np.int64) if g is None else (
+            reps._scalar_matrix_of_injective_map(
+                g, labels_s, reps.injective_sum(q, tuple(labels_s))[1],
+                labels_w, reps.injective_sum(q, tuple(labels_w))[1]))
+
+    def coords_from_pu(f, slot_labels, offsets, u):
+        return np.array([int(f.mat(u)[offsets[t][u - 1], 0]) if q.has_path(v, u) else 0
+                         for t, v in enumerate(slot_labels)], dtype=np.int64)
+
+    def solve(cols, rhs, n):
+        if n:
+            return K.solve(np.array(cols, dtype=np.int64).T, rhs)
+        return np.zeros(0, dtype=np.int64) if not np.any(rhs) else None
+
+    out = {}
+    for (u, w) in q.arrows:
+        labels_su, emb_u = env[u]
+        labels_sw, emb_w = env[w]
+        target = emb_w.compose(reps.canonical_projective_morphism(q, u, w))
+        off_w = reps.injective_sum(q, tuple(labels_sw))[1]
+        unknowns = [(r, c) for r in range(len(labels_sw)) for c in range(len(labels_su))
+                    if q.has_path(labels_su[c], labels_sw[r])]
+        morphs, cols = [], []
+        for (r, c) in unknowns:
+            scal = np.zeros((len(labels_sw), len(labels_su)), dtype=np.int64)
+            scal[r, c] = 1
+            B = reps.assemble_injective_map(q, labels_su, labels_sw, scal)
+            morphs.append(B)
+            cols.append(coords_from_pu(B.compose(emb_u), labels_sw, off_w, u))
+        sol = solve(cols, coords_from_pu(target, labels_sw, off_w, u), len(unknowns))
+        X = np.zeros((len(labels_sw), len(labels_su)), dtype=np.int64)
+        dom = reps.injective_sum(q, tuple(labels_su))[0]
+        cod = reps.injective_sum(q, tuple(labels_sw))[0]
+        mats = [np.zeros((cod.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
+        for k, (r, c) in enumerate(unknowns):
+            X[r, c] = int(sol[k]) % P
+            mats = [(a + int(sol[k]) * m) % P for a, m in zip(mats, morphs[k].mats)]
+        x_morph = reps.Morphism(dom, cod, mats).validate()
+        for v in q.vertices:
+            assert np.array_equal(x_morph.compose(emb_u).mat(v), target.mat(v))
+        labels_wu, labels_ww = W[u], W[w]
+        Y = np.zeros((len(labels_ww), len(labels_wu)), dtype=np.int64)
+        if labels_ww:
+            off_su = reps.injective_sum(q, tuple(labels_su))[1]
+            off_ww = reps.injective_sum(q, tuple(labels_ww))[1]
+            rhs = reps._scalar_matrix_of_injective_map(
+                conn[w].compose(x_morph), labels_su, off_su, labels_ww, off_ww)
+            yunknowns = [(r, c) for r in range(len(labels_ww)) for c in range(len(labels_wu))
+                         if q.has_path(labels_wu[c], labels_ww[r])]
+            ycols = []
+            for (r, c) in yunknowns:
+                scal = np.zeros((len(labels_ww), len(labels_wu)), dtype=np.int64)
+                scal[r, c] = 1
+                B = reps.assemble_injective_map(q, labels_wu, labels_ww, scal)
+                ycols.append(reps._scalar_matrix_of_injective_map(
+                    B.compose(conn[u]), labels_su, off_su, labels_ww, off_ww).reshape(-1))
+            ysol = solve(ycols, rhs.reshape(-1), len(yunknowns))
+            for k, (r, c) in enumerate(yunknowns):
+                Y[r, c] = int(ysol[k]) % P
+        out[(u, w)] = X, Y
+    return G, out
+
+
+@pytest.mark.parametrize("q", list(_oracle_quivers()))
+def test_arrow_lifts_match_rep_level_solve(q):
+    F = cx.TauInvFunctor(q)
+    G, lifts = rep_level_arrow_lifts(q)
+    for i in q.vertices:
+        assert np.array_equal(F.G[i], G[i]) and F.G[i].shape == G[i].shape
+    assert set(lifts) == set(F._X) == set(F._Y)
+    for a, (X, Y) in lifts.items():
+        assert F._X[a].shape == X.shape and np.array_equal(F._X[a], X)
+        assert F._Y[a].shape == Y.shape and np.array_equal(F._Y[a], Y)

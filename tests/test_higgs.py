@@ -209,6 +209,30 @@ def test_degree_by_degree_matches_all_words(t):
         assert np.array_equal(alg.coords[w], coords[w])
 
 
+def table_contraction_mult(alg, x, y):
+    """x * y by contracting the whole structure-constant table with x."""
+    left = np.tensordot(np.asarray(x) % K.P, alg.table, axes=(0, 0)) % K.P
+    return (np.asarray(y) % K.P) @ left % K.P
+
+
+@pytest.mark.parametrize(
+    "q", [p for p in _oracle_quivers() if str(p.values[0].dtype) in hg._LIFTABLE]
+)
+def test_action_matrices_match_table_contraction(q):
+    alg = hg.preprojective_algebra(q)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        x, y = rng.integers(0, K.P, (2, alg.dim))
+        want = table_contraction_mult(alg, x, y)
+        assert np.array_equal(alg.mult(x, y), want)
+        assert np.array_equal(K.matmul(alg.left_matrix(x), y), want)
+        assert np.array_equal(K.matmul(alg.right_matrix(y), x), want)
+    # leading axes stack elements
+    xs = rng.integers(0, K.P, (2, 3, alg.dim))
+    assert np.array_equal(alg.left_matrix(xs)[1, 2], alg.left_matrix(xs[1, 2]))
+    assert np.array_equal(alg.right_matrix(xs)[0, 1], alg.right_matrix(xs[0, 1]))
+
+
 # ---------------------------------------------------------------------------
 # the Nakayama twist and the socle form
 
@@ -476,6 +500,46 @@ def test_strip_identity_summands():
     reduced, removed = hg.strip_identity_summands(s)
     assert removed == (1,)
     assert reduced.p1 == () and reduced.p0 == (1,)
+
+
+# five modules, an identity object and a kill object
+A4_SUM = ("M(P1)", "Z(1)", "M(t-1P2)", "M(t-2P1)", "E(2)", "M(t-3P1)")
+
+
+def a4_sum() -> hg.LambdaMorphism:
+    labs = {str(l): l for l in mc.mpr_indecomposables(dy.build_quiver("A4"))}
+    return hg.direct_sum(alg_for("A4"), [hg.phi_image(labs[name]) for name in A4_SUM])
+
+
+def test_lift_splits_an_a4_direct_sum():
+    f = a4_sum()
+    lift = hg.lift_morphism(f)
+    assert sorted(str(l) for l in lift.labels) == sorted(A4_SUM)
+    assert lift.unresolved == ()
+    assert hg.is_isomorphic(f, hg.realize_lift(f.alg.quiver, lift))
+
+
+def test_block_linear_maps_come_from_action_matrices(monkeypatch):
+    f = a4_sum()
+    alg = f.alg
+    calls = []
+    mult = hg.PreprojAlgebra.mult
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return mult(self, x, y)
+
+    monkeypatch.setattr(hg.PreprojAlgebra, "mult", counted)
+    U = f.underlying_matrix()
+    assert U.shape == (f.target_dim(), f.source_dim())
+    assert hg._hom_pair_space(f, f)[2].shape[1] > 0
+    # the whole target as a submodule: every image vector is generated
+    labels, gens, slots = hg._split_projective_submodule(
+        alg, f.p0, np.eye(f.target_dim(), dtype=np.int64)
+    )
+    for col in U.T[:8]:
+        hg._express_in_generators(alg, labels, gens, slots, col)
+    assert calls == []
 
 
 def test_lift_guard_outside_small_rank():
