@@ -4,8 +4,11 @@ Objects are images of modules under the three embeddings.  Two routes are
 provided: a case-map route (thm1/thm2) that reduces everything to orbit
 sums of derived homs between stalks, and an evolution route (gamma) that
 computes the orbit sum honestly, as totalized hom complexes over the
-tensor algebra of the two-object line with the quiver, with the target
-slots transported along the derived inverse translate step by step.
+tensor algebra of the two-object line with the quiver.  The evolution
+transports one complex, the presentation of the target module, along the
+derived inverse translate and re-minimizes it at each power; the target
+slots are read off it by the embedding, so the identity embedding keeps
+the identity as its connecting map.
 The two routes agree on embedded projectives; the case-map route is the
 fast one and the evolution route is the oracle.
 
@@ -83,31 +86,30 @@ def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
 
 
 def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
-    """Orbit-sum hom via slot evolution: at each power the target slots are
-    transported along the derived inverse translate and reduced, and the
-    totalized two-column hom complex contributes its cohomology."""
+    """Orbit-sum hom via evolution: at each power the presentation complex
+    of y is transported along the derived inverse translate and reduced, and
+    the totalized two-column hom complex between the slots of the two
+    embedded objects contributes its cohomology."""
     from . import complexes as cx
+    from . import morphcat as mp
 
-    xlab = x if isinstance(x, IndecLabel) else None
-    q = xlab.quiver if xlab is not None else y.quiver
-    xlab = _as_module_label(q, x)
-    ylab = _as_module_label(q, y)
-    CX = cx.min_presentation_pcpx(xlab)
-    X0, X1, xmap = cx.embedding_slots(i, CX)
-    N0, N1, nmap = cx.embedding_slots(j, cx.min_presentation_pcpx(ylab))
+    q = x.quiver if isinstance(x, IndecLabel) else y.quiver
+
+    def pcpx(z):
+        lab = _as_module_label(q, z)
+        return mp.presentation(mp.MprLabel(lab.quiver, "mod", lab.vertex, lab.power)).as_pcpx()
+
+    X0, X1, xmap = cx.embedding_slots(i, pcpx(x))
+    C = pcpx(y)
     T = cx.tau_inv_functor(q)
     h = coxeter_number(q.dtype)
     # One full orbit lap suffices: the h-th power of the evolution is the
     # double suspension, so later laps repeat the first one two degrees down.
     raw: list[dict[int, int]] = []
     for p in range(h + 1):
-        raw.append(cx.two_column_dims(X0, X1, xmap, N0, N1, nmap))
-        TN0, TN1 = T.apply(N0), T.apply(N1)
-        Tn = T.apply_map(nmap, TN1, TN0)
-        M0, _, p0 = cx.minimize(TN0)
-        M1, i1, _ = cx.minimize(TN1)
-        nmap = cx.compose_maps(p0, cx.compose_maps(Tn, i1))
-        N0, N1 = M0, M1
+        if p:
+            C = cx.minimize(T.apply(C))[0]
+        raw.append(cx.two_column_dims(X0, X1, xmap, *cx.embedding_slots(j, C)))
     if raw[h] != {d - 2: n for d, n in raw[0].items()}:
         raise InternalCheckError("orbit evolution is not double-suspension periodic")
     total: dict[int, int] = {}

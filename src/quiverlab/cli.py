@@ -240,17 +240,7 @@ def _path_vector(alg, path: str, start: int, end: int) -> np.ndarray:
         _check_vertex(alg.quiver, v)
     if (seq[0], seq[-1]) != (start, end):
         raise GuardError(f"path {path!r} does not run from vertex {start} to vertex {end}")
-    vec = alg.unit(seq[0])
-    for a, b in zip(seq, seq[1:]):
-        step = None
-        for k, (s, t) in enumerate(alg.darrows):
-            if (s, t) == (a, b):
-                step = k
-                break
-        if step is None:
-            raise GuardError(f"no arrow {a} -> {b} in the doubled quiver")
-        vec = alg.mult(vec, alg.coords[(a, (step,))])
-    return vec
+    return alg.walk(seq)
 
 
 def _entry_vector(alg, entry, start: int, end: int) -> np.ndarray:
@@ -461,6 +451,8 @@ def _job_from_args(args) -> JobSpec:
     dtype = getattr(args, "type", None)
     arrows = None
     if getattr(args, "file", None):
+        if getattr(args, "orient", None):
+            raise GuardError("--orient contradicts --file: the file fixes the orientation")
         raw = _read_text(args.file)
         try:
             q = quiver_from_json(json.loads(raw))

@@ -201,6 +201,7 @@ class PreprojAlgebra:
             k for k in range(self.dim) if self.word_start(k) == i and self.word_end(k) == j
         )
 
+    @functools.cache
     def module_indices(self, v: int) -> tuple[int, ...]:
         """Basis of the left projective at v: all paths ending at v."""
         return tuple(k for k in range(self.dim) if self.word_end(k) == v)
@@ -212,18 +213,23 @@ class PreprojAlgebra:
             seq.append(self.darrows[a][1])
         return "-".join(str(v) for v in seq)
 
+    def walk(self, verts) -> np.ndarray:
+        """Product of the doubled arrows along a vertex walk; on a tree each
+        step names at most one doubled arrow."""
+        out = self.unit(verts[0])
+        for a, b in zip(verts, verts[1:]):
+            if (a, b) not in self.darrows:
+                raise GuardError(f"no arrow {a} -> {b} in the doubled quiver")
+            out = self.mult(out, self.coords[(a, (self.darrows.index((a, b)),))])
+        return out
+
     def quiver_path_element(self, src: int, tgt: int) -> np.ndarray:
         """Image of the unique tree path src -> tgt under the embedding that
         uses only the unreversed arrows."""
         verts = self.quiver.path_vertices(src, tgt)
         if verts is None:
             raise GuardError(f"no path {src} -> {tgt}")
-        out = self.unit(src)
-        for a, b in zip(verts, verts[1:]):
-            ai = 2 * list(self.quiver.arrows).index((a, b))
-            word = (a, (ai,))
-            out = self.mult(out, self.coords[word])
-        return out
+        return self.walk(verts)
 
 
 @functools.cache
@@ -579,14 +585,12 @@ def _end_corank(X: LambdaMorphism) -> int:
     trace form of the action kills exactly the radical (the working prime
     exceeds every dimension in sight)."""
     mats = _end_pair_algebra(X)
-    n = len(mats)
-    if n == 0:
+    if not mats:
         return 0
-    G = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            G[a, b] = int(np.trace(K.matmul(mats[a], mats[b])) % K.P)
-    return K.rank(G)
+    # G[a, b] = trace(A_a A_b) = sum_ij A_a[i, j] A_b[j, i]; each entry sums
+    # D^2 products below P^2 (D the matrix size), well inside int64
+    A = K.reduce_mod(np.stack(mats))
+    return K.rank(np.einsum("aij,bji->ab", A, A) % K.P)
 
 
 def is_indecomposable(X: LambdaMorphism) -> bool:

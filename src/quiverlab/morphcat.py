@@ -222,29 +222,12 @@ def cone(x) -> list[DerivedLabel]:
 
 
 def hom_dim_mpr(x, y) -> int:
-    """Dimension of the space of commuting squares between two objects."""
-    X, Y = presentation(x), presentation(y)
-    q = X.quiver
-    mask1 = cx._hom_mask(q, X.p1, Y.p1)
-    mask0 = cx._hom_mask(q, X.p0, Y.p0)
-    vars1 = [(r, c) for r in range(len(Y.p1)) for c in range(len(X.p1)) if mask1[r, c]]
-    vars0 = [(r, c) for r in range(len(Y.p0)) for c in range(len(X.p0)) if mask0[r, c]]
-    nvar = len(vars1) + len(vars0)
-    rows = []
-    for a in range(len(Y.p0)):
-        for b in range(len(X.p1)):
-            row = np.zeros(nvar, dtype=np.int64)
-            # (Y.mat @ f1)[a, b] - (f0 @ X.mat)[a, b] = 0
-            for k, (r, c) in enumerate(vars1):
-                if r_ := (Y.mat[a, r] if c == b else 0):
-                    row[k] += r_
-            for k, (r, c) in enumerate(vars0):
-                if r == a:
-                    row[len(vars1) + k] -= X.mat[c, b]
-            rows.append(row % K.P)
-    if not rows:
-        return nvar
-    return K.nullspace(np.array(rows, dtype=np.int64)).shape[1]
+    """Dimension of the space of commuting squares between two objects: the
+    degree-0 cycles of the hom complex between their presentations."""
+    bases, diffs = cx._hom_bases(presentation(x).as_pcpx(), presentation(y).as_pcpx())
+    if 0 not in bases:
+        return 0
+    return len(bases[0]) - K.rank(diffs[0])
 
 
 # ---------------------------------------------------------------------------

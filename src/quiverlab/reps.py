@@ -31,6 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _kernels as K
+from . import stalks
 from .dynkin import Quiver, positive_roots
 from .errors import InternalCheckError
 # labels, orbit lengths (the exponents e_v) and the translation quiver are
@@ -593,23 +594,18 @@ def indec_rep(label: IndecLabel) -> Rep:
 def decompose(M: Rep) -> Counter:
     """Multiplicities of each indecomposable summand of M.
 
-    Uses the fact that the hom-dimension matrix between indecomposables is
-    unitriangular for the (power, topological) order, so the multiplicities
-    solve a triangular linear system of hom counts.
+    The hom-dimension matrix between indecomposables, knitted by `stalks`,
+    is unitriangular for the (power, topological) order, so the
+    multiplicities solve a triangular linear system of hom counts into M.
     """
     q = M.quiver
     items = list_indecomposables(q)
+    H = stalks._module_hom_matrix(q)
     hom_to_M = [hom_dim(rep, M) for _, rep in items]
     n = len(items)
-    H = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            H[a, b] = hom_dim(items[a][1], items[b][1])
-        if H[a, a] != 1:
-            raise InternalCheckError("endomorphism ring of an indecomposable is not trivial")
     mult = [0] * n
     for a in range(n - 1, -1, -1):
-        acc = int(hom_to_M[a] - sum(H[a, b] * mult[b] for b in range(a + 1, n)))
+        acc = hom_to_M[a] - sum(H[a][b] * mult[b] for b in range(a + 1, n))
         mult[a] = acc
         if acc < 0:
             raise InternalCheckError("negative multiplicity in decomposition")
@@ -619,9 +615,10 @@ def decompose(M: Rep) -> Counter:
 
 
 def is_injective_rep(M: Rep) -> bool:
+    """Whether every summand of M is injective, i.e. ends its orbit."""
     q = M.quiver
-    inj_labels = {label_by_dim_vector(q, injective_rep(q, v).dim_vector()) for v in q.vertices}
-    return all(lab in inj_labels for lab in decompose(M))
+    e = orbit_lengths(q)
+    return all(lab.power == e[lab.vertex] - 1 for lab in decompose(M))
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,20 @@ def _module_window(q: Quiver):
     return MappingProxyType(dims), MappingProxyType(by_dims)
 
 
+@functools.cache
+def _module_hom_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
+    """dim Hom(x, y) between the indecomposables, rows x and columns y in
+    window order.  It is unitriangular (ones on the diagonal, zeros below),
+    which is what lets `reps.decompose` solve for multiplicities by back
+    substitution."""
+    labels = tuple(_module_window(q)[0])
+    H = tuple(tuple(hom_dim(x, y) for y in labels) for x in labels)
+    for a, row in enumerate(H):
+        if row[a] != 1 or any(row[:a]):
+            raise InternalCheckError("hom matrix of the indecomposables is not unitriangular")
+    return H
+
+
 def label_by_dim_vector(q: Quiver, dims) -> IndecLabel:
     dims = tuple(int(d) for d in dims)
     lab = _module_window(q)[1].get(dims)

@@ -13,6 +13,7 @@ from quiverlab.dynkin import build_quiver
 from quiverlab.errors import GuardError
 from quiverlab.morphcat import functor_D, mpr_indecomposables
 from quiverlab.reps import IndecLabel, list_indecomposables
+from tests.test_morphcat import _default_and_reversed
 
 EMBED = (-1, 0, 1)
 FORBIDDEN = ((-1, 1), (0, -1), (1, 0))
@@ -165,3 +166,62 @@ def test_table_json_fields():
     data = t.to_json()
     assert data["total"] == t.total() == 24
     assert len(data["keys"]) == 6 and len(data["grid"]) == 6
+
+
+# ---------------------------------------------------------------------------
+# the one-complex evolution against the two-slot evolution
+
+
+def _two_slot_orbit(j, y):
+    """Target slots (N0, N1, connecting map) at powers 0..h, with both slots
+    and their connecting map transported separately: each slot is
+    translated and minimized, and the translated map is conjugated by the
+    minimizing transports."""
+    from quiverlab import complexes as cx
+    from quiverlab.dynkin import coxeter_number
+
+    q = y.quiver
+    N0, N1, nmap = cx.embedding_slots(j, cx.min_presentation_pcpx(y))
+    T = cx.tau_inv_functor(q)
+    out = []
+    for _ in range(coxeter_number(q.dtype) + 1):
+        out.append((N0, N1, nmap))
+        TN0, TN1 = T.apply(N0), T.apply(N1)
+        Tn = T.apply_map(nmap, TN1, TN0)
+        N0, _, p0 = cx.minimize(TN0)
+        N1, i1, _ = cx.minimize(TN1)
+        nmap = cx.compose_maps(p0, cx.compose_maps(Tn, i1))
+    return out
+
+
+def _gamma_two_slots(i, x, orbit, min_degree=-3):
+    """The orbit sum over a `_two_slot_orbit` of the target."""
+    from quiverlab import complexes as cx
+    from quiverlab.stalks import GradedDim
+
+    X0, X1, xmap = cx.embedding_slots(i, cx.min_presentation_pcpx(x))
+    raw = [cx.two_column_dims(X0, X1, xmap, *slots) for slots in orbit]
+    h = len(orbit) - 1
+    assert raw[h] == {d - 2: n for d, n in raw[0].items()}
+    total = {}
+    for contrib in raw[:h]:
+        s = 0
+        while contrib and max(contrib) - 2 * s >= min_degree:
+            for d, n in contrib.items():
+                if min_degree <= d - 2 * s <= 0:
+                    total[d - 2 * s] = total.get(d - 2 * s, 0) + n
+            s += 1
+    return GradedDim(total).truncate_min(min_degree)
+
+
+@pytest.mark.parametrize("q", list(_default_and_reversed(["A2", "A3", "D4"])))
+def test_one_complex_evolution_matches_two_slots(q):
+    labels = [lab for lab, _ in list_indecomposables(q)]
+    # targets: every projective, one module in the middle of the longest
+    # orbit and the last injective; sources: a projective and an injective
+    targets = sorted({labels[len(labels) // 2], labels[-1]} | set(projectives(q)))
+    sources = (labels[0], labels[-1])
+    for j, y in itertools.product(EMBED, targets):
+        orbit = _two_slot_orbit(j, y)
+        for i, x in itertools.product(EMBED, sources):
+            assert gamma_hom(i, x, j, y) == _gamma_two_slots(i, x, orbit), (i, x, j, y)

@@ -207,6 +207,16 @@ def test_file_type_contradiction(capsys, tmp_path):
     assert rc == 3 and err.startswith("error:")
 
 
+def test_file_with_orient_is_refused(capsys, tmp_path):
+    f = tmp_path / "q.txt"
+    f.write_text("type A 3\n1 -> 2\n2 -> 3\n")
+    rc = cli.main(["quiver", "--file", str(f), "--orient", "2->1 3->2"])
+    out = capsys.readouterr()
+    assert rc == 3 and out.out == ""
+    assert out.err.startswith("error:") and len(out.err.strip().splitlines()) == 1
+    assert "--orient" in out.err
+
+
 # ---------------------------------------------------------------------------
 # the artifact cache
 

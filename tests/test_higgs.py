@@ -519,6 +519,19 @@ def test_lift_splits_an_a4_direct_sum():
     assert hg.is_isomorphic(f, hg.realize_lift(f.alg.quiver, lift))
 
 
+def test_end_corank_matches_traces_of_products():
+    """The trace form from one contraction has the rank of the one built
+    from a matrix product per pair of endomorphisms."""
+    phis = [hg.phi_image(l) for l in mc.mpr_indecomposables(dy.build_quiver("A3"))]
+    for X in [a4_sum(), *phis]:
+        mats = hg._end_pair_algebra(X)
+        G = np.zeros((len(mats), len(mats)), dtype=np.int64)
+        for a, A in enumerate(mats):
+            for b, B in enumerate(mats):
+                G[a, b] = int(np.trace(K.matmul(A, B))) % K.P
+        assert hg._end_corank(X) == K.rank(G)
+
+
 def test_block_linear_maps_come_from_action_matrices(monkeypatch):
     f = a4_sum()
     alg = f.alg

@@ -221,3 +221,50 @@ def test_power_walk_composes():
     for p in range(6):
         step = mp.f_power_label(mp.f_power_label(x, p), 1)
         assert step == mp.f_power_label(x, p + 1)
+
+
+# ---------------------------------------------------------------------------
+# commuting squares against a hand-built linear system
+
+
+def _hom_dim_mpr_by_system(x, y) -> int:
+    """Commuting squares (f1, f0) with Y.mat f1 = f0 X.mat, solved as one
+    linear system over the path-basis scalars of f1 and f0."""
+    from quiverlab import _kernels as K
+    from quiverlab import complexes as cx
+
+    X, Y = mp.presentation(x), mp.presentation(y)
+    q = X.quiver
+    mask1 = cx._hom_mask(q, X.p1, Y.p1)
+    mask0 = cx._hom_mask(q, X.p0, Y.p0)
+    vars1 = [(r, c) for r in range(len(Y.p1)) for c in range(len(X.p1)) if mask1[r, c]]
+    vars0 = [(r, c) for r in range(len(Y.p0)) for c in range(len(X.p0)) if mask0[r, c]]
+    nvar = len(vars1) + len(vars0)
+    rows = []
+    for a in range(len(Y.p0)):
+        for b in range(len(X.p1)):
+            row = np.zeros(nvar, dtype=np.int64)
+            for k, (r, c) in enumerate(vars1):
+                if c == b:
+                    row[k] += Y.mat[a, r]
+            for k, (r, c) in enumerate(vars0):
+                if r == a:
+                    row[len(vars1) + k] -= X.mat[c, b]
+            rows.append(row % K.P)
+    if not rows:
+        return nvar
+    return K.nullspace(np.array(rows, dtype=np.int64)).shape[1]
+
+
+def _default_and_reversed(names):
+    for name in names:
+        q = build_quiver(name)
+        yield pytest.param(q, id=f"{name}-default")
+        yield pytest.param(build_quiver(name, [(j, i) for i, j in q.arrows]), id=f"{name}-reversed")
+
+
+@pytest.mark.parametrize("q", list(_default_and_reversed(["A1", "A2", "A3", "A4", "D4"])))
+def test_hom_dim_mpr_matches_linear_system(q):
+    labels = mp.mpr_indecomposables(q)
+    for x, y in itertools.product(labels, labels):
+        assert mp.hom_dim_mpr(x, y) == _hom_dim_mpr_by_system(x, y), (x, y)

@@ -183,6 +183,28 @@ def test_is_injective_rep():
     assert not is_injective_rep(zero_rep(q)) or True  # zero decomposes to nothing
 
 
+def test_decompose_homs_only_into_the_module(monkeypatch):
+    """The hom counts between indecomposables come from the knitted table,
+    so decomposing makes one matrix hom computation per indecomposable."""
+    import quiverlab.reps as reps_module
+
+    q = build_quiver("D5")
+    items = list_indecomposables(q)
+    total, _ = direct_sum([items[0][1], items[7][1], items[7][1], items[-1][1]])
+    calls = []
+    basis = reps_module.hom_basis
+
+    def counted(M, N):
+        calls.append((M, N))
+        return basis(M, N)
+
+    monkeypatch.setattr(reps_module, "hom_basis", counted)
+    found = decompose(total)
+    assert found == {items[0][0]: 1, items[7][0]: 2, items[-1][0]: 1}
+    assert len(calls) == len(items) == 20
+    assert all(N is total for _, N in calls)
+
+
 # ---------------------------------------------------------------------------
 # the knitted translation quiver
 

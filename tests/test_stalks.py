@@ -256,9 +256,9 @@ def test_orbit_closure_is_shift_equivariant():
 ORACLE_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
 
 
-def _oracle_quivers():
+def _oracle_quivers(types=ORACLE_TYPES):
     """Each type in its default orientation and in two seeded ones."""
-    for t in ORACLE_TYPES:
+    for t in types:
         yield pytest.param(build_quiver(t), id=f"{t}-default")
         for seed in (1, 2):
             rng = random.Random(f"{t}/{seed}")
@@ -290,3 +290,14 @@ def test_label_by_dim_vector_rejects_non_roots():
     q = build_quiver("A3")
     with pytest.raises(GuardError, match=r"\(1, 0, 1\)"):
         stalks.label_by_dim_vector(q, (1, 0, 1))
+
+
+HOM_MATRIX_TYPES = [f"A{n}" for n in range(1, 7)] + ["D4", "D5", "D6", "E6"]
+
+
+@pytest.mark.parametrize("q", list(_oracle_quivers(HOM_MATRIX_TYPES)))
+def test_module_hom_matrix_matches_matrix_route(q):
+    H = stalks._module_hom_matrix(q)
+    items = reps.list_indecomposables(q)
+    assert list(stalks._module_window(q)[0]) == [lab for lab, _ in items]
+    assert H == tuple(tuple(rep_hom(x, y) for _, y in items) for _, x in items)
