@@ -6,15 +6,17 @@ sums of derived homs between stalks, and an evolution route (gamma) that
 computes the orbit sum honestly, as totalized hom complexes over the
 tensor algebra of the two-object line with the quiver.  The evolution
 transports one complex, the presentation of the target module, along the
-derived inverse translate and re-minimizes it at each power; the target
-slots are read off it by the embedding, so the identity embedding keeps
-the identity as its connecting map.
+derived inverse translate, minimized at each power; those complexes are
+read from the memoized orbit `complexes.tau_inv_orbit`, so each is built
+once per process however many calls need it.  The target slots are read
+off each by the embedding, so the identity embedding keeps the identity
+as its connecting map.
 The two routes agree on embedded projectives; the case-map route is the
 fast one and the evolution route is the oracle.
 
 The case-map route and the table work on labels alone, so this module
-loads neither numpy nor a matrix layer; `thm2_hom` and `gamma_hom` import
-the morphism category and the complexes when they are called.
+loads neither numpy nor a matrix layer; `thm2_hom` imports the morphism
+category and `gamma_hom` the complexes when they are called.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import json
 
 from .dynkin import Quiver, coxeter_number
 from .errors import GuardError, InternalCheckError
-from .stalks import GradedDim, IndecLabel, pi2_hom
+from .stalks import GradedDim, IndecLabel, e_exponent, pi2_hom
 
 DEFAULT_FLOOR = -3
 _EMBED = (-1, 0, 1)
@@ -86,30 +88,28 @@ def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
 
 
 def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
-    """Orbit-sum hom via evolution: at each power the presentation complex
-    of y is transported along the derived inverse translate and reduced, and
-    the totalized two-column hom complex between the slots of the two
-    embedded objects contributes its cohomology."""
+    """Orbit-sum hom via evolution: at each power p = 0..h the presentation
+    complex of y = tauinv^k P_v, transported along the derived inverse
+    translate and reduced, is orbit entry k + p; the totalized two-column
+    hom complex between the slots of the two embedded objects contributes
+    its cohomology, and power h must repeat power 0 two degrees down."""
     from . import complexes as cx
-    from . import morphcat as mp
 
     q = x.quiver if isinstance(x, IndecLabel) else y.quiver
 
-    def pcpx(z):
+    def orbit_entry(z, p: int = 0):
+        # power p of the evolution of the module z, read from the orbit memo
         lab = _as_module_label(q, z)
-        return mp.presentation(mp.MprLabel(lab.quiver, "mod", lab.vertex, lab.power)).as_pcpx()
+        if not 0 <= lab.power < e_exponent(q, lab.vertex):
+            raise InternalCheckError(f"{lab} is not a valid indecomposable label")
+        return cx.tau_inv_orbit(q, lab.vertex, lab.power + p)
 
-    X0, X1, xmap = cx.embedding_slots(i, pcpx(x))
-    C = pcpx(y)
-    T = cx.tau_inv_functor(q)
+    X0, X1, xmap = cx.embedding_slots(i, orbit_entry(x))
     h = coxeter_number(q.dtype)
     # One full orbit lap suffices: the h-th power of the evolution is the
     # double suspension, so later laps repeat the first one two degrees down.
-    raw: list[dict[int, int]] = []
-    for p in range(h + 1):
-        if p:
-            C = cx.minimize(T.apply(C))[0]
-        raw.append(cx.two_column_dims(X0, X1, xmap, *cx.embedding_slots(j, C)))
+    raw = [cx.two_column_dims(X0, X1, xmap, *cx.embedding_slots(j, orbit_entry(y, p)))
+           for p in range(h + 1)]
     if raw[h] != {d - 2: n for d, n in raw[0].items()}:
         raise InternalCheckError("orbit evolution is not double-suspension periodic")
     total: dict[int, int] = {}

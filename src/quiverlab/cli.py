@@ -103,20 +103,29 @@ def run(job: JobSpec, out=None) -> int:
             return 0
     text = _render(job)
     if path is not None:
-        import tempfile
-
-        os.makedirs(job.cache_dir, exist_ok=True)
-        payload = {"version": CACHE_VERSION, "job": _canonical(job), "output": text}
-        fd, tmp = tempfile.mkstemp(dir=job.cache_dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        os.replace(tmp, path)
+            _write_entry(job, path, text)
+        except OSError as exc:
+            # the artifact is still exact; only its replay is lost
+            print(f"warning: cache entry not written: {exc}", file=sys.stderr)
     out.write(text)
     return 0
+
+
+def _write_entry(job: JobSpec, path: str, text: str) -> None:
+    """Store `text` at `path` atomically, through a temporary file."""
+    import tempfile
+
+    os.makedirs(job.cache_dir, exist_ok=True)
+    payload = {"version": CACHE_VERSION, "job": _canonical(job), "output": text}
+    fd, tmp = tempfile.mkstemp(dir=job.cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def _read_entry(path: str) -> str | None:

@@ -25,6 +25,15 @@ generator coordinates of the envelope embedding of P_u and of the arrow
 followed by the envelope embedding of P_w; the cosyzygy block Y then solves
 Y G_u = G_w X.  Only the solved X is assembled into a representation
 morphism, to check the lift equation at every vertex.
+
+Iterating the functor from P_v and minimizing at each step gives the orbit
+of minimal complexes tauinv^k P_v, memoized once per (quiver, vertex,
+power) by `tau_inv_orbit`.  Its entries below the orbit length e_v are the
+minimal presentations of the indecomposable modules, which the morphism
+category reads instead of building them from matrix representations; the
+next h entries run one Coxeter lap, the evolution `boundary.gamma_hom`
+sums over.  Hom masks between projectives read one reachability table per
+quiver.
 """
 from __future__ import annotations
 
@@ -34,17 +43,25 @@ import numpy as np
 
 from . import _kernels as K
 from . import reps
-from .dynkin import Quiver
+from .dynkin import Quiver, coxeter_number
 from .errors import GuardError, InternalCheckError
-from .stalks import DerivedLabel, normalize_label
+from .stalks import DerivedLabel, e_exponent, normalize_label
+
+
+@functools.cache
+def _reachability(q: Quiver) -> np.ndarray:
+    """Read-only table R with R[u - 1, w - 1] true exactly when `q.has_path(u, w)`."""
+    R = q.path_count_matrix().astype(bool)
+    R.setflags(write=False)
+    return R
 
 
 def _hom_mask(q: Quiver, src_labels, tgt_labels) -> np.ndarray:
-    out = np.zeros((len(tgt_labels), len(src_labels)), dtype=bool)
-    for r, w in enumerate(tgt_labels):
-        for c, u in enumerate(src_labels):
-            out[r, c] = q.has_path(u, w)
-    return out
+    """Entry (r, c) is true when Hom(P_src[c], P_tgt[r]) is nonzero, that is
+    when there is a path src[c] ~> tgt[r]."""
+    src = np.asarray(src_labels, dtype=np.intp) - 1
+    tgt = np.asarray(tgt_labels, dtype=np.intp) - 1
+    return _reachability(q)[np.ix_(src, tgt)].T
 
 
 def _masked_solve(mask: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -165,17 +182,6 @@ def two_term(q: Quiver, labels1, labels0, mat, low_degree: int = -1) -> PCpx:
         {low_degree: tuple(labels1), low_degree + 1: tuple(labels0)},
         {low_degree: np.asarray(mat, dtype=np.int64)},
     ).validate()
-
-
-def shift_pcpx(C: PCpx, s: int) -> PCpx:
-    """Suspension applied s times: new term at degree d is the old term at
-    degree d + s; the differential picks up the sign (-1)^s."""
-    sign = -1 if s % 2 else 1
-    return PCpx(
-        C.quiver,
-        {d - s: t for d, t in C.terms.items()},
-        {d - s: sign * m for d, m in C.diffs.items()},
-    )
 
 
 def cone(f: ChainMap) -> PCpx:
@@ -393,27 +399,31 @@ class TauInvFunctor:
             diffs[e] = m
         return PCpx(q, terms, diffs).validate()
 
-    def apply_map(self, f: ChainMap, TA: PCpx | None = None, TB: PCpx | None = None) -> ChainMap:
-        if TA is None:
-            TA = self.apply(f.src)
-        if TB is None:
-            TB = self.apply(f.tgt)
-        comps = {}
-        for e in set(TA.degrees()) | set(TB.degrees()):
-            ns_src = sum(len(self.S[v]) for v in f.src.term(e + 1))
-            nw_src = sum(len(self.W[v]) for v in f.src.term(e))
-            ns_tgt = sum(len(self.S[v]) for v in f.tgt.term(e + 1))
-            nw_tgt = sum(len(self.W[v]) for v in f.tgt.term(e))
-            m = np.zeros((ns_tgt + nw_tgt, ns_src + nw_src), dtype=np.int64)
-            m[:ns_tgt, :ns_src] = self._block_lift(f.src.term(e + 1), f.tgt.term(e + 1), f.comp(e + 1), 0)
-            m[ns_tgt:, ns_src:] = self._block_lift(f.src.term(e), f.tgt.term(e), f.comp(e), 1)
-            comps[e] = m
-        return ChainMap(TA, TB, comps).validate()
-
-
 @functools.cache
 def tau_inv_functor(q: Quiver) -> TauInvFunctor:
     return TauInvFunctor(q)
+
+
+@functools.cache
+def tau_inv_orbit(q: Quiver, v: int, k: int) -> PCpx:
+    """The minimal complex of tauinv^k P_v: P_v in degree 0 for k = 0, else
+    `minimize` of the functor applied to entry k - 1, with read-only
+    differentials.
+
+    Entries k < e_v are the minimal presentations of the modules, in degrees
+    (-1, 0); entry e_v is the suspended projective at the involuted vertex,
+    and entry k + h is entry k suspended twice.  The memo holds one lap past
+    the window (k < e_v + h), which covers every power `gamma_hom` reads, and
+    fills it on demand."""
+    if not 0 <= k < e_exponent(q, v) + coxeter_number(q.dtype):
+        raise GuardError(f"power {k} lies outside the memoized orbit of P{v}")
+    if k == 0:
+        C = single_term(q, (v,), 0)
+    else:
+        C = minimize(tau_inv_functor(q).apply(tau_inv_orbit(q, v, k - 1)))[0]
+    for m in C.diffs.values():
+        m.setflags(write=False)
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -472,44 +482,6 @@ def split_complex(C: PCpx) -> list[DerivedLabel]:
         for lab, mult in sorted(reps.decompose(H).items()):
             out.extend([normalize_label(q, lab.vertex, lab.power, -d)] * mult)
     return sorted(out)
-
-
-def min_presentation_pcpx(x) -> PCpx:
-    """Minimal presentation of a module as a two term complex in degrees
-    (-1, 0)."""
-    M = reps._as_rep(x)
-    labels1, labels0, scal = reps.min_presentation(M)
-    return PCpx(M.quiver, {-1: tuple(labels1), 0: tuple(labels0)}, {-1: scal}).validate()
-
-
-# ---------------------------------------------------------------------------
-# hom complexes out of a projective
-
-
-def hom_from_projective(i: int, C: PCpx) -> tuple[dict[int, int], dict[int, np.ndarray]]:
-    """The cochain complex Hom(P_i, C) of plain vector spaces, in the path
-    basis: degree d keeps the slots of C^d reachable from i."""
-    q = C.quiver
-    keep = {d: [t for t, v in enumerate(C.term(d)) if q.has_path(i, v)] for d in C.degrees()}
-    dims = {d: len(s) for d, s in keep.items() if s}
-    mats = {}
-    for d in C.degrees():
-        if keep.get(d) and keep.get(d + 1):
-            mats[d] = C.diff(d)[np.ix_(keep[d + 1], keep[d])]
-    return dims, mats
-
-
-def cochain_cohomology_dims(dims: dict[int, int], mats: dict[int, np.ndarray]) -> dict[int, int]:
-    out = {}
-    for d, n in dims.items():
-        r_out = K.rank(mats[d]) if d in mats else 0
-        r_in = K.rank(mats[d - 1]) if d - 1 in mats else 0
-        h = n - r_out - r_in
-        if h < 0:
-            raise InternalCheckError("negative cohomology dimension")
-        if h:
-            out[d] = h
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ whose translation quiver is knitted here, together with the three
 embeddings of the projectives (one per family), the two term-extraction
 functors, the cone, and the label-level action of the power functor
 (inverse-translate conjugate) with its half-integer bookkeeping objects.
+
+The presentation of the module tauinv^k P_v is entry k of the memoized
+orbit `complexes.tau_inv_orbit`: the complex functor iterated on P_v and
+minimized, never a matrix representation.  Its basis may differ from the
+minimal presentation that `reps.min_presentation` computes for the same
+module (same terms, other scalars); the two are isomorphic, and the
+matrix route stays the test oracle.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ import numpy as np
 
 from . import _kernels as K
 from . import complexes as cx
-from . import reps, stalks
+from . import stalks
 from .dynkin import Quiver
 from .errors import GuardError, InternalCheckError
 from .stalks import DerivedLabel, IndecLabel, e_exponent
@@ -76,11 +83,12 @@ class MprObject:
         return cx.PCpx(self.quiver, {-1: self.p1, 0: self.p0}, {-1: self.mat}).validate()
 
     def dim_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        q = self.quiver
+        reach = cx._reachability(self.quiver)
 
         def dims(labels):
             # dim (P_v)_w = 1 exactly when there is a path w ~> v
-            return tuple(sum(q.has_path(w, v) for v in labels) for w in q.vertices)
+            cols = np.asarray(labels, dtype=np.intp) - 1
+            return tuple(int(n) for n in reach[:, cols].sum(axis=1))
 
         return dims(self.p1), dims(self.p0)
 
@@ -181,8 +189,12 @@ def _label_presentation(x: MprLabel) -> MprObject:
         return MprObject(q, (x.vertex,), (x.vertex,), [[1]])
     if x.kind == "done":
         return MprObject(q, (x.vertex,), (), np.zeros((0, 1)))
-    labels1, labels0, scal = reps.min_presentation(reps.indec_rep(x.module_label()))
-    return MprObject(q, tuple(labels1), tuple(labels0), scal)
+    if not 0 <= x.power < e_exponent(q, x.vertex):
+        raise InternalCheckError(f"{x.module_label()} is not a valid indecomposable label")
+    C = cx.tau_inv_orbit(q, x.vertex, x.power)
+    if set(C.degrees()) - {-1, 0}:
+        raise InternalCheckError(f"orbit complex of {x} is not a two-term presentation")
+    return MprObject(q, C.term(-1), C.term(0), C.diff(-1))
 
 
 def functor_D(i: int, p) -> MprLabel:

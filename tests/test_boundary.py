@@ -13,6 +13,7 @@ from quiverlab.dynkin import build_quiver
 from quiverlab.errors import GuardError
 from quiverlab.morphcat import functor_D, mpr_indecomposables
 from quiverlab.reps import IndecLabel, list_indecomposables
+from tests.test_complexes import apply_map, min_presentation_pcpx
 from tests.test_morphcat import _default_and_reversed
 
 EMBED = (-1, 0, 1)
@@ -181,13 +182,13 @@ def _two_slot_orbit(j, y):
     from quiverlab.dynkin import coxeter_number
 
     q = y.quiver
-    N0, N1, nmap = cx.embedding_slots(j, cx.min_presentation_pcpx(y))
+    N0, N1, nmap = cx.embedding_slots(j, min_presentation_pcpx(y))
     T = cx.tau_inv_functor(q)
     out = []
     for _ in range(coxeter_number(q.dtype) + 1):
         out.append((N0, N1, nmap))
         TN0, TN1 = T.apply(N0), T.apply(N1)
-        Tn = T.apply_map(nmap, TN1, TN0)
+        Tn = apply_map(T, nmap, TN1, TN0)
         N0, _, p0 = cx.minimize(TN0)
         N1, i1, _ = cx.minimize(TN1)
         nmap = cx.compose_maps(p0, cx.compose_maps(Tn, i1))
@@ -199,7 +200,7 @@ def _gamma_two_slots(i, x, orbit, min_degree=-3):
     from quiverlab import complexes as cx
     from quiverlab.stalks import GradedDim
 
-    X0, X1, xmap = cx.embedding_slots(i, cx.min_presentation_pcpx(x))
+    X0, X1, xmap = cx.embedding_slots(i, min_presentation_pcpx(x))
     raw = [cx.two_column_dims(X0, X1, xmap, *slots) for slots in orbit]
     h = len(orbit) - 1
     assert raw[h] == {d - 2: n for d, n in raw[0].items()}

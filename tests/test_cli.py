@@ -268,6 +268,22 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [entry]
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unwritable_cache_dir_still_prints_the_artifact(capsys, tmp_path, below):
+    # a regular file as the cache dir (FileExistsError), or a path below one
+    # (NotADirectoryError): the artifact is printed, the failed write reported
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    cache = blocker / "sub" if below else blocker
+    want = run_ok(capsys, ["ar", "--type", "A2"])
+    assert cli.main(["--cache-dir", str(cache), "ar", "--type", "A2"]) == 0
+    out = capsys.readouterr()
+    assert out.out == want
+    assert out.err.startswith("warning: cache entry not written:")
+    assert len(out.err.strip().splitlines()) == 1
+    assert blocker.read_text() == "not a directory"
+
+
 def test_render_is_deterministic(capsys):
     one = run_ok(capsys, ["ice", "--type", "A3", "--format", "json"])
     two = run_ok(capsys, ["ice", "--type", "A3", "--format", "json"])

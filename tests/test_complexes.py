@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from quiverlab.dynkin import build_quiver, coxeter_number, nakayama_involution
 from quiverlab import _kernels as K
 from quiverlab import complexes as cx
-from quiverlab import reps
+from quiverlab import reps, stalks
 from quiverlab.errors import InternalCheckError
 from quiverlab.stalks import DerivedLabel, normalize_label
 
@@ -14,6 +14,74 @@ from tests.test_dynkin import quiver_strategy
 from tests.test_stalks import _oracle_quivers
 
 SMALL = ["A2", "A3", "D4"]
+
+
+# ---------------------------------------------------------------------------
+# test-local oracles: constructions that no library route takes
+
+
+def shift_pcpx(C: cx.PCpx, s: int) -> cx.PCpx:
+    """Suspension applied s times: new term at degree d is the old term at
+    degree d + s; the differential picks up the sign (-1)^s."""
+    sign = -1 if s % 2 else 1
+    return cx.PCpx(
+        C.quiver,
+        {d - s: t for d, t in C.terms.items()},
+        {d - s: sign * m for d, m in C.diffs.items()},
+    )
+
+
+def min_presentation_pcpx(x) -> cx.PCpx:
+    """Minimal presentation of a module, by the matrix route, as a two term
+    complex in degrees (-1, 0)."""
+    M = reps._as_rep(x)
+    labels1, labels0, scal = reps.min_presentation(M)
+    return cx.PCpx(M.quiver, {-1: tuple(labels1), 0: tuple(labels0)}, {-1: scal}).validate()
+
+
+def apply_map(F: cx.TauInvFunctor, f: cx.ChainMap, TA=None, TB=None) -> cx.ChainMap:
+    """The inverse translate functor on a chain map f: A -> B, from TA = F(A)
+    to TB = F(B), blockwise from the lifted path morphisms."""
+    if TA is None:
+        TA = F.apply(f.src)
+    if TB is None:
+        TB = F.apply(f.tgt)
+    comps = {}
+    for e in set(TA.degrees()) | set(TB.degrees()):
+        ns_src = sum(len(F.S[v]) for v in f.src.term(e + 1))
+        nw_src = sum(len(F.W[v]) for v in f.src.term(e))
+        ns_tgt = sum(len(F.S[v]) for v in f.tgt.term(e + 1))
+        nw_tgt = sum(len(F.W[v]) for v in f.tgt.term(e))
+        m = np.zeros((ns_tgt + nw_tgt, ns_src + nw_src), dtype=np.int64)
+        m[:ns_tgt, :ns_src] = F._block_lift(f.src.term(e + 1), f.tgt.term(e + 1), f.comp(e + 1), 0)
+        m[ns_tgt:, ns_src:] = F._block_lift(f.src.term(e), f.tgt.term(e), f.comp(e), 1)
+        comps[e] = m
+    return cx.ChainMap(TA, TB, comps).validate()
+
+
+def hom_from_projective(i: int, C: cx.PCpx) -> tuple[dict[int, int], dict[int, np.ndarray]]:
+    """The cochain complex Hom(P_i, C) of plain vector spaces, in the path
+    basis: degree d keeps the slots of C^d reachable from i."""
+    q = C.quiver
+    keep = {d: [t for t, v in enumerate(C.term(d)) if q.has_path(i, v)] for d in C.degrees()}
+    dims = {d: len(s) for d, s in keep.items() if s}
+    mats = {}
+    for d in C.degrees():
+        if keep.get(d) and keep.get(d + 1):
+            mats[d] = C.diff(d)[np.ix_(keep[d + 1], keep[d])]
+    return dims, mats
+
+
+def cochain_cohomology_dims(dims: dict[int, int], mats: dict[int, np.ndarray]) -> dict[int, int]:
+    out = {}
+    for d, n in dims.items():
+        r_out = K.rank(mats[d]) if d in mats else 0
+        r_in = K.rank(mats[d - 1]) if d - 1 in mats else 0
+        h = n - r_out - r_in
+        assert h >= 0, "negative cohomology dimension"
+        if h:
+            out[d] = h
+    return out
 
 
 def test_two_term_checks_hom_mask():
@@ -37,16 +105,16 @@ def test_square_zero_enforced():
 def test_shift_moves_terms_and_signs():
     q = build_quiver("A2")
     C = cx.two_term(q, (1,), (2,), np.array([[5]]))
-    S = cx.shift_pcpx(C, 1)
+    S = shift_pcpx(C, 1)
     assert S.term(-2) == (1,) and S.term(-1) == (2,)
     assert S.diff(-2)[0, 0] == (-5) % 32003
-    SS = cx.shift_pcpx(cx.shift_pcpx(C, 1), -1)
+    SS = shift_pcpx(shift_pcpx(C, 1), -1)
     assert SS.terms == C.terms and np.array_equal(SS.diff(-1), C.diff(-1))
 
 
 def test_cone_of_identity_is_contractible():
     q = build_quiver("A3")
-    C = cx.min_presentation_pcpx(reps.indec_rep(reps.IndecLabel(q, 1, 1)))
+    C = min_presentation_pcpx(reps.indec_rep(reps.IndecLabel(q, 1, 1)))
     cone = cx.cone(cx.identity_map(C))
     mini, _, _ = cx.minimize(cone)
     assert mini.is_zero()
@@ -57,7 +125,7 @@ def test_cone_of_identity_is_contractible():
 def test_minimize_strips_padding(q, seed):
     rng = np.random.default_rng(seed)
     lab = reps.IndecLabel(q, int(rng.integers(1, q.rank + 1)), 0)
-    C = cx.min_presentation_pcpx(reps.indec_rep(lab))
+    C = min_presentation_pcpx(reps.indec_rep(lab))
     # pad with a contractible identity complex on a random projective
     v = int(rng.integers(1, q.rank + 1))
     padded = cx.PCpx(
@@ -81,7 +149,7 @@ def test_minimize_strips_padding(q, seed):
 @given(quiver_strategy(SMALL))
 def test_cohomology_of_presentation_is_the_module(q):
     for lab, rep in reps.list_indecomposables(q):
-        C = cx.min_presentation_pcpx(rep)
+        C = min_presentation_pcpx(rep)
         H = cx.cohomology(C)
         assert list(H) == [0]
         assert H[0].dim_vector() == rep.dim_vector()
@@ -138,7 +206,7 @@ def test_tauinv_functor_respects_maps(q):
         A = cx.single_term(q, (u,), degree=0)
         B = cx.single_term(q, (w,), degree=0)
         f = cx.ChainMap(A, B, {0: np.array([[1]], dtype=np.int64)}).validate()
-        Tf = F.apply_map(f)
+        Tf = apply_map(F, f)
         Tf.validate()
         assert not cx.cone(Tf).is_zero()
 
@@ -146,10 +214,10 @@ def test_tauinv_functor_respects_maps(q):
 def test_hom_from_projective_computes_graded_homs():
     q = build_quiver("A3")
     lab = reps.IndecLabel(q, 1, 1)  # tauinv P_1
-    C = cx.min_presentation_pcpx(reps.indec_rep(lab))
+    C = min_presentation_pcpx(reps.indec_rep(lab))
     for i in q.vertices:
-        dims, mats = cx.hom_from_projective(i, C)
-        hdims = cx.cochain_cohomology_dims(dims, mats)
+        dims, mats = hom_from_projective(i, C)
+        hdims = cochain_cohomology_dims(dims, mats)
         want = reps.hom_dim(reps.projective_rep(q, i), reps.indec_rep(lab))
         assert hdims.get(0, 0) == want
 
@@ -241,3 +309,46 @@ def test_arrow_lifts_match_rep_level_solve(q):
     for a, (X, Y) in lifts.items():
         assert F._X[a].shape == X.shape and np.array_equal(F._X[a], X)
         assert F._Y[a].shape == Y.shape and np.array_equal(F._Y[a], Y)
+
+
+# ---------------------------------------------------------------------------
+# the orbit memo against the matrix route
+
+BRICK_ONLY = ("E7", "E8")  # `split_complex` takes about 10 s on one E8 quiver
+
+
+@pytest.mark.parametrize("q", list(_oracle_quivers()))
+def test_orbit_memo_matches_the_matrix_route(q):
+    """Window entries k < e_v are two-term complexes in degrees (-1, 0) with
+    the terms of the matrix-route minimal presentation of tauinv^k P_v, and
+    their cohomology is that indecomposable: one degree-0 brick (End is the
+    field, so indecomposable) whose dimension vector is the knitted one, and
+    on the types below E7 `split_complex` names exactly its label.  Entry
+    e_v, the first past the window, is the suspended projective at the
+    involuted vertex, and every entry equals a fresh `minimize` chain."""
+    F = cx.tau_inv_functor(q)
+    dims = stalks._module_window(q)[0]
+    star = nakayama_involution(q)
+    for v in q.vertices:
+        e = stalks.e_exponent(q, v)
+        fresh = cx.single_term(q, (v,), 0)
+        for k in range(e + 1):
+            if k:
+                fresh = cx.minimize(F.apply(fresh))[0]
+            C = cx.tau_inv_orbit(q, v, k)
+            assert C.terms == fresh.terms
+            assert all(np.array_equal(C.diff(d), fresh.diff(d)) for d in C.degrees())
+            if k == e:
+                assert C.terms == {-1: (star[v],)}
+                continue
+            assert set(C.degrees()) <= {-1, 0}
+            lab = reps.IndecLabel(q, v, k)
+            labels1, labels0, _ = reps.min_presentation(reps.indec_rep(lab))
+            assert sorted(C.term(-1)) == sorted(labels1)
+            assert sorted(C.term(0)) == sorted(labels0)
+            H = cx.cohomology(C)
+            assert list(H) == [0]
+            assert H[0].dim_vector() == dims[lab]
+            assert reps.hom_dim(H[0], H[0]) == 1
+            if str(q.dtype) not in BRICK_ONLY:
+                assert cx.split_complex(C) == [normalize_label(q, v, k, 0)]

@@ -9,7 +9,9 @@ from quiverlab import _kernels as K
 from quiverlab import dynkin as dy
 from quiverlab import higgs as hg
 from quiverlab import morphcat as mc
+from quiverlab import reps
 from quiverlab.errors import GuardError, InternalCheckError
+from tests.test_morphcat import _default_and_reversed
 from tests.test_stalks import _oracle_quivers
 
 LAMBDA_DIMS = {"A1": 1, "A2": 4, "A3": 10, "A4": 20, "D4": 28}
@@ -560,3 +562,38 @@ def test_lift_guard_outside_small_rank():
     f = hg.LambdaMorphism(algd, (), (1,), [])
     with pytest.raises(GuardError):
         hg.lift_morphism(f)
+
+
+# ---------------------------------------------------------------------------
+# module presentations read from the tauinv orbit memo, against the matrix route
+
+# labels whose orbit presentation has another basis than the matrix route's,
+# so that `higgs --phi` prints another (isomorphic) morphism for them
+MOVED_PHI = {"D4-default": (12,), "D4-reversed": (7, 8),
+             "D5-default": (15, 20, 21), "D5-reversed": (8, 9, 10, 16, 22)}
+
+
+@pytest.mark.parametrize(
+    "q", list(_default_and_reversed(["A1", "A2", "A3", "A4", "A5", "D4", "D5"])))
+def test_orbit_presentations_keep_phi_images_up_to_isomorphism(q, request):
+    """Where the orbit presentation and the matrix-route presentation differ,
+    the two phi images are isomorphic, and the new one lifts back to its
+    label: no identity summand, one indecomposable piece, matched first in
+    the label table.  `lift_morphism` itself refuses D4 and D5, so these
+    are its steps."""
+    moved = []
+    for n, lab in enumerate(mc.mpr_indecomposables(q), start=1):
+        if lab.kind != "mod":
+            continue
+        new = mc.presentation(lab)
+        old = mc.MprObject(q, *reps.min_presentation(reps.indec_rep(lab.module_label())))
+        if (old.p1, old.p0) == (new.p1, new.p0) and np.array_equal(old.mat, new.mat):
+            continue
+        moved.append(n)
+        f_new = hg.phi_image(lab)
+        assert hg.is_isomorphic(hg.phi_image(old), f_new)
+        reduced, stripped = hg.strip_identity_summands(f_new)
+        assert stripped == ()
+        (piece,) = hg.split_summands(reduced)
+        assert next(l for l, img in hg._phi_table(q) if hg.is_isomorphic(piece, img)) == lab
+    assert tuple(moved) == MOVED_PHI.get(request.node.callspec.id, ())

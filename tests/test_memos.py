@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import quiverlab
-from quiverlab import cli
+from quiverlab import boundary, cli
+from quiverlab import complexes as cx
 from quiverlab import morphcat as mp
 from quiverlab import reps
-from quiverlab.dynkin import build_quiver
+from quiverlab.dynkin import build_quiver, coxeter_number
+from quiverlab.errors import GuardError
+from quiverlab.stalks import IndecLabel, e_exponent
 
 
 def test_projective_rep_maps_are_read_only():
@@ -50,7 +53,8 @@ def test_memos_cover_the_new_constructors():
     names = set(quiverlab.memos())
     for fn in ("reps.projective_rep", "reps.injective_rep",
                "reps.canonical_projective_morphism", "reps.canonical_injective_morphism",
-               "morphcat._label_presentation", "reps._indec_data", "cli.source_digest"):
+               "morphcat._label_presentation", "reps._indec_data", "cli.source_digest",
+               "complexes.tau_inv_orbit", "complexes._reachability"):
         assert f"quiverlab.{fn}" in names
 
 
@@ -62,6 +66,7 @@ def test_clear_caches_empties_every_memo_and_keeps_results(capsys):
     quiverlab.clear_caches()
     sizes = {name: m.cache_info().currsize for name, m in quiverlab.memos().items()}
     assert sizes and not any(sizes.values()), sizes
+    assert "quiverlab.complexes.tau_inv_orbit" in sizes and "quiverlab.complexes._reachability" in sizes
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == before
     # fresh objects after the clear, equal to the old ones
@@ -87,3 +92,53 @@ def test_equal_quivers_share_hash_and_memo_entries():
     assert reps.projective_rep(b, 2) is P
     info = reps.projective_rep.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_orbit_and_reachability_arrays_are_read_only():
+    q = build_quiver("D5")
+    R = cx._reachability(q)
+    assert R is cx._reachability(q)
+    with pytest.raises(ValueError):
+        R[0, 0] = False
+    C = cx.tau_inv_orbit(q, 1, 2)
+    assert C is cx.tau_inv_orbit(q, 1, 2) and C.diffs
+    for m in C.diffs.values():
+        with pytest.raises(ValueError):
+            m[0, 0] = 1
+    # the memo holds one lap past the window, no further
+    last = e_exponent(q, 1) + coxeter_number(q.dtype) - 1
+    cx.tau_inv_orbit(q, 1, last)
+    with pytest.raises(GuardError):
+        cx.tau_inv_orbit(q, 1, last + 1)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_repeated_gamma_hom_minimizes_one_lap(monkeypatch):
+    q = build_quiver("D4")
+    h = coxeter_number(q.dtype)
+    quiverlab.clear_caches()
+    calls = _counting(monkeypatch, cx, "minimize")
+    x, y = IndecLabel(q, 2, 0), IndecLabel(q, 2, 1)
+    first = [boundary.gamma_hom(i, x, j, y) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    again = [boundary.gamma_hom(i, x, j, y) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    assert first == again
+    assert 0 < len(calls) <= h + 1
+
+
+def test_mpr_builds_no_matrix_translates(monkeypatch):
+    q = build_quiver("E8")
+    quiverlab.clear_caches()
+    calls = _counting(monkeypatch, reps, "tau_inv_rep")
+    assert len(mp.mpr_ar_quiver(q).meshes) == 120
+    assert calls == []
