@@ -164,12 +164,6 @@ def identity_map(C: PCpx) -> ChainMap:
     return ChainMap(C, C, {d: np.eye(len(C.term(d)), dtype=np.int64) for d in C.degrees()})
 
 
-def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    """g after f."""
-    degs = set(f.src.degrees()) | set(g.tgt.degrees()) | set(f.tgt.degrees())
-    return ChainMap(f.src, g.tgt, {d: K.matmul(g.comp(d), f.comp(d)) for d in degs})
-
-
 def single_term(q: Quiver, labels, degree: int = 0) -> PCpx:
     return PCpx(q, {degree: tuple(labels)}, {})
 
@@ -210,74 +204,48 @@ def cone(f: ChainMap) -> PCpx:
 
 def minimize(C: PCpx) -> tuple[PCpx, ChainMap, ChainMap]:
     """Homotopy-minimal model plus transports iota: min -> C and
-    pi: C -> min with pi after iota the identity."""
-    cur = C
-    iota = identity_map(C)
-    pi = identity_map(C)
+    pi: C -> min with pi after iota the identity.
+
+    Eliminates in place, one unit pivot at a time: the first entry of a
+    differential between equal labels, in (degree, row, column) order.
+    Cancelling the pivot (d, r, c) with inverse u drops source slot c and
+    target slot r, and subtracts u gamma beta from the rest of the block
+    (beta its row, gamma its column); the transports pick up the same step
+    as matrices, iota_d column c spread by -u beta and pi_{d+1} row r by
+    -u gamma.  The result and both transports are validated once."""
+    degs = C.degrees()
+    labels = {d: list(C.term(d)) for d in degs}
+    diffs = {d: C.diff(d) for d in degs}
+    iota = {d: np.eye(len(labels[d]), dtype=np.int64) for d in degs}
+    pi = {d: np.eye(len(labels[d]), dtype=np.int64) for d in degs}
     while True:
-        found = None
-        for d in cur.degrees():
-            m = cur.diff(d)
-            src_l, tgt_l = cur.term(d), cur.term(d + 1)
-            for r in range(m.shape[0]):
-                for c in range(m.shape[1]):
-                    if src_l[c] == tgt_l[r] and m[r, c] % K.P:
-                        found = (d, r, c)
-                        break
-                if found:
-                    break
-            if found:
+        for d in degs:
+            m = diffs[d]
+            if d + 1 not in labels or not m.size:
+                continue
+            same = np.equal.outer(labels[d + 1], labels[d]) & (m != 0)
+            if same.any():
+                r, c = divmod(int(np.argmax(same)), m.shape[1])
                 break
-        if not found:
+        else:
             break
-        d, r, c = found
-        m = cur.diff(d)
-        u_inv = K.inv_mod(int(m[r, c]) % K.P)
-        keep_c = [j for j in range(m.shape[1]) if j != c]
-        keep_r = [i for i in range(m.shape[0]) if i != r]
-        beta = m[r, keep_c].reshape(1, -1)
-        gamma = m[keep_r, c].reshape(-1, 1)
-        delta = m[np.ix_(keep_r, keep_c)]
-        new_terms = dict(cur.terms)
-        new_terms[d] = tuple(l for j, l in enumerate(cur.term(d)) if j != c)
-        new_terms[d + 1] = tuple(l for i, l in enumerate(cur.term(d + 1)) if i != r)
-        new_diffs = dict(cur.diffs)
-        new_diffs[d] = (delta - u_inv * K.matmul(gamma, beta)) % K.P
-        if d - 1 in cur.diffs or cur.term(d - 1):
-            new_diffs[d - 1] = np.delete(cur.diff(d - 1), c, axis=0)
-        if d + 1 in cur.diffs or cur.term(d + 2):
-            new_diffs[d + 1] = np.delete(cur.diff(d + 1), r, axis=1)
-        nxt = PCpx(cur.quiver, new_terms, new_diffs)
-        # step transports
-        n_src, n_tgt = len(keep_c), len(keep_r)
-        iota_d = np.zeros((m.shape[1], n_src), dtype=np.int64)
-        iota_d[keep_c, np.arange(n_src)] = 1
-        iota_d[c, :] = (-u_inv * beta[0]) % K.P
-        iota_d1 = np.zeros((m.shape[0], n_tgt), dtype=np.int64)
-        iota_d1[keep_r, np.arange(n_tgt)] = 1
-        step_iota = {dd: np.eye(len(cur.term(dd)), dtype=np.int64) for dd in cur.degrees()}
-        step_iota[d] = iota_d
-        step_iota[d + 1] = iota_d1
-        pi_d = np.zeros((n_src, m.shape[1]), dtype=np.int64)
-        pi_d[np.arange(n_src), keep_c] = 1
-        pi_d1 = np.zeros((n_tgt, m.shape[0]), dtype=np.int64)
-        pi_d1[np.arange(n_tgt), keep_r] = 1
-        pi_d1[:, r] = (-u_inv * gamma[:, 0]) % K.P
-        step_pi = {dd: np.eye(len(cur.term(dd)), dtype=np.int64) for dd in cur.degrees()}
-        step_pi[d] = pi_d
-        step_pi[d + 1] = pi_d1
-        si = ChainMap(nxt, cur, step_iota).validate()
-        sp = ChainMap(cur, nxt, step_pi).validate()
-        iota = compose_maps(iota, si)
-        pi = compose_maps(sp, pi)
-        cur = nxt
-    cur.validate()
+        u_inv = K.inv_mod(int(m[r, c]))
+        beta, gamma = np.delete(m[r], c), np.delete(m[:, c], r)
+        diffs[d] = (np.delete(np.delete(m, r, axis=0), c, axis=1) - u_inv * np.multiply.outer(gamma, beta)) % K.P
+        if d - 1 in diffs:
+            diffs[d - 1] = np.delete(diffs[d - 1], c, axis=0)
+        diffs[d + 1] = np.delete(diffs[d + 1], r, axis=1)
+        del labels[d][c], labels[d + 1][r]
+        iota[d] = (np.delete(iota[d], c, axis=1) - u_inv * np.multiply.outer(iota[d][:, c], beta)) % K.P
+        iota[d + 1] = np.delete(iota[d + 1], r, axis=1)
+        pi[d] = np.delete(pi[d], c, axis=0)
+        pi[d + 1] = (np.delete(pi[d + 1], r, axis=0) - u_inv * np.multiply.outer(gamma, pi[d + 1][r])) % K.P
+    mini = PCpx(C.quiver, labels, diffs).validate()
     # pi after iota is the identity on the minimal model
-    pii = compose_maps(pi, iota)
-    for d in cur.degrees():
-        if not np.array_equal(pii.comp(d), np.eye(len(cur.term(d)), dtype=np.int64)):
+    for d in mini.degrees():
+        if not np.array_equal(K.matmul(pi[d], iota[d]), np.eye(len(mini.term(d)), dtype=np.int64)):
             raise InternalCheckError("minimization transports are not a retraction")
-    return cur, ChainMap(cur, C, iota.comps).validate(), ChainMap(C, cur, pi.comps).validate()
+    return mini, ChainMap(mini, C, iota).validate(), ChainMap(C, mini, pi).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,22 @@ embeddings of the projectives (one per family), the two term-extraction
 functors, the cone, and the label-level action of the power functor
 (inverse-translate conjugate) with its half-integer bookkeeping objects.
 
+The labels, the numbering and the knitted translation quiver are plain
+integers.  Its mesh check (dimension additivity of the terms P1 and P0)
+reads the terms from `stalks.presentation_terms`, which knits them from
+dim Hom(M, S_w) and dim Ext^1(M, S_w); Z(v) is (v) -> (v) and E(v) is
+(v) -> ().  So `mpr_ar_quiver` and the ice quiver built on it load no
+numpy: numpy, `_kernels` and `complexes` are imported only inside the
+functions that build matrix objects.
+
 The presentation of the module tauinv^k P_v is entry k of the memoized
 orbit `complexes.tau_inv_orbit`: the complex functor iterated on P_v and
-minimized, never a matrix representation.  Its basis may differ from the
-minimal presentation that `reps.min_presentation` computes for the same
-module (same terms, other scalars); the two are isomorphic, and the
-matrix route stays the test oracle.
+minimized, never a matrix representation.  Its sorted terms must equal
+the knitted ones, so each presentation built cross-checks the two
+routes.  Its basis may differ from the minimal presentation that
+`reps.min_presentation` computes for the same module (same terms, other
+scalars); the two are isomorphic, and the matrix route stays the test
+oracle.
 """
 from __future__ import annotations
 
@@ -22,10 +32,6 @@ import dataclasses
 import functools
 from collections import Counter
 
-import numpy as np
-
-from . import _kernels as K
-from . import complexes as cx
 from . import stalks
 from .dynkin import Quiver
 from .errors import GuardError, InternalCheckError
@@ -70,6 +76,11 @@ class MprObject:
     """
 
     def __init__(self, quiver: Quiver, p1, p0, mat):
+        import numpy as np
+
+        from . import _kernels as K
+        from . import complexes as cx
+
         self.quiver = quiver
         self.p1 = tuple(int(v) for v in p1)
         self.p0 = tuple(int(v) for v in p0)
@@ -79,18 +90,11 @@ class MprObject:
         if np.any(self.mat[~mask]):
             raise InternalCheckError("presentation matrix has entries outside hom spaces")
 
-    def as_pcpx(self) -> cx.PCpx:
+    def as_pcpx(self):
+        """The object as a `complexes.PCpx` in degrees (-1, 0)."""
+        from . import complexes as cx
+
         return cx.PCpx(self.quiver, {-1: self.p1, 0: self.p0}, {-1: self.mat}).validate()
-
-    def dim_pair(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        reach = cx._reachability(self.quiver)
-
-        def dims(labels):
-            # dim (P_v)_w = 1 exactly when there is a path w ~> v
-            cols = np.asarray(labels, dtype=np.intp) - 1
-            return tuple(int(n) for n in reach[:, cols].sum(axis=1))
-
-        return dims(self.p1), dims(self.p0)
 
     def __repr__(self) -> str:
         return f"MprObject({list(self.p1)} -> {list(self.p0)})"
@@ -182,18 +186,32 @@ def presentation(x) -> MprObject:
     return _label_presentation(x)
 
 
+def _terms(x: MprLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted vertex labels (p1, p0) of the terms P1 -> P0 of the object
+    behind a label, knitted in integers."""
+    if x.kind == "dzero":
+        return (x.vertex,), (x.vertex,)
+    if x.kind == "done":
+        return (x.vertex,), ()
+    return stalks.presentation_terms(x.quiver)[x.module_label()]
+
+
 @functools.cache
 def _label_presentation(x: MprLabel) -> MprObject:
     q = x.quiver
     if x.kind == "dzero":
         return MprObject(q, (x.vertex,), (x.vertex,), [[1]])
     if x.kind == "done":
-        return MprObject(q, (x.vertex,), (), np.zeros((0, 1)))
+        return MprObject(q, (x.vertex,), (), [])
     if not 0 <= x.power < e_exponent(q, x.vertex):
         raise InternalCheckError(f"{x.module_label()} is not a valid indecomposable label")
+    from . import complexes as cx
+
     C = cx.tau_inv_orbit(q, x.vertex, x.power)
     if set(C.degrees()) - {-1, 0}:
         raise InternalCheckError(f"orbit complex of {x} is not a two-term presentation")
+    if (tuple(sorted(C.term(-1))), tuple(sorted(C.term(0)))) != _terms(x):
+        raise InternalCheckError(f"orbit complex of {x} has other terms than the knitted presentation")
     return MprObject(q, C.term(-1), C.term(0), C.diff(-1))
 
 
@@ -229,6 +247,8 @@ def functor_C(i: int, x) -> tuple[int, ...]:
 def cone(x) -> list[DerivedLabel]:
     """Class of the two-term complex behind the object, split into stalk
     summands of the derived category."""
+    from . import complexes as cx
+
     obj = presentation(x)
     return cx.split_complex(obj.as_pcpx())
 
@@ -236,6 +256,9 @@ def cone(x) -> list[DerivedLabel]:
 def hom_dim_mpr(x, y) -> int:
     """Dimension of the space of commuting squares between two objects: the
     degree-0 cycles of the hom complex between their presentations."""
+    from . import _kernels as K
+    from . import complexes as cx
+
     bases, diffs = cx._hom_bases(presentation(x).as_pcpx(), presentation(y).as_pcpx())
     if 0 not in bases:
         return 0
@@ -326,14 +349,18 @@ def mpr_ar_quiver(q: Quiver) -> MprARQuiver:
                 arrows.add((num[tV], m))
                 arrows.add((m, num[V]))
             meshes.append(Mesh(num[V], num[tV], mids))
-    # mesh additivity of presentation dimension pairs
+    # mesh additivity of the dimension vectors of the terms (P1, P0)
+    window_dims = stalks._module_window(q)[0]
+    proj = [window_dims[IndecLabel(q, v, 0)] for v in q.vertices]
+
+    def dims(terms) -> list[int]:
+        return [sum(proj[v - 1][w] for v in terms) for w in range(q.rank)]
+
+    pairs = {num[lab]: [dims(t) for t in _terms(lab)] for lab in labels}
     for mesh in meshes:
-        tgt = presentation(labels[mesh.target - 1]).dim_pair()
-        src = presentation(labels[mesh.tau_target - 1]).dim_pair()
-        mid = [presentation(labels[m - 1]).dim_pair() for m in mesh.middles]
         for part in (0, 1):
-            total = np.sum([np.array(m[part]) for m in mid], axis=0) if mid else np.zeros(q.rank)
-            if not np.array_equal(np.array(tgt[part]) + np.array(src[part]), total):
+            ends = [a + b for a, b in zip(pairs[mesh.target][part], pairs[mesh.tau_target][part])]
+            if ends != [sum(pairs[m][part][w] for m in mesh.middles) for w in range(q.rank)]:
                 raise InternalCheckError("mesh fails dimension additivity")
     return MprARQuiver(
         q,
@@ -423,6 +450,8 @@ def f_presentation(x: MprLabel) -> tuple[tuple[MprLabel, ...], tuple[MprLabel, .
     collects identity objects accounting for the mismatch between the
     successor's source term and the translated source term.
     """
+    from . import complexes as cx
+
     q = x.quiver
     F = cx.tau_inv_functor(q)
     if x.kind in ("dzero", "done"):

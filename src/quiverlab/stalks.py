@@ -16,8 +16,11 @@ layer):
 The module window of the defect table (k < e_v) is the module category:
 its labels, their dimension vectors (by Gabriel's theorem, the positive
 roots), the orbit lengths and the translation quiver `knit_ar_quiver`.
-The matrix representations behind the same labels live in `reps`, which
-serves as the independent route.
+The terms of each minimal projective presentation, `presentation_terms`,
+come from the hom table too: the mesh check of `morphcat.mpr_ar_quiver`
+reads them, and every presentation that the orbit route of `complexes`
+builds must have exactly these terms.  The matrix representations behind
+the same labels live in `reps`, which serves as the independent route.
 
 Degree convention for graded hom spaces: entry d of `derived_hom(x, y)`
 is dim Hom(x, Sigma^d y); the suspension Sigma moves entries down one
@@ -287,6 +290,29 @@ def _module_hom_matrix(q: Quiver) -> tuple[tuple[int, ...], ...]:
         if row[a] != 1 or any(row[:a]):
             raise InternalCheckError("hom matrix of the indecomposables is not unitriangular")
     return H
+
+
+@functools.cache
+def presentation_terms(q: Quiver):
+    """Terms of the minimal projective presentation 0 -> P1 -> P0 -> M -> 0
+    of each indecomposable M, as sorted vertex tuples (p1, p0).
+
+    The path algebra is hereditary, so P_w occurs dim Hom(M, S_w) times in
+    P0 and dim Ext^1(M, S_w) times in P1; both numbers are read off the
+    knitted hom table.  Checked against dim M = sum_w (P0_w - P1_w) dim P_w;
+    read-only, since the memo shares it."""
+    dims = _module_window(q)[0]
+    proj = {w: dims[IndecLabel(q, w, 0)] for w in q.vertices}
+    simple = {w: label_by_dim_vector(q, tuple(int(u == w) for u in q.vertices)) for w in q.vertices}
+    out = {}
+    for lab, d in dims.items():
+        p1 = tuple(w for w in q.vertices for _ in range(ext1_dim(lab, simple[w])))
+        p0 = tuple(w for w in q.vertices for _ in range(hom_dim(lab, simple[w])))
+        total = [sum(proj[w][u] for w in p0) - sum(proj[w][u] for w in p1) for u in range(q.rank)]
+        if tuple(total) != d:
+            raise InternalCheckError(f"presentation terms of {lab} miss its dimension vector")
+        out[lab] = (p1, p0)
+    return MappingProxyType(out)
 
 
 def label_by_dim_vector(q: Quiver, dims) -> IndecLabel:

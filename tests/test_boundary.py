@@ -13,7 +13,7 @@ from quiverlab.dynkin import build_quiver
 from quiverlab.errors import GuardError
 from quiverlab.morphcat import functor_D, mpr_indecomposables
 from quiverlab.reps import IndecLabel, list_indecomposables
-from tests.test_complexes import apply_map, min_presentation_pcpx
+from tests.test_complexes import apply_map, compose_maps, min_presentation_pcpx
 from tests.test_morphcat import _default_and_reversed
 
 EMBED = (-1, 0, 1)
@@ -191,7 +191,7 @@ def _two_slot_orbit(j, y):
         Tn = apply_map(T, nmap, TN1, TN0)
         N0, _, p0 = cx.minimize(TN0)
         N1, i1, _ = cx.minimize(TN1)
-        nmap = cx.compose_maps(p0, cx.compose_maps(Tn, i1))
+        nmap = compose_maps(p0, compose_maps(Tn, i1))
     return out
 
 

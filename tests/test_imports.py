@@ -1,8 +1,8 @@
 """What a process loads: `import quiverlab` binds its exports lazily, a
 command-line job that needs no computation (a cache hit, or the quiver
 itself) imports neither numpy nor a compute module, the label-level jobs
-(`ar`, `hom`) load only the integer layers `stalks` and `boundary`, and a
-`braid` job loads only `braids`.
+(`ar`, `hom`, `mpr`, `ice`) load only the integer layers `stalks`,
+`boundary`, `morphcat` and `ice`, and a `braid` job loads only `braids`.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded every module."""
@@ -66,9 +66,9 @@ print(json.dumps({{
 
 
 def test_cache_hit_loads_no_numpy_and_no_compute_module(tmp_path):
-    argv = ["--cache-dir", str(tmp_path), "mpr", "--type", "E8"]
+    argv = ["--cache-dir", str(tmp_path), "higgs", "--type", "A3", "--phi", "1"]
     cold = run_cli(argv)
-    assert cold["rc"] == 0 and cold["numpy"] and "quiverlab.morphcat" in cold["modules"]
+    assert cold["rc"] == 0 and cold["numpy"] and "quiverlab.higgs" in cold["modules"]
     replay = run_cli(argv)
     assert replay["rc"] == 0 and replay["out"] == cold["out"]
     assert not replay["numpy"]
@@ -128,6 +128,20 @@ def test_hom_table_job_loads_no_numpy():
     assert job["modules"] == sorted(LIGHT + ["quiverlab.boundary", "quiverlab.stalks"])
 
 
+def test_mpr_job_loads_no_numpy():
+    job = run_cli(["mpr", "--type", "E8"])
+    assert job["rc"] == 0 and job["out"].startswith("  1: M(P1)\n")
+    assert not job["numpy"]
+    assert job["modules"] == sorted(LIGHT + ["quiverlab.morphcat", "quiverlab.stalks"])
+
+
+def test_ice_job_loads_no_numpy():
+    job = run_cli(["ice", "--type", "D6", "--orient", "2->1 2->3 4->3 4->5 6->4", "--format", "json"])
+    assert job["rc"] == 0 and json.loads(job["out"])["type"] == "D6"
+    assert not job["numpy"]
+    assert job["modules"] == sorted(LIGHT + ["quiverlab.ice", "quiverlab.morphcat", "quiverlab.stalks"])
+
+
 def test_module_category_exports_load_no_matrix_layer():
     got = run_python("""
 import json, sys
@@ -160,8 +174,7 @@ print(json.dumps({"numpy": "numpy" in sys.modules, "count": len(roots),
     assert got == {"numpy": False, "count": 120, "ints": True}
 
 
-MATRIX_LAYERS = {"numpy", "quiverlab._kernels", "quiverlab.reps", "quiverlab.complexes",
-                 "quiverlab.morphcat"}
+MATRIX_LAYERS = {"numpy", "quiverlab._kernels", "quiverlab.reps", "quiverlab.complexes"}
 
 
 def module_level_imports(name: str) -> set:
@@ -186,7 +199,7 @@ def module_level_imports(name: str) -> set:
     return {m for m in found if m in MATRIX_LAYERS or m.startswith("numpy.")}
 
 
-@pytest.mark.parametrize("name", ["stalks", "boundary", "braids"])
+@pytest.mark.parametrize("name", ["stalks", "boundary", "braids", "morphcat", "ice"])
 def test_integer_layers_import_no_matrix_layer(name):
     assert module_level_imports(name) == set()
 
@@ -194,7 +207,6 @@ def test_integer_layers_import_no_matrix_layer(name):
 def test_matrix_layer_imports_are_detected():
     assert module_level_imports("reps") == {"numpy", "quiverlab._kernels"}
     assert module_level_imports("complexes") == {"numpy", "quiverlab._kernels", "quiverlab.reps"}
-    assert module_level_imports("morphcat") == {"numpy", "quiverlab._kernels", "quiverlab.complexes"}
 
 
 def third_party_imports() -> dict:

@@ -54,7 +54,8 @@ def test_memos_cover_the_new_constructors():
     for fn in ("reps.projective_rep", "reps.injective_rep",
                "reps.canonical_projective_morphism", "reps.canonical_injective_morphism",
                "morphcat._label_presentation", "reps._indec_data", "cli.source_digest",
-               "complexes.tau_inv_orbit", "complexes._reachability"):
+               "complexes.tau_inv_orbit", "complexes._reachability",
+               "stalks.presentation_terms"):
         assert f"quiverlab.{fn}" in names
 
 

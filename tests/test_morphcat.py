@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quiverlab
 from quiverlab.dynkin import build_quiver, nakayama_involution
 from quiverlab import morphcat as mp
-from quiverlab import reps
-from quiverlab.errors import GuardError
+from quiverlab import reps, stalks
+from quiverlab.errors import GuardError, InternalCheckError
 from quiverlab.stalks import DerivedLabel, e_exponent
 from tests.test_dynkin import quiver_strategy
 
@@ -268,3 +269,40 @@ def test_hom_dim_mpr_matches_linear_system(q):
     labels = mp.mpr_indecomposables(q)
     for x, y in itertools.product(labels, labels):
         assert mp.hom_dim_mpr(x, y) == _hom_dim_mpr_by_system(x, y), (x, y)
+
+
+# ---------------------------------------------------------------------------
+# the two term routes check each other
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty memos before and after, so that no result computed under a
+    monkeypatch outlives the test."""
+    quiverlab.clear_caches()
+    yield
+    quiverlab.clear_caches()
+
+
+def test_mesh_check_sees_a_misplaced_identity_object(monkeypatch, fresh_memos):
+    q = build_quiver("D5")
+    coords = dict(mp._simple_coords(q))
+    # move Z(1) to the slot of a module that is not simple
+    lab = next(lab for lab, d in stalks._module_window(q)[0].items() if sum(d) > 1)
+    assert (lab.vertex, lab.power) not in coords.values()
+    coords[1] = (lab.vertex, lab.power)
+    monkeypatch.setattr(mp, "_simple_coords", lambda _: coords)
+    with pytest.raises(InternalCheckError, match="mesh fails dimension additivity"):
+        mp.mpr_ar_quiver(q)
+
+
+def test_presentation_checks_the_knitted_terms(monkeypatch, fresh_memos):
+    q = build_quiver("D5")
+    lab = stalks.IndecLabel(q, 2, 1)
+    terms = dict(stalks.presentation_terms(q))
+    p1, p0 = terms[lab]
+    terms[lab] = (p1, tuple(sorted(p0 + (1,))))
+    monkeypatch.setattr(stalks, "presentation_terms", lambda _: terms)
+    mp.presentation(mp.MprLabel(q, "mod", 2, 0))  # other labels still build
+    with pytest.raises(InternalCheckError, match="other terms than the knitted presentation"):
+        mp.presentation(mp.MprLabel(q, "mod", 2, 1))
