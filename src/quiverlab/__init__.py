@@ -28,12 +28,12 @@ _EXPORTS = {
               "quiver_to_text",
     "errors": "GuardError InternalCheckError",
     "higgs": "Conflation HiggsLift LambdaMorphism PreprojAlgebra TQAlgebra hom_pair_dim "
-             "is_indecomposable is_isomorphic lift_morphism omega_action omega_orbit "
-             "omega_order phi_image preprojective_algebra realize_lift split_summands "
-             "tq_algebra",
+             "is_indecomposable is_isomorphic lift_morphism phi_image preprojective_algebra "
+             "realize_lift split_summands tq_algebra",
     "ice": "IceQuiver build_ice_quiver export_ice mutable_part",
     "morphcat": "MprLabel MprObject f_power_label f_presentation hom_dim_mpr label_by_number "
-                "mpr_ar_quiver mpr_indecomposables mpr_number presentation tau_mpr window",
+                "mpr_ar_quiver mpr_indecomposables mpr_number omega_action omega_orbit "
+                "omega_order presentation tau_mpr window",
     "reps": "Morphism Rep decompose ext1_dim euler_form hom_basis hom_dim injective_rep "
             "list_indecomposables min_presentation projective_rep simple_rep tau_inv_rep",
     "stalks": "ARQuiver DerivedLabel GradedDim IndecLabel derived_hom e_exponent knit_ar_quiver "

@@ -289,24 +289,23 @@ def _morphism_json(f: higgs.LambdaMorphism) -> dict:
 
 
 def _render_higgs(job: JobSpec) -> str:
-    import numpy as np
-
-    from . import higgs
     from . import morphcat as mp
 
     q = job.quiver()
     num = mp.mpr_number(q)
     op = job.options["op"]
+    if op == "omega-orbit":
+        # label arithmetic: answered before numpy and the algebra load
+        orbit = mp.omega_orbit(mp.label_by_number(q, job.options["label"]))
+        return _json_text(
+            {"orbit": [_label_json(num, l) for l in orbit], "order": len(orbit)}
+        )
+    from . import higgs
+
     if op == "phi":
         lab = mp.label_by_number(q, job.options["label"])
         f = higgs.phi_image(lab)
         return _json_text({"label": _label_json(num, lab), **_morphism_json(f)})
-    if op == "omega-orbit":
-        lab = mp.label_by_number(q, job.options["label"])
-        orbit = higgs.omega_orbit(lab)
-        return _json_text(
-            {"orbit": [_label_json(num, l) for l in orbit], "order": len(orbit)}
-        )
     spec = job.options["spec"]
     if not isinstance(spec, dict):
         raise GuardError("lift spec must be a JSON object {p1, p0, matrix}")
@@ -321,6 +320,8 @@ def _render_higgs(job: JobSpec) -> str:
     if not (isinstance(rows, list) and len(rows) == len(p0)
             and all(isinstance(r, list) and len(r) == len(p1) for r in rows)):
         raise GuardError("lift matrix shape does not match p0 x p1")
+    import numpy as np
+
     alg = higgs.preprojective_algebra(q)
     ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
     for r in range(len(p0)):
@@ -509,6 +510,9 @@ def _job_from_args(args) -> JobSpec:
 
 
 def main(argv=None) -> int:
+    # the arithmetic is exact int64, which numpy does without BLAS; an idle
+    # OpenBLAS worker thread would only cost start-up time
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         return run(_job_from_args(args))

@@ -9,6 +9,10 @@ in the corner block of the 3x3 triangular algebra.  Labels of the morphism
 category embed via base change along quiver-paths, and the partial
 inverse splits an arbitrary block morphism into labelled summands plus
 a universal two-term conflation witness for everything else.
+
+The rotation omega of the frozen labels (`omega_action`, `omega_orbit`,
+`omega_order`) is label arithmetic: it is defined in `morphcat`, which
+loads no numpy, and bound here by import.
 """
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ from . import morphcat as mp
 from .dynkin import Quiver, nakayama_involution
 from .errors import GuardError, InternalCheckError
 from .morphcat import MprLabel
+# the rotation on frozen labels is label arithmetic, kept in `morphcat`
+from .morphcat import omega_action, omega_orbit, omega_order
 
 _LIFTABLE = {"A1", "A2", "A3", "A4", "A5", "D4", "D5"}
 
@@ -832,37 +838,3 @@ def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
                     ent[r, c, i] = int(rng.integers(1, K.P))
         pieces.append(LambdaMorphism(alg, p1, p0, ent))
     return direct_sum(alg, pieces)
-
-
-# ---------------------------------------------------------------------------
-# the rotation on frozen labels
-
-
-def omega_action(label: MprLabel) -> MprLabel:
-    """Rotation of the frozen labels: kill -> identity -> trivial
-    presentation -> kill at the involuted vertex."""
-    q = label.quiver
-    if label.kind == "done":
-        return MprLabel(q, "dzero", label.vertex)
-    if label.kind == "dzero":
-        return MprLabel(q, "mod", label.vertex, 0)
-    if label.kind == "mod" and label.power == 0:
-        return MprLabel(q, "done", nakayama_involution(q)[label.vertex])
-    raise GuardError(f"{label} is not frozen; the rotation acts on frozen labels only")
-
-
-def omega_orbit(label: MprLabel) -> list[MprLabel]:
-    orbit = [label]
-    cur = omega_action(label)
-    while cur != label:
-        orbit.append(cur)
-        cur = omega_action(cur)
-    return orbit
-
-
-def omega_order(q: Quiver) -> int:
-    order = 1
-    for v in q.vertices:
-        for kind in ("mod", "dzero", "done"):
-            order = math.lcm(order, len(omega_orbit(MprLabel(q, kind, v))))
-    return order

@@ -15,7 +15,9 @@ reads the terms from `stalks.presentation_terms`, which knits them from
 dim Hom(M, S_w) and dim Ext^1(M, S_w); Z(v) is (v) -> (v) and E(v) is
 (v) -> ().  So `mpr_ar_quiver` and the ice quiver built on it load no
 numpy: numpy, `_kernels` and `complexes` are imported only inside the
-functions that build matrix objects.
+functions that build matrix objects.  The rotation omega of the frozen
+labels (kill -> identity -> trivial presentation -> kill at the involuted
+vertex) is label arithmetic too, so an orbit of it loads no numpy either.
 
 The presentation of the module tauinv^k P_v is entry k of the memoized
 orbit `complexes.tau_inv_orbit`: the complex functor iterated on P_v and
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections import Counter
 
 from . import stalks
@@ -471,3 +474,37 @@ def f_presentation(x: MprLabel) -> tuple[tuple[MprLabel, ...], tuple[MprLabel, .
     v_counts = pres_m1 + diff
     u1 = tuple(MprLabel(q, "dzero", v) for v in sorted(v_counts.elements()))
     return u1, (succ,)
+
+
+# ---------------------------------------------------------------------------
+# the rotation on frozen labels
+
+
+def omega_action(label: MprLabel) -> MprLabel:
+    """Rotation of the frozen labels: kill -> identity -> trivial
+    presentation -> kill at the involuted vertex."""
+    q = label.quiver
+    if label.kind == "done":
+        return MprLabel(q, "dzero", label.vertex)
+    if label.kind == "dzero":
+        return MprLabel(q, "mod", label.vertex, 0)
+    if label.kind == "mod" and label.power == 0:
+        return MprLabel(q, "done", stalks._defect_data(q)[2][label.vertex])
+    raise GuardError(f"{label} is not frozen; the rotation acts on frozen labels only")
+
+
+def omega_orbit(label: MprLabel) -> list[MprLabel]:
+    orbit = [label]
+    cur = omega_action(label)
+    while cur != label:
+        orbit.append(cur)
+        cur = omega_action(cur)
+    return orbit
+
+
+def omega_order(q: Quiver) -> int:
+    order = 1
+    for v in q.vertices:
+        for kind in ("mod", "dzero", "done"):
+            order = math.lcm(order, len(omega_orbit(MprLabel(q, kind, v))))
+    return order

@@ -12,7 +12,7 @@ from quiverlab import morphcat as mc
 from quiverlab import reps
 from quiverlab.errors import GuardError, InternalCheckError
 from tests.test_morphcat import _default_and_reversed
-from tests.test_stalks import _oracle_quivers
+from tests.test_stalks import ORACLE_TYPES, _oracle_quivers
 
 LAMBDA_DIMS = {"A1": 1, "A2": 4, "A3": 10, "A4": 20, "D4": 28}
 
@@ -364,12 +364,26 @@ def test_omega_three_step_chain():
 
 
 def test_omega_orbit_and_order():
-    for t, n in (("A2", 6), ("A3", 6), ("D4", 3)):
+    # the vertex involution is trivial exactly on these diagrams
+    trivial = {"A1", "D4", "D6", "D8", "E7", "E8"}
+    for t in ORACLE_TYPES:
         q = dy.build_quiver(t)
+        star = dy.nakayama_involution(q)
+        assert all(star[v] == v for v in q.vertices) == (t in trivial)
+        n = 3 if t in trivial else 6
         assert hg.omega_order(q) == n
-        orbit = hg.omega_orbit(mc.MprLabel(q, "done", 1, 0))
-        assert len(set(orbit)) == len(orbit)
-        assert hg.omega_action(orbit[-1]) == orbit[0]
+        frozen = {mc.MprLabel(q, kind, v) for v in q.vertices for kind in ("mod", "dzero", "done")}
+        covered = set()
+        for lab in sorted(frozen):
+            if lab in covered:
+                continue
+            orbit = hg.omega_orbit(lab)
+            assert len(set(orbit)) == len(orbit) and n % len(orbit) == 0
+            assert hg.omega_action(orbit[-1]) == orbit[0]
+            # the orbits of the 3n frozen labels partition them
+            assert set(orbit) <= frozen and not covered & set(orbit)
+            covered |= set(orbit)
+        assert covered == frozen
 
 
 def test_omega_rejects_mutable_labels():

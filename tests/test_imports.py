@@ -1,8 +1,10 @@
 """What a process loads: `import quiverlab` binds its exports lazily, a
 command-line job that needs no computation (a cache hit, or the quiver
 itself) imports neither numpy nor a compute module, the label-level jobs
-(`ar`, `hom`, `mpr`, `ice`) load only the integer layers `stalks`,
-`boundary`, `morphcat` and `ice`, and a `braid` job loads only `braids`.
+(`ar`, `hom`, `mpr`, `ice`, `higgs --omega-orbit`) load only the integer
+layers `stalks`, `boundary`, `morphcat` and `ice`, and a `braid` job loads
+only `braids`.  A job that does load numpy runs it with one BLAS thread,
+unless the caller chose otherwise.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded every module."""
@@ -38,21 +40,25 @@ thm1_hom thm2_hom tq_algebra triangular_extension window
 LIGHT = ["quiverlab", "quiverlab.cli", "quiverlab.dynkin", "quiverlab.errors"]
 
 
-def run_python(code: str) -> dict:
-    """Run `code` in a fresh interpreter on the package under test; it
-    prints one JSON document last on stdout."""
+def run_python(code: str, **extra_env) -> dict:
+    """Run `code` in a fresh interpreter on the package under test, with
+    `extra_env` added to a clean environment; it prints one JSON document
+    last on stdout."""
     env = dict(os.environ)
     env.pop("QUIVERLAB_CACHE_DIR", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(extra_env)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(quiverlab.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_cli(argv: list) -> dict:
-    """Exit code, output and loaded modules of one in-process `cli.main`."""
+def run_cli(argv: list, **extra_env) -> dict:
+    """Exit code, output, loaded modules, BLAS thread setting and thread
+    count (None without /proc) of one in-process `cli.main`."""
     return run_python(f"""
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from quiverlab import cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     rc = cli.main({argv!r})
@@ -61,8 +67,10 @@ print(json.dumps({{
     "out": out.getvalue(),
     "numpy": "numpy" in sys.modules,
     "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "quiverlab"),
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
 }}))
-""")
+""", **extra_env)
 
 
 def test_cache_hit_loads_no_numpy_and_no_compute_module(tmp_path):
@@ -140,6 +148,38 @@ def test_ice_job_loads_no_numpy():
     assert job["rc"] == 0 and json.loads(job["out"])["type"] == "D6"
     assert not job["numpy"]
     assert job["modules"] == sorted(LIGHT + ["quiverlab.ice", "quiverlab.morphcat", "quiverlab.stalks"])
+
+
+def test_omega_orbit_job_loads_no_numpy():
+    # E8 lies outside `_LIFTABLE`, so no algebra could be built for the orbit
+    job = run_cli(["higgs", "--type", "E8", "--omega-orbit", "1"])
+    assert job["rc"] == 0
+    out = json.loads(job["out"])
+    assert [x["label"] for x in out["orbit"]] == ["M(P1)", "E(1)", "Z(1)"] and out["order"] == 3
+    assert not job["numpy"]
+    assert job["modules"] == sorted(LIGHT + ["quiverlab.morphcat", "quiverlab.stalks"])
+    got = run_python("""
+import json, sys
+import quiverlab
+orbit = quiverlab.omega_orbit(quiverlab.MprLabel(quiverlab.build_quiver("E8"), "done", 1))
+print(json.dumps({"orbit": [str(x) for x in orbit], "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "quiverlab")}))
+""")
+    assert got == {"orbit": ["E(1)", "Z(1)", "M(P1)"], "numpy": False,
+                   "modules": ["quiverlab", "quiverlab.dynkin", "quiverlab.errors",
+                               "quiverlab.morphcat", "quiverlab.stalks"]}
+
+
+def test_cli_runs_numpy_with_one_blas_thread():
+    job = run_cli(["higgs", "--type", "A3", "--phi", "1"])
+    assert job["rc"] == 0 and job["numpy"]
+    assert job["blas"] == "1"
+    if job["threads"] is not None:
+        assert job["threads"] == 1
+    # a caller's own setting is left alone
+    job = run_cli(["higgs", "--type", "A3", "--phi", "1"], OPENBLAS_NUM_THREADS="2")
+    assert job["rc"] == 0 and job["numpy"]
+    assert job["blas"] == "2"
 
 
 def test_module_category_exports_load_no_matrix_layer():
