@@ -31,16 +31,6 @@ DEFAULT_FLOOR = -3
 _EMBED = (-1, 0, 1)
 
 
-def _as_module_label(q: Quiver, x) -> IndecLabel:
-    if isinstance(x, IndecLabel):
-        return x
-    from . import reps
-
-    if isinstance(x, reps.Rep):
-        return reps.label_by_dim_vector(q, x.dim_vector())
-    raise GuardError(f"expected a module label, got {x!r}")
-
-
 # ---------------------------------------------------------------------------
 # the case-map route
 
@@ -99,10 +89,11 @@ def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> GradedDi
 
     def orbit_entry(z, p: int = 0):
         # power p of the evolution of the module z, read from the orbit memo
-        lab = _as_module_label(q, z)
-        if not 0 <= lab.power < e_exponent(q, lab.vertex):
-            raise InternalCheckError(f"{lab} is not a valid indecomposable label")
-        return cx.tau_inv_orbit(q, lab.vertex, lab.power + p)
+        if not isinstance(z, IndecLabel):
+            raise GuardError(f"expected a module label, got {z!r}")
+        if not 0 <= z.power < e_exponent(q, z.vertex):
+            raise InternalCheckError(f"{z} is not a valid indecomposable label")
+        return cx.tau_inv_orbit(q, z.vertex, z.power + p)
 
     X0, X1, xmap = cx.embedding_slots(i, orbit_entry(x))
     h = coxeter_number(q.dtype)

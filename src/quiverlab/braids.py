@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .dynkin import DynkinType, _reflect, nakayama_involution, positive_roots
 from .errors import GuardError, InternalCheckError
 
-_GARSIDE_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
+_REDUCED_WORDS_LIMIT = 10000  # enumerations past this many words are refused
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,7 +161,7 @@ def canonical_lift(w: WeylElement) -> BraidWord:
     return BraidWord(w.dtype, tuple(letters))
 
 
-def reduced_words(w: WeylElement, limit: int = 10000) -> list[tuple[int, ...]]:
+def reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
     """All reduced words of a Weyl element (small elements only)."""
     ctx = _ctx_of(w)
     if ctx.length(w) > 12:
@@ -176,7 +176,7 @@ def reduced_words(w: WeylElement, limit: int = 10000) -> list[tuple[int, ...]]:
             rec(ctx.mul(ctx.gens[i], cur), acc + [i])
 
     rec(w, [])
-    if len(out) > limit:
+    if len(out) > _REDUCED_WORDS_LIMIT:
         raise GuardError("too many reduced words")
     return sorted(out)
 
@@ -198,13 +198,6 @@ class GarsideForm:
         parts = [f"D^{self.infimum}"] if self.infimum else []
         parts.extend(str(f) for f in self.factors)
         return " . ".join(parts) or "1"
-
-
-def _guard_garside(dtype: DynkinType):
-    if str(dtype) not in _GARSIDE_TYPES:
-        raise GuardError(
-            f"normal forms supported for {_GARSIDE_TYPES}, not {dtype}"
-        )
 
 
 def _append_simple(ctx: _WeylContext, infimum: int, factors: list[tuple[int, ...]],
@@ -240,7 +233,6 @@ def _append_simple(ctx: _WeylContext, infimum: int, factors: list[tuple[int, ...
 def garside_normal_form(w: BraidWord) -> GarsideForm:
     """Unique left-greedy form; two words are equal in the braid group
     iff their forms coincide."""
-    _guard_garside(w.dtype)
     ctx = _ctx_of(w)
     w0 = ctx.w0.perm
     infimum = 0
@@ -285,7 +277,6 @@ def star_involution(w: BraidWord) -> BraidWord:
 
 def is_in_B_star(w: BraidWord) -> bool:
     """Membership in the subgroup fixed by the star involution."""
-    _guard_garside(w.dtype)
     return garside_normal_form(star_involution(w)) == garside_normal_form(w)
 
 

@@ -24,13 +24,14 @@ import numpy as np
 
 from . import _kernels as K
 from . import morphcat as mp
-from .dynkin import Quiver, nakayama_involution
+from .dynkin import Quiver, coxeter_number, nakayama_involution
 from .errors import GuardError, InternalCheckError
 from .morphcat import MprLabel
 # the rotation on frozen labels is label arithmetic, kept in `morphcat`
 from .morphcat import omega_action, omega_orbit, omega_order
 
-_LIFTABLE = {"A1", "A2", "A3", "A4", "A5", "D4", "D5"}
+# the types whose dense dim^3 multiplication table fits in memory (D8: 175 MB)
+_LIFTABLE = {*(f"A{n}" for n in range(1, 9)), *(f"D{n}" for n in range(4, 9)), "E6"}
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,12 @@ class PreprojAlgebra:
 
     def __init__(self, q: Quiver):
         if str(q.dtype) not in _LIFTABLE:
+            n, h = len(q.vertices), coxeter_number(q.dtype)
+            dim = n * h * (h + 1) // 6
             raise GuardError(
-                f"preprojective word basis only built for {sorted(_LIFTABLE)}, not {q.dtype}"
+                f"the preprojective algebra of {q.dtype} has dimension {dim}; its dense "
+                f"dim^3 multiplication table would need {dim ** 3 * 8 / 1e9:.1f} GB, "
+                f"so it is built only for A1-A8, D4-D8 and E6"
             )
         self.quiver = q
         self.star = nakayama_involution(q)

@@ -413,20 +413,8 @@ def sigma(x, s: int = 1) -> DerivedLabel:
     return DerivedLabel(lab.quiver, lab.vertex, lab.power, lab.shift + s)
 
 
-def _matrix_layer(*xs):
-    """The `reps` module when some argument is a representation, else None.
-    Labels alone never load the matrix layer."""
-    if all(isinstance(x, (DerivedLabel, IndecLabel)) for x in xs):
-        return None
-    from . import reps
-
-    return reps if any(isinstance(x, reps.Rep) for x in xs) else None
-
-
 def tau(x):
-    """The translate: on representations, derived labels or module labels."""
-    if (reps := _matrix_layer(x)) is not None:
-        return reps.tau_rep(x)
+    """The translate, on derived labels or module labels."""
     if isinstance(x, DerivedLabel):
         return normalize_label(x.quiver, x.vertex, x.power - 1, x.shift)
     if isinstance(x, IndecLabel):
@@ -437,9 +425,7 @@ def tau(x):
 
 
 def tau_inv(x):
-    """The inverse translate, in the same three flavours as `tau`."""
-    if (reps := _matrix_layer(x)) is not None:
-        return reps.tau_inv_rep(x)
+    """The inverse translate, on the same labels as `tau`."""
     if isinstance(x, DerivedLabel):
         return normalize_label(x.quiver, x.vertex, x.power + 1, x.shift)
     if isinstance(x, IndecLabel):
@@ -523,17 +509,13 @@ def one_cluster_hom(x, y) -> int:
 
 
 def hom_dim(m, n) -> int:
-    """Module-category hom dimension; accepts stalk labels or representations."""
-    if (reps := _matrix_layer(m, n)) is not None:
-        return reps.hom_dim(m, n)
+    """Module-category hom dimension between stalk labels."""
     g = derived_hom(m, n)
     return g[0]
 
 
 def ext1_dim(m, n) -> int:
-    """Module-category first extension dimension via labels or representations."""
-    if (reps := _matrix_layer(m, n)) is not None:
-        return reps.ext1_dim(m, n)
+    """Module-category first extension dimension between module labels."""
     a, b = as_derived_label(m), as_derived_label(n)
     if a.shift or b.shift:
         raise InternalCheckError("ext of shifted stalks: use derived_hom")

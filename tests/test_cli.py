@@ -142,6 +142,19 @@ def test_higgs_phi(capsys):
     assert out["matrix"] == [[[["1", 1]]]]
 
 
+def test_higgs_phi_on_the_largest_liftable_type(capsys):
+    out = json.loads(run_ok(capsys, ["higgs", "--type", "D8", "--phi", "1"]))
+    assert out["label"]["label"] == "M(P1)" and out["p1"] == [] and out["p0"] == [1]
+
+
+@pytest.mark.parametrize("t", ["E7", "E8"])
+def test_higgs_phi_refuses_the_dense_table_types(capsys, t):
+    assert cli.main(["higgs", "--type", t, "--phi", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "multiplication table would need" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_higgs_omega_orbit(capsys):
     q = dy.build_quiver("A2")
     num = mc.mpr_number(q)

@@ -2,9 +2,12 @@
 algebra, its Nakayama twist, the six-block triangular algebra, block
 morphisms, the presentation functor, and lifting back to labels."""
 
+import functools
+
 import numpy as np
 import pytest
 
+import quiverlab
 from quiverlab import _kernels as K
 from quiverlab import dynkin as dy
 from quiverlab import higgs as hg
@@ -111,13 +114,24 @@ def test_tree_path_embedding():
 
 
 def test_unsupported_type_guard():
-    with pytest.raises(GuardError):
-        hg.preprojective_algebra(dy.build_quiver("E6"))
+    # the refusal names the real limit, the dense dim^3 multiplication table
+    for t, size in (("E7", "0.5 GB"), ("E8", "15.3 GB")):
+        with pytest.raises(GuardError, match=size):
+            hg.preprojective_algebra(dy.build_quiver(t))
+
+
+@pytest.fixture
+def drop_memos():
+    """Empties every memo after the test, the algebras it built included:
+    kept, the D8 algebras of three orientations alone hold about 0.7 GB."""
+    yield
+    quiverlab.clear_caches()
 
 
 @pytest.mark.parametrize(
     "q", [p for p in _oracle_quivers() if str(p.values[0].dtype) in hg._LIFTABLE]
 )
+@pytest.mark.usefixtures("drop_memos")
 def test_hilbert_series(q):
     # dim e_i Pi_d e_j = (M_d)_ij, where M_0 = I, M_1 = C and
     # M_d = C M_{d-1} - M_{d-2}; M_{h-1} vanishes
@@ -220,6 +234,7 @@ def table_contraction_mult(alg, x, y):
 @pytest.mark.parametrize(
     "q", [p for p in _oracle_quivers() if str(p.values[0].dtype) in hg._LIFTABLE]
 )
+@pytest.mark.usefixtures("drop_memos")
 def test_action_matrices_match_table_contraction(q):
     alg = hg.preprojective_algebra(q)
     rng = np.random.default_rng(5)
@@ -338,10 +353,31 @@ def test_nakayama_orders():
         assert hg.tq_algebra(dy.build_quiver(t)).nakayama_order() == n
 
 
+# D7 and D8 are liftable too, but their socle chase takes 5 and 25 s
+NAKAYAMA_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6"]
+
+
+@functools.cache
+def _nakayama(t: str):
+    """The block algebra of a type and its Nakayama permutation, computed
+    once for the tests that read it."""
+    tq = hg.tq_algebra(dy.build_quiver(t))
+    return tq, tq.nakayama_permutation()
+
+
+@pytest.mark.parametrize("t", NAKAYAMA_TYPES)
+def test_nakayama_order_is_the_omega_order(t, monkeypatch):
+    # two independent routes to the cyclic symmetry: the socle chase in the
+    # block algebra, and the rotation omega of the frozen labels
+    tq, perm = _nakayama(t)
+    # `nakayama_order` reads the permutation already computed by `_nakayama`
+    monkeypatch.setattr(tq, "nakayama_permutation", lambda: perm)
+    assert tq.nakayama_order() == mc.omega_order(tq.quiver)
+
+
 def test_nakayama_cubed_is_the_vertex_involution():
-    for t in ("A1", "A2", "A3"):
-        tq = hg.tq_algebra(dy.build_quiver(t))
-        perm = tq.nakayama_permutation()
+    for t in NAKAYAMA_TYPES:
+        tq, perm = _nakayama(t)
         star = tq.algebra.star
         for (r, v) in perm:
             cur = (r, v)
@@ -435,6 +471,12 @@ def test_phi_images_indecomposable_and_distinct():
     for i, a in enumerate(imgs):
         for b in imgs[i + 1:]:
             assert not hg.is_isomorphic(a, b)
+
+
+@pytest.mark.parametrize("t", ["A6", "D6"])
+def test_phi_images_indecomposable_past_the_old_cap(t):
+    for lab in mc.mpr_indecomposables(dy.build_quiver(t)):
+        assert hg.is_indecomposable(hg.phi_image(lab))
 
 
 def test_morphism_dims():

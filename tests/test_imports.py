@@ -12,6 +12,7 @@ since loaded every module."""
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -194,11 +195,26 @@ print(json.dumps({"numpy": "numpy" in sys.modules,
     assert got["modules"] == ["quiverlab", "quiverlab.dynkin", "quiverlab.errors", "quiverlab.stalks"]
 
 
-def test_braid_job_loads_no_numpy():
-    job = run_cli(["braid", "--type", "E6", "--word", "1 -2 3 4 -6 5 2 -1", "--format", "json"])
+@pytest.mark.parametrize("t", ["E6", "E7", "E8"])
+def test_braid_job_loads_no_numpy(t):
+    rng = random.Random(f"braid-job-{t}")
+    dtype = quiverlab.DynkinType.parse(t)
+    word = [rng.choice(dtype.vertices) * rng.choice((1, -1)) for _ in range(100)]
+    job = run_cli(["braid", "--type", t, "--word", " ".join(map(str, word)), "--format", "json"])
     assert job["rc"] == 0
     out = json.loads(job["out"])
-    assert out["in_b_star"] is False and len(out["k0"]) == 6
+    star = quiverlab.nakayama_involution(quiverlab.build_quiver(t))
+    assert out["word"] == word
+    assert out["star"] == [star[abs(x)] * (1 if x > 0 else -1) for x in word]
+    # the form is the same braid, so the exponent sums agree; Delta has one
+    # letter per positive root, and each factor one per letter of its lift
+    form = out["normal_form"]
+    npos = len(quiverlab.positive_roots(t))
+    assert npos * form["delta_power"] + sum(map(len, form["factors"])) == sum(
+        1 if x > 0 else -1 for x in word)
+    # the vertex involution is trivial on E7 and E8, so every word is fixed
+    assert out["in_b_star"] is (t != "E6")
+    assert len(out["k0"]) == dtype.rank
     assert not job["numpy"]
     assert job["modules"] == sorted(LIGHT + ["quiverlab.braids"])
 
@@ -247,6 +263,41 @@ def test_integer_layers_import_no_matrix_layer(name):
 def test_matrix_layer_imports_are_detected():
     assert module_level_imports("reps") == {"numpy", "quiverlab._kernels"}
     assert module_level_imports("complexes") == {"numpy", "quiverlab._kernels", "quiverlab.reps"}
+
+
+def imports_anywhere(name: str) -> set:
+    """What `quiverlab.<name>` imports anywhere, function bodies included:
+    quiverlab submodules by full name, anything else by its top-level
+    package."""
+    path = os.path.join(os.path.dirname(quiverlab.__file__), f"{name}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(p for p in ("quiverlab" if node.level else "", node.module) if p)
+            paths = [f"{base}.{a.name}" for a in node.names] if base == "quiverlab" else [base]
+        else:
+            continue
+        for p in paths:
+            top, _, rest = p.partition(".")
+            found.add(f"quiverlab.{rest.partition('.')[0]}" if top == "quiverlab" else top)
+    return found
+
+
+def test_stalks_imports_only_dynkin_and_errors():
+    # labels never reach a matrix layer: not even a function body imports one
+    found = imports_anywhere("stalks") - set(sys.stdlib_module_names)
+    assert found == {"quiverlab.dynkin", "quiverlab.errors"}
+
+
+def test_boundary_never_imports_reps():
+    found = imports_anywhere("boundary")
+    assert "quiverlab.reps" not in found
+    # the imports inside `thm2_hom` and `gamma_hom` are seen
+    assert {"quiverlab.morphcat", "quiverlab.complexes"} <= found
 
 
 def third_party_imports() -> dict:
