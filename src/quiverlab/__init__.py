@@ -59,9 +59,9 @@ def __dir__() -> list:
 def memos() -> dict:
     """Every `functools` memo in the loaded quiverlab modules, by qualified name.
 
-    Module-level memos and memoized methods alike.  Each is keyed by hashable
-    mathematical data (a quiver, a vertex, a label, ...), so its size is
-    bounded by the quivers a process has seen; `cache_info()` reports it.
+    Each is a module-level function keyed by hashable mathematical data (a
+    quiver, a vertex, a label, ...), so its size is bounded by the quivers a
+    process has seen, and clearing it frees what it built; see `cache_info()`.
     """
     import sys
 
@@ -69,15 +69,13 @@ def memos() -> dict:
     for modname, mod in sorted(sys.modules.items()):
         if modname != __name__ and not modname.startswith(__name__ + "."):
             continue
-        for obj in list(vars(mod).values()):
-            if getattr(obj, "__module__", None) != modname:
+        for fn in list(vars(mod).values()):
+            if getattr(fn, "__module__", None) != modname:
                 continue
-            members = vars(obj).values() if isinstance(obj, type) else (obj,)
-            for fn in members:
-                while fn is not None and not hasattr(fn, "cache_clear"):
-                    fn = getattr(fn, "__wrapped__", None)  # look through wrappers
-                if fn is not None:
-                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+            while fn is not None and not hasattr(fn, "cache_clear"):
+                fn = getattr(fn, "__wrapped__", None)  # look through wrappers
+            if fn is not None:
+                found[f"{fn.__module__}.{fn.__qualname__}"] = fn
     return found
 
 

@@ -125,7 +125,7 @@ class _WeylContext:
         )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _context(dtype: DynkinType) -> _WeylContext:
     return _WeylContext(dtype)
 

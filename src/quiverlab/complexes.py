@@ -268,6 +268,20 @@ class TauInvFunctor:
         self._Y: dict[tuple[int, int], np.ndarray] = {}
         for (u, w) in q.arrows:
             self._X[(u, w)], self._Y[(u, w)] = self._lift_arrow(u, w, emb)
+        # (X, Y) of each append-path morphism P_u -> P_w: the lift of its last
+        # arrow after that of the path before it, earlier in topological order
+        self._paths = {(u, u): (np.eye(len(self.S[u]), dtype=np.int64),
+                                np.eye(len(self.W[u]), dtype=np.int64)) for u in q.vertices}
+        for u in q.vertices:
+            for w in q.topological_order():
+                path = q.path_vertices(u, w)
+                if path is not None and u != w:
+                    X, Y = self._paths[u, path[-2]]
+                    a = (path[-2], w)
+                    self._paths[u, w] = (K.matmul(self._X[a], X), K.matmul(self._Y[a], Y))
+        for m in (*self.G.values(), *self._X.values(), *self._Y.values(),
+                  *sum(self._paths.values(), ())):
+            m.setflags(write=False)
 
     # -- construction helpers ------------------------------------------------
 
@@ -303,19 +317,11 @@ class TauInvFunctor:
 
     # -- the functor on scalar data ------------------------------------------
 
-    @functools.lru_cache(maxsize=None)
     def lift_path(self, u: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) blocks of the image of the append-path morphism P_u -> P_w."""
-        q = self.quiver
-        path = q.path_vertices(u, w)
-        if path is None:
+        """Read-only (X, Y) blocks of the image of the append-path morphism P_u -> P_w."""
+        if (u, w) not in self._paths:
             raise InternalCheckError(f"no path {u} ~> {w}")
-        X = np.eye(len(self.S[u]), dtype=np.int64)
-        Y = np.eye(len(self.W[u]), dtype=np.int64)
-        for a, b in zip(path[:-1], path[1:]):
-            X = K.matmul(self._X[(a, b)], X)
-            Y = K.matmul(self._Y[(a, b)], Y)
-        return X, Y
+        return self._paths[u, w]
 
     def _block_lift(self, src_labels, tgt_labels, scal, which: int) -> np.ndarray:
         q = self.quiver

@@ -154,41 +154,17 @@ class Quiver:
     def arrows_into(self, v: int) -> tuple[tuple[int, int], ...]:
         return tuple(a for a in self.arrows if a[1] == v)
 
-    @functools.cache
     def topological_order(self) -> tuple[int, ...]:
         """Vertices ordered so every arrow goes from earlier to later."""
-        order: list[int] = []
-        seen: set[int] = set()
-        pending = sorted(self.vertices)
-        while pending:
-            progressed = False
-            for v in list(pending):
-                if all(u in seen for u, _ in self.arrows_into(v)):
-                    order.append(v)
-                    seen.add(v)
-                    pending.remove(v)
-                    progressed = True
-            if not progressed:  # pragma: no cover - impossible on a tree
-                raise GuardError("orientation contains a cycle")
-        return tuple(order)
+        return _walks(self)[0]
 
-    @functools.cache
     def path_vertices(self, u: int, w: int) -> tuple[int, ...] | None:
-        """The vertex sequence of the directed path u -> ... -> w, or None.
-
-        Trees carry at most one directed path between any two vertices, so
-        this determines every nonzero composite of arrows.
-        """
-        if u == w:
-            return (u,)
-        for _, x in self.arrows_from(u):
-            rest = self.path_vertices(x, w)
-            if rest is not None:
-                return (u,) + rest
-        return None
+        """The vertex sequence of the directed path u -> ... -> w, or None; a
+        tree carries at most one, so it names every nonzero composite of arrows."""
+        return _walks(self)[1].get((u, w))
 
     def has_path(self, u: int, w: int) -> bool:
-        return self.path_vertices(u, w) is not None
+        return (u, w) in _walks(self)[1]
 
     def path_count_matrix(self) -> np.ndarray:
         import numpy as np
@@ -207,6 +183,28 @@ class Quiver:
     def __str__(self) -> str:
         arr = " ".join(f"{i}->{j}" for i, j in self.arrows)
         return f"{self.dtype}[{arr}]"
+
+
+@functools.cache
+def _walks(q: Quiver) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, ...]]]:
+    """The topological order of `q`, and the vertex sequence of each directed
+    path keyed by (source, target).  Each pass over the vertices in
+    increasing order takes every vertex whose arrows start at taken ones;
+    this order fixes the order of labels, so of printed artifacts."""
+    order: list[int] = []
+    while len(order) < q.rank:
+        taken = len(order)
+        for v in q.vertices:
+            if v not in order and all(u in order for u, _ in q.arrows_into(v)):
+                order.append(v)
+        if len(order) == taken:  # pragma: no cover - impossible on a tree
+            raise GuardError("orientation contains a cycle")
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    for u in reversed(order):  # the successors of u come later in the order
+        paths[u, u] = (u,)
+        for _, x in q.arrows_from(u):
+            paths.update({(u, w): (u, *p) for (s, w), p in paths.items() if s == x})
+    return tuple(order), paths
 
 
 def _parse_arrows(spec) -> list[tuple[int, int]]:

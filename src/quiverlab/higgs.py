@@ -123,25 +123,22 @@ class PreprojAlgebra:
         self.e_index = {v: i for i, v in enumerate(verts)}
         # right action of each arrow; words past the top degree map to zero
         right = np.zeros((len(self.darrows), dim, dim), dtype=np.int64)
-        unit = np.eye(dim, dtype=np.int64)
-        self.coords: dict[tuple[int, tuple[int, ...]], np.ndarray] = {
-            w: unit[i] for i, w in enumerate(self.basis[: len(verts)])
-        }
         for (p, a), vec in step.items():
-            s, w = self.basis[p]
-            nxt = layers[len(w) + 1]
+            nxt = layers[len(self.basis[p][1]) + 1]
             right[a, p, nxt.start : nxt.stop] = vec
-            self.coords[(s, w + (a,))] = right[a, p]
-        self.word_degree = {w: len(w[1]) for w in self.coords}
+        # the basis of each left projective, and of each path space i -> j
+        self._modules = ending = {v: tuple(i for i in range(dim) if ends[i] == v) for v in verts}
+        self._blocks = {(i, j): tuple(k for k in ending[j] if self.basis[k][0] == i)
+                        for i in verts for j in verts}
         # b_i * b_j for j = parent * a is (b_i * parent) * a: zero unless b_i
         # ends where b_j starts, and only words ending where a starts reach a
-        ending = {v: [i for i in range(dim) if ends[i] == v] for v in verts}
         self.table = np.zeros((dim, dim, dim), dtype=np.int64)
         for j, v in enumerate(verts):
             self.table[ending[v], j, ending[v]] = 1
         for j, (p, a) in enumerate(last, start=len(verts)):
             rows, at = ending[self.basis[j][0]], ending[self.darrows[a][0]]
             self.table[rows, j] = self.table[rows, p][:, at] @ right[a, at] % P
+        self.table.setflags(write=False)
 
     def _build_frobenius(self):
         rng = np.random.default_rng(0)
@@ -156,11 +153,13 @@ class PreprojAlgebra:
         else:
             raise InternalCheckError("no nondegenerate socle-supported form found")
         self.frobenius = f
+        f.setflags(write=False)
         # column j of theta solves gram @ x = (f(b_j b_i))_i
         theta = K.solve(gram, gram.T)
         if theta is None:
             raise InternalCheckError("twist solve failed")
         self.theta = K.reduce_mod(theta)
+        self.theta.setflags(write=False)
         for v in self.quiver.vertices:
             img = self.theta[:, self.e_index[v]]
             want = np.zeros(self.dim, dtype=np.int64)
@@ -205,17 +204,13 @@ class PreprojAlgebra:
         s, w = self.basis[i]
         return self.darrows[w[-1]][1] if w else s
 
-    @functools.cache
     def block_indices(self, i: int, j: int) -> tuple[int, ...]:
         """Basis indices of the path space from i to j."""
-        return tuple(
-            k for k in range(self.dim) if self.word_start(k) == i and self.word_end(k) == j
-        )
+        return self._blocks[i, j]
 
-    @functools.cache
     def module_indices(self, v: int) -> tuple[int, ...]:
         """Basis of the left projective at v: all paths ending at v."""
-        return tuple(k for k in range(self.dim) if self.word_end(k) == v)
+        return self._modules[v]
 
     def path_string(self, i: int) -> str:
         s, w = self.basis[i]
@@ -231,7 +226,9 @@ class PreprojAlgebra:
         for a, b in zip(verts, verts[1:]):
             if (a, b) not in self.darrows:
                 raise GuardError(f"no arrow {a} -> {b} in the doubled quiver")
-            out = self.mult(out, self.coords[(a, (self.darrows.index((a, b)),))])
+            # every arrow is a basis word, k; out * b_k reads table[:, k]
+            k = self.basis.index((a, (self.darrows.index((a, b)),)))
+            out = K.matmul(out, self.table[:, k])
         return out
 
     def quiver_path_element(self, src: int, tgt: int) -> np.ndarray:
@@ -267,10 +264,8 @@ class TQAlgebra:
         self.algebra = preprojective_algebra(q)
         self.quiver = q
         d = self.algebra.dim
-        self.entry_dims = {b: d for b in self.BLOCKS}
         self.total_dim = 6 * d
         self.basis = [(b, k) for b in self.BLOCKS for k in range(d)]
-        self.index = {bk: i for i, bk in enumerate(self.basis)}
         self._check_associativity()
 
     def block_product(self, b1, x, b2, y):
@@ -319,7 +314,7 @@ class TQAlgebra:
         """Socle chase: each left projective has simple socle, whose weight
         is the image idempotent."""
         alg = self.algebra
-        rad = [k for k, w in enumerate(alg.basis) if alg.word_degree[w] > 0]
+        rad = [k for k, (_, w) in enumerate(alg.basis) if w]
         perm = {}
         for (r, v) in self.idempotents():
             pbasis = self.projective_basis(r, v)
@@ -626,7 +621,7 @@ def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
     W = img  # rows span the image
     if W.shape[0] == 0:
         return (), [], basis_slots
-    rad = [i for i in range(alg.dim) if alg.word_degree[alg.basis[i]] > 0]
+    rad = [k for k, (_, w) in enumerate(alg.basis) if w]
     JW = K.matmul(W, _left_actions(alg, basis_slots, rad)).reshape(-1, W.shape[1])
     # generators: weight components of the image that are new modulo the
     # radical part (weight projections of a submodule stay inside it)
@@ -773,7 +768,10 @@ class HiggsLift:
 
 @functools.cache
 def _phi_table(q: Quiver):
-    return tuple((lab, phi_image(lab)) for lab in mp.mpr_indecomposables(q))
+    table = tuple((lab, phi_image(lab)) for lab in mp.mpr_indecomposables(q))
+    for _, img in table:
+        img.entries.setflags(write=False)
+    return table
 
 
 _REP_FINITE = {"A1", "A2", "A3", "A4"}
@@ -838,7 +836,7 @@ def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
         for r in range(len(p0)):
             for c in range(len(p1)):
                 for i in alg.block_indices(p1[c], p0[r]):
-                    if alg.word_degree[alg.basis[i]] == 0:
+                    if not alg.basis[i][1]:
                         continue  # stay inside the radical
                     ent[r, c, i] = int(rng.integers(1, K.P))
         pieces.append(LambdaMorphism(alg, p1, p0, ent))

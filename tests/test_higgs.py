@@ -88,8 +88,8 @@ def test_two_step_round_trips_vanish():
     # the defining relations make arrow-then-reverse (and reverse-then-arrow)
     # zero in rank 2, where there is only one summand per relation
     alg = alg_for("A2")
-    fwd = alg.coords[(1, (0,))]
-    back = alg.coords[(2, (1,))]
+    fwd = alg.walk((1, 2))
+    back = alg.walk((2, 1))
     assert not np.any(alg.mult(fwd, back))
     assert not np.any(alg.mult(back, fwd))
 
@@ -122,8 +122,10 @@ def test_unsupported_type_guard():
 
 @pytest.fixture
 def drop_memos():
-    """Empties every memo after the test, the algebras it built included:
-    kept, the D8 algebras of three orientations alone hold about 0.7 GB."""
+    """Empties every memo after the test: kept, the D8 algebras of three
+    orientations alone hold about 0.7 GB.  Clearing `preprojective_algebra`
+    alone would free them, since no other memo holds an algebra that these
+    tests build; clearing every memo drops the smaller tables with them."""
     yield
     quiverlab.clear_caches()
 
@@ -145,7 +147,7 @@ def test_hilbert_series(q):
         M.append(C @ M[-1] - M[-2])
     counts = np.zeros((h, n, n), dtype=np.int64)
     for k, w in enumerate(alg.basis):
-        counts[alg.word_degree[w], alg.word_start(k) - 1, alg.word_end(k) - 1] += 1
+        counts[len(w[1]), alg.word_start(k) - 1, alg.word_end(k) - 1] += 1
     for d in range(h):
         assert np.array_equal(counts[d], M[d]), d
     assert alg.dim == n * h * (h + 1) // 6
@@ -222,7 +224,7 @@ def test_degree_by_degree_matches_all_words(t):
     arrows = [w for w in coords if len(w[1]) == 1]
     assert len(arrows) == len(alg.darrows)
     for w in arrows:
-        assert np.array_equal(alg.coords[w], coords[w])
+        assert np.array_equal(alg.walk((w[0], alg.darrows[w[1][0]][1])), coords[w])
 
 
 def table_contraction_mult(alg, x, y):
@@ -258,7 +260,7 @@ def test_socle_form_supported_in_top_degree():
     for t in ("A2", "A3"):
         alg = alg_for(t)
         for i in np.nonzero(alg.frobenius)[0]:
-            assert alg.word_degree[alg.basis[int(i)]] == alg.max_degree
+            assert len(alg.basis[int(i)][1]) == alg.max_degree
 
 
 def test_socle_form_adjunction():
@@ -309,7 +311,7 @@ def test_socle_weights_follow_vertex_involution():
     for t in ("A2", "A3", "D4"):
         alg = alg_for(t)
         for i in range(alg.dim):
-            if alg.word_degree[alg.basis[i]] == alg.max_degree:
+            if len(alg.basis[i][1]) == alg.max_degree:
                 assert alg.word_start(i) == alg.star[alg.word_end(i)]
 
 
@@ -498,7 +500,7 @@ def test_entries_outside_their_block_rejected():
     alg = alg_for("A2")
     with pytest.raises(InternalCheckError):
         # the arrow path lives in the (1, 2) block, not (1, 1)
-        hg.LambdaMorphism(alg, (1,), (1,), [alg.coords[(1, (0,))]])
+        hg.LambdaMorphism(alg, (1,), (1,), [alg.walk((1, 2))])
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +520,7 @@ def test_simple_module_lifts_to_a_conflation():
     q = dy.build_quiver("A2")
     alg = alg_for("A2")
     # presentation of the vertex-1 simple: projective cover with radical kernel
-    f = hg.LambdaMorphism(alg, (2,), (1,), [alg.coords[(2, (1,))]])
+    f = hg.LambdaMorphism(alg, (2,), (1,), [alg.walk((2, 1))])
     lift = hg.lift_morphism(f)
     assert lift.labels == ()
     assert len(lift.unresolved) == 1

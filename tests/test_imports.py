@@ -7,9 +7,12 @@ only `braids`.  A job that does load numpy runs it with one BLAS thread,
 unless the caller chose otherwise.
 
 Each check runs in a fresh interpreter, since the test process has long
-since loaded every module."""
+since loaded every module.  The source checks read the package's syntax
+trees: where a module imports its layers, and that every memo is a
+module-level function."""
 
 import ast
+import importlib
 import json
 import os
 import random
@@ -324,3 +327,45 @@ def third_party_imports() -> dict:
 
 def test_numpy_is_the_only_third_party_import():
     assert third_party_imports() == {}
+
+
+def _is_memo(decorator) -> bool:
+    """Whether a decorator is `functools.cache` or `functools.lru_cache`,
+    bare, called or imported by name."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in {"cache", "lru_cache"}
+
+
+def memoized_functions() -> dict:
+    """Every memoized function defined in a package module, as
+    `<module>.<dotted path>`, mapped to whether a class encloses it."""
+    pkg = os.path.dirname(quiverlab.__file__)
+    found = {}
+
+    def visit(node, path: str, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{path}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(map(_is_memo, child.decorator_list)):
+                    found[name] = in_class
+                visit(child, name, in_class or isinstance(child, ast.ClassDef))
+            else:
+                visit(child, path, in_class)
+
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), name[:-3], False)
+    return found
+
+
+def test_no_method_is_memoized():
+    # a memo on a method is keyed by `self` and keeps every instance alive
+    found = memoized_functions()
+    assert [name for name, in_class in found.items() if in_class] == []
+    # positive control: the check sees every module-level memo `memos` lists
+    for name in (*quiverlab._SUBMODULES, "cli"):
+        importlib.import_module(f"quiverlab.{name}")
+    assert {f"quiverlab.{name}" for name in found} == set(quiverlab.memos())

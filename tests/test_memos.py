@@ -1,18 +1,30 @@
 """The in-process memos: shared objects are read-only, labels map to one
 object each, and `quiverlab.clear_caches` empties every memo without
-changing any result."""
+changing any result.  Every memo is a module function, so clearing one
+frees what it built, and the tables that algebras, functors and quivers
+hold in place of memoized methods match the scans they replace."""
+
+import gc
+import importlib
+import itertools
+import re
+import weakref
 
 import numpy as np
 import pytest
 
 import quiverlab
+from quiverlab import _kernels as K
 from quiverlab import boundary, cli
 from quiverlab import complexes as cx
+from quiverlab import dynkin
+from quiverlab import higgs as hg
 from quiverlab import morphcat as mp
 from quiverlab import reps
-from quiverlab.dynkin import build_quiver, coxeter_number
-from quiverlab.errors import GuardError
+from quiverlab.dynkin import DynkinType, build_quiver, coxeter_number
+from quiverlab.errors import GuardError, InternalCheckError
 from quiverlab.stalks import IndecLabel, e_exponent
+from tests.test_stalks import ORACLE_TYPES
 
 
 def test_projective_rep_maps_are_read_only():
@@ -143,3 +155,119 @@ def test_mpr_builds_no_matrix_translates(monkeypatch):
     calls = _counting(monkeypatch, reps, "tau_inv_rep")
     assert len(mp.mpr_ar_quiver(q).meshes) == 120
     assert calls == []
+
+
+def _algebra_arrays(q):
+    alg = hg.preprojective_algebra(q)
+    return [alg.table, alg.theta, alg.frobenius]
+
+
+def _functor_arrays(q):
+    F = cx.tau_inv_functor(q)
+    lifts = [m for u in q.vertices for w in q.vertices if q.has_path(u, w)
+             for m in F.lift_path(u, w)]
+    return [*F.G.values(), *F._X.values(), *F._Y.values(), *lifts]
+
+
+def _phi_table_arrays(q):
+    return [img.entries for _, img in hg._phi_table(q)]
+
+
+@pytest.mark.parametrize("arrays", [_algebra_arrays, _functor_arrays, _phi_table_arrays])
+def test_memoized_algebra_functor_and_phi_arrays_are_read_only(arrays):
+    got = arrays(build_quiver("D5"))
+    assert got
+    for m in got:
+        with pytest.raises(ValueError):
+            m[...] = 0
+
+
+def _used_algebra(q):
+    alg = hg.preprojective_algebra(q)
+    assert alg.block_indices(1, 2) and alg.module_indices(1)
+    return alg, hg.preprojective_algebra
+
+
+def _used_functor(q):
+    F = cx.tau_inv_functor(q)
+    assert F.lift_path(1, 2)
+    return F, cx.tau_inv_functor
+
+
+@pytest.mark.parametrize("build", [_used_algebra, _used_functor])
+def test_clearing_its_memo_frees_an_algebra_or_functor(build):
+    quiverlab.clear_caches()
+    obj, memo = build(build_quiver("D5"))
+    ref = weakref.ref(obj)
+    del obj
+    memo.cache_clear()
+    gc.collect()
+    assert ref() is None
+
+
+def test_every_memo_is_a_module_function():
+    for name in (*quiverlab._SUBMODULES, "cli"):
+        importlib.import_module(f"quiverlab.{name}")
+    names = quiverlab.memos()
+    assert names and all(re.fullmatch(r"quiverlab\.\w+\.\w+", n) for n in names), sorted(names)
+
+
+def _recursive_order(q):
+    """The topological order as `Quiver.topological_order` once computed it."""
+    order, seen, pending = [], set(), sorted(q.vertices)
+    while pending:
+        for v in list(pending):
+            if all(u in seen for u, _ in q.arrows_into(v)):
+                order.append(v)
+                seen.add(v)
+                pending.remove(v)
+    return tuple(order)
+
+
+def _recursive_path(q, u, w):
+    """The directed path u -> ... -> w by recursion over the arrows out of u."""
+    if u == w:
+        return (u,)
+    for _, x in q.arrows_from(u):
+        rest = _recursive_path(q, x, w)
+        if rest is not None:
+            return (u,) + rest
+    return None
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_walks_match_the_recursion_on_every_orientation(t):
+    edges = DynkinType.parse(t).edges
+    for flips in itertools.islice(itertools.product((False, True), repeat=len(edges)), 256):
+        q = build_quiver(t, [(j, i) if f else (i, j) for (i, j), f in zip(edges, flips)])
+        order, paths = dynkin._walks(q)
+        assert order == q.topological_order() == _recursive_order(q)
+        for u, w in itertools.product(q.vertices, repeat=2):
+            want = _recursive_path(q, u, w)
+            assert paths.get((u, w)) == q.path_vertices(u, w) == want
+            assert q.has_path(u, w) == (want is not None)
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_index_tables_and_path_lifts_match_a_direct_scan(t):
+    q = build_quiver(t)
+    alg = hg.preprojective_algebra(q)
+    words = range(alg.dim)
+    for i in q.vertices:
+        assert alg.module_indices(i) == tuple(k for k in words if alg.word_end(k) == i)
+        for j in q.vertices:
+            assert alg.block_indices(i, j) == tuple(
+                k for k in words if alg.word_start(k) == i and alg.word_end(k) == j)
+    F = cx.tau_inv_functor(q)
+    for u, w in itertools.product(q.vertices, repeat=2):
+        path = q.path_vertices(u, w)
+        if path is None:
+            with pytest.raises(InternalCheckError):
+                F.lift_path(u, w)
+            continue
+        X = np.eye(len(F.S[u]), dtype=np.int64)
+        Y = np.eye(len(F.W[u]), dtype=np.int64)
+        for a in zip(path, path[1:]):
+            X, Y = K.matmul(F._X[a], X), K.matmul(F._Y[a], Y)
+        for got, want in zip(F.lift_path(u, w), (X, Y)):
+            assert got.shape == want.shape and np.array_equal(got, want)
