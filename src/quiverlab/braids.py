@@ -8,9 +8,15 @@ products and descents are exact index arithmetic; simple factors of the
 normal form are Weyl elements, with the longest element as the Garside
 element.  The normal form is built by local sliding: a pair of simple
 factors (a, b) is left-weighted iff L(b) is contained in R(a), so letters
-of L(b) outside R(a) move from b to a one at a time.  Roots come from
-integer Cartan entries and the class-lattice rows are plain ints; only
-`k0_action`, which returns an array, imports numpy.
+of L(b) outside R(a) move from b to a one at a time.  While it slides, a
+factor w is held by its images of the simple roots, w(alpha_j) and
+w^-1(alpha_j), with each root written as one integer that is linear in its
+coefficients.  A move then costs O(rank): in each factor, a sign flip
+and a sum per neighbour in one image tuple and a reflection of each entry
+of the other.  Factors become root permutations only when the form is
+returned.  Roots come from integer Cartan entries and the class-lattice
+rows are plain ints; only `k0_action`, which returns an array, imports
+numpy.
 """
 from __future__ import annotations
 
@@ -78,7 +84,11 @@ class _WeylContext:
     """Roots, simple reflections and longest element for one diagram.
 
     Roots are indexed positive roots first, then their negatives in the
-    same order, so index k names a negative root iff k >= npos."""
+    same order, so index k names a negative root iff k >= npos.  Each root
+    also has a code, sum_j c_j B^j over its coefficients c_j with B past
+    the largest one: codes add like roots, the code of a negative root is
+    negative, and distinct roots have distinct codes because the
+    coefficients of a root share one sign."""
 
     def __init__(self, dtype: DynkinType):
         self.dtype = dtype
@@ -100,12 +110,40 @@ class _WeylContext:
         self.w0 = w
         if self.length(w) != self.npos:
             raise InternalCheckError("longest element has wrong length")
-        # (alpha_i's index, s_i) per vertex, the sliding moves of the normal form
-        self.slides = tuple((self.simple[i], self.gens[i].perm) for i in self.vertices)
-        # w0 s_i, the simple factor left after Delta^-1 absorbs a letter s_i^-1
-        self.neg_factor = {i: self.mul(w, self.gens[i]).perm for i in self.vertices}
-        # conjugation by w0 is trivial iff w0 = -1 (D_even, E7, E8)
+        base = 1 + max(map(max, pos))
+        self.code = [sum(c * base**j for j, c in enumerate(r)) for r in self.roots]
+        self.root_of = {c: k for k, c in enumerate(self.code)}
+        # vertex i sits at position i - 1 of an image tuple; its neighbours
+        # are the positions with Cartan entry -1, and s_i acts on codes
+        self.adj = tuple(tuple(q for q, c in enumerate(row) if c < 0)
+                         for row in dtype.cartan_rows())
+        self.refl = tuple(dict(zip(self.code, map(self.code.__getitem__, self.gens[i].perm)))
+                          for i in self.vertices)
+        # the sliding forms of s_i, of w0 s_i (the simple factor left after
+        # Delta^-1 absorbs a letter s_i^-1), of w0 and of the identity
+        self.gen_form = {i: self.images(self.gens[i]) for i in self.vertices}
+        self.neg_form = {i: self.images(self.mul(w, self.gens[i])) for i in self.vertices}
+        self.w0_img = self.images(w)[0]
+        self.one_img = self.images(self.identity)[0]
+        # conjugation by w0 is trivial iff w0 = -1 (D_even, E7, E8); else
+        # w0(alpha_j) = -alpha_nu(j) for the diagram involution nu, and
+        # (w0 x w0)(alpha_j) = nu(x(alpha_nu(j))) with nu = -w0 on roots
         self.w0_central = w.perm == (*range(self.npos, 2 * self.npos), *range(self.npos))
+        at = {self.code[self.simple[i]]: i - 1 for i in self.vertices}
+        self.nu_pos = tuple(at[-c] for c in self.w0_img)
+        self.nu_code = {self.code[k]: -self.code[g] for k, g in enumerate(w.perm)}
+
+    def images(self, w: WeylElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Codes of w(alpha_i) and of w^-1(alpha_i), in vertex order."""
+        perm, code = w.perm, self.code
+        return (tuple(code[perm[self.simple[i]]] for i in self.vertices),
+                tuple(code[perm.index(self.simple[i])] for i in self.vertices))
+
+    def element(self, img: tuple[int, ...]) -> WeylElement:
+        """The Weyl element with simple-root images `img`: w is linear, so
+        the code of w(r) is the sum of r's coefficients times `img`."""
+        return WeylElement(self.dtype, tuple(
+            self.root_of[sum(map(int.__mul__, r, img))] for r in self.roots))
 
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return WeylElement(self.dtype, tuple(map(a.perm.__getitem__, b.perm)))
@@ -152,12 +190,15 @@ def project_to_weyl(w: BraidWord) -> WeylElement:
 def canonical_lift(w: WeylElement) -> BraidWord:
     """Positive lift through the lexicographically least reduced word."""
     ctx = _ctx_of(w)
+    inv = list(ctx.images(w)[1])  # cur^-1(alpha_j), cur = w at the start
     letters = []
-    cur = w
-    while cur != ctx.identity:
-        i = min(ctx.left_descents(cur))
-        letters.append((i, 1))
-        cur = ctx.mul(ctx.gens[i], cur)
+    # the least left descent i of cur, then cur <- s_i cur
+    while (p := next((p for p, y in enumerate(inv) if y < 0), None)) is not None:
+        y = inv[p]
+        inv[p] = -y
+        for q in ctx.adj[p]:
+            inv[q] += y
+        letters.append((ctx.vertices[p], 1))
     return BraidWord(w.dtype, tuple(letters))
 
 
@@ -200,32 +241,40 @@ class GarsideForm:
         return " . ".join(parts) or "1"
 
 
-def _append_simple(ctx: _WeylContext, infimum: int, factors: list[tuple[int, ...]],
-                   s: tuple[int, ...]):
-    """Right-multiply a left-weighted form (factors as root permutations,
+def _append_simple(ctx: _WeylContext, infimum: int, factors: list, s: tuple) -> int:
+    """Right-multiply a left-weighted form (factors as `ctx.images` pairs,
     changed in place) by one simple factor: a single right-to-left sweep of
     local sliding, which stops at the first pair that is already
     left-weighted (the domino rule)."""
-    npos = ctx.npos
+    adj, refl = ctx.adj, ctx.refl
     factors.append(s)
     for k in range(len(factors) - 2, -1, -1):
-        a, b = factors[k], factors[k + 1]
+        (a, a_inv), (b, b_inv) = factors[k], factors[k + 1]
+        a, b_inv = list(a), list(b_inv)
         moved, slid = True, False
         while moved:  # until a pass finds no i in L(b) \ R(a)
             moved = False
-            for (r, g) in ctx.slides:
+            for p, r in enumerate(refl):
+                x, y = a[p], b_inv[p]
                 # i in L(b) \ R(a): b = s_i b' and a s_i stays simple
-                if a[r] < npos and b.index(r) >= npos:
-                    a, b = tuple(map(a.__getitem__, g)), tuple(map(g.__getitem__, b))
+                if x > 0 and y < 0:
+                    # a <- a s_i and b <- s_i b: on a(alpha_j) and b^-1(alpha_j)
+                    # this negates entry i and adds it to each neighbour; on
+                    # a^-1(alpha_j) and b(alpha_j) it reflects every entry
+                    a[p], b_inv[p] = -x, -y
+                    for q in adj[p]:
+                        a[q] += x
+                        b_inv[q] += y
+                    a_inv, b = tuple(map(r.__getitem__, a_inv)), tuple(map(r.__getitem__, b))
                     moved = slid = True
         if not slid:
             break
-        factors[k], factors[k + 1] = a, b
+        factors[k], factors[k + 1] = (tuple(a), a_inv), (b, tuple(b_inv))
     # full twists can only lead and identities only trail a left-weighted form
-    while factors and factors[0] == ctx.w0.perm:
+    while factors and factors[0][0] == ctx.w0_img:
         factors.pop(0)
         infimum += 1
-    while factors and factors[-1] == ctx.identity.perm:
+    while factors and factors[-1][0] == ctx.one_img:
         factors.pop()
     return infimum
 
@@ -234,18 +283,18 @@ def garside_normal_form(w: BraidWord) -> GarsideForm:
     """Unique left-greedy form; two words are equal in the braid group
     iff their forms coincide."""
     ctx = _ctx_of(w)
-    w0 = ctx.w0.perm
     infimum = 0
-    factors: list[tuple[int, ...]] = []
+    factors: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for (i, s) in w.letters:
         if s > 0:
-            infimum = _append_simple(ctx, infimum, factors, ctx.gens[i].perm)
+            infimum = _append_simple(ctx, infimum, factors, ctx.gen_form[i])
         else:
             # x Delta^-1 = Delta^-1 tau(x), with tau conjugation by w0
             if not ctx.w0_central:
-                factors = [tuple(map(w0.__getitem__, map(x.__getitem__, w0))) for x in factors]
-            infimum = _append_simple(ctx, infimum - 1, factors, ctx.neg_factor[i])
-    form = tuple(WeylElement(w.dtype, x) for x in factors)
+                nu, at = ctx.nu_code, ctx.nu_pos
+                factors = [tuple(tuple(nu[x[j]] for j in at) for x in f) for f in factors]
+            infimum = _append_simple(ctx, infimum - 1, factors, ctx.neg_form[i])
+    form = tuple(ctx.element(img) for img, _ in factors)
     for a, b in zip(form, form[1:]):
         if not set(ctx.left_descents(b)) <= set(ctx.right_descents(a)):
             raise InternalCheckError("normal form is not left-weighted")
@@ -275,9 +324,23 @@ def star_involution(w: BraidWord) -> BraidWord:
     return BraidWord(w.dtype, tuple((star[i], s) for (i, s) in w.letters))
 
 
+def star_form(form: GarsideForm) -> GarsideForm:
+    """The normal form of the star image: the diagram involution applied
+    factor by factor.  As a diagram automorphism it fixes the Garside
+    element, maps simple elements to simple elements and permutes descent
+    sets, so it maps a left-greedy form to the left-greedy form of the
+    image.  On a Weyl element it is conjugation by the longest element."""
+    ctx = _context(form.dtype)
+    if ctx.w0_central:
+        return form
+    factors = tuple(ctx.mul(ctx.w0, ctx.mul(f, ctx.w0)) for f in form.factors)
+    return GarsideForm(form.dtype, form.infimum, factors)
+
+
 def is_in_B_star(w: BraidWord) -> bool:
     """Membership in the subgroup fixed by the star involution."""
-    return garside_normal_form(star_involution(w)) == garside_normal_form(w)
+    form = garside_normal_form(w)
+    return star_form(form) == form
 
 
 # ---------------------------------------------------------------------------

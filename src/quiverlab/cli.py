@@ -354,7 +354,7 @@ def _render_braid(job: JobSpec) -> str:
         [i for i, _ in braids.canonical_lift(w).letters] for w in nf.factors
     ]
     star = braids.star_involution(word)
-    member = braids.garside_normal_form(star) == nf  # is_in_B_star(word), one form fewer
+    member = braids.star_form(nf) == nf  # is_in_B_star(word), with the form at hand
     data = {
         "type": str(word.dtype),
         "word": [i * s for i, s in word.letters],

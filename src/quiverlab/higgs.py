@@ -200,10 +200,6 @@ class PreprojAlgebra:
     def word_start(self, i: int) -> int:
         return self.basis[i][0]
 
-    def word_end(self, i: int) -> int:
-        s, w = self.basis[i]
-        return self.darrows[w[-1]][1] if w else s
-
     def block_indices(self, i: int, j: int) -> tuple[int, ...]:
         """Basis indices of the path space from i to j."""
         return self._blocks[i, j]
@@ -265,7 +261,6 @@ class TQAlgebra:
         self.quiver = q
         d = self.algebra.dim
         self.total_dim = 6 * d
-        self.basis = [(b, k) for b in self.BLOCKS for k in range(d)]
         self._check_associativity()
 
     def block_product(self, b1, x, b2, y):
@@ -768,10 +763,20 @@ class HiggsLift:
 
 @functools.cache
 def _phi_table(q: Quiver):
-    table = tuple((lab, phi_image(lab)) for lab in mp.mpr_indecomposables(q))
-    for _, img in table:
+    """(label, p1, p0, read-only entries) of every phi image.  It holds no
+    algebra, so clearing `preprojective_algebra` alone frees one."""
+    table = []
+    for lab in mp.mpr_indecomposables(q):
+        img = phi_image(lab)
         img.entries.setflags(write=False)
-    return table
+        table.append((lab, img.p1, img.p0, img.entries))
+    return tuple(table)
+
+
+def _phi_images(alg: PreprojAlgebra) -> list[tuple[MprLabel, LambdaMorphism]]:
+    """Every label with its phi image, rebuilt on `alg` from `_phi_table`."""
+    return [(lab, LambdaMorphism(alg, p1, p0, ent))
+            for lab, p1, p0, ent in _phi_table(alg.quiver)]
 
 
 _REP_FINITE = {"A1", "A2", "A3", "A4"}
@@ -791,9 +796,10 @@ def lift_morphism(f: LambdaMorphism) -> HiggsLift:
     reduced, stripped = strip_identity_summands(f)
     labels = [MprLabel(q, "dzero", v) for v in stripped]
     unresolved = []
+    images = _phi_images(f.alg)
     for piece in split_summands(reduced):
         match = None
-        for lab, img in _phi_table(q):
+        for lab, img in images:
             if is_isomorphic(piece, img):
                 match = lab
                 break

@@ -314,6 +314,26 @@ def test_sliding_matches_the_meet_sweep(t):
         assert form.factors == expect.factors
 
 
+# one seeded 100-letter word per type, far past the oracle words' 24 letters
+LONG_WORD_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7"]
+
+
+@pytest.mark.parametrize("t", LONG_WORD_TYPES)
+def test_sliding_matches_the_meet_sweep_on_a_long_word(t):
+    dt = DynkinType.parse(t)
+    w = random_word(dt, 100, random.Random(f"long-{t}"))
+    assert nf(w) == meet_normal_form(w)
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES)
+def test_star_form_is_the_form_of_the_star_image(t):
+    # the two-form route that `star_form` replaced is the oracle
+    for w in oracle_words(t):
+        form, star = nf(w), nf(br.star_involution(w))
+        assert br.star_form(form) == star
+        assert br.is_in_B_star(w) == (star == form)
+
+
 @pytest.mark.parametrize("t", ORACLE_TYPES)
 def test_form_word_acts_like_the_input(t):
     # invariants of the braid group element that need no normal form

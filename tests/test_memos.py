@@ -24,6 +24,7 @@ from quiverlab import reps
 from quiverlab.dynkin import DynkinType, build_quiver, coxeter_number
 from quiverlab.errors import GuardError, InternalCheckError
 from quiverlab.stalks import IndecLabel, e_exponent
+from tests.test_higgs import word_end
 from tests.test_stalks import ORACLE_TYPES
 
 
@@ -170,7 +171,7 @@ def _functor_arrays(q):
 
 
 def _phi_table_arrays(q):
-    return [img.entries for _, img in hg._phi_table(q)]
+    return [entries for *_, entries in hg._phi_table(q)]
 
 
 @pytest.mark.parametrize("arrays", [_algebra_arrays, _functor_arrays, _phi_table_arrays])
@@ -201,6 +202,19 @@ def test_clearing_its_memo_frees_an_algebra_or_functor(build):
     ref = weakref.ref(obj)
     del obj
     memo.cache_clear()
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_lift_leaves_its_algebra_to_the_algebra_memo():
+    quiverlab.clear_caches()
+    q = build_quiver("A3")
+    lab = mp.mpr_indecomposables(q)[-1]
+    f = hg.phi_image(lab)
+    assert hg.lift_morphism(f).labels == (lab,)
+    ref = weakref.ref(f.alg)
+    del f
+    hg.preprojective_algebra.cache_clear()
     gc.collect()
     assert ref() is None
 
@@ -254,10 +268,10 @@ def test_index_tables_and_path_lifts_match_a_direct_scan(t):
     alg = hg.preprojective_algebra(q)
     words = range(alg.dim)
     for i in q.vertices:
-        assert alg.module_indices(i) == tuple(k for k in words if alg.word_end(k) == i)
+        assert alg.module_indices(i) == tuple(k for k in words if word_end(alg, k) == i)
         for j in q.vertices:
             assert alg.block_indices(i, j) == tuple(
-                k for k in words if alg.word_start(k) == i and alg.word_end(k) == j)
+                k for k in words if alg.word_start(k) == i and word_end(alg, k) == j)
     F = cx.tau_inv_functor(q)
     for u, w in itertools.product(q.vertices, repeat=2):
         path = q.path_vertices(u, w)
