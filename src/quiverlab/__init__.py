@@ -3,12 +3,14 @@
 Submodules, bottom up: diagrams and quivers (`dynkin`); the module
 category as labels, dimension vectors and translation quiver, with the
 graded stalk calculus in the derived category, all in plain integers
-(`stalks`); exact linear algebra over a fixed prime field (`_kernels`);
-representations as matrices (`reps`); two-term complexes of projectives
-(`complexes`); the projective-morphism category (`morphcat`); the
-decorated quiver with potential (`ice`); graded hom tables over the
-embedded copies (`boundary`); the loop-algebra presentation calculus
-(`higgs`); and braid words with their normal forms (`braids`).
+(`stalks`); exact linear algebra over a fixed prime field, in plain
+integers (`_field`) and on numpy arrays (`_kernels`); representations as
+matrices (`reps`); two-term complexes of projectives (`complexes`); the
+projective-morphism category (`morphcat`); the decorated quiver with
+potential (`ice`); graded hom tables over the embedded copies
+(`boundary`); the preprojective algebra and the presentation functor into
+it, in plain integers (`higgs`); the block algebra and the lift back to
+labels (`lifting`); and braid words with their normal forms (`braids`).
 
 The exports are lazy (PEP 562): `import quiverlab` loads neither a
 submodule nor numpy.  Reading an exported name imports the submodule that
@@ -27,10 +29,10 @@ _EXPORTS = {
               "positive_roots quiver_from_json quiver_from_text quiver_to_dot quiver_to_json "
               "quiver_to_text",
     "errors": "GuardError InternalCheckError",
-    "higgs": "Conflation HiggsLift LambdaMorphism PreprojAlgebra TQAlgebra hom_pair_dim "
-             "is_indecomposable is_isomorphic lift_morphism phi_image preprojective_algebra "
-             "realize_lift split_summands tq_algebra",
+    "higgs": "LambdaMorphism PreprojAlgebra phi_image preprojective_algebra",
     "ice": "IceQuiver build_ice_quiver export_ice mutable_part",
+    "lifting": "Conflation HiggsLift TQAlgebra hom_pair_dim is_indecomposable is_isomorphic "
+               "lift_morphism realize_lift split_summands tq_algebra",
     "morphcat": "MprLabel MprObject f_power_label f_presentation hom_dim_mpr label_by_number "
                 "mpr_ar_quiver mpr_indecomposables mpr_number omega_action omega_orbit "
                 "omega_order presentation tau_mpr window",

@@ -1,11 +1,12 @@
 """Exact linear algebra over a fixed prime field.
 
 Everything in this package that needs ranks, kernels or solutions of linear
-systems works over F_P for a fixed word-sized prime P.  The prime is large
-enough that the generic constructions used elsewhere (random Frobenius
-functionals, generic solutions picked from solution spaces) behave like
-characteristic zero at the dimensions that occur here, while every
-intermediate product of two reduced entries stays far inside int64.
+systems works over F_P for a fixed word-sized prime P, defined in `_field`.
+The prime is large enough that the generic constructions used elsewhere
+(random Frobenius functionals, generic solutions picked from solution
+spaces) behave like characteristic zero at the dimensions that occur here,
+while every intermediate product of two reduced entries stays far inside
+int64.
 
 Matrices are int64 numpy arrays with entries in [0, P).  One pure numpy
 row-reduction kernel, `rref`, does the work; `rank`, `nullspace`, `solve`
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._field import P
+
 BACKEND = "numpy"  # the only row-reduction backend; reported by benchmarks
-P = 32003  # prime; P*P < 2**63 / 8000, so row ops never overflow int64
 
 
 def reduce_mod(a) -> np.ndarray:

@@ -34,8 +34,6 @@ from .dynkin import (
 from .errors import GuardError, InternalCheckError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import higgs
 
 CACHE_VERSION = 1
@@ -238,7 +236,7 @@ def _check_vertex(q, v: int) -> None:
         raise GuardError(f"no vertex {v} in {q.dtype} (vertices 1..{q.rank})")
 
 
-def _path_vector(alg, path: str, start: int, end: int) -> np.ndarray:
+def _path_vector(alg, path: str, start: int, end: int) -> dict[int, int]:
     """Element of the loop algebra given as a dash-separated vertex walk,
     which must run from `start` to `end`."""
     try:
@@ -252,39 +250,28 @@ def _path_vector(alg, path: str, start: int, end: int) -> np.ndarray:
     return alg.walk(seq)
 
 
-def _entry_vector(alg, entry, start: int, end: int) -> np.ndarray:
-    import numpy as np
-
-    from . import _kernels as K
-
+def _entry_vector(alg, entry, start: int, end: int) -> dict[int, int]:
+    """A lift-spec entry as a sparse element; `LambdaMorphism` reduces it."""
     if not isinstance(entry, list) or entry and isinstance(entry[0], str):
         entry = [entry]
-    vec = np.zeros(alg.dim, dtype=np.int64)
+    vec: dict[int, int] = {}
     for pair in entry:
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and type(pair[1]) is int):
             raise GuardError(f"bad entry term {pair!r} (expected [path, coefficient])")
         path, coeff = pair
-        vec = (vec + coeff % K.P * _path_vector(alg, path, start, end)) % K.P
-    return K.reduce_mod(vec)
-
-
-def _entry_json(alg, vec) -> list:
-    import numpy as np
-
-    from . import _kernels as K
-
-    return [[alg.path_string(int(i)), int(vec[i])] for i in np.nonzero(vec % K.P)[0]]
+        for k, c in _path_vector(alg, path, start, end).items():
+            vec[k] = vec.get(k, 0) + coeff * c
+    return vec
 
 
 def _morphism_json(f: higgs.LambdaMorphism) -> dict:
+    # each entry lists its terms in increasing basis index
     return {
         "p1": list(f.p1),
         "p0": list(f.p0),
-        "matrix": [
-            [_entry_json(f.alg, f.entries[r, c]) for c in range(len(f.p1))]
-            for r in range(len(f.p0))
-        ],
+        "matrix": [[[[f.alg.path_string(k), c] for k, c in terms] for terms in row]
+                   for row in f.entries],
     }
 
 
@@ -295,7 +282,7 @@ def _render_higgs(job: JobSpec) -> str:
     num = mp.mpr_number(q)
     op = job.options["op"]
     if op == "omega-orbit":
-        # label arithmetic: answered before numpy and the algebra load
+        # label arithmetic: answered before the algebra loads
         orbit = mp.omega_orbit(mp.label_by_number(q, job.options["label"]))
         return _json_text(
             {"orbit": [_label_json(num, l) for l in orbit], "order": len(orbit)}
@@ -303,6 +290,7 @@ def _render_higgs(job: JobSpec) -> str:
     from . import higgs
 
     if op == "phi":
+        # numpy loads only for the presentation of a non-projective module
         lab = mp.label_by_number(q, job.options["label"])
         f = higgs.phi_image(lab)
         return _json_text({"label": _label_json(num, lab), **_morphism_json(f)})
@@ -320,15 +308,13 @@ def _render_higgs(job: JobSpec) -> str:
     if not (isinstance(rows, list) and len(rows) == len(p0)
             and all(isinstance(r, list) and len(r) == len(p1) for r in rows)):
         raise GuardError("lift matrix shape does not match p0 x p1")
-    import numpy as np
+    from . import lifting
 
     alg = higgs.preprojective_algebra(q)
-    ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
-    for r in range(len(p0)):
-        for c in range(len(p1)):
-            ent[r, c] = _entry_vector(alg, rows[r][c], p1[c], p0[r])
-    f = higgs.LambdaMorphism(alg, p1, p0, ent)
-    lift = higgs.lift_morphism(f)
+    f = higgs.LambdaMorphism(alg, p1, p0, [
+        [_entry_vector(alg, rows[r][c], p1[c], p0[r]) for c in range(len(p1))]
+        for r in range(len(p0))])
+    lift = lifting.lift_morphism(f)
     return _json_text(
         {
             "labels": [_label_json(num, l) for l in lift.labels],

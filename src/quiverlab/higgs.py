@@ -1,37 +1,50 @@
-"""Preprojective algebra, its triangular block extension, and the lift
-between morphism-category labels and modules over the block algebra.
+"""Preprojective algebra and the presentation functor into it, in plain
+integers.
 
 The preprojective algebra is built degree by degree over the doubled
 quiver: the degree-d basis words are degree-(d-1) basis words followed by
-one arrow, modulo the mesh relations.  A Frobenius form supported on the
-socle, with fixed pseudo-random values, yields the twist automorphism used
-in the corner block of the 3x3 triangular algebra.  Labels of the morphism
-category embed via base change along quiver-paths, and the partial
-inverse splits an arbitrary block morphism into labelled summands plus
-a universal two-term conflation witness for everything else.
+one arrow, modulo the mesh relations.  Its structure constants are held
+sparse: the right action of each doubled arrow on the basis words, and
+the nonzero products of pairs of basis words.  A Frobenius form supported
+on the socle, with fixed pseudo-random values, yields the twist
+automorphism used in the corner block of the 3x3 triangular algebra.
+Labels of the morphism category embed via base change along quiver-paths.
+
+This module loads no numpy.  The identity objects, the kill objects and
+the projectives read their trivial presentations off the knitted terms,
+so a phi image of one of them loads only the integer layers and `_field`;
+the other module labels take their presentations from `complexes`, which
+loads numpy.  The dense action matrices (`left_matrix`, `right_matrix`,
+`mult`, `apply_theta`) import numpy when called.  They serve `lifting`,
+which holds the block algebra and the partial inverse of the embedding.
 
 The rotation omega of the frozen labels (`omega_action`, `omega_orbit`,
-`omega_order`) is label arithmetic: it is defined in `morphcat`, which
-loads no numpy, and bound here by import.
+`omega_order`) is label arithmetic: it is defined in `morphcat` and bound
+here by import.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
-import math
+import random
+from types import MappingProxyType
 
-import numpy as np
-
-from . import _kernels as K
+from . import _field as F
 from . import morphcat as mp
-from .dynkin import Quiver, coxeter_number, nakayama_involution
+from ._field import P
+from .dynkin import Quiver, nakayama_involution
 from .errors import GuardError, InternalCheckError
 from .morphcat import MprLabel
 # the rotation on frozen labels is label arithmetic, kept in `morphcat`
 from .morphcat import omega_action, omega_orbit, omega_order
 
-# the types whose dense dim^3 multiplication table fits in memory (D8: 175 MB)
-_LIFTABLE = {*(f"A{n}" for n in range(1, 9)), *(f"D{n}" for n in range(4, 9)), "E6"}
+Terms = tuple[tuple[int, int], ...]
+
+
+def _pairs(x) -> Terms:
+    """A sparse element, given as anything `dict` reads, as (basis index,
+    coefficient) pairs in increasing index with nonzero reduced
+    coefficients."""
+    return tuple(sorted((int(k), c % P) for k, c in dict(x).items() if c % P))
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +53,11 @@ _LIFTABLE = {*(f"A{n}" for n in range(1, 9)), *(f"D{n}" for n in range(4, 9)), "
 
 class PreprojAlgebra:
     """Quotient of the doubled path algebra by the mesh relations, over the
-    working prime field.  Elements are dense coefficient vectors over a
-    fixed path-word basis; products read diagrammatically (x * y is the
-    path x followed by the path y)."""
+    working prime field.  Elements are sparse maps {basis index:
+    coefficient} over a fixed path-word basis; products read
+    diagrammatically (x * y is the path x followed by the path y)."""
 
     def __init__(self, q: Quiver):
-        if str(q.dtype) not in _LIFTABLE:
-            n, h = len(q.vertices), coxeter_number(q.dtype)
-            dim = n * h * (h + 1) // 6
-            raise GuardError(
-                f"the preprojective algebra of {q.dtype} has dimension {dim}; its dense "
-                f"dim^3 multiplication table would need {dim ** 3 * 8 / 1e9:.1f} GB, "
-                f"so it is built only for A1-A8, D4-D8 and E6"
-            )
         self.quiver = q
         self.star = nakayama_involution(q)
         # doubled arrows: even index = quiver arrow, odd = its reverse
@@ -66,7 +71,7 @@ class PreprojAlgebra:
     # -- construction -------------------------------------------------------
 
     def _build_by_degree(self):
-        """Basis words, their reductions and the multiplication table, one
+        """Basis words, their reductions and the structure constants, one
         degree at a time.
 
         The degree-d candidates are the degree-(d-1) basis words followed by
@@ -79,123 +84,155 @@ class PreprojAlgebra:
         basis words of its row.  Candidates miss no basis word: the basis is
         closed under prefixes, and a word whose prefix reduces to later words
         reduces to later words itself."""
-        P = K.P
         verts = self.quiver.vertices
         self.basis: list[tuple[int, tuple[int, ...]]] = [(v, ()) for v in verts]
         ends = list(verts)
         last: list[tuple[int, int]] = []  # (parent, arrow) of each word past degree 0
         layers = [range(len(verts))]
-        # (basis index, arrow) -> coordinates of the product on the next layer
-        step: dict[tuple[int, int], np.ndarray] = {}
+        # (basis word, arrow) -> their product, on the next layer
+        step: dict[tuple[int, int], Terms] = {}
         while True:
             prev = layers[-1]
             below = layers[-2] if len(layers) > 1 else range(0)
             cands = [(p, a) for p in prev for a, (s, _) in enumerate(self.darrows) if s == ends[p]]
             col = {c: k for k, c in enumerate(cands)}
-            rel = np.zeros((len(below), len(cands)), dtype=np.int64)
-            for r, b in enumerate(below):
+            rel = []
+            for b in below:
+                row: dict[int, int] = {}
                 for a, (s, _) in enumerate(self.darrows):
                     if s == ends[b]:
                         sign = 1 if a % 2 == 0 else -1
-                        for u, c in zip(prev, step[(b, a)]):
-                            if c:
-                                rel[r, col[(u, a ^ 1)]] += sign * c
-            rr, pivots = K.rref(rel)
-            piv = set(pivots.tolist())
+                        for u, c in step[(b, a)]:
+                            k = col[(u, a ^ 1)]
+                            row[k] = row.get(k, 0) + sign * c
+                rel.append(row)
+            piv = F.rref(rel)
             keep = [k for k in range(len(cands)) if k not in piv]
             if not keep:
                 break
-            red = np.eye(len(cands), dtype=np.int64)[:, keep]
-            for r, p in enumerate(pivots):
-                if np.count_nonzero(rr[r, pivots]) != 1:
-                    raise InternalCheckError("relation rref is not fully reduced")
-                red[p] = -rr[r, keep] % P
             base = len(self.basis)
+            index = {k: base + t for t, k in enumerate(keep)}
             for k in keep:
                 p, a = cands[k]
                 self.basis.append((self.basis[p][0], self.basis[p][1] + (a,)))
                 ends.append(self.darrows[a][1])
                 last.append((p, a))
-            step.update(zip(cands, red))
+            for k, c in enumerate(cands):
+                red = {index[k]: 1} if k not in piv else {
+                    index[m]: -v for m, v in piv[k].items() if m != k}
+                step[c] = _pairs(red)
             layers.append(range(base, len(self.basis)))
-        self.dim = dim = len(self.basis)
+        self.dim = len(self.basis)
         self.max_degree = len(layers) - 1
         self.e_index = {v: i for i, v in enumerate(verts)}
-        # right action of each arrow; words past the top degree map to zero
-        right = np.zeros((len(self.darrows), dim, dim), dtype=np.int64)
-        for (p, a), vec in step.items():
-            nxt = layers[len(self.basis[p][1]) + 1]
-            right[a, p, nxt.start : nxt.stop] = vec
+        # x * a for a basis word x and a doubled arrow a; absent when x does
+        # not end where a starts or the product passes the top degree
+        self._right = MappingProxyType(step)
         # the basis of each left projective, and of each path space i -> j
-        self._modules = ending = {v: tuple(i for i in range(dim) if ends[i] == v) for v in verts}
+        self._modules = ending = {v: tuple(i for i in range(self.dim) if ends[i] == v) for v in verts}
         self._blocks = {(i, j): tuple(k for k in ending[j] if self.basis[k][0] == i)
                         for i in verts for j in verts}
         # b_i * b_j for j = parent * a is (b_i * parent) * a: zero unless b_i
-        # ends where b_j starts, and only words ending where a starts reach a
-        self.table = np.zeros((dim, dim, dim), dtype=np.int64)
+        # ends where b_j starts, or past the top degree; words ending at a
+        # vertex come in basis order, so their degrees ascend
+        deg = [len(w) for _, w in self.basis]
+        prods: dict[tuple[int, int], Terms] = {}
         for j, v in enumerate(verts):
-            self.table[ending[v], j, ending[v]] = 1
+            prods.update(((i, j), ((i, 1),)) for i in ending[v])
         for j, (p, a) in enumerate(last, start=len(verts)):
-            rows, at = ending[self.basis[j][0]], ending[self.darrows[a][0]]
-            self.table[rows, j] = self.table[rows, p][:, at] @ right[a, at] % P
-        self.table.setflags(write=False)
+            for i in ending[self.basis[j][0]]:
+                if deg[i] + deg[j] > self.max_degree:
+                    break
+                y = self._times_arrow(prods.get((i, p), ()), a)
+                if y:
+                    prods[i, j] = y
+        # nonzero products of basis words, keyed (i, j): read-only
+        self.products = MappingProxyType(prods)
 
     def _build_frobenius(self):
-        rng = np.random.default_rng(0)
-        top = [i for i, (_, w) in enumerate(self.basis) if len(w) == self.max_degree]
+        """A socle-supported form f whose pairing f(b_i b_j) is
+        nondegenerate, and the twist theta with f(x y) = f(y theta(x)).  The
+        pairing's Gram matrix G is block diagonal over the connected blocks
+        of its nonzero entries (a scaled permutation on D8, blocks of at most
+        2 x 2 on E6), so its rank and theta = G^-1 G^T come blockwise."""
+        top = self.max_degree
+        deg = [len(w) for _, w in self.basis]
+        pairing = [(i, j, t) for (i, j), t in self.products.items() if deg[i] + deg[j] == top]
+        rng = random.Random(0)
         for _ in range(64):
-            f = np.zeros(self.dim, dtype=np.int64)
-            for i in top:
-                f[i] = int(rng.integers(1, K.P))
-            gram = K.reduce_mod(self.table @ f)  # gram[i, j] = f(b_i b_j)
-            if K.rank(gram) == self.dim:
+            f = [rng.randrange(1, P) if d == top else 0 for d in deg]
+            gram = {}
+            for i, j, t in pairing:
+                g = sum(f[k] * c for k, c in t) % P
+                if g:
+                    gram[i, j] = g
+            theta = _blockwise_twist(self.dim, gram)
+            if theta is not None:
                 break
         else:
             raise InternalCheckError("no nondegenerate socle-supported form found")
-        self.frobenius = f
-        f.setflags(write=False)
-        # column j of theta solves gram @ x = (f(b_j b_i))_i
-        theta = K.solve(gram, gram.T)
-        if theta is None:
-            raise InternalCheckError("twist solve failed")
-        self.theta = K.reduce_mod(theta)
-        self.theta.setflags(write=False)
+        self.frobenius = tuple(f)
+        # column j of theta, theta(b_j), as pairs
+        self.theta = theta
         for v in self.quiver.vertices:
-            img = self.theta[:, self.e_index[v]]
-            want = np.zeros(self.dim, dtype=np.int64)
-            want[self.e_index[self.star[v]]] = 1
-            if not np.array_equal(img % K.P, want):
+            if theta[self.e_index[v]] != ((self.e_index[self.star[v]], 1),):
                 raise InternalCheckError("twist does not permute the idempotents correctly")
-        # multiplicativity spot check
-        rng2 = np.random.default_rng(1)
-        for _ in range(8):
-            x = rng2.integers(0, K.P, self.dim)
-            y = rng2.integers(0, K.P, self.dim)
-            lhs = self.apply_theta(self.mult(x, y))
-            rhs2 = self.mult(self.apply_theta(x), self.apply_theta(y))
-            if not np.array_equal(lhs, rhs2):
-                raise InternalCheckError("twist is not multiplicative")
+        # theta(x a) = theta(x) theta(a) for every basis word x and arrow a:
+        # every word is a product of arrows and theta is linear, so this
+        # proves theta multiplicative
+        arrow_word = {w[0]: k for k, (_, w) in enumerate(self.basis) if len(w) == 1}
+        for x in range(self.dim):
+            for a in range(len(self.darrows)):
+                lhs = self._theta_of(self._right.get((x, a), ()))
+                if lhs != self._product(theta[x], theta[arrow_word[a]]):
+                    raise InternalCheckError("twist is not multiplicative")
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- sparse arithmetic on (index, coefficient) pairs ---------------------
 
-    def unit(self, v: int) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.int64)
-        out[self.e_index[v]] = 1
-        return out
+    def _times_arrow(self, x, a: int) -> Terms:
+        out: dict[int, int] = {}
+        for u, c in x:
+            for k, v in self._right.get((u, a), ()):
+                out[k] = out.get(k, 0) + c * v
+        return _pairs(out)
 
-    def left_matrix(self, x) -> np.ndarray:
-        """Matrix of y -> x * y; leading axes of x stack elements."""
-        return K.reduce_mod(np.tensordot(K.reduce_mod(x), self.table, axes=(-1, 0))).swapaxes(-1, -2)
+    def _product(self, x, y) -> Terms:
+        out: dict[int, int] = {}
+        for i, a in x:
+            for j, b in y:
+                for k, c in self.products.get((i, j), ()):
+                    out[k] = out.get(k, 0) + a * b * c
+        return _pairs(out)
 
-    def right_matrix(self, y) -> np.ndarray:
-        """Matrix of x -> x * y; leading axes of y stack elements."""
-        return K.reduce_mod(np.tensordot(K.reduce_mod(y), self.table, axes=(-1, 1))).swapaxes(-1, -2)
+    def _theta_of(self, x) -> Terms:
+        out: dict[int, int] = {}
+        for j, a in x:
+            for k, c in self.theta[j]:
+                out[k] = out.get(k, 0) + a * c
+        return _pairs(out)
 
-    def mult(self, x, y) -> np.ndarray:
-        return K.matmul(self.left_matrix(x), y)
+    # -- elements -----------------------------------------------------------
 
-    def apply_theta(self, x) -> np.ndarray:
-        return K.reduce_mod(self.theta @ K.reduce_mod(np.asarray(x, dtype=np.int64)))
+    def unit(self, v: int) -> dict[int, int]:
+        return {self.e_index[v]: 1}
+
+    def walk(self, verts) -> dict[int, int]:
+        """Product of the doubled arrows along a vertex walk; on a tree each
+        step names at most one doubled arrow."""
+        out: Terms = ((self.e_index[verts[0]], 1),)
+        for a, b in zip(verts, verts[1:]):
+            if (a, b) not in self.darrows:
+                raise GuardError(f"no arrow {a} -> {b} in the doubled quiver")
+            out = self._times_arrow(out, self.darrows.index((a, b)))
+        return dict(out)
+
+    def quiver_path_element(self, src: int, tgt: int) -> dict[int, int]:
+        """Image of the unique tree path src -> tgt under the embedding that
+        uses only the unreversed arrows."""
+        verts = self.quiver.path_vertices(src, tgt)
+        if verts is None:
+            raise GuardError(f"no path {src} -> {tgt}")
+        return self.walk(verts)
 
     def word_start(self, i: int) -> int:
         return self.basis[i][0]
@@ -215,25 +252,82 @@ class PreprojAlgebra:
             seq.append(self.darrows[a][1])
         return "-".join(str(v) for v in seq)
 
-    def walk(self, verts) -> np.ndarray:
-        """Product of the doubled arrows along a vertex walk; on a tree each
-        step names at most one doubled arrow."""
-        out = self.unit(verts[0])
-        for a, b in zip(verts, verts[1:]):
-            if (a, b) not in self.darrows:
-                raise GuardError(f"no arrow {a} -> {b} in the doubled quiver")
-            # every arrow is a basis word, k; out * b_k reads table[:, k]
-            k = self.basis.index((a, (self.darrows.index((a, b)),)))
-            out = K.matmul(out, self.table[:, k])
-        return out
+    # -- dense action matrices (numpy, for `lifting` and the tests) ----------
 
-    def quiver_path_element(self, src: int, tgt: int) -> np.ndarray:
-        """Image of the unique tree path src -> tgt under the embedding that
-        uses only the unreversed arrows."""
-        verts = self.quiver.path_vertices(src, tgt)
-        if verts is None:
-            raise GuardError(f"no path {src} -> {tgt}")
-        return self.walk(verts)
+    def _coo(self):
+        """The products as four int64 arrays: left word, right word, result
+        word, coefficient."""
+        import numpy as np
+
+        flat = [(i, j, k, c) for (i, j), t in self.products.items() for k, c in t]
+        return np.array(flat, dtype=np.int64).reshape(-1, 4).T
+
+    def _action(self, x, left: bool):
+        import numpy as np
+
+        x = np.asarray(x, dtype=np.int64) % P
+        i, j, k, c = self._coo()
+        fixed, moving = (i, j) if left else (j, i)
+        xs = x.reshape(-1, self.dim)
+        out = np.zeros((xs.shape[0], self.dim * self.dim), dtype=np.int64)
+        # each entry sums at most dim products below P^2, far inside int64
+        np.add.at(out, (slice(None), k * self.dim + moving), xs[:, fixed] * c % P)
+        return (out % P).reshape(x.shape[:-1] + (self.dim, self.dim))
+
+    def left_matrix(self, x):
+        """Matrix of y -> x * y; leading axes of x stack elements."""
+        return self._action(x, left=True)
+
+    def right_matrix(self, y):
+        """Matrix of x -> x * y; leading axes of y stack elements."""
+        return self._action(y, left=False)
+
+    def mult(self, x, y):
+        """x * y for dense coefficient vectors."""
+        import numpy as np
+
+        x = np.asarray(x, dtype=np.int64) % P
+        y = np.asarray(y, dtype=np.int64) % P
+        i, j, k, c = self._coo()
+        out = np.zeros(self.dim, dtype=np.int64)
+        np.add.at(out, k, x[i] * y[j] % P * c % P)
+        return out % P
+
+    def apply_theta(self, x):
+        """theta on a dense vector, or on the columns of a dense matrix."""
+        import numpy as np
+
+        T = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for j, col in enumerate(self.theta):
+            for k, c in col:
+                T[k, j] = c
+        return T @ (np.asarray(x, dtype=np.int64) % P) % P
+
+
+def _blockwise_twist(dim: int, gram: dict[tuple[int, int], int]) -> tuple[Terms, ...] | None:
+    """The columns of G^-1 G^T for the sparse Gram matrix G, solved on each
+    connected block of its nonzero entries; None if G is singular."""
+    root = list(range(dim))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for i, j in gram:
+        root[find(i)] = find(j)
+    blocks: dict[int, list[int]] = {}
+    for i in range(dim):
+        blocks.setdefault(find(i), []).append(i)
+    theta: list[Terms] = [()] * dim
+    for idx in blocks.values():
+        g = [[gram.get((r, s), 0) for s in idx] for r in idx]
+        x = F.solve(g, [list(col) for col in zip(*g)])
+        if x is None:
+            return None
+        for s, j in enumerate(idx):
+            theta[j] = tuple((r, x[t][s]) for t, r in enumerate(idx) if x[t][s])
+    return tuple(theta)
 
 
 @functools.cache
@@ -242,144 +336,26 @@ def preprojective_algebra(q: Quiver) -> PreprojAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# the triangular block algebra
-
-
-class TQAlgebra:
-    """Cyclic 3x3 block algebra with pattern
-    [[L, 0, L'], [L, L, 0], [0, L, L]]: six copies of the loop algebra L
-    arranged so that every product leaving the pattern vanishes.  The
-    corner block L' is the twisted copy: passing through it is what makes
-    the socle-to-top permutation pick up the vertex involution once per
-    lap around the cycle, instead of closing up after three steps."""
-
-    BLOCKS = ((0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2))
-    CORNER = (0, 2)
-
-    def __init__(self, q: Quiver):
-        self.algebra = preprojective_algebra(q)
-        self.quiver = q
-        d = self.algebra.dim
-        self.total_dim = 6 * d
-        self._check_associativity()
-
-    def block_product(self, b1, x, b2, y):
-        """Product of an element x in block b1 with y in block b2; returns
-        (block, vector) or None when it is structurally zero."""
-        if b1[1] != b2[0]:
-            return None
-        tgt = (b1[0], b2[1])
-        if tgt not in self.BLOCKS:
-            return None  # forced zero through a vanishing block
-        return tgt, self.algebra.mult(x, y)
-
-    def _check_associativity(self):
-        rng = np.random.default_rng(2)
-        d = self.algebra.dim
-        for b1 in self.BLOCKS:
-            for b2 in self.BLOCKS:
-                for b3 in self.BLOCKS:
-                    x, y, z = (rng.integers(0, K.P, d) for _ in range(3))
-                    xy = self.block_product(b1, x, b2, y)
-                    left = self.block_product(*xy, b3, z) if xy else None
-                    yz = self.block_product(b2, y, b3, z)
-                    right = self.block_product(b1, x, *yz) if yz else None
-                    lb = {left[0]: left[1]} if left is not None and np.any(left[1] % K.P) else {}
-                    rb = {right[0]: right[1]} if right is not None and np.any(right[1] % K.P) else {}
-                    if set(lb) != set(rb) or any(
-                        not np.array_equal(lb[k] % K.P, rb[k] % K.P) for k in lb
-                    ):
-                        raise InternalCheckError(f"block product not associative at {b1}{b2}{b3}")
-
-    def idempotents(self):
-        return [(r, v) for r in range(3) for v in self.quiver.vertices]
-
-    def projective_basis(self, r: int, v: int):
-        """Basis of the left projective at the diagonal idempotent (r, v):
-        pairs (block, algebra basis index)."""
-        alg = self.algebra
-        out = []
-        for b in self.BLOCKS:
-            if b[1] != r:
-                continue
-            out.extend((b, k) for k in alg.module_indices(v))
-        return out
-
-    def nakayama_permutation(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Socle chase: each left projective has simple socle, whose weight
-        is the image idempotent."""
-        alg = self.algebra
-        rad = [k for k, (_, w) in enumerate(alg.basis) if w]
-        perm = {}
-        for (r, v) in self.idempotents():
-            pbasis = self.projective_basis(r, v)
-            mod = alg.module_indices(v)
-            m = len(mod)
-            # act[g] is left multiplication by basis word g on the paths ending at v
-            act = alg.table[np.ix_(range(alg.dim), mod, mod)].swapaxes(1, 2)
-            col = {b: t * m for t, b in enumerate(b for b in self.BLOCKS if b[1] == r)}
-            # the radical generators are the off-diagonal block basis elements
-            # plus the diagonal radical elements; each one kills the socle
-            rows = []
-            for gb in self.BLOCKS:
-                if (gb[0], r) not in col or (gb[1], r) not in col:
-                    continue  # the product leaves the block pattern
-                gens = rad if gb[0] == gb[1] else range(alg.dim)
-                eq = np.zeros((len(gens) * m, len(pbasis)), dtype=np.int64)
-                c = col[(gb[1], r)]
-                eq[:, c : c + m] = act[gens].reshape(-1, m)
-                rows.append(eq)
-            ns = K.nullspace(np.vstack(rows))
-            if ns.shape[1] != 1:
-                raise InternalCheckError(
-                    f"left projective at {(r, v)} has socle dimension {ns.shape[1]}"
-                )
-            soc = ns[:, 0]
-            weights = set()
-            for i in np.nonzero(soc % K.P)[0]:
-                b, k = pbasis[int(i)]
-                weights.add((b[0], alg.word_start(k)))
-            if len(weights) != 1:
-                raise InternalCheckError("socle is not weight-homogeneous")
-            perm[(r, v)] = weights.pop()
-        return perm
-
-    def nakayama_order(self) -> int:
-        perm = self.nakayama_permutation()
-        order = 1
-        for start in perm:
-            cur, n = perm[start], 1
-            while cur != start:
-                cur, n = perm[cur], n + 1
-            order = math.lcm(order, n)
-        return order
-
-
-def tq_algebra(q: Quiver) -> TQAlgebra:
-    return TQAlgebra(q)
-
-
-# ---------------------------------------------------------------------------
 # block morphisms over the preprojective algebra
 
 
 class LambdaMorphism:
     """A map between sums of left projectives over the preprojective
-    algebra, entries in path coordinates: entry[r][c] lies in the path
-    space p1[c] -> p0[r] and acts by right multiplication."""
+    algebra: entries[r][c] lies in the path space p1[c] -> p0[r], as
+    (basis index, coefficient) pairs in increasing index, and acts by right
+    multiplication.  The constructor takes each entry as anything `dict`
+    reads: a sparse map, or such pairs."""
 
     def __init__(self, alg: PreprojAlgebra, p1, p0, entries):
         self.alg = alg
         self.p1 = tuple(int(v) for v in p1)
         self.p0 = tuple(int(v) for v in p0)
-        ent = np.asarray(entries, dtype=np.int64)
-        self.entries = K.reduce_mod(ent.reshape(len(self.p0), len(self.p1), alg.dim))
-        for r in range(len(self.p0)):
-            for c in range(len(self.p1)):
-                vec = self.entries[r, c]
-                ok = self.alg.block_indices(self.p1[c], self.p0[r])
-                bad = [i for i in np.nonzero(vec % K.P)[0] if int(i) not in ok]
-                if bad:
+        self.entries = tuple(tuple(_pairs(entries[r][c]) for c in range(len(self.p1)))
+                             for r in range(len(self.p0)))
+        for r, row in enumerate(self.entries):
+            for c, terms in enumerate(row):
+                ok = alg.block_indices(self.p1[c], self.p0[r])
+                if any(k not in ok for k, _ in terms):
                     raise InternalCheckError("entry outside its path space")
 
     def source_dim(self) -> int:
@@ -387,18 +363,6 @@ class LambdaMorphism:
 
     def target_dim(self) -> int:
         return sum(len(self.alg.module_indices(v)) for v in self.p0)
-
-    def underlying_matrix(self) -> np.ndarray:
-        """The induced linear map on underlying spaces (source basis maps
-        through right multiplication by the entries)."""
-        alg = self.alg
-        rows = [alg.module_indices(v) for v in self.p0]
-        cols = [alg.module_indices(v) for v in self.p1]
-        if not rows or not cols:
-            return np.zeros((self.target_dim(), self.source_dim()), dtype=np.int64)
-        acts = alg.right_matrix(self.entries)
-        return np.block([[acts[r, c][np.ix_(kr, kc)] for c, kc in enumerate(cols)]
-                         for r, kr in enumerate(rows)])
 
     def __repr__(self) -> str:
         return f"LambdaMorphism({list(self.p1)} -> {list(self.p0)})"
@@ -408,442 +372,7 @@ def phi_image(label: MprLabel) -> LambdaMorphism:
     """Base change of the label's presentation along quiver paths."""
     obj = mp.presentation(label)
     alg = preprojective_algebra(label.quiver)
-    ent = np.zeros((len(obj.p0), len(obj.p1), alg.dim), dtype=np.int64)
-    for r in range(len(obj.p0)):
-        for c in range(len(obj.p1)):
-            s = int(obj.mat[r, c]) % K.P
-            if s:
-                ent[r, c] = K.reduce_mod(s * alg.quiver_path_element(obj.p1[c], obj.p0[r]))
+    ent = [[{k: s * v for k, v in alg.quiver_path_element(obj.p1[c], obj.p0[r]).items()}
+            if s else {} for c, s in enumerate(row)]
+           for r, row in enumerate(obj.mat)]
     return LambdaMorphism(alg, obj.p1, obj.p0, ent)
-
-
-# -- hom pairs --------------------------------------------------------------
-
-
-def _hom_pair_space(X: LambdaMorphism, Y: LambdaMorphism):
-    """Basis of pairs (f1, f0) with f0 x = y f1, as flat coefficient
-    vectors over the per-entry path spaces."""
-    alg = X.alg
-    slots1 = [
-        (r, c, i)
-        for r in range(len(Y.p1))
-        for c in range(len(X.p1))
-        for i in alg.block_indices(X.p1[c], Y.p1[r])
-    ]
-    slots0 = [
-        (r, c, i)
-        for r in range(len(Y.p0))
-        for c in range(len(X.p0))
-        for i in alg.block_indices(X.p0[c], Y.p0[r])
-    ]
-    nvar = len(slots1) + len(slots0)
-    # column i of xacts[cc, c] is x * b_i for the entry x = X.entries[cc, c];
-    # column i of yacts[r, rr] is b_i * y for y = Y.entries[r, rr]
-    xacts = alg.left_matrix(X.entries)
-    yacts = alg.right_matrix(Y.entries)
-    rows = []
-    for r in range(len(Y.p0)):
-        for c in range(len(X.p1)):
-            eq = np.zeros((alg.dim, nvar), dtype=np.int64)
-            for k, (rr, cc, i) in enumerate(slots0):
-                if rr == r:
-                    eq[:, len(slots1) + k] = xacts[cc, c][:, i]
-            for k, (rr, cc, i) in enumerate(slots1):
-                if cc == c:
-                    eq[:, k] = -yacts[r, rr][:, i]
-            rows.append(eq)
-    if rows:
-        system = K.reduce_mod(np.vstack(rows))
-        basis = K.nullspace(system)
-    else:
-        basis = np.eye(nvar, dtype=np.int64)
-    return slots1, slots0, basis
-
-
-def hom_pair_dim(X: LambdaMorphism, Y: LambdaMorphism) -> int:
-    return _hom_pair_space(X, Y)[2].shape[1]
-
-
-def _pair_matrices(X, Y, slots1, slots0, vec):
-    alg = X.alg
-    f1 = np.zeros((len(Y.p1), len(X.p1), alg.dim), dtype=np.int64)
-    f0 = np.zeros((len(Y.p0), len(X.p0), alg.dim), dtype=np.int64)
-    for k, (r, c, i) in enumerate(slots1):
-        f1[r, c, i] = vec[k]
-    for k, (r, c, i) in enumerate(slots0):
-        f0[r, c, i] = vec[len(slots1) + k]
-    m1 = LambdaMorphism(alg, X.p1, Y.p1, f1) if f1.size else None
-    m0 = LambdaMorphism(alg, X.p0, Y.p0, f0) if f0.size else None
-    return m1, m0
-
-
-def _invertible(m: LambdaMorphism | None, n_src, n_tgt) -> bool:
-    if m is None:
-        return n_src == 0 and n_tgt == 0
-    U = m.underlying_matrix()
-    return U.shape[0] == U.shape[1] and K.rank(U) == U.shape[0]
-
-
-def is_isomorphic(X: LambdaMorphism, Y: LambdaMorphism) -> bool:
-    if sorted(X.p1) != sorted(Y.p1) or sorted(X.p0) != sorted(Y.p0):
-        return False
-    slots1, slots0, basis = _hom_pair_space(X, Y)
-    if basis.shape[1] == 0:
-        return len(X.p1) + len(X.p0) == 0
-    rng = np.random.default_rng(0)
-    for _ in range(24):
-        vec = K.reduce_mod(basis @ rng.integers(0, K.P, basis.shape[1]))
-        f1, f0 = _pair_matrices(X, Y, slots1, slots0, vec)
-        ok1 = _invertible(f1, len(X.p1), len(Y.p1)) if len(X.p1) or len(Y.p1) else True
-        ok0 = _invertible(f0, len(X.p0), len(Y.p0)) if len(X.p0) or len(Y.p0) else True
-        if ok1 and ok0:
-            return True
-    return False
-
-
-# -- reduction, splitting, lifting ------------------------------------------
-
-
-def _unit_component(alg: PreprojAlgebra, vec, v: int) -> int:
-    return int(vec[alg.e_index[v]] % K.P)
-
-
-def _local_inverse(alg: PreprojAlgebra, vec, v: int) -> np.ndarray:
-    """Inverse of an element of the local endomorphism ring at v."""
-    idx = list(alg.block_indices(v, v))
-    A = alg.left_matrix(vec)[np.ix_(idx, idx)]
-    rhs = np.zeros(len(idx), dtype=np.int64)
-    rhs[idx.index(alg.e_index[v])] = 1
-    sol = K.solve(A, rhs)
-    if sol is None:
-        raise InternalCheckError("local element is not invertible")
-    out = np.zeros(alg.dim, dtype=np.int64)
-    out[idx] = sol
-    if not np.array_equal(alg.mult(vec, out), alg.unit(v)):
-        raise InternalCheckError("local inverse failed")
-    return out
-
-
-def strip_identity_summands(f: LambdaMorphism):
-    """Split off all invertible-pivot summands; returns the reduced
-    morphism and the vertices of the removed identity objects."""
-    alg = f.alg
-    p1, p0 = list(f.p1), list(f.p0)
-    ent = f.entries.copy()
-    stripped = []
-    while True:
-        pivot = None
-        for r in range(len(p0)):
-            for c in range(len(p1)):
-                if p1[c] == p0[r] and _unit_component(alg, ent[r, c], p1[c]):
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        v = p1[c0]
-        minv = _local_inverse(alg, ent[r0, c0], v)
-        # clear the pivot row via source column operations
-        for c in range(len(p1)):
-            if c == c0 or not np.any(ent[r0, c] % K.P):
-                continue
-            coef = alg.mult(ent[r0, c], minv)  # p1[c] -> v
-            for r in range(len(p0)):
-                ent[r, c] = K.reduce_mod(ent[r, c] - alg.mult(coef, ent[r, c0]))
-        # clear the pivot column via target row operations
-        for r in range(len(p0)):
-            if r == r0 or not np.any(ent[r, c0] % K.P):
-                continue
-            coef = alg.mult(minv, ent[r, c0])  # v -> p0[r]
-            for c in range(len(p1)):
-                ent[r, c] = K.reduce_mod(ent[r, c] - alg.mult(ent[r0, c], coef))
-        stripped.append(v)
-        ent = np.delete(np.delete(ent, r0, axis=0), c0, axis=1)
-        del p0[r0], p1[c0]
-    return LambdaMorphism(alg, p1, p0, ent), tuple(sorted(stripped))
-
-
-def _end_pair_algebra(X: LambdaMorphism):
-    slots1, slots0, basis = _hom_pair_space(X, X)
-    n = basis.shape[1]
-    pairs = [_pair_matrices(X, X, slots1, slots0, basis[:, k]) for k in range(n)]
-    mats = []
-    d1, d0 = X.source_dim(), X.target_dim()
-    for (f1, f0) in pairs:
-        U1 = f1.underlying_matrix() if f1 is not None else np.zeros((d1, d1), dtype=np.int64)
-        U0 = f0.underlying_matrix() if f0 is not None else np.zeros((d0, d0), dtype=np.int64)
-        M = np.zeros((d1 + d0, d1 + d0), dtype=np.int64)
-        M[:d1, :d1] = U1
-        M[d1:, d1:] = U0
-        mats.append(M)
-    return mats
-
-
-def _end_corank(X: LambdaMorphism) -> int:
-    """Dimension of the semisimple quotient of the endomorphism ring: the
-    trace form of the action kills exactly the radical (the working prime
-    exceeds every dimension in sight)."""
-    mats = _end_pair_algebra(X)
-    if not mats:
-        return 0
-    # G[a, b] = trace(A_a A_b) = sum_ij A_a[i, j] A_b[j, i]; each entry sums
-    # D^2 products below P^2 (D the matrix size), well inside int64
-    A = K.reduce_mod(np.stack(mats))
-    return K.rank(np.einsum("aij,bji->ab", A, A) % K.P)
-
-
-def is_indecomposable(X: LambdaMorphism) -> bool:
-    return _end_corank(X) == 1
-
-
-def _left_actions(alg: PreprojAlgebra, basis_slots, words) -> np.ndarray:
-    """Left multiplication by each basis word on a sum of left projectives
-    with basis `basis_slots`, in row form: x @ out[t] is words[t] * x."""
-    comp = np.array([c for c, _ in basis_slots])
-    flat = [k for _, k in basis_slots]
-    return alg.table[np.ix_(words, flat, flat)] * (comp[:, None] == comp[None, :])
-
-
-def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
-    """Given an idempotent endomorphism of a sum of left projectives,
-    realign its image as a sum of projectives: returns (new labels,
-    generators as underlying vectors, inclusion basis)."""
-    basis_slots = [(c, k) for c, v in enumerate(labels) for k in alg.module_indices(v)]
-    img = K.rref(proj_mat.T)[0]
-    img = img[np.any(img % K.P, axis=1)]
-    W = img  # rows span the image
-    if W.shape[0] == 0:
-        return (), [], basis_slots
-    rad = [k for k, (_, w) in enumerate(alg.basis) if w]
-    JW = K.matmul(W, _left_actions(alg, basis_slots, rad)).reshape(-1, W.shape[1])
-    # generators: weight components of the image that are new modulo the
-    # radical part (weight projections of a submodule stay inside it)
-    gens = []
-    new_labels = []
-    current = JW.copy()
-    for v in alg.quiver.vertices:
-        wmask = np.array([alg.word_start(k) == v for (c, k) in basis_slots])
-        proj = np.zeros_like(W)
-        proj[:, wmask] = W[:, wmask]
-        for row in proj:
-            if not np.any(row % K.P) or K.row_space_contains(current, row):
-                continue
-            gens.append(row)
-            new_labels.append(v)
-            current = np.vstack([current, row.reshape(1, -1)])
-    if K.rank(current) != K.rank(np.vstack([JW, W]) if JW.shape[0] else W):
-        raise InternalCheckError("generators do not span the image submodule")
-    return tuple(new_labels), gens, basis_slots
-
-
-def _express_in_generators(alg, labels, gens, basis_slots, target_vec):
-    """Solve target = sum_j z_j . gen_j with z_j in the left projective at
-    labels[j]; returns the per-generator algebra coefficients."""
-    cols = []
-    keys = []
-    for j, v in enumerate(labels):
-        ks = alg.module_indices(v)
-        cols.extend(K.matmul(gens[j], _left_actions(alg, basis_slots, ks)))
-        keys.extend((j, k) for k in ks)
-    A = np.array(cols, dtype=np.int64).T if cols else np.zeros((len(basis_slots), 0), dtype=np.int64)
-    sol = K.solve(A, K.reduce_mod(target_vec))
-    if sol is None:
-        raise InternalCheckError("target does not lie in the generated submodule")
-    out = [np.zeros(alg.dim, dtype=np.int64) for _ in labels]
-    for t, (j, k) in enumerate(keys):
-        out[j][k] = sol[t]
-    return out
-
-
-def _charpoly_modp(M: np.ndarray) -> list[int]:
-    """Characteristic polynomial coefficients (monic, highest first) over
-    the working prime field, by Newton's identities on power-sum traces."""
-    n = M.shape[0]
-    s = [0] * (n + 1)
-    Mk = np.eye(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        Mk = K.matmul(Mk, M)
-        s[k] = int(np.trace(Mk) % K.P)
-    c = [1] + [0] * n
-    for k in range(1, n + 1):
-        acc = s[k]
-        for i in range(1, k):
-            acc += c[i] * s[k - i]
-        c[k] = (-acc * K.inv_mod(k)) % K.P
-    return c
-
-
-def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
-    """Fitting decomposition via eigen-projectors of random endomorphism
-    pairs, recursing until every piece has local endomorphism ring."""
-    if len(X.p1) + len(X.p0) == 0:
-        return []
-    if is_indecomposable(X):
-        return [X]
-    slots1, slots0, basis = _hom_pair_space(X, X)
-    rng = np.random.default_rng(0)
-    d1 = X.source_dim()
-    points = np.arange(K.P, dtype=np.int64)
-    for _ in range(40):
-        vec = K.reduce_mod(basis @ rng.integers(0, K.P, basis.shape[1]))
-        f1, f0 = _pair_matrices(X, X, slots1, slots0, vec)
-        U1 = f1.underlying_matrix() if f1 is not None else np.zeros((0, 0), dtype=np.int64)
-        U0 = f0.underlying_matrix() if f0 is not None else np.zeros((0, 0), dtype=np.int64)
-        M = np.zeros((U1.shape[0] + U0.shape[0],) * 2, dtype=np.int64)
-        M[:U1.shape[0], :U1.shape[0]] = U1
-        M[U1.shape[0]:, U1.shape[0]:] = U0
-        # an eigenvalue: the first root of the characteristic polynomial
-        value = np.zeros(K.P, dtype=np.int64)
-        for cf in _charpoly_modp(M):
-            value = (value * points + cf) % K.P
-        roots = np.flatnonzero(value == 0)
-        if roots.size == 0:
-            continue
-        # Fitting projector onto ker A along im A, for A = (M - lam)^n
-        n = M.shape[0]
-        eye = np.eye(n, dtype=np.int64)
-        A = K.reduce_mod(M - int(roots[0]) * eye)
-        for _ in range(n.bit_length()):
-            A = K.matmul(A, A)
-        ker = K.nullspace(A)
-        im = K.rref(A.T)[0][: n - ker.shape[1]].T
-        inv = K.solve(np.concatenate([ker, im], axis=1), eye)
-        if inv is None:
-            raise InternalCheckError("Fitting kernel and image do not span")
-        E = K.matmul(ker, inv[: ker.shape[1]])
-        if not np.array_equal(K.matmul(E, E), E):
-            continue
-        if not np.any(E) or np.array_equal(E, eye):
-            continue
-        pieces = []
-        for proj in (E, (eye - E) % K.P):
-            piece = _restrict_to_image(X, proj[:d1, :d1], proj[d1:, d1:])
-            pieces.extend(split_summands(piece))
-        if sum(p.source_dim() for p in pieces) != X.source_dim() or sum(
-            p.target_dim() for p in pieces
-        ) != X.target_dim():
-            raise InternalCheckError("split lost dimensions")
-        return pieces
-    raise InternalCheckError("no splitting endomorphism found for a decomposable object")
-
-
-def _restrict_to_image(X: LambdaMorphism, proj1, proj0) -> LambdaMorphism:
-    alg = X.alg
-    lab1, gens1, slots_src = _split_projective_submodule(alg, X.p1, proj1)
-    lab0, gens0, slots_tgt = _split_projective_submodule(alg, X.p0, proj0)
-    Umap = X.underlying_matrix()
-    ent = np.zeros((len(lab0), len(lab1), alg.dim), dtype=np.int64)
-    for c, g in enumerate(gens1):
-        img = K.matmul(Umap, g.reshape(-1, 1)).ravel()
-        if not np.any(img % K.P):
-            continue
-        coeffs = _express_in_generators(alg, lab0, gens0, slots_tgt, img)
-        for r, z in enumerate(coeffs):
-            ent[r, c] = z
-    return LambdaMorphism(alg, lab1, lab0, ent)
-
-
-@dataclasses.dataclass(frozen=True)
-class Conflation:
-    """Universal two-term witness: the object sits between the trivial
-    presentations of its target summands and the kill objects of its
-    source summands."""
-
-    sub: tuple[MprLabel, ...]
-    quot: tuple[MprLabel, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class HiggsLift:
-    labels: tuple[MprLabel, ...]
-    unresolved: tuple[Conflation, ...]
-
-
-@functools.cache
-def _phi_table(q: Quiver):
-    """(label, p1, p0, read-only entries) of every phi image.  It holds no
-    algebra, so clearing `preprojective_algebra` alone frees one."""
-    table = []
-    for lab in mp.mpr_indecomposables(q):
-        img = phi_image(lab)
-        img.entries.setflags(write=False)
-        table.append((lab, img.p1, img.p0, img.entries))
-    return tuple(table)
-
-
-def _phi_images(alg: PreprojAlgebra) -> list[tuple[MprLabel, LambdaMorphism]]:
-    """Every label with its phi image, rebuilt on `alg` from `_phi_table`."""
-    return [(lab, LambdaMorphism(alg, p1, p0, ent))
-            for lab, p1, p0, ent in _phi_table(alg.quiver)]
-
-
-_REP_FINITE = {"A1", "A2", "A3", "A4"}
-
-
-def lift_morphism(f: LambdaMorphism) -> HiggsLift:
-    """Partial inverse of the embedding: identity summands come back as
-    identity-object labels, remaining indecomposable pieces are matched
-    against the label table, and anything unmatched is witnessed by its
-    universal conflation."""
-    q = f.alg.quiver
-    if str(q.dtype) not in _REP_FINITE:
-        raise GuardError(
-            f"lifting needs a representation-finite loop algebra "
-            f"({sorted(_REP_FINITE)}), not {q.dtype}"
-        )
-    reduced, stripped = strip_identity_summands(f)
-    labels = [MprLabel(q, "dzero", v) for v in stripped]
-    unresolved = []
-    images = _phi_images(f.alg)
-    for piece in split_summands(reduced):
-        match = None
-        for lab, img in images:
-            if is_isomorphic(piece, img):
-                match = lab
-                break
-        if match is not None:
-            labels.append(match)
-        else:
-            unresolved.append(
-                Conflation(
-                    sub=tuple(MprLabel(q, "mod", v, 0) for v in piece.p0),
-                    quot=tuple(MprLabel(q, "done", v) for v in piece.p1),
-                )
-            )
-    return HiggsLift(tuple(labels), tuple(unresolved))
-
-
-def direct_sum(alg: PreprojAlgebra, pieces) -> LambdaMorphism:
-    p1 = [v for m in pieces for v in m.p1]
-    p0 = [v for m in pieces for v in m.p0]
-    ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
-    r_off = c_off = 0
-    for m in pieces:
-        nr, nc = len(m.p0), len(m.p1)
-        ent[r_off : r_off + nr, c_off : c_off + nc] = m.entries
-        r_off += nr
-        c_off += nc
-    return LambdaMorphism(alg, p1, p0, ent)
-
-
-def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
-    """Image of a lifted object back in the morphism category: labelled
-    summands map through the embedding, conflation witnesses through a
-    generic radical extension class of their two-term shape."""
-    alg = preprojective_algebra(q)
-    rng = np.random.default_rng(7)
-    pieces = [phi_image(lab) for lab in lift.labels]
-    for conf in lift.unresolved:
-        p1 = tuple(lab.vertex for lab in conf.quot)
-        p0 = tuple(lab.vertex for lab in conf.sub)
-        ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
-        for r in range(len(p0)):
-            for c in range(len(p1)):
-                for i in alg.block_indices(p1[c], p0[r]):
-                    if not alg.basis[i][1]:
-                        continue  # stay inside the radical
-                    ent[r, c, i] = int(rng.integers(1, K.P))
-        pieces.append(LambdaMorphism(alg, p1, p0, ent))
-    return direct_sum(alg, pieces)

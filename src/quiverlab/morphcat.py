@@ -15,12 +15,15 @@ reads the terms from `stalks.presentation_terms`, which knits them from
 dim Hom(M, S_w) and dim Ext^1(M, S_w); Z(v) is (v) -> (v) and E(v) is
 (v) -> ().  So `mpr_ar_quiver` and the ice quiver built on it load no
 numpy: numpy, `_kernels` and `complexes` are imported only inside the
-functions that build matrix objects.  The rotation omega of the frozen
-labels (kill -> identity -> trivial presentation -> kill at the involuted
-vertex) is label arithmetic too, so an orbit of it loads no numpy either.
+functions that need them.  The rotation omega of the frozen labels (kill
+-> identity -> trivial presentation -> kill at the involuted vertex) is
+label arithmetic too, so an orbit of it loads no numpy either.
 
-The presentation of the module tauinv^k P_v is entry k of the memoized
-orbit `complexes.tau_inv_orbit`: the complex functor iterated on P_v and
+An `MprObject` holds its scalar matrix as int tuples.  The identity and
+kill objects and the projectives P_v have trivial presentations, read off
+the knitted terms without numpy.  The presentation of the module
+tauinv^k P_v for k > 0 is entry k of the memoized orbit
+`complexes.tau_inv_orbit`: the complex functor iterated on P_v and
 minimized, never a matrix representation.  Its sorted terms must equal
 the knitted ones, so each presentation built cross-checks the two
 routes.  Its basis may differ from the minimal presentation that
@@ -75,29 +78,31 @@ class MprLabel:
 class MprObject:
     """A morphism between sums of projectives, in scalar path coordinates.
 
-    `mat` is read-only: the objects behind labels are shared through a memo.
+    `mat` is a tuple of int rows, read-only: the objects behind labels are
+    shared through a memo.
     """
 
     def __init__(self, quiver: Quiver, p1, p0, mat):
-        import numpy as np
-
-        from . import _kernels as K
-        from . import complexes as cx
+        from ._field import P
 
         self.quiver = quiver
         self.p1 = tuple(int(v) for v in p1)
         self.p0 = tuple(int(v) for v in p0)
-        self.mat = K.reduce_mod(np.asarray(mat, dtype=np.int64).reshape(len(self.p0), len(self.p1)))
-        self.mat.setflags(write=False)
-        mask = cx._hom_mask(quiver, self.p1, self.p0)
-        if np.any(self.mat[~mask]):
-            raise InternalCheckError("presentation matrix has entries outside hom spaces")
+        self.mat = tuple(tuple(int(x) % P for x in row) for row in mat)
+        if len(self.mat) != len(self.p0) or any(len(row) != len(self.p1) for row in self.mat):
+            raise InternalCheckError("presentation matrix does not match its terms")
+        for u, row in zip(self.p0, self.mat):
+            if any(x and not quiver.has_path(v, u) for v, x in zip(self.p1, row)):
+                raise InternalCheckError("presentation matrix has entries outside hom spaces")
 
     def as_pcpx(self):
         """The object as a `complexes.PCpx` in degrees (-1, 0)."""
+        import numpy as np
+
         from . import complexes as cx
 
-        return cx.PCpx(self.quiver, {-1: self.p1, 0: self.p0}, {-1: self.mat}).validate()
+        mat = np.array(self.mat, dtype=np.int64).reshape(len(self.p0), len(self.p1))
+        return cx.PCpx(self.quiver, {-1: self.p1, 0: self.p0}, {-1: mat}).validate()
 
     def __repr__(self) -> str:
         return f"MprObject({list(self.p1)} -> {list(self.p0)})"
@@ -202,11 +207,12 @@ def _terms(x: MprLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @functools.cache
 def _label_presentation(x: MprLabel) -> MprObject:
     q = x.quiver
-    if x.kind == "dzero":
-        return MprObject(q, (x.vertex,), (x.vertex,), [[1]])
-    if x.kind == "done":
-        return MprObject(q, (x.vertex,), (), [])
-    if not 0 <= x.power < e_exponent(q, x.vertex):
+    if x.kind != "mod" or x.power == 0:
+        # Z(v) is the identity (v) -> (v), E(v) the map (v) -> () and P_v
+        # the map () -> (v): each reads off its knitted terms
+        p1, p0 = _terms(x)
+        return MprObject(q, p1, p0, [[1] * len(p1)] * len(p0))
+    if not 0 < x.power < e_exponent(q, x.vertex):
         raise InternalCheckError(f"{x.module_label()} is not a valid indecomposable label")
     from . import complexes as cx
 

@@ -16,6 +16,7 @@ from quiverlab import boundary
 from quiverlab import braids as br
 from quiverlab import dynkin as dy
 from quiverlab import higgs as hg
+from quiverlab import lifting as lf
 from quiverlab import morphcat as mc
 from quiverlab import reps
 from quiverlab.reps import IndecLabel
@@ -157,7 +158,7 @@ def test_criterion_07_omega_orders():
 def test_criterion_08_block_algebra():
     def check():
         for t, d in (("A1", 1), ("A2", 4), ("A3", 10)):
-            tq = hg.tq_algebra(dy.build_quiver(t))
+            tq = lf.tq_algebra(dy.build_quiver(t))
             assert tq.total_dim == 6 * d
             order = tq.nakayama_order()
             assert 6 % order == 0
@@ -173,12 +174,12 @@ def test_criterion_09_presentation_round_trip():
         labels = mc.mpr_indecomposables(q)
         images = [hg.phi_image(l) for l in labels]
         for lab, f in zip(labels, images):
-            lift = hg.lift_morphism(f)
+            lift = lf.lift_morphism(f)
             assert lift.labels == (lab,) and lift.unresolved == ()
-            assert hg.is_isomorphic(f, hg.realize_lift(q, lift))
+            assert lf.is_isomorphic(f, lf.realize_lift(q, lift))
         for i, a in enumerate(images):
             for b in images[i + 1:]:
-                assert not hg.is_isomorphic(a, b)
+                assert not lf.is_isomorphic(a, b)
 
     criterion(9, "presentation functor is a label bijection", 30.0, check)
 

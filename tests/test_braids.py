@@ -248,14 +248,20 @@ def weyl_inverse(x):
 
 def meet_prefix(ctx, a, b):
     """Largest common prefix in the left weak order: strip common left
-    descents off both; what was stripped off `a` is the meet."""
-    a0 = a
-    while True:
-        db = ctx.left_descents(b)
-        i = next((i for i in ctx.left_descents(a) if i in db), None)
-        if i is None:
-            return ctx.mul(a0, weyl_inverse(a))
-        a, b = ctx.mul(ctx.gens[i], a), ctx.mul(ctx.gens[i], b)
+    descents off both; what was stripped off `a` is the meet.  Both are
+    held as the codes of their inverse simple-root images, where i is a
+    left descent iff entry i is negative, and stripping s_i (x <- s_i x,
+    so x^-1 <- x^-1 s_i) negates entry i and adds it to each neighbour."""
+    a_inv, b_inv = list(ctx.images(a)[1]), list(ctx.images(b)[1])
+    while (p := next((p for p, (x, y) in enumerate(zip(a_inv, b_inv)) if x < 0 and y < 0),
+                     None)) is not None:
+        for inv in (a_inv, b_inv):
+            y = inv[p]
+            inv[p] = -y
+            for q in ctx.adj[p]:
+                inv[q] += y
+    # a = meet * rest, and rest^-1 has the images left in a_inv
+    return ctx.mul(a, ctx.element(tuple(a_inv)))
 
 
 def right_complement(ctx, a):

@@ -148,11 +148,10 @@ def test_higgs_phi_on_the_largest_liftable_type(capsys):
 
 
 @pytest.mark.parametrize("t", ["E7", "E8"])
-def test_higgs_phi_refuses_the_dense_table_types(capsys, t):
-    assert cli.main(["higgs", "--type", t, "--phi", "1"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "multiplication table would need" in err
-    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+def test_higgs_phi_renders_e7_and_e8(capsys, t):
+    # the dense dim^3 table refused these types; the sparse constants do not
+    out = json.loads(run_ok(capsys, ["higgs", "--type", t, "--phi", "1"]))
+    assert out == {"label": {"id": 1, "label": "M(P1)"}, "p1": [], "p0": [1], "matrix": [[]]}
 
 
 def test_higgs_omega_orbit(capsys):

@@ -2,8 +2,9 @@
 command-line job that needs no computation (a cache hit, or the quiver
 itself) imports neither numpy nor a compute module, the label-level jobs
 (`ar`, `hom`, `mpr`, `ice`, `higgs --omega-orbit`) load only the integer
-layers `stalks`, `boundary`, `morphcat` and `ice`, and a `braid` job loads
-only `braids`.  A job that does load numpy runs it with one BLAS thread,
+layers `stalks`, `boundary`, `morphcat` and `ice`, a `higgs --phi` job on
+an identity object, a kill object or a projective adds only `_field` and
+`higgs`, and a `braid` job loads only `braids`.  A job that does load numpy runs it with one BLAS thread,
 unless the caller chose otherwise.
 
 Each check runs in a fresh interpreter, since the test process has long
@@ -33,7 +34,7 @@ decompose derived_hom dynkin e_exponent errors euler_form export_hom_table expor
 ext1_dim f_power_label f_presentation gamma_hom garside_element garside_normal_form higgs
 hom_basis hom_dim hom_dim_mpr hom_pair_dim hom_table ice injective_rep is_in_B_star
 is_indecomposable is_isomorphic k0_action knit_ar_quiver label_by_number lift_morphism
-list_indecomposables memos min_presentation morphcat mpr_ar_quiver mpr_indecomposables
+lifting list_indecomposables memos min_presentation morphcat mpr_ar_quiver mpr_indecomposables
 mpr_number mutable_part nakayama_involution omega_action omega_orbit omega_order phi_image
 pi2_hom positive_roots preprojective_algebra presentation project_to_weyl projective_rep
 quiver_from_json quiver_from_text quiver_to_dot quiver_to_json quiver_to_text realize_lift
@@ -78,7 +79,8 @@ print(json.dumps({{
 
 
 def test_cache_hit_loads_no_numpy_and_no_compute_module(tmp_path):
-    argv = ["--cache-dir", str(tmp_path), "higgs", "--type", "A3", "--phi", "1"]
+    # label 5 is M(t-1P1), whose presentation loads numpy
+    argv = ["--cache-dir", str(tmp_path), "higgs", "--type", "A3", "--phi", "5"]
     cold = run_cli(argv)
     assert cold["rc"] == 0 and cold["numpy"] and "quiverlab.higgs" in cold["modules"]
     replay = run_cli(argv)
@@ -155,7 +157,6 @@ def test_ice_job_loads_no_numpy():
 
 
 def test_omega_orbit_job_loads_no_numpy():
-    # E8 lies outside `_LIFTABLE`, so no algebra could be built for the orbit
     job = run_cli(["higgs", "--type", "E8", "--omega-orbit", "1"])
     assert job["rc"] == 0
     out = json.loads(job["out"])
@@ -174,14 +175,44 @@ print(json.dumps({"orbit": [str(x) for x in orbit], "numpy": "numpy" in sys.modu
                                "quiverlab.morphcat", "quiverlab.stalks"]}
 
 
+PHI_MODULES = sorted(LIGHT + ["quiverlab._field", "quiverlab.higgs", "quiverlab.morphcat",
+                             "quiverlab.stalks"])
+
+
+@pytest.mark.parametrize("t", ["A8", "D8", "E8"])
+def test_phi_jobs_on_trivial_presentations_load_no_numpy(t):
+    # the identity object Z(v), the kill object E(v) and the projective P_v
+    q = quiverlab.build_quiver(t)
+    num = quiverlab.mpr_number(q)
+    for kind in ("dzero", "done", "mod"):
+        lab = quiverlab.MprLabel(q, kind, 2)
+        job = run_cli(["higgs", "--type", t, "--phi", str(num[lab])])
+        assert job["rc"] == 0 and json.loads(job["out"])["label"]["label"] == str(lab)
+        assert not job["numpy"]
+        assert job["modules"] == PHI_MODULES
+
+
+def test_phi_image_of_a_trivial_presentation_loads_no_numpy():
+    got = run_python("""
+import json, sys
+import quiverlab
+f = quiverlab.phi_image(quiverlab.MprLabel(quiverlab.build_quiver("E8"), "dzero", 3))
+print(json.dumps({"terms": [f.p1, f.p0], "entries": f.entries, "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "quiverlab")}))
+""")
+    assert got == {"terms": [[3], [3]], "entries": [[[[2, 1]]]], "numpy": False,
+                   "modules": ["quiverlab", "quiverlab._field", "quiverlab.dynkin", "quiverlab.errors",
+                               "quiverlab.higgs", "quiverlab.morphcat", "quiverlab.stalks"]}
+
+
 def test_cli_runs_numpy_with_one_blas_thread():
-    job = run_cli(["higgs", "--type", "A3", "--phi", "1"])
+    job = run_cli(["higgs", "--type", "A3", "--phi", "5"])  # M(t-1P1)
     assert job["rc"] == 0 and job["numpy"]
     assert job["blas"] == "1"
     if job["threads"] is not None:
         assert job["threads"] == 1
     # a caller's own setting is left alone
-    job = run_cli(["higgs", "--type", "A3", "--phi", "1"], OPENBLAS_NUM_THREADS="2")
+    job = run_cli(["higgs", "--type", "A3", "--phi", "5"], OPENBLAS_NUM_THREADS="2")
     assert job["rc"] == 0 and job["numpy"]
     assert job["blas"] == "2"
 
@@ -258,13 +289,14 @@ def module_level_imports(name: str) -> set:
     return {m for m in found if m in MATRIX_LAYERS or m.startswith("numpy.")}
 
 
-@pytest.mark.parametrize("name", ["stalks", "boundary", "braids", "morphcat", "ice"])
+@pytest.mark.parametrize("name", ["stalks", "boundary", "braids", "morphcat", "ice", "higgs", "_field"])
 def test_integer_layers_import_no_matrix_layer(name):
     assert module_level_imports(name) == set()
 
 
 def test_matrix_layer_imports_are_detected():
     assert module_level_imports("reps") == {"numpy", "quiverlab._kernels"}
+    assert module_level_imports("lifting") == {"numpy", "quiverlab._kernels"}
     assert module_level_imports("complexes") == {"numpy", "quiverlab._kernels", "quiverlab.reps"}
 
 

@@ -100,7 +100,7 @@ def test_window_edges(q):
 def test_presentations_by_kind():
     q = build_quiver("A2")
     z = mp.presentation(mp.MprLabel(q, "dzero", 1))
-    assert z.p1 == (1,) and z.p0 == (1,) and z.mat[0, 0] == 1
+    assert z.p1 == (1,) and z.p0 == (1,) and z.mat[0][0] == 1
     e = mp.presentation(mp.MprLabel(q, "done", 2))
     assert e.p1 == (2,) and e.p0 == ()
     m = mp.presentation(mp.MprLabel(q, "mod", 1, 1))  # tauinv P1 = S2
@@ -247,10 +247,10 @@ def _hom_dim_mpr_by_system(x, y) -> int:
             row = np.zeros(nvar, dtype=np.int64)
             for k, (r, c) in enumerate(vars1):
                 if c == b:
-                    row[k] += Y.mat[a, r]
+                    row[k] += Y.mat[a][r]
             for k, (r, c) in enumerate(vars0):
                 if r == a:
-                    row[len(vars1) + k] -= X.mat[c, b]
+                    row[len(vars1) + k] -= X.mat[c][b]
             rows.append(row % K.P)
     if not rows:
         return nvar
