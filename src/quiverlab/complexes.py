@@ -51,7 +51,7 @@ from .stalks import DerivedLabel, e_exponent, normalize_label
 @functools.cache
 def _reachability(q: Quiver) -> np.ndarray:
     """Read-only table R with R[u - 1, w - 1] true exactly when `q.has_path(u, w)`."""
-    R = q.path_count_matrix().astype(bool)
+    R = np.array([[q.has_path(u, w) for w in q.vertices] for u in q.vertices], dtype=bool)
     R.setflags(write=False)
     return R
 

@@ -10,21 +10,17 @@ The default orientation points every edge from its smaller to its larger
 endpoint.  A custom orientation may flip any subset of edges; the underlying
 diagram is always the one above.
 
-Only the two functions that return arrays (`cartan_matrix` and
-`path_count_matrix`) import numpy, so building, parsing and serializing
-quivers and enumerating roots load no numpy.
+Everything here is plain integers and imports no numpy: building, parsing
+and serializing quivers, their directed paths, the Cartan rows and the
+positive roots.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import re
-from typing import TYPE_CHECKING
 
 from .errors import GuardError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _RANK_RANGE = {"A": (1, 8), "D": (4, 8), "E": (6, 8)}
 
@@ -83,11 +79,6 @@ class DynkinType:
         for i, j in self.edges:
             c[i - 1][j - 1] = c[j - 1][i - 1] = -1
         return tuple(map(tuple, c))
-
-    def cartan_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.cartan_rows(), dtype=np.int64)
 
     def positive_root_count(self) -> int:
         n = self.rank
@@ -165,17 +156,6 @@ class Quiver:
 
     def has_path(self, u: int, w: int) -> bool:
         return (u, w) in _walks(self)[1]
-
-    def path_count_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        n = self.rank
-        m = np.zeros((n, n), dtype=np.int64)
-        for u in self.vertices:
-            for w in self.vertices:
-                if self.has_path(u, w):
-                    m[u - 1, w - 1] = 1
-        return m
 
     def opposite(self) -> "Quiver":
         return Quiver(self.dtype, tuple(sorted((j, i) for i, j in self.arrows)))

@@ -10,13 +10,14 @@ on the socle, with fixed pseudo-random values, yields the twist
 automorphism used in the corner block of the 3x3 triangular algebra.
 Labels of the morphism category embed via base change along quiver-paths.
 
-This module loads no numpy.  The identity objects, the kill objects and
-the projectives read their trivial presentations off the knitted terms,
-so a phi image of one of them loads only the integer layers and `_field`;
-the other module labels take their presentations from `complexes`, which
-loads numpy.  The dense action matrices (`left_matrix`, `right_matrix`,
-`mult`, `apply_theta`) import numpy when called.  They serve `lifting`,
-which holds the block algebra and the partial inverse of the embedding.
+This module imports no numpy.  Elements are sparse (basis index,
+coefficient) terms, and `mult` and `apply_theta` are the algebra's one
+product and one twist.  The identity objects, the kill objects and the
+projectives read their trivial presentations off the knitted terms, so a
+phi image of one of them loads only the integer layers and `_field`; the
+other module labels take their presentations from `complexes`, which
+loads numpy.  `lifting` holds the block algebra and the partial inverse of
+the embedding, and builds its dense matrices from `products`.
 
 The rotation omega of the frozen labels (`omega_action`, `omega_orbit`,
 `omega_order`) is label arithmetic: it is defined in `morphcat` and bound
@@ -183,8 +184,8 @@ class PreprojAlgebra:
         arrow_word = {w[0]: k for k, (_, w) in enumerate(self.basis) if len(w) == 1}
         for x in range(self.dim):
             for a in range(len(self.darrows)):
-                lhs = self._theta_of(self._right.get((x, a), ()))
-                if lhs != self._product(theta[x], theta[arrow_word[a]]):
+                lhs = self.apply_theta(self._right.get((x, a), ()))
+                if lhs != self.mult(theta[x], theta[arrow_word[a]]):
                     raise InternalCheckError("twist is not multiplicative")
 
     # -- sparse arithmetic on (index, coefficient) pairs ---------------------
@@ -196,17 +197,30 @@ class PreprojAlgebra:
                 out[k] = out.get(k, 0) + c * v
         return _pairs(out)
 
-    def _product(self, x, y) -> Terms:
+    def mult(self, x, y) -> Terms:
+        """x * y for sparse elements, each given as anything `dict` reads.
+        The pairs of their terms meet the nonzero products through whichever
+        is fewer, so no structure constant is read twice: two dense elements
+        cost one pass over the products, not dim^2 lookups."""
+        x, y = dict(x), dict(y)
         out: dict[int, int] = {}
-        for i, a in x:
-            for j, b in y:
-                for k, c in self.products.get((i, j), ()):
-                    out[k] = out.get(k, 0) + a * b * c
+        if len(x) * len(y) <= len(self.products):
+            for i, a in x.items():
+                for j, b in y.items():
+                    for k, c in self.products.get((i, j), ()):
+                        out[k] = out.get(k, 0) + a * b * c
+        else:
+            for (i, j), t in self.products.items():
+                ab = x.get(i, 0) * y.get(j, 0)
+                if ab:
+                    for k, c in t:
+                        out[k] = out.get(k, 0) + ab * c
         return _pairs(out)
 
-    def _theta_of(self, x) -> Terms:
+    def apply_theta(self, x) -> Terms:
+        """theta on a sparse element given as anything `dict` reads."""
         out: dict[int, int] = {}
-        for j, a in x:
+        for j, a in dict(x).items():
             for k, c in self.theta[j]:
                 out[k] = out.get(k, 0) + a * c
         return _pairs(out)
@@ -251,57 +265,6 @@ class PreprojAlgebra:
         for a in w:
             seq.append(self.darrows[a][1])
         return "-".join(str(v) for v in seq)
-
-    # -- dense action matrices (numpy, for `lifting` and the tests) ----------
-
-    def _coo(self):
-        """The products as four int64 arrays: left word, right word, result
-        word, coefficient."""
-        import numpy as np
-
-        flat = [(i, j, k, c) for (i, j), t in self.products.items() for k, c in t]
-        return np.array(flat, dtype=np.int64).reshape(-1, 4).T
-
-    def _action(self, x, left: bool):
-        import numpy as np
-
-        x = np.asarray(x, dtype=np.int64) % P
-        i, j, k, c = self._coo()
-        fixed, moving = (i, j) if left else (j, i)
-        xs = x.reshape(-1, self.dim)
-        out = np.zeros((xs.shape[0], self.dim * self.dim), dtype=np.int64)
-        # each entry sums at most dim products below P^2, far inside int64
-        np.add.at(out, (slice(None), k * self.dim + moving), xs[:, fixed] * c % P)
-        return (out % P).reshape(x.shape[:-1] + (self.dim, self.dim))
-
-    def left_matrix(self, x):
-        """Matrix of y -> x * y; leading axes of x stack elements."""
-        return self._action(x, left=True)
-
-    def right_matrix(self, y):
-        """Matrix of x -> x * y; leading axes of y stack elements."""
-        return self._action(y, left=False)
-
-    def mult(self, x, y):
-        """x * y for dense coefficient vectors."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=np.int64) % P
-        y = np.asarray(y, dtype=np.int64) % P
-        i, j, k, c = self._coo()
-        out = np.zeros(self.dim, dtype=np.int64)
-        np.add.at(out, k, x[i] * y[j] % P * c % P)
-        return out % P
-
-    def apply_theta(self, x):
-        """theta on a dense vector, or on the columns of a dense matrix."""
-        import numpy as np
-
-        T = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for j, col in enumerate(self.theta):
-            for k, c in col:
-                T[k, j] = c
-        return T @ (np.asarray(x, dtype=np.int64) % P) % P
 
 
 def _blockwise_twist(dim: int, gram: dict[tuple[int, int], int]) -> tuple[Terms, ...] | None:

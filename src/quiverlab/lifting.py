@@ -9,10 +9,13 @@ a piece that matches no label is witnessed by a universal two-term
 conflation.  The block algebra's Nakayama permutation is the independent
 route to the order of the rotation omega.
 
-This is dense linear algebra over the working prime field, so the module
-imports numpy and `_kernels` at the top.  It reads the sparse structure
-constants of `higgs.PreprojAlgebra` and builds dense matrices from them
-when it is called; `higgs` itself loads neither.
+Elements stay sparse (basis index, coefficient) terms, multiplied by
+`PreprojAlgebra.mult`.  Every linear map of blocks (the underlying map of
+a block morphism, the hom-pair systems, local inverses, the left actions
+of basis words) is a dense matrix that `_action` reads off the algebra's
+`products`.  numpy, imported at the top with `_kernels`, does only the
+linear algebra on them: nullspaces, ranks, solves and the Fitting
+projectors.  `higgs` itself loads neither.
 """
 from __future__ import annotations
 
@@ -26,26 +29,30 @@ from . import _kernels as K
 from . import morphcat as mp
 from .dynkin import Quiver
 from .errors import GuardError, InternalCheckError
-from .higgs import LambdaMorphism, PreprojAlgebra, phi_image, preprojective_algebra
+from .higgs import LambdaMorphism, PreprojAlgebra, Terms, _pairs, phi_image, preprojective_algebra
 from .morphcat import MprLabel
 
 
-def _dense(f: LambdaMorphism) -> np.ndarray:
-    """The entries of f as a (len(p0), len(p1), dim) coefficient array."""
-    ent = np.zeros((len(f.p0), len(f.p1), f.alg.dim), dtype=np.int64)
-    for r, row in enumerate(f.entries):
-        for c, terms in enumerate(row):
-            for k, v in terms:
-                ent[r, c, k] = v
-    return ent
+def _action(alg: PreprojAlgebra, x, rows, cols, left: bool) -> np.ndarray:
+    """The matrix of b -> x * b (left) or b -> b * x (right) on the span of
+    the basis words `cols`, read in the basis words `rows`, for x given as
+    (index, coefficient) terms: column c holds the product with b_cols[c],
+    read off the nonzero products of basis words."""
+    at = {k: r for r, k in enumerate(rows)}
+    out = [[0] * len(cols) for _ in rows]
+    for c, j in enumerate(cols):
+        for i, a in x:
+            for k, v in alg.products.get((i, j) if left else (j, i), ()):
+                out[at[k]][c] += a * v
+    return np.array(out, dtype=np.int64).reshape(len(rows), len(cols)) % K.P
 
 
-def _morphism(alg: PreprojAlgebra, p1, p0, ent) -> LambdaMorphism:
-    """The block morphism with dense entries ent[r, c] (coefficient vectors)."""
-    ent = K.reduce_mod(ent).reshape(len(p0), len(p1), alg.dim)
-    return LambdaMorphism(alg, p1, p0, [
-        [{int(k): int(row[c, k]) for k in np.flatnonzero(row[c])} for c in range(len(p1))]
-        for row in ent])
+def _minus(x, y) -> Terms:
+    """x - y for elements given as terms."""
+    out = dict(x)
+    for k, c in y:
+        out[k] = out.get(k, 0) - c
+    return _pairs(out)
 
 
 def underlying_matrix(f: LambdaMorphism) -> np.ndarray:
@@ -56,8 +63,7 @@ def underlying_matrix(f: LambdaMorphism) -> np.ndarray:
     cols = [alg.module_indices(v) for v in f.p1]
     if not rows or not cols:
         return np.zeros((f.target_dim(), f.source_dim()), dtype=np.int64)
-    acts = alg.right_matrix(_dense(f))
-    return np.block([[acts[r, c][np.ix_(kr, kc)] for c, kc in enumerate(cols)]
+    return np.block([[_action(alg, f.entries[r][c], kr, kc, left=False) for c, kc in enumerate(cols)]
                      for r, kr in enumerate(rows)])
 
 
@@ -85,7 +91,7 @@ class TQAlgebra:
 
     def block_product(self, b1, x, b2, y):
         """Product of an element x in block b1 with y in block b2; returns
-        (block, vector) or None when it is structurally zero."""
+        (block, terms) or None when it is structurally zero."""
         if b1[1] != b2[0]:
             return None
         tgt = (b1[0], b2[1])
@@ -99,16 +105,15 @@ class TQAlgebra:
         for b1 in self.BLOCKS:
             for b2 in self.BLOCKS:
                 for b3 in self.BLOCKS:
-                    x, y, z = (rng.integers(0, K.P, d) for _ in range(3))
+                    x, y, z = (dict(enumerate(rng.integers(0, K.P, d).tolist())) for _ in range(3))
                     xy = self.block_product(b1, x, b2, y)
                     left = self.block_product(*xy, b3, z) if xy else None
                     yz = self.block_product(b2, y, b3, z)
                     right = self.block_product(b1, x, *yz) if yz else None
-                    lb = {left[0]: left[1]} if left is not None and np.any(left[1] % K.P) else {}
-                    rb = {right[0]: right[1]} if right is not None and np.any(right[1] % K.P) else {}
-                    if set(lb) != set(rb) or any(
-                        not np.array_equal(lb[k] % K.P, rb[k] % K.P) for k in lb
-                    ):
+                    # a zero product lies in no block
+                    lb = {left[0]: left[1]} if left and left[1] else {}
+                    rb = {right[0]: right[1]} if right and right[1] else {}
+                    if lb != rb:
                         raise InternalCheckError(f"block product not associative at {b1}{b2}{b3}")
 
     def idempotents(self):
@@ -203,20 +208,29 @@ def _hom_pair_space(X: LambdaMorphism, Y: LambdaMorphism):
         for i in alg.block_indices(X.p0[c], Y.p0[r])
     ]
     nvar = len(slots1) + len(slots0)
-    # column i of xacts[cc, c] is x * b_i for the entry x = X.entries[cc][c];
-    # column i of yacts[r, rr] is b_i * y for y = Y.entries[r][rr]
-    xacts = alg.left_matrix(_dense(X))
-    yacts = alg.right_matrix(_dense(Y))
+    # the first variable of each entry of f1 and of f0
+    first1: dict[tuple[int, int], int] = {}
+    first0: dict[tuple[int, int], int] = {}
+    for k, (r, c, _) in enumerate(slots1):
+        first1.setdefault((r, c), k)
+    for k, (r, c, _) in enumerate(slots0):
+        first0.setdefault((r, c), len(slots1) + k)
     rows = []
     for r in range(len(Y.p0)):
         for c in range(len(X.p1)):
-            eq = np.zeros((alg.dim, nvar), dtype=np.int64)
-            for k, (rr, cc, i) in enumerate(slots0):
-                if rr == r:
-                    eq[:, len(slots1) + k] = xacts[cc, c][:, i]
-            for k, (rr, cc, i) in enumerate(slots1):
-                if cc == c:
-                    eq[:, k] = -yacts[r, rr][:, i]
+            # entry (r, c) of f0 x - y f1, which lies in the path space
+            # X.p1[c] -> Y.p0[r]: sum_cc x[cc][c] * f0[r][cc] minus
+            # sum_rr f1[rr][c] * y[r][rr]
+            out = alg.block_indices(X.p1[c], Y.p0[r])
+            eq = np.zeros((len(out), nvar), dtype=np.int64)
+            for cc in range(len(X.p0)):
+                if (r, cc) in first0 and X.entries[cc][c]:
+                    k, ins = first0[r, cc], alg.block_indices(X.p0[cc], Y.p0[r])
+                    eq[:, k : k + len(ins)] = _action(alg, X.entries[cc][c], out, ins, left=True)
+            for rr in range(len(Y.p1)):
+                if (rr, c) in first1 and Y.entries[r][rr]:
+                    k, ins = first1[rr, c], alg.block_indices(X.p1[c], Y.p1[rr])
+                    eq[:, k : k + len(ins)] = -_action(alg, Y.entries[r][rr], out, ins, left=False)
             rows.append(eq)
     if rows:
         system = K.reduce_mod(np.vstack(rows))
@@ -231,16 +245,18 @@ def hom_pair_dim(X: LambdaMorphism, Y: LambdaMorphism) -> int:
 
 
 def _pair_matrices(X, Y, slots1, slots0, vec):
-    alg = X.alg
-    f1 = np.zeros((len(Y.p1), len(X.p1), alg.dim), dtype=np.int64)
-    f0 = np.zeros((len(Y.p0), len(X.p0), alg.dim), dtype=np.int64)
-    for k, (r, c, i) in enumerate(slots1):
-        f1[r, c, i] = vec[k]
-    for k, (r, c, i) in enumerate(slots0):
-        f0[r, c, i] = vec[len(slots1) + k]
-    m1 = _morphism(alg, X.p1, Y.p1, f1) if f1.size else None
-    m0 = _morphism(alg, X.p0, Y.p0, f0) if f0.size else None
-    return m1, m0
+    """The pair (f1, f0) with the flat coefficient vector vec; a side with no
+    entries is None."""
+
+    def side(slots, start, src, tgt):
+        if not src or not tgt:
+            return None
+        ent = [[{} for _ in src] for _ in tgt]
+        for k, (r, c, i) in enumerate(slots, start=start):
+            ent[r][c][i] = int(vec[k])
+        return LambdaMorphism(X.alg, src, tgt, ent)
+
+    return side(slots1, 0, X.p1, Y.p1), side(slots0, len(slots1), X.p0, Y.p0)
 
 
 def _invertible(m: LambdaMorphism | None, n_src, n_tgt) -> bool:
@@ -271,24 +287,17 @@ def is_isomorphic(X: LambdaMorphism, Y: LambdaMorphism) -> bool:
 # reduction, splitting, lifting
 
 
-def _unit_component(alg: PreprojAlgebra, vec, v: int) -> int:
-    return int(vec[alg.e_index[v]] % K.P)
-
-
-def _local_inverse(alg: PreprojAlgebra, vec, v: int) -> np.ndarray:
+def _local_inverse(alg: PreprojAlgebra, x: Terms, v: int) -> Terms:
     """Inverse of an element of the local endomorphism ring at v."""
-    idx = list(alg.block_indices(v, v))
-    A = alg.left_matrix(vec)[np.ix_(idx, idx)]
+    idx = alg.block_indices(v, v)
+    unit = ((alg.e_index[v], 1),)
     rhs = np.zeros(len(idx), dtype=np.int64)
     rhs[idx.index(alg.e_index[v])] = 1
-    sol = K.solve(A, rhs)
+    sol = K.solve(_action(alg, x, idx, idx, left=True), rhs)
     if sol is None:
         raise InternalCheckError("local element is not invertible")
-    out = np.zeros(alg.dim, dtype=np.int64)
-    out[idx] = sol
-    unit = np.zeros(alg.dim, dtype=np.int64)
-    unit[alg.e_index[v]] = 1
-    if not np.array_equal(alg.mult(vec, out), unit):
+    out = _pairs(zip(idx, sol.tolist()))
+    if alg.mult(x, out) != unit:
         raise InternalCheckError("local inverse failed")
     return out
 
@@ -298,40 +307,35 @@ def strip_identity_summands(f: LambdaMorphism):
     morphism and the vertices of the removed identity objects."""
     alg = f.alg
     p1, p0 = list(f.p1), list(f.p0)
-    ent = _dense(f)
+    ent = [list(row) for row in f.entries]
     stripped = []
     while True:
-        pivot = None
-        for r in range(len(p0)):
-            for c in range(len(p1)):
-                if p1[c] == p0[r] and _unit_component(alg, ent[r, c], p1[c]):
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
+        pivot = next(((r, c) for r in range(len(p0)) for c in range(len(p1))
+                      if p1[c] == p0[r] and dict(ent[r][c]).get(alg.e_index[p1[c]])), None)
         if pivot is None:
             break
         r0, c0 = pivot
         v = p1[c0]
-        minv = _local_inverse(alg, ent[r0, c0], v)
+        minv = _local_inverse(alg, ent[r0][c0], v)
         # clear the pivot row via source column operations
         for c in range(len(p1)):
-            if c == c0 or not np.any(ent[r0, c] % K.P):
+            if c == c0 or not ent[r0][c]:
                 continue
-            coef = alg.mult(ent[r0, c], minv)  # p1[c] -> v
+            coef = alg.mult(ent[r0][c], minv)  # p1[c] -> v
             for r in range(len(p0)):
-                ent[r, c] = K.reduce_mod(ent[r, c] - alg.mult(coef, ent[r, c0]))
+                ent[r][c] = _minus(ent[r][c], alg.mult(coef, ent[r][c0]))
         # clear the pivot column via target row operations
         for r in range(len(p0)):
-            if r == r0 or not np.any(ent[r, c0] % K.P):
+            if r == r0 or not ent[r][c0]:
                 continue
-            coef = alg.mult(minv, ent[r, c0])  # v -> p0[r]
+            coef = alg.mult(minv, ent[r][c0])  # v -> p0[r]
             for c in range(len(p1)):
-                ent[r, c] = K.reduce_mod(ent[r, c] - alg.mult(ent[r0, c], coef))
+                ent[r][c] = _minus(ent[r][c], alg.mult(ent[r0][c], coef))
         stripped.append(v)
-        ent = np.delete(np.delete(ent, r0, axis=0), c0, axis=1)
-        del p0[r0], p1[c0]
-    return _morphism(alg, p1, p0, ent), tuple(sorted(stripped))
+        del ent[r0], p0[r0], p1[c0]
+        for row in ent:
+            del row[c0]
+    return LambdaMorphism(alg, p1, p0, ent), tuple(sorted(stripped))
 
 
 def _end_pair_algebra(X: LambdaMorphism):
@@ -367,37 +371,41 @@ def is_indecomposable(X: LambdaMorphism) -> bool:
     return _end_corank(X) == 1
 
 
-def _left_actions(alg: PreprojAlgebra, basis_slots, words) -> np.ndarray:
-    """Left multiplication by each basis word on a sum of left projectives
-    with basis `basis_slots`, in row form: x @ out[t] is words[t] * x."""
-    slot = {sk: s for s, sk in enumerate(basis_slots)}
-    out = np.zeros((len(words), len(basis_slots), len(basis_slots)), dtype=np.int64)
+def _left_actions(alg: PreprojAlgebra, labels, words) -> np.ndarray:
+    """Left multiplication by each basis word on the sum of the left
+    projectives at `labels`, in row form: x @ out[t] is words[t] * x."""
+    mods = [alg.module_indices(v) for v in labels]
+    n = sum(map(len, mods))
+    out = np.zeros((len(words), n, n), dtype=np.int64)
     for t, g in enumerate(words):
-        for s, (c, k) in enumerate(basis_slots):
-            for m, x in alg.products.get((g, k), ()):
-                out[t, s, slot[c, m]] = x
+        start = 0
+        for idx in mods:
+            end = start + len(idx)
+            out[t, start:end, start:end] = _action(alg, ((g, 1),), idx, idx, left=True).T
+            start = end
     return out
 
 
 def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
     """Given an idempotent endomorphism of a sum of left projectives,
-    realign its image as a sum of projectives: returns (new labels,
-    generators as underlying vectors, inclusion basis)."""
-    basis_slots = [(c, k) for c, v in enumerate(labels) for k in alg.module_indices(v)]
+    realign its image as a sum of projectives: returns the new labels and
+    the generators as underlying vectors."""
     img = K.rref(proj_mat.T)[0]
     img = img[np.any(img % K.P, axis=1)]
     W = img  # rows span the image
     if W.shape[0] == 0:
-        return (), [], basis_slots
+        return (), []
     rad = [k for k, (_, w) in enumerate(alg.basis) if w]
-    JW = K.matmul(W, _left_actions(alg, basis_slots, rad)).reshape(-1, W.shape[1])
+    JW = K.matmul(W, _left_actions(alg, labels, rad)).reshape(-1, W.shape[1])
     # generators: weight components of the image that are new modulo the
     # radical part (weight projections of a submodule stay inside it)
     gens = []
     new_labels = []
     current = JW.copy()
+    # the start vertex of each underlying basis word
+    starts = np.array([alg.word_start(k) for v in labels for k in alg.module_indices(v)])
     for v in alg.quiver.vertices:
-        wmask = np.array([alg.word_start(k) == v for (c, k) in basis_slots])
+        wmask = starts == v
         proj = np.zeros_like(W)
         proj[:, wmask] = W[:, wmask]
         for row in proj:
@@ -408,25 +416,26 @@ def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
             current = np.vstack([current, row.reshape(1, -1)])
     if K.rank(current) != K.rank(np.vstack([JW, W]) if JW.shape[0] else W):
         raise InternalCheckError("generators do not span the image submodule")
-    return tuple(new_labels), gens, basis_slots
+    return tuple(new_labels), gens
 
 
-def _express_in_generators(alg, labels, gens, basis_slots, target_vec):
-    """Solve target = sum_j z_j . gen_j with z_j in the left projective at
-    labels[j]; returns the per-generator algebra coefficients."""
+def _express_in_generators(alg, labels, gens, summands, target_vec):
+    """Solve target = sum_j z_j . gen_j in the sum of the left projectives
+    at `summands`, with z_j in the left projective at labels[j]; returns
+    the per-generator algebra coefficients as sparse maps."""
     cols = []
     keys = []
     for j, v in enumerate(labels):
         ks = alg.module_indices(v)
-        cols.extend(K.matmul(gens[j], _left_actions(alg, basis_slots, ks)))
+        cols.extend(K.matmul(gens[j], _left_actions(alg, summands, ks)))
         keys.extend((j, k) for k in ks)
-    A = np.array(cols, dtype=np.int64).T if cols else np.zeros((len(basis_slots), 0), dtype=np.int64)
+    A = np.array(cols, dtype=np.int64).T if cols else np.zeros((len(target_vec), 0), dtype=np.int64)
     sol = K.solve(A, K.reduce_mod(target_vec))
     if sol is None:
         raise InternalCheckError("target does not lie in the generated submodule")
-    out = [np.zeros(alg.dim, dtype=np.int64) for _ in labels]
+    out: list[dict[int, int]] = [{} for _ in labels]
     for t, (j, k) in enumerate(keys):
-        out[j][k] = sol[t]
+        out[j][k] = int(sol[t])
     return out
 
 
@@ -504,18 +513,17 @@ def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
 
 def _restrict_to_image(X: LambdaMorphism, proj1, proj0) -> LambdaMorphism:
     alg = X.alg
-    lab1, gens1, slots_src = _split_projective_submodule(alg, X.p1, proj1)
-    lab0, gens0, slots_tgt = _split_projective_submodule(alg, X.p0, proj0)
+    lab1, gens1 = _split_projective_submodule(alg, X.p1, proj1)
+    lab0, gens0 = _split_projective_submodule(alg, X.p0, proj0)
     Umap = underlying_matrix(X)
-    ent = np.zeros((len(lab0), len(lab1), alg.dim), dtype=np.int64)
+    ent: list[list] = [[{} for _ in lab1] for _ in lab0]
     for c, g in enumerate(gens1):
         img = K.matmul(Umap, g.reshape(-1, 1)).ravel()
         if not np.any(img % K.P):
             continue
-        coeffs = _express_in_generators(alg, lab0, gens0, slots_tgt, img)
-        for r, z in enumerate(coeffs):
-            ent[r, c] = z
-    return _morphism(alg, lab1, lab0, ent)
+        for r, z in enumerate(_express_in_generators(alg, lab0, gens0, X.p0, img)):
+            ent[r][c] = z
+    return LambdaMorphism(alg, lab1, lab0, ent)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -588,14 +596,14 @@ def lift_morphism(f: LambdaMorphism) -> HiggsLift:
 def direct_sum(alg: PreprojAlgebra, pieces) -> LambdaMorphism:
     p1 = [v for m in pieces for v in m.p1]
     p0 = [v for m in pieces for v in m.p0]
-    ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
+    ent: list[list] = [[() for _ in p1] for _ in p0]
     r_off = c_off = 0
     for m in pieces:
-        nr, nc = len(m.p0), len(m.p1)
-        ent[r_off : r_off + nr, c_off : c_off + nc] = _dense(m)
-        r_off += nr
-        c_off += nc
-    return _morphism(alg, p1, p0, ent)
+        for r, row in enumerate(m.entries):
+            ent[r_off + r][c_off : c_off + len(row)] = row
+        r_off += len(m.p0)
+        c_off += len(m.p1)
+    return LambdaMorphism(alg, p1, p0, ent)
 
 
 def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
@@ -608,12 +616,12 @@ def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
     for conf in lift.unresolved:
         p1 = tuple(lab.vertex for lab in conf.quot)
         p0 = tuple(lab.vertex for lab in conf.sub)
-        ent = np.zeros((len(p0), len(p1), alg.dim), dtype=np.int64)
+        ent: list[list] = [[{} for _ in p1] for _ in p0]
         for r in range(len(p0)):
             for c in range(len(p1)):
                 for i in alg.block_indices(p1[c], p0[r]):
                     if not alg.basis[i][1]:
                         continue  # stay inside the radical
-                    ent[r, c, i] = int(rng.integers(1, K.P))
-        pieces.append(_morphism(alg, p1, p0, ent))
+                    ent[r][c][i] = int(rng.integers(1, K.P))
+        pieces.append(LambdaMorphism(alg, p1, p0, ent))
     return direct_sum(alg, pieces)

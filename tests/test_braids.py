@@ -404,7 +404,7 @@ def test_k0_generator_fixture():
 
 def reflection_matrix(dtype, word):
     """Product of the simple reflections s_i = I - e_i C[i, :] along a word."""
-    C = dtype.cartan_matrix()
+    C = np.array(dtype.cartan_rows(), dtype=np.int64)
     n = dtype.rank
     out = np.eye(n, dtype=np.int64)
     for i in word:

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,11 +97,16 @@ def test_quiver_invariants(q):
 @settings(max_examples=40, deadline=None)
 @given(quiver_strategy())
 def test_path_predicates_agree(q):
-    counts = q.path_count_matrix()
+    def count_paths(a, b):
+        """Directed paths a -> b (the trivial one when a == b), counted by
+        walking the arrows."""
+        return 1 if a == b else sum(count_paths(w, b) for u, w in q.arrows if u == a)
+
     verts = list(q.vertices)
     for a, b in itertools.product(verts, verts):
         has = q.has_path(a, b)
-        assert has == (counts[verts.index(a), verts.index(b)] > 0)
+        # in a tree, paths are unique when they exist
+        assert count_paths(a, b) == has
         walk = q.path_vertices(a, b)
         if has:
             assert walk[0] == a and walk[-1] == b
@@ -110,8 +114,6 @@ def test_path_predicates_agree(q):
                 assert (u, w) in q.arrows
         else:
             assert walk is None
-    # in a tree, paths are unique when they exist
-    assert set(np.unique(counts)) <= {0, 1}
 
 
 def test_orientation_must_cover_each_edge_once():
@@ -171,11 +173,16 @@ def test_text_parser_details():
 
 def test_cartan_matrix_symmetric_with_twos():
     for name in ("A3", "D5", "E6"):
-        c = DynkinType.parse(name).cartan_matrix()
-        assert np.array_equal(c, c.T)
-        assert (np.diag(c) == 2).all()
-        off = c - np.diag(np.diag(c))
-        assert set(np.unique(off)) <= {0, -1}
+        dt = DynkinType.parse(name)
+        c = dt.cartan_rows()
+        n = dt.rank
+        assert all(type(x) is int for row in c for x in row)
+        assert all(c[i][j] == c[j][i] for i in range(n) for j in range(n))
+        assert all(c[i][i] == 2 for i in range(n))
+        # -1 exactly on the edges of the diagram
+        assert {(i + 1, j + 1) for i in range(n) for j in range(i) if c[i][j]} == {
+            (j, i) for i, j in dt.edges}
+        assert {c[i][j] for i in range(n) for j in range(n) if i != j} <= {0, -1}
 
 
 def test_unpickled_quiver_rehashes_in_its_own_process():

@@ -43,6 +43,22 @@ def dense(alg: hg.PreprojAlgebra, x) -> np.ndarray:
     return out
 
 
+def terms(vec) -> tuple:
+    """A coefficient vector as the sorted (index, coefficient) terms that
+    `mult` and `apply_theta` return."""
+    return tuple((k, int(c)) for k, c in enumerate(np.asarray(vec) % K.P) if c)
+
+
+def random_element(alg: hg.PreprojAlgebra, rng, size: int | None = None) -> dict:
+    """A random element as a sparse map: coefficients in [1, P) on `size`
+    random basis words, or on every basis word."""
+    if size is None or size >= alg.dim:
+        words = range(alg.dim)
+    else:
+        words = rng.choice(alg.dim, size, replace=False).tolist()
+    return {int(k): int(rng.integers(1, K.P)) for k in words}
+
+
 def dense_algebra(q):
     """The dense build that the sparse structure constants replaced: the
     basis words degree by degree from numpy row reductions, and the
@@ -156,37 +172,38 @@ def test_block_indices_partition_basis():
 
 def test_unit_laws():
     alg = alg_for("A3")
-    total = sum(dense(alg, alg.unit(v)) for v in alg.quiver.vertices)
+    table = dense_algebra(alg.quiver)[2]
+    total = {alg.e_index[v]: 1 for v in alg.quiver.vertices}
     rng = np.random.default_rng(0)
-    x = rng.integers(0, K.P, alg.dim)
-    assert np.array_equal(alg.mult(total, x), x % K.P)
-    assert np.array_equal(alg.mult(x, total), x % K.P)
+    for x in (random_element(alg, rng), random_element(alg, rng, 3)):
+        assert alg.mult(total, x) == alg.mult(x, total) == tuple(sorted(x.items()))
+        # e_v picks out the paths starting at v
+        ex = alg.mult(alg.unit(1), x)
+        assert ex == terms(table_contraction_mult(table, dense(alg, alg.unit(1)), dense(alg, x)))
+        assert all(alg.word_start(i) == 1 for i, _ in ex)
     # orthogonal idempotents
-    assert not np.any(alg.mult(dense(alg, alg.unit(1)), dense(alg, alg.unit(2))))
-    # e_v picks out the paths starting at v
-    ex = alg.mult(dense(alg, alg.unit(1)), x)
-    for i in np.nonzero(ex)[0]:
-        assert alg.word_start(int(i)) == 1
+    assert alg.mult(alg.unit(1), alg.unit(2)) == ()
 
 
 def test_two_step_round_trips_vanish():
     # the defining relations make arrow-then-reverse (and reverse-then-arrow)
     # zero in rank 2, where there is only one summand per relation
     alg = alg_for("A2")
-    fwd = dense(alg, alg.walk((1, 2)))
-    back = dense(alg, alg.walk((2, 1)))
-    assert not np.any(alg.mult(fwd, back))
-    assert not np.any(alg.mult(back, fwd))
+    fwd, back = alg.walk((1, 2)), alg.walk((2, 1))
+    assert alg.mult(fwd, back) == alg.mult(back, fwd) == ()
 
 
 def test_mult_associative_random():
     alg = alg_for("A3")
+    table = dense_algebra(alg.quiver)[2]
     rng = np.random.default_rng(3)
     for _ in range(12):
-        x, y, z = (rng.integers(0, K.P, alg.dim) for _ in range(3))
+        # dense and sparse factors, so both ways through the products are taken
+        x, y, z = (random_element(alg, rng, int(rng.integers(1, alg.dim + 1))) for _ in range(3))
         lhs = alg.mult(alg.mult(x, y), z)
-        rhs = alg.mult(x, alg.mult(y, z))
-        assert np.array_equal(lhs, rhs)
+        assert lhs == alg.mult(x, alg.mult(y, z))
+        xy = table_contraction_mult(table, dense(alg, x), dense(alg, y))
+        assert lhs == terms(table_contraction_mult(table, xy, dense(alg, z)))
 
 
 def test_tree_path_embedding():
@@ -352,19 +369,21 @@ def table_contraction_mult(table, x, y):
 @pytest.mark.parametrize("q", list(_oracle_quivers(DENSE_TYPES)))
 @pytest.mark.usefixtures("drop_memos")
 def test_action_matrices_match_table_contraction(q):
+    """The product and the action matrices of `lifting` against the table:
+    dense pairs, then a sparse factor on either side."""
     alg = hg.preprojective_algebra(q)
     table = dense_algebra(q)[2]
+    words = range(alg.dim)
     rng = np.random.default_rng(5)
-    for _ in range(6):
-        x, y = rng.integers(0, K.P, (2, alg.dim))
-        want = table_contraction_mult(table, x, y)
-        assert np.array_equal(alg.mult(x, y), want)
-        assert np.array_equal(K.matmul(alg.left_matrix(x), y), want)
-        assert np.array_equal(K.matmul(alg.right_matrix(y), x), want)
-    # leading axes stack elements
-    xs = rng.integers(0, K.P, (2, 3, alg.dim))
-    assert np.array_equal(alg.left_matrix(xs)[1, 2], alg.left_matrix(xs[1, 2]))
-    assert np.array_equal(alg.right_matrix(xs)[0, 1], alg.right_matrix(xs[0, 1]))
+    for size in (None,) * 6 + (3,):
+        x, y = random_element(alg, rng, size), random_element(alg, rng)
+        for x, y in ((x, y), (y, x)) if size else ((x, y),):
+            want = table_contraction_mult(table, dense(alg, x), dense(alg, y))
+            assert alg.mult(x, y) == terms(want)
+            left = lf._action(alg, tuple(x.items()), words, words, left=True)
+            right = lf._action(alg, tuple(y.items()), words, words, left=False)
+            assert np.array_equal(K.matmul(left, dense(alg, y)), want)
+            assert np.array_equal(K.matmul(right, dense(alg, x)), want)
 
 
 # ---------------------------------------------------------------------------
@@ -379,45 +398,44 @@ def test_socle_form_supported_in_top_degree():
 
 
 def test_socle_form_adjunction():
-    # f(xy) == f(y * theta(x)) is the defining property of the twist
+    # f(xy) == f(y * theta(x)) is the defining property of the twist; the
+    # products are the table's
     for t in ("A2", "A3"):
         alg = alg_for(t)
+        table = dense_algebra(alg.quiver)[2]
         rng = np.random.default_rng(7)
         for _ in range(16):
-            x = rng.integers(0, K.P, alg.dim)
-            y = rng.integers(0, K.P, alg.dim)
-            lhs = int(alg.mult(x, y) @ alg.frobenius % K.P)
-            rhs = int(alg.mult(y, alg.apply_theta(x)) @ alg.frobenius % K.P)
-            assert lhs == rhs
+            x, y = random_element(alg, rng), random_element(alg, rng)
+            lhs = table_contraction_mult(table, dense(alg, x), dense(alg, y))
+            rhs = table_contraction_mult(table, dense(alg, y), dense(alg, alg.apply_theta(x)))
+            assert int(lhs @ alg.frobenius % K.P) == int(rhs @ alg.frobenius % K.P)
 
 
 def test_twist_permutes_idempotents():
     for t in ("A2", "A3", "D4"):
         alg = alg_for(t)
         for v in alg.quiver.vertices:
-            assert np.array_equal(
-                alg.apply_theta(dense(alg, alg.unit(v))), dense(alg, alg.unit(alg.star[v]))
-            )
+            assert alg.apply_theta(alg.unit(v)) == ((alg.e_index[alg.star[v]], 1),)
 
 
 def test_twist_is_an_involution_on_a2():
     alg = alg_for("A2")
     rng = np.random.default_rng(11)
     for _ in range(8):
-        x = rng.integers(0, K.P, alg.dim)
-        assert np.array_equal(alg.apply_theta(alg.apply_theta(x)), x % K.P)
+        x = random_element(alg, rng, int(rng.integers(1, alg.dim + 1)))
+        assert alg.apply_theta(alg.apply_theta(x)) == tuple(sorted(x.items()))
 
 
 def test_twist_multiplicative():
+    # theta(x y) == theta(x) theta(y), the products being the table's
     alg = alg_for("A3")
+    table = dense_algebra(alg.quiver)[2]
     rng = np.random.default_rng(13)
     for _ in range(8):
-        x = rng.integers(0, K.P, alg.dim)
-        y = rng.integers(0, K.P, alg.dim)
-        assert np.array_equal(
-            alg.apply_theta(alg.mult(x, y)),
-            alg.mult(alg.apply_theta(x), alg.apply_theta(y)),
-        )
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        xy = terms(table_contraction_mult(table, dense(alg, x), dense(alg, y)))
+        tx, ty = dense(alg, alg.apply_theta(x)), dense(alg, alg.apply_theta(y))
+        assert alg.apply_theta(xy) == terms(table_contraction_mult(table, tx, ty))
 
 
 def test_socle_weights_follow_vertex_involution():
@@ -443,7 +461,7 @@ def test_block_algebra_total_dims():
 def test_block_pattern_products():
     tq = lf.tq_algebra(dy.build_quiver("A2"))
     d = tq.algebra.dim
-    x = np.ones(d, dtype=np.int64)
+    x = dict.fromkeys(range(d), 1)
     # composable within the pattern
     assert tq.block_product((0, 0), x, (0, 2), x) is not None
     # inner indices mismatch
@@ -621,7 +639,7 @@ def test_entries_outside_their_block_rejected():
 # lifting block morphisms back to labels
 
 
-@pytest.mark.parametrize("t", ["A2", "A3"])
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4"])
 def test_lift_inverts_phi_on_labels(t):
     q = dy.build_quiver(t)
     for lab in mc.mpr_indecomposables(q):
@@ -707,26 +725,42 @@ def test_end_corank_matches_traces_of_products():
 
 
 def test_block_linear_maps_come_from_action_matrices(monkeypatch):
+    """Every block linear map is read off the products by `_action`; none is
+    built one element product at a time."""
     f = a4_sum()
     alg = f.alg
-    calls = []
-    mult = hg.PreprojAlgebra.mult
+    products, actions = [], []
+    mult, action = hg.PreprojAlgebra.mult, lf._action
 
-    def counted(self, x, y):
-        calls.append((x, y))
+    def counted_mult(self, x, y):
+        products.append((x, y))
         return mult(self, x, y)
 
-    monkeypatch.setattr(hg.PreprojAlgebra, "mult", counted)
+    def counted_action(*args, **kwargs):
+        actions.append(args)
+        return action(*args, **kwargs)
+
+    monkeypatch.setattr(hg.PreprojAlgebra, "mult", counted_mult)
+    monkeypatch.setattr(lf, "_action", counted_action)
     U = lf.underlying_matrix(f)
     assert U.shape == (f.target_dim(), f.source_dim())
+    assert actions and products == []
+    del actions[:]
     assert lf._hom_pair_space(f, f)[2].shape[1] > 0
+    assert actions and products == []
     # the whole target as a submodule: every image vector is generated
-    labels, gens, slots = lf._split_projective_submodule(
+    labels, gens = lf._split_projective_submodule(
         alg, f.p0, np.eye(f.target_dim(), dtype=np.int64)
     )
     for col in U.T[:8]:
-        lf._express_in_generators(alg, labels, gens, slots, col)
-    assert calls == []
+        lf._express_in_generators(alg, labels, gens, f.p0, col)
+    assert products == []
+    # a local inverse is solved on its action matrix; one product checks it
+    del actions[:]
+    x = {k: 3 + len(alg.basis[k][1]) for k in alg.block_indices(1, 1)}
+    inv = lf._local_inverse(alg, tuple(x.items()), 1)
+    assert len(actions) == 1 and len(products) == 1
+    assert mult(alg, x, inv) == ((alg.e_index[1], 1),)
 
 
 def test_lift_guard_outside_small_rank():

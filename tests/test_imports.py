@@ -322,6 +322,19 @@ def imports_anywhere(name: str) -> set:
     return found
 
 
+# the package modules that import numpy anywhere, function bodies included;
+# `higgs` and `dynkin` work in plain integers and are not among them
+NUMPY_IMPORTERS = {"_kernels", "braids", "complexes", "lifting", "morphcat", "reps"}
+
+
+def test_numpy_importers_are_pinned():
+    # a new numpy import anywhere in the package has to be added here
+    pkg = os.path.dirname(quiverlab.__file__)
+    names = [name[:-3] for name in sorted(os.listdir(pkg)) if name.endswith(".py")]
+    assert {"higgs", "dynkin"} <= set(names)
+    assert {name for name in names if "numpy" in imports_anywhere(name)} == NUMPY_IMPORTERS
+
+
 def test_stalks_imports_only_dynkin_and_errors():
     # labels never reach a matrix layer: not even a function body imports one
     found = imports_anywhere("stalks") - set(sys.stdlib_module_names)
