@@ -3,19 +3,20 @@
 Submodules, bottom up: diagrams and quivers (`dynkin`); the module
 category as labels, dimension vectors and translation quiver, with the
 graded stalk calculus in the derived category, all in plain integers
-(`stalks`); exact linear algebra over a fixed prime field, in plain
-integers (`_field`) and on numpy arrays (`_kernels`); representations as
-matrices (`reps`); two-term complexes of projectives (`complexes`); the
-projective-morphism category (`morphcat`); the decorated quiver with
-potential (`ice`); graded hom tables over the embedded copies
-(`boundary`); the preprojective algebra and the presentation functor into
-it, in plain integers (`higgs`); the block algebra and the lift back to
-labels (`lifting`); and braid words with their normal forms (`braids`).
+(`stalks`); exact linear algebra over a fixed prime field (`_kernels`);
+representations as matrices (`reps`); two-term complexes of projectives
+(`complexes`); the projective-morphism category (`morphcat`); the
+decorated quiver with potential (`ice`); graded hom tables over the
+embedded copies (`boundary`); the preprojective algebra and the
+presentation functor into it (`higgs`); the block algebra and the lift
+back to labels (`lifting`); and braid words with their normal forms
+(`braids`).  All of it is exact arithmetic on Python ints, and the package
+needs nothing beyond the standard library.
 
-The exports are lazy (PEP 562): `import quiverlab` loads neither a
-submodule nor numpy.  Reading an exported name imports the submodule that
-defines it, and reading a submodule name such as `quiverlab.reps` imports
-that submodule, so a process loads only the layers it uses.
+The exports are lazy (PEP 562): `import quiverlab` loads no submodule.
+Reading an exported name imports the submodule that defines it, and
+reading a submodule name such as `quiverlab.reps` imports that submodule,
+so a process loads only the layers it uses.
 """
 
 import importlib
@@ -23,7 +24,7 @@ import importlib
 _EXPORTS = {
     "boundary": "HomTable export_hom_table gamma_hom hom_table thm1_hom thm2_hom",
     "braids": "BraidWord GarsideForm SiltingLabel WeylElement braid_equal canonical_lift "
-              "garside_element garside_normal_form is_in_B_star k0_action project_to_weyl "
+              "garside_element garside_normal_form is_in_B_star k0_rows project_to_weyl "
               "reduced_words star_involution triangular_extension",
     "dynkin": "DynkinType Quiver build_quiver coxeter_number nakayama_involution "
               "positive_roots quiver_from_json quiver_from_text quiver_to_dot quiver_to_json "

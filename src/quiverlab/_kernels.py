@@ -1,32 +1,26 @@
-"""Exact linear algebra over a fixed prime field.
+"""Exact linear algebra over a fixed prime field, in plain integers.
 
 Everything in this package that needs ranks, kernels or solutions of linear
-systems works over F_P for a fixed word-sized prime P, defined in `_field`.
-The prime is large enough that the generic constructions used elsewhere
-(random Frobenius functionals, generic solutions picked from solution
-spaces) behave like characteristic zero at the dimensions that occur here,
-while every intermediate product of two reduced entries stays far inside
-int64.
+systems works over F_P for a fixed word-sized prime P.  The prime is large
+enough that the generic constructions used elsewhere (random Frobenius
+functionals, generic solutions picked from solution spaces) behave like
+characteristic zero at the dimensions that occur here.
 
-Matrices are int64 numpy arrays with entries in [0, P).  One pure numpy
-row-reduction kernel, `rref`, does the work; `rank`, `nullspace`, `solve`
-and `row_space_contains` all reach it.  Most matrices met here are small
-(E8 `mpr` reduces none with more than 8 rows or 12 columns, and about half
-of its reductions are single rows), so the per-call overhead matters more
-than the asymptotics.
+A matrix is a tuple of int rows with entries in [0, P).  A matrix without
+rows has no width, so the functions that need one take it as an argument.
+One row reduction, `rref`, does the work: it adds sparse rows
+{column: coefficient} one at a time to a reduced echelon form, and `rank`,
+`nullspace` and `solve` all reach it.  The matrices met here are small (no
+E8 oracle build reduces one above 12 x 16, and most reductions are 1 x 1 or
+2 x 2), so Python ints cost less than any array machinery would.
 """
 from __future__ import annotations
 
-import numpy as np
+from operator import mul
 
-from ._field import P
+P = 32003  # prime
 
-BACKEND = "numpy"  # the only row-reduction backend; reported by benchmarks
-
-
-def reduce_mod(a) -> np.ndarray:
-    """Coerce to an int64 array with entries reduced into [0, P)."""
-    return np.asarray(a, dtype=np.int64) % P
+BACKEND = "int"  # the only row-reduction backend; reported by benchmarks
 
 
 def inv_mod(x: int) -> int:
@@ -36,121 +30,113 @@ def inv_mod(x: int) -> int:
     return pow(x, -1, P)
 
 
-def _rref_single_row(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_rref_general` on a 1 x n matrix: scale by the first nonzero entry."""
-    nz = a[0].nonzero()[0]
-    if nz.size == 0:
-        return a, np.empty(0, dtype=np.int64)
-    col = int(nz[0])
-    return (a * pow(int(a[0, col]), -1, P)) % P, np.array([col], dtype=np.int64)
+def _axpy(row: dict, f: int, other) -> None:
+    """row -= f * other in place, for sparse rows; zeros are dropped."""
+    for k, v in other.items():
+        x = (row.get(k, 0) - f * v) % P
+        if x:
+            row[k] = x
+        else:
+            row.pop(k, None)
 
 
-def _rref_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination on a reduced matrix, which it overwrites."""
-    m, n = a.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = a[row:, col].nonzero()[0]
-        if nz.size == 0:
+def rref(rows, piv: dict | None = None) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form mod P, as {pivot column: row}: each row is 1
+    at its pivot, 0 at every other pivot column and 0 before its pivot.  A
+    row is a sparse map {column: coefficient} or a dense sequence.  Given
+    `piv`, an echelon form this function returned, the rows are added to it
+    in place.  The RREF of a matrix is unique, whatever order its rows come
+    in."""
+    if piv is None:
+        piv = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: v % P for c, v in items if v % P}
+        # pivot rows vanish at each other's pivots, so one pass clears them
+        for c in [c for c in row if c in piv]:
+            _axpy(row, row[c], piv[c])
+        if not row:
             continue
-        sel = row + int(nz[0])
-        if sel != row:
-            a[[row, sel]] = a[[sel, row]]
-        pivot_row = (a[row] * pow(int(a[row, col]), -1, P)) % P
-        # clears the column everywhere, the pivot row included; entries stay
-        # above -P*P, far inside int64
-        a -= np.multiply.outer(a[:, col], pivot_row)
-        a %= P
-        a[row] = pivot_row
-        pivots.append(col)
-        row += 1
-    return a, np.array(pivots, dtype=np.int64)
+        lead = min(row)
+        inv = pow(row[lead], -1, P)
+        row = {k: v * inv % P for k, v in row.items()}
+        # the new pivot lies past the lead of every row it is cleared from
+        for other in piv.values():
+            if lead in other:
+                _axpy(other, other[lead], row)
+        piv[lead] = row
+    return piv
 
 
-def rref(a) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form mod P; returns (matrix, pivot columns)."""
-    a = reduce_mod(a)  # always a fresh array, so the callee may overwrite it
-    if a.size == 0:
-        return a, np.empty(0, dtype=np.int64)
-    if a.shape[0] == 1:
-        return _rref_single_row(a)
-    return _rref_general(a)
+def as_matrix(a) -> tuple[tuple[int, ...], ...]:
+    """Any sequence of int rows as a matrix: int rows reduced into [0, P)."""
+    return tuple(tuple(int(x) % P for x in row) for row in a)
+
+
+def zeros(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    return ((0,) * n,) * m
+
+
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def transpose(a, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """The transpose of `a`, which has `ncols` columns."""
+    return tuple(zip(*a)) if a else ((),) * ncols
+
+
+def dense(row: dict, ncols: int) -> tuple[int, ...]:
+    """A sparse row as a dense one of length `ncols`."""
+    return tuple(row.get(c, 0) for c in range(ncols))
 
 
 def rank(a) -> int:
-    a = reduce_mod(a)
-    if a.size == 0:
-        return 0
-    return len(rref(a)[1])
+    return len(rref(a))
 
 
-def matmul(a, b) -> np.ndarray:
-    a = reduce_mod(a)
-    b = reduce_mod(b)
-    return (a @ b) % P
+def matmul(a, b, ncols: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """a @ b mod P; `ncols`, the width of b, is needed only when b has no
+    rows."""
+    cols = tuple(zip(*b)) if b else ((),) * ncols
+    return tuple(tuple(sum(map(mul, row, col)) % P for col in cols) for row in a)
 
 
-def matmul_reduced(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`matmul` for int64 arrays whose entries already lie in [0, P), such as
-    the maps of a `reps.Rep`: skips reducing the factors again."""
-    return (a @ b) % P
+def nullspace(a, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """A basis of the right kernel of `a`, which has `ncols` columns, as
+    rows: one vector per free column in increasing order, 1 there, 0 at the
+    other free columns, read off the RREF."""
+    piv = rref(a)
+    out = []
+    for fc in range(ncols):
+        if fc in piv:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for pc, row in piv.items():
+            x = row.get(fc)
+            if x:
+                v[pc] = -x % P
+        out.append(tuple(v))
+    return tuple(out)
 
 
-def nullspace(a) -> np.ndarray:
-    """Columns form a basis of the right kernel of `a` mod P."""
-    a = reduce_mod(a)
-    m, n = a.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
-    r, pivots = rref(a)
-    pivset = set(int(c) for c in pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[int(pc), k] = (-r[i, fc]) % P
-    return basis
-
-
-def solve(a, b) -> np.ndarray | None:
-    """One solution x of a @ x = b mod P (free variables set to 0), or None.
-
-    `b` may be a vector or a matrix; the result matches its shape.
-    """
-    a = reduce_mod(a)
-    b = reduce_mod(b)
-    vector = b.ndim == 1
-    m, n = a.shape
-    bb = b.reshape(m, 1) if vector else b
-    if bb.shape[0] != m:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    k = bb.shape[1]
-    if m == 0:
-        x = np.zeros((n, k), dtype=np.int64)
-        return x[:, 0] if vector else x
-    if n == 0:
-        if np.any(bb % P):
-            return None
-        x = np.zeros((0, k), dtype=np.int64)
-        return x[:, 0] if vector else x
-    aug = np.concatenate([a, bb], axis=1)
-    r, pivots = rref(aug)
-    if any(int(c) >= n for c in pivots):
+def solve(a, b, ncols: int) -> tuple[tuple[int, ...], ...] | None:
+    """One X with a @ X = b mod P (free variables set to 0), or None; `a`
+    has `ncols` columns, and its rows are sparse or dense as in `rref`.  X
+    is as wide as the rows of b, so it has no columns when b has no rows."""
+    aug = []
+    for ra, rb in zip(a, b):
+        row = dict(ra) if isinstance(ra, dict) else {c: v for c, v in enumerate(ra) if v}
+        row.update((ncols + j, v) for j, v in enumerate(rb) if v)
+        aug.append(row)
+    piv = rref(aug)
+    if any(c >= ncols for c in piv):
         return None
-    x = np.zeros((n, k), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[int(c)] = r[i, n:]
-    return x[:, 0] if vector else x
-
-
-def row_space_contains(a, v) -> bool:
-    """Whether vector v lies in the row space of a (mod P)."""
-    a = reduce_mod(a)
-    v = reduce_mod(v).reshape(1, -1)
-    return rank(np.concatenate([a, v], axis=0)) == rank(a)
+    k = len(b[0]) if b else 0
+    x = [[0] * k for _ in range(ncols)]
+    for c, row in piv.items():
+        for j, v in row.items():
+            if j >= ncols:
+                x[c][j - ncols] = v
+    return tuple(map(tuple, x))

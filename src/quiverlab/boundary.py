@@ -15,7 +15,7 @@ The two routes agree on embedded projectives; the case-map route is the
 fast one and the evolution route is the oracle.
 
 The case-map route and the table work on labels alone, so this module
-loads neither numpy nor a matrix layer; `thm2_hom` imports the morphism
+loads no matrix layer; `thm2_hom` imports the morphism
 category and `gamma_hom` the complexes when they are called.
 """
 from __future__ import annotations

@@ -15,8 +15,7 @@ coefficients.  A move then costs O(rank): in each factor, a sign flip
 and a sum per neighbour in one image tuple and a reflection of each entry
 of the other.  Factors become root permutations only when the form is
 returned.  Roots come from integer Cartan entries and the class-lattice
-rows are plain ints; only `k0_action`, which returns an array, imports
-numpy.
+rows are plain ints.
 """
 from __future__ import annotations
 
@@ -355,13 +354,6 @@ def k0_rows(w: BraidWord) -> tuple[tuple[int, ...], ...]:
     ctx = _ctx_of(w)
     perm = project_to_weyl(w).perm
     return tuple(zip(*(ctx.roots[perm[ctx.simple[i]]] for i in ctx.vertices)))
-
-
-def k0_action(w: BraidWord):
-    """`k0_rows` as an int64 numpy array."""
-    import numpy as np
-
-    return np.array(k0_rows(w), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ artifacts are replayed byte for byte.
 
 A cache hit needs only the job and the stored entry, so this module loads
 nothing at import time beyond the standard library, `errors` and `dynkin`
-(the parsers and serializers of quivers, which never touch numpy).  Each
-renderer imports the layers it uses.
+(the parsers and serializers of quivers).  Each renderer imports the
+layers it uses.
 """
 from __future__ import annotations
 
@@ -290,7 +290,6 @@ def _render_higgs(job: JobSpec) -> str:
     from . import higgs
 
     if op == "phi":
-        # numpy loads only for the presentation of a non-projective module
         lab = mp.label_by_number(q, job.options["label"])
         f = higgs.phi_image(lab)
         return _json_text({"label": _label_json(num, lab), **_morphism_json(f)})
@@ -496,9 +495,6 @@ def _job_from_args(args) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    # the arithmetic is exact int64, which numpy does without BLAS; an idle
-    # OpenBLAS worker thread would only cost start-up time
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         return run(_job_from_args(args))

@@ -38,8 +38,7 @@ quiver.
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+from itertools import accumulate
 
 from . import _kernels as K
 from . import reps
@@ -49,55 +48,61 @@ from .stalks import DerivedLabel, e_exponent, normalize_label
 
 
 @functools.cache
-def _reachability(q: Quiver) -> np.ndarray:
-    """Read-only table R with R[u - 1, w - 1] true exactly when `q.has_path(u, w)`."""
-    R = np.array([[q.has_path(u, w) for w in q.vertices] for u in q.vertices], dtype=bool)
-    R.setflags(write=False)
-    return R
+def _reachability(q: Quiver) -> tuple[tuple[bool, ...], ...]:
+    """Table R with R[u - 1][w - 1] true exactly when `q.has_path(u, w)`."""
+    return tuple(tuple(q.has_path(u, w) for w in q.vertices) for u in q.vertices)
 
 
-def _hom_mask(q: Quiver, src_labels, tgt_labels) -> np.ndarray:
+def _hom_mask(q: Quiver, src_labels, tgt_labels) -> tuple[tuple[bool, ...], ...]:
     """Entry (r, c) is true when Hom(P_src[c], P_tgt[r]) is nonzero, that is
     when there is a path src[c] ~> tgt[r]."""
-    src = np.asarray(src_labels, dtype=np.intp) - 1
-    tgt = np.asarray(tgt_labels, dtype=np.intp) - 1
-    return _reachability(q)[np.ix_(src, tgt)].T
+    R = _reachability(q)
+    return tuple(tuple(R[u - 1][w - 1] for u in src_labels) for w in tgt_labels)
 
 
-def _masked_solve(mask: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+def _masked_solve(mask, A, B, acols: int) -> tuple | None:
     """One Z supported on `mask` with Z A = B (free entries set to 0), or
-    None.  Unknowns are the mask entries in row-major order; equation (r, j)
-    is sum_c Z[r, c] A[c, j] = B[r, j]."""
-    rows, cols = np.nonzero(mask)
-    eqs = np.zeros((mask.shape[0], A.shape[1], rows.size), dtype=np.int64)
-    eqs[rows, :, np.arange(rows.size)] = A[cols]
-    sol = K.solve(eqs.reshape(mask.shape[0] * A.shape[1], rows.size), np.reshape(B, -1))
+    None; A has `acols` columns.  Unknowns are the mask entries in row-major
+    order; equation (r, j) is sum_c Z[r, c] A[c, j] = B[r, j]."""
+    unknowns = [(r, c) for r, row in enumerate(mask) for c, ok in enumerate(row) if ok]
+    eqs, rhs = [], []
+    for r, brow in enumerate(B):
+        mine = [(k, c) for k, (rr, c) in enumerate(unknowns) if rr == r]
+        for j in range(acols):
+            eqs.append({k: A[c][j] for k, c in mine if A[c][j]})
+            rhs.append((brow[j],))
+    sol = K.solve(eqs, rhs, len(unknowns))
     if sol is None:
         return None
-    Z = np.zeros(mask.shape, dtype=np.int64)
-    Z[rows, cols] = sol
-    return Z
+    Z = [[0] * len(row) for row in mask]
+    for (r, c), (x,) in zip(unknowns, sol):
+        Z[r][c] = x
+    return K.as_matrix(Z)
+
+
+def _nonzero(m) -> bool:
+    return any(map(any, m))
 
 
 class PCpx:
     """A cochain complex of sums of projectives, in scalar coordinates."""
 
-    def __init__(self, quiver: Quiver, terms: dict[int, tuple[int, ...]], diffs: dict[int, np.ndarray]):
+    def __init__(self, quiver: Quiver, terms: dict[int, tuple[int, ...]], diffs: dict[int, tuple]):
         self.quiver = quiver
         self.terms = {d: tuple(int(v) for v in t) for d, t in terms.items() if t}
         self.diffs = {}
         for d, m in diffs.items():
-            m = K.reduce_mod(m)
-            if m.size and np.any(m):
+            m = K.as_matrix(m)
+            if _nonzero(m):
                 self.diffs[d] = m
 
     def term(self, d: int) -> tuple[int, ...]:
         return self.terms.get(d, ())
 
-    def diff(self, d: int) -> np.ndarray:
+    def diff(self, d: int) -> tuple:
         m = self.diffs.get(d)
         if m is None:
-            return np.zeros((len(self.term(d + 1)), len(self.term(d))), dtype=np.int64)
+            return K.zeros(len(self.term(d + 1)), len(self.term(d)))
         return m
 
     def degrees(self) -> list[int]:
@@ -109,14 +114,14 @@ class PCpx:
     def validate(self) -> "PCpx":
         q = self.quiver
         for d, m in self.diffs.items():
-            if m.shape != (len(self.term(d + 1)), len(self.term(d))):
+            src, tgt = self.term(d), self.term(d + 1)
+            if len(m) != len(tgt) or any(len(row) != len(src) for row in m):
                 raise InternalCheckError(f"differential at degree {d} has wrong shape")
-            mask = _hom_mask(q, self.term(d), self.term(d + 1))
-            if np.any(m[~mask] % K.P):
+            mask = _hom_mask(q, src, tgt)
+            if any(x and not ok for row, mrow in zip(m, mask) for x, ok in zip(row, mrow)):
                 raise InternalCheckError(f"differential at degree {d} has entries outside hom spaces")
         for d in self.degrees():
-            comp = K.matmul(self.diff(d + 1), self.diff(d))
-            if np.any(comp):
+            if _nonzero(K.matmul(self.diff(d + 1), self.diff(d), len(self.term(d)))):
                 raise InternalCheckError(f"differential does not square to zero at degree {d}")
         return self
 
@@ -129,39 +134,41 @@ class PCpx:
 
 
 class ChainMap:
-    def __init__(self, src: PCpx, tgt: PCpx, comps: dict[int, np.ndarray]):
+    def __init__(self, src: PCpx, tgt: PCpx, comps: dict[int, tuple]):
         self.src = src
         self.tgt = tgt
         self.comps = {}
         for d, m in comps.items():
-            m = K.reduce_mod(m)
-            if m.size and np.any(m):
+            m = K.as_matrix(m)
+            if _nonzero(m):
                 self.comps[d] = m
 
-    def comp(self, d: int) -> np.ndarray:
+    def comp(self, d: int) -> tuple:
         m = self.comps.get(d)
         if m is None:
-            return np.zeros((len(self.tgt.term(d)), len(self.src.term(d))), dtype=np.int64)
+            return K.zeros(len(self.tgt.term(d)), len(self.src.term(d)))
         return m
 
     def validate(self) -> "ChainMap":
         q = self.src.quiver
         for d, m in self.comps.items():
-            if m.shape != (len(self.tgt.term(d)), len(self.src.term(d))):
+            src, tgt = self.src.term(d), self.tgt.term(d)
+            if len(m) != len(tgt) or any(len(row) != len(src) for row in m):
                 raise InternalCheckError(f"chain map component at degree {d} has wrong shape")
-            mask = _hom_mask(q, self.src.term(d), self.tgt.term(d))
-            if np.any(m[~mask] % K.P):
+            mask = _hom_mask(q, src, tgt)
+            if any(x and not ok for row, mrow in zip(m, mask) for x, ok in zip(row, mrow)):
                 raise InternalCheckError("chain map has entries outside hom spaces")
         for d in set(self.src.degrees()) | set(self.tgt.degrees()):
-            lhs = K.matmul(self.tgt.diff(d), self.comp(d))
-            rhs = K.matmul(self.comp(d + 1), self.src.diff(d))
-            if not np.array_equal(lhs, rhs):
+            n = len(self.src.term(d))
+            lhs = K.matmul(self.tgt.diff(d), self.comp(d), n)
+            rhs = K.matmul(self.comp(d + 1), self.src.diff(d), n)
+            if lhs != rhs:
                 raise InternalCheckError(f"chain map does not commute with differentials at degree {d}")
         return self
 
 
 def identity_map(C: PCpx) -> ChainMap:
-    return ChainMap(C, C, {d: np.eye(len(C.term(d)), dtype=np.int64) for d in C.degrees()})
+    return ChainMap(C, C, {d: K.identity(len(C.term(d))) for d in C.degrees()})
 
 
 def single_term(q: Quiver, labels, degree: int = 0) -> PCpx:
@@ -174,7 +181,7 @@ def two_term(q: Quiver, labels1, labels0, mat, low_degree: int = -1) -> PCpx:
     return PCpx(
         q,
         {low_degree: tuple(labels1), low_degree + 1: tuple(labels0)},
-        {low_degree: np.asarray(mat, dtype=np.int64)},
+        {low_degree: mat},
     ).validate()
 
 
@@ -188,18 +195,21 @@ def cone(f: ChainMap) -> PCpx:
             terms[d] = t
     diffs = {}
     for d in terms:
-        na1, nb = len(A.term(d + 1)), len(B.term(d))
-        na2, nb2 = len(A.term(d + 2)), len(B.term(d + 1))
-        m = np.zeros((na2 + nb2, na1 + nb), dtype=np.int64)
-        m[:na2, :na1] = (-A.diff(d + 1)) % K.P
-        m[na2:, :na1] = f.comp(d + 1)
-        m[na2:, na1:] = B.diff(d)
-        diffs[d] = m
+        nb = len(B.term(d))
+        # [[-dA, 0], [f, dB]]
+        top = [[-x for x in row] + [0] * nb for row in A.diff(d + 1)]
+        bottom = [fr + br for fr, br in zip(f.comp(d + 1), B.diff(d))]
+        diffs[d] = top + bottom
     return PCpx(A.quiver, terms, diffs).validate()
 
 
 # ---------------------------------------------------------------------------
 # minimization (Gaussian elimination of unit diagonal entries)
+
+
+def _drop(m: list, r: int | None, c: int | None) -> list:
+    """The rows of m without row r and without column c (None keeps all)."""
+    return [row if c is None else row[:c] + row[c + 1:] for i, row in enumerate(m) if i != r]
 
 
 def minimize(C: PCpx) -> tuple[PCpx, ChainMap, ChainMap]:
@@ -213,37 +223,44 @@ def minimize(C: PCpx) -> tuple[PCpx, ChainMap, ChainMap]:
     (beta its row, gamma its column); the transports pick up the same step
     as matrices, iota_d column c spread by -u beta and pi_{d+1} row r by
     -u gamma.  The result and both transports are validated once."""
+    P = K.P
     degs = C.degrees()
     labels = {d: list(C.term(d)) for d in degs}
-    diffs = {d: C.diff(d) for d in degs}
-    iota = {d: np.eye(len(labels[d]), dtype=np.int64) for d in degs}
-    pi = {d: np.eye(len(labels[d]), dtype=np.int64) for d in degs}
+    diffs = {d: [list(row) for row in C.diff(d)] for d in degs}
+    iota = {d: [list(row) for row in K.identity(len(labels[d]))] for d in degs}
+    pi = {d: [list(row) for row in K.identity(len(labels[d]))] for d in degs}
     while True:
         for d in degs:
             m = diffs[d]
-            if d + 1 not in labels or not m.size:
+            if d + 1 not in labels:
                 continue
-            same = np.equal.outer(labels[d + 1], labels[d]) & (m != 0)
-            if same.any():
-                r, c = divmod(int(np.argmax(same)), m.shape[1])
+            hit = next(((r, c) for r, lr in enumerate(labels[d + 1]) for c, lc in enumerate(labels[d])
+                        if lr == lc and m[r][c]), None)
+            if hit is not None:
+                r, c = hit
                 break
         else:
             break
-        u_inv = K.inv_mod(int(m[r, c]))
-        beta, gamma = np.delete(m[r], c), np.delete(m[:, c], r)
-        diffs[d] = (np.delete(np.delete(m, r, axis=0), c, axis=1) - u_inv * np.multiply.outer(gamma, beta)) % K.P
+        u_inv = K.inv_mod(m[r][c])
+        beta = m[r][:c] + m[r][c + 1:]
+        gamma = [row[c] for i, row in enumerate(m) if i != r]
+        diffs[d] = [[(x - u_inv * g * b) % P for x, b in zip(row, beta)]
+                    for row, g in zip(_drop(m, r, c), gamma)]
         if d - 1 in diffs:
-            diffs[d - 1] = np.delete(diffs[d - 1], c, axis=0)
-        diffs[d + 1] = np.delete(diffs[d + 1], r, axis=1)
+            diffs[d - 1] = _drop(diffs[d - 1], c, None)
+        diffs[d + 1] = _drop(diffs[d + 1], None, r)
         del labels[d][c], labels[d + 1][r]
-        iota[d] = (np.delete(iota[d], c, axis=1) - u_inv * np.multiply.outer(iota[d][:, c], beta)) % K.P
-        iota[d + 1] = np.delete(iota[d + 1], r, axis=1)
-        pi[d] = np.delete(pi[d], c, axis=0)
-        pi[d + 1] = (np.delete(pi[d + 1], r, axis=0) - u_inv * np.multiply.outer(gamma, pi[d + 1][r])) % K.P
+        iota[d] = [[(x - u_inv * row[c] * b) % P for x, b in zip(kept, beta)]
+                   for row, kept in zip(iota[d], _drop(iota[d], None, c))]
+        iota[d + 1] = _drop(iota[d + 1], None, r)
+        pi[d] = _drop(pi[d], c, None)
+        pr = pi[d + 1][r]
+        pi[d + 1] = [[(x - u_inv * g * y) % P for x, y in zip(row, pr)]
+                     for row, g in zip(_drop(pi[d + 1], r, None), gamma)]
     mini = PCpx(C.quiver, labels, diffs).validate()
     # pi after iota is the identity on the minimal model
     for d in mini.degrees():
-        if not np.array_equal(K.matmul(pi[d], iota[d]), np.eye(len(mini.term(d)), dtype=np.int64)):
+        if K.matmul(pi[d], iota[d], len(labels[d])) != K.identity(len(labels[d])):
             raise InternalCheckError("minimization transports are not a retraction")
     return mini, ChainMap(mini, C, iota).validate(), ChainMap(C, mini, pi).validate()
 
@@ -259,39 +276,37 @@ class TauInvFunctor:
         self.quiver = q
         self.S: dict[int, tuple[int, ...]] = {}
         self.W: dict[int, tuple[int, ...]] = {}
-        self.G: dict[int, np.ndarray] = {}
+        self.G: dict[int, tuple] = {}
         emb = {}
         for i in q.vertices:
             labels_s, emb[i], labels_w, self.G[i] = reps.min_copresentation(reps.projective_rep(q, i))
             self.S[i], self.W[i] = tuple(labels_s), tuple(labels_w)
-        self._X: dict[tuple[int, int], np.ndarray] = {}
-        self._Y: dict[tuple[int, int], np.ndarray] = {}
+        self._X: dict[tuple[int, int], tuple] = {}
+        self._Y: dict[tuple[int, int], tuple] = {}
         for (u, w) in q.arrows:
             self._X[(u, w)], self._Y[(u, w)] = self._lift_arrow(u, w, emb)
         # (X, Y) of each append-path morphism P_u -> P_w: the lift of its last
         # arrow after that of the path before it, earlier in topological order
-        self._paths = {(u, u): (np.eye(len(self.S[u]), dtype=np.int64),
-                                np.eye(len(self.W[u]), dtype=np.int64)) for u in q.vertices}
+        self._paths = {(u, u): (K.identity(len(self.S[u])), K.identity(len(self.W[u])))
+                       for u in q.vertices}
         for u in q.vertices:
             for w in q.topological_order():
                 path = q.path_vertices(u, w)
                 if path is not None and u != w:
                     X, Y = self._paths[u, path[-2]]
                     a = (path[-2], w)
-                    self._paths[u, w] = (K.matmul(self._X[a], X), K.matmul(self._Y[a], Y))
-        for m in (*self.G.values(), *self._X.values(), *self._Y.values(),
-                  *sum(self._paths.values(), ())):
-            m.setflags(write=False)
+                    self._paths[u, w] = (K.matmul(self._X[a], X, len(self.S[u])),
+                                         K.matmul(self._Y[a], Y, len(self.W[u])))
 
     # -- construction helpers ------------------------------------------------
 
-    def _generator_coords(self, f: reps.Morphism, labels, u: int) -> np.ndarray:
+    def _generator_coords(self, f: reps.Morphism, labels, u: int) -> tuple:
         """Column of scalars of f: P_u -> (sum of I_v over labels) at the
         generator of P_u; slots whose injective vanishes at u read 0."""
         q = self.quiver
         off = reps.injective_sum(q, tuple(labels))[1]
-        return np.array([[f.mat(u)[off[t][u - 1], 0] if q.has_path(v, u) else 0]
-                         for t, v in enumerate(labels)], dtype=np.int64)
+        return tuple((f.mat(u)[off[t][u - 1]][0] if q.has_path(v, u) else 0,)
+                     for t, v in enumerate(labels))
 
     def _lift_arrow(self, u: int, w: int, emb):
         """Scalar blocks of the image of the arrow u -> w: X with
@@ -301,44 +316,40 @@ class TauInvFunctor:
         su, sw = self.S[u], self.S[w]
         target = emb[w].compose(reps.canonical_projective_morphism(q, u, w))  # P_u -> E_w
         X = _masked_solve(_hom_mask(q, su, sw), self._generator_coords(emb[u], su, u),
-                          self._generator_coords(target, sw, u))
+                          self._generator_coords(target, sw, u), 1)
         if X is None:
             raise InternalCheckError("arrow lift through the envelope does not exist")
-        lhs = reps.assemble_injective_map(q, su, sw, X).compose(emb[u])
-        if any(not np.array_equal(lhs.mat(v), target.mat(v)) for v in q.vertices):
+        if reps.assemble_injective_map(q, su, sw, X).compose(emb[u]).mats != target.mats:
             raise InternalCheckError("arrow lift equation fails at rep level")
-        GX = K.matmul(self.G[w], X)
-        Y = _masked_solve(_hom_mask(q, self.W[u], self.W[w]), self.G[u], GX)
+        GX = K.matmul(self.G[w], X, len(su))
+        Y = _masked_solve(_hom_mask(q, self.W[u], self.W[w]), self.G[u], GX, len(su))
         if Y is None:
             raise InternalCheckError("degree-0 arrow lift does not exist")
-        if not np.array_equal(GX, K.matmul(Y, self.G[u])):
+        if GX != K.matmul(Y, self.G[u], len(su)):
             raise InternalCheckError("arrow lift does not commute with copresentations")
         return X, Y
 
     # -- the functor on scalar data ------------------------------------------
 
-    def lift_path(self, u: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (X, Y) blocks of the image of the append-path morphism P_u -> P_w."""
+    def lift_path(self, u: int, w: int) -> tuple[tuple, tuple]:
+        """(X, Y) blocks of the image of the append-path morphism P_u -> P_w."""
         if (u, w) not in self._paths:
             raise InternalCheckError(f"no path {u} ~> {w}")
         return self._paths[u, w]
 
-    def _block_lift(self, src_labels, tgt_labels, scal, which: int) -> np.ndarray:
-        q = self.quiver
+    def _block_lift(self, src_labels, tgt_labels, scal, which: int) -> list[list[int]]:
         parts = self.S if which == 0 else self.W
-        row_sizes = [len(parts[w]) for w in tgt_labels]
-        col_sizes = [len(parts[u]) for u in src_labels]
-        out = np.zeros((sum(row_sizes), sum(col_sizes)), dtype=np.int64)
-        roff = np.concatenate([[0], np.cumsum(row_sizes)]).astype(int)
-        coff = np.concatenate([[0], np.cumsum(col_sizes)]).astype(int)
+        roff = [0, *accumulate(len(parts[w]) for w in tgt_labels)]
+        coff = [0, *accumulate(len(parts[u]) for u in src_labels)]
+        out = [[0] * coff[-1] for _ in range(roff[-1])]
         for r, w in enumerate(tgt_labels):
             for c, u in enumerate(src_labels):
-                s = int(scal[r, c]) % K.P
+                s = scal[r][c] % K.P
                 if s == 0:
                     continue
-                X, Y = self.lift_path(u, w)
-                blk = X if which == 0 else Y
-                out[roff[r] : roff[r + 1], coff[c] : coff[c + 1]] = (s * blk) % K.P
+                blk = self.lift_path(u, w)[which]
+                for t, row in enumerate(blk):
+                    out[roff[r] + t][coff[c] : coff[c + 1]] = [s * x % K.P for x in row]
         return out
 
     def apply(self, C: PCpx) -> PCpx:
@@ -352,25 +363,20 @@ class TauInvFunctor:
             )
             if t:
                 terms[e] = t
-        diffs: dict[int, np.ndarray] = {}
+        diffs: dict[int, list] = {}
         for e in terms:
-            ns_src = sum(len(self.S[v]) for v in C.term(e + 1))
+            # [[X-lift of d^{e+1}, 0], [sign G, Y-lift of d^e]]
+            top = self._block_lift(C.term(e + 1), C.term(e + 2), C.diff(e + 1), 0)
             nw_src = sum(len(self.W[v]) for v in C.term(e))
-            ns_tgt = sum(len(self.S[v]) for v in C.term(e + 2))
-            nw_tgt = sum(len(self.W[v]) for v in C.term(e + 1))
-            m = np.zeros((ns_tgt + nw_tgt, ns_src + nw_src), dtype=np.int64)
-            m[:ns_tgt, :ns_src] = self._block_lift(C.term(e + 1), C.term(e + 2), C.diff(e + 1), 0)
-            sizes_s = [len(self.S[v]) for v in C.term(e + 1)]
-            sizes_w = [len(self.W[v]) for v in C.term(e + 1)]
-            soff = np.concatenate([[0], np.cumsum(sizes_s)]).astype(int)
-            woff = np.concatenate([[0], np.cumsum(sizes_w)]).astype(int)
+            top = [row + [0] * nw_src for row in top]
+            soff = [0, *accumulate(len(self.S[v]) for v in C.term(e + 1))]
             sign = -1 if (e + 1) % 2 else 1
+            left = []
             for t, v in enumerate(C.term(e + 1)):
-                m[ns_tgt + woff[t] : ns_tgt + woff[t + 1], soff[t] : soff[t + 1]] = (
-                    sign * self.G[v]
-                ) % K.P
-            m[ns_tgt:, ns_src:] = self._block_lift(C.term(e), C.term(e + 1), C.diff(e), 1)
-            diffs[e] = m
+                for row in self.G[v]:
+                    left.append([0] * soff[t] + [sign * x for x in row] + [0] * (soff[-1] - soff[t + 1]))
+            right = self._block_lift(C.term(e), C.term(e + 1), C.diff(e), 1)
+            diffs[e] = top + [lr + rr for lr, rr in zip(left, right)]
         return PCpx(q, terms, diffs).validate()
 
 @functools.cache
@@ -381,8 +387,7 @@ def tau_inv_functor(q: Quiver) -> TauInvFunctor:
 @functools.cache
 def tau_inv_orbit(q: Quiver, v: int, k: int) -> PCpx:
     """The minimal complex of tauinv^k P_v: P_v in degree 0 for k = 0, else
-    `minimize` of the functor applied to entry k - 1, with read-only
-    differentials.
+    `minimize` of the functor applied to entry k - 1.
 
     Entries k < e_v are the minimal presentations of the modules, in degrees
     (-1, 0); entry e_v is the suspended projective at the involuted vertex,
@@ -395,8 +400,6 @@ def tau_inv_orbit(q: Quiver, v: int, k: int) -> PCpx:
         C = single_term(q, (v,), 0)
     else:
         C = minimize(tau_inv_functor(q).apply(tau_inv_orbit(q, v, k - 1)))[0]
-    for m in C.diffs.values():
-        m.setflags(write=False)
     return C
 
 
@@ -419,7 +422,7 @@ def realize(C: PCpx) -> tuple[dict[int, reps.Rep], dict[int, reps.Morphism]]:
         if C.term(d) and C.term(d + 1):
             diffs[d] = reps.assemble_projective_map(q, list(C.term(d)), list(C.term(d + 1)), C.diff(d))
         else:
-            diffs[d] = reps.Morphism(src, tgt, [np.zeros((tgt.dim(v), src.dim(v)), dtype=np.int64) for v in q.vertices])
+            diffs[d] = reps.Morphism(src, tgt, [K.zeros(tgt.dim(v), src.dim(v)) for v in q.vertices])
     return terms, diffs
 
 
@@ -434,7 +437,7 @@ def cohomology(C: PCpx) -> dict[int, reps.Rep]:
             prev = diffs[d - 1]
             mats = []
             for v in q.vertices:
-                x = K.solve(incl.mat(v), prev.mat(v))
+                x = K.solve(incl.mat(v), prev.mat(v), ker.dim(v))
                 if x is None:
                     raise InternalCheckError("image does not land in the kernel")
                 mats.append(x)
@@ -477,48 +480,45 @@ def _hom_bases(A: PCpx, B: PCpx):
             if not src or not tgt:
                 continue
             mask = _hom_mask(q, src, tgt)
-            basis.extend((e, r, c) for r in range(len(tgt)) for c in range(len(src)) if mask[r, c])
+            basis.extend((e, r, c) for r in range(len(tgt)) for c in range(len(src)) if mask[r][c])
         if basis:
             bases[d] = basis
-    diffs: dict[int, np.ndarray] = {}
+    diffs: dict[int, tuple] = {}
     for d, basis in bases.items():
         tgt_basis = bases.get(d + 1, [])
         index = {b: i for i, b in enumerate(tgt_basis)}
-        M = np.zeros((len(tgt_basis), len(basis)), dtype=np.int64)
+        M = [[0] * len(basis) for _ in tgt_basis]
         sgn = -1 if d % 2 == 0 else 1  # coefficient of f∘dA in D(f) = dB∘f - (-1)^d f∘dA
         for ci, (e, r, c) in enumerate(basis):
-            dB = B.diff(e + d)
-            for rp in range(dB.shape[0]):
-                if dB[rp, r] % K.P:
-                    M[index[(e, rp, c)], ci] += dB[rp, r]
+            for rp, row in enumerate(B.diff(e + d)):
+                if row[r]:
+                    M[index[(e, rp, c)]][ci] += row[r]
             dA = A.diff(e - 1)
-            if dA.size:
-                for cp in range(dA.shape[1]):
-                    if dA[c, cp] % K.P:
-                        M[index[(e - 1, r, cp)], ci] += sgn * dA[c, cp]
-        diffs[d] = K.reduce_mod(M)
+            if dA:
+                for cp, x in enumerate(dA[c]):
+                    if x:
+                        M[index[(e - 1, r, cp)]][ci] += sgn * x
+        diffs[d] = K.as_matrix(M)
     return bases, diffs
 
 
-def _delta_matrix(b0, b1, b01, d, xmap: ChainMap, nmap: ChainMap) -> np.ndarray:
+def _delta_matrix(b0, b1, b01, d, xmap: ChainMap, nmap: ChainMap) -> list[list[int]]:
     """delta(f0, f1) = f0∘x - n∘f1, from Hom^d(X0,N0)⊕Hom^d(X1,N1) to Hom^d(X1,N0)."""
     src0, src1 = b0.get(d, []), b1.get(d, [])
     tgt = b01.get(d, [])
     index = {b: i for i, b in enumerate(tgt)}
-    M = np.zeros((len(tgt), len(src0) + len(src1)), dtype=np.int64)
+    M = [[0] * (len(src0) + len(src1)) for _ in tgt]
     for ci, (e, r, c) in enumerate(src0):
         xm = xmap.comp(e)
-        if xm.size:
-            for cp in range(xm.shape[1]):
-                if xm[c, cp] % K.P:
-                    M[index[(e, r, cp)], ci] += xm[c, cp]
+        if xm:
+            for cp, x in enumerate(xm[c]):
+                if x:
+                    M[index[(e, r, cp)]][ci] += x
     for ci, (e, r, c) in enumerate(src1):
-        nm = nmap.comp(e + d)
-        if nm.size:
-            for rp in range(nm.shape[0]):
-                if nm[rp, r] % K.P:
-                    M[index[(e, rp, c)], len(src0) + ci] -= nm[rp, r]
-    return K.reduce_mod(M)
+        for rp, row in enumerate(nmap.comp(e + d)):
+            if row[r]:
+                M[index[(e, rp, c)]][len(src0) + ci] -= row[r]
+    return M
 
 
 def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
@@ -535,35 +535,26 @@ def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
         return len(b0.get(d, [])) + len(b1.get(d, [])) + len(b01.get(d - 1, []))
 
     def tot_diff(d):
-        n_src0, n_src1 = len(b0.get(d, [])), len(b1.get(d, []))
-        n_src01 = len(b01.get(d - 1, []))
-        n_tgt0, n_tgt1 = len(b0.get(d + 1, [])), len(b1.get(d + 1, []))
-        n_tgt01 = len(b01.get(d, []))
-        M = np.zeros((n_tgt0 + n_tgt1 + n_tgt01, n_src0 + n_src1 + n_src01), dtype=np.int64)
-        if d in d0 and d0[d].size:
-            M[:n_tgt0, :n_src0] = d0[d]
-        if d in d1 and d1[d].size:
-            M[n_tgt0:n_tgt0 + n_tgt1, n_src0:n_src0 + n_src1] = d1[d]
+        """[[d0, 0, 0], [0, d1, 0], [delta, -d01]] in the blocks of the sum."""
+        n0, n1, n01 = len(b0.get(d, [])), len(b1.get(d, [])), len(b01.get(d - 1, []))
+        m0, m1 = len(b0.get(d + 1, [])), len(b1.get(d + 1, []))
+        rows = [list(row) + [0] * (n1 + n01) for row in d0.get(d, K.zeros(m0, n0))]
+        rows += [[0] * n0 + list(row) + [0] * n01 for row in d1.get(d, K.zeros(m1, n1))]
         delta = _delta_matrix(b0, b1, b01, d, xmap, nmap)
-        if delta.size:
-            M[n_tgt0 + n_tgt1:, :n_src0 + n_src1] = delta
-        if d - 1 in d01 and d01[d - 1].size:
-            M[n_tgt0 + n_tgt1:, n_src0 + n_src1:] = -d01[d - 1]
-        return K.reduce_mod(M)
+        rows += [dr + [-x for x in row] for dr, row in
+                 zip(delta, d01.get(d - 1, K.zeros(len(delta), n01)))]
+        return K.as_matrix(rows)
 
     mats = {d: tot_diff(d) for d in range(lo, hi + 1)}
     for d in range(lo, hi):
-        if mats[d].size and mats[d + 1].size:
-            if np.any(K.matmul(mats[d + 1], mats[d])):
-                raise InternalCheckError("totalization differential does not square to zero")
+        if _nonzero(K.matmul(mats[d + 1], mats[d], tot_dim(d))):
+            raise InternalCheckError("totalization differential does not square to zero")
     out = {}
     for d in range(lo, hi + 1):
         n = tot_dim(d)
         if n == 0:
             continue
-        r_out = K.rank(mats[d]) if mats[d].size else 0
-        r_in = K.rank(mats[d - 1]) if mats.get(d - 1) is not None and mats[d - 1].size else 0
-        h = n - r_out - r_in
+        h = n - K.rank(mats[d]) - K.rank(mats.get(d - 1, ()))
         if h < 0:
             raise InternalCheckError("negative cohomology dimension in totalization")
         if h:

@@ -10,9 +10,8 @@ The default orientation points every edge from its smaller to its larger
 endpoint.  A custom orientation may flip any subset of edges; the underlying
 diagram is always the one above.
 
-Everything here is plain integers and imports no numpy: building, parsing
-and serializing quivers, their directed paths, the Cartan rows and the
-positive roots.
+Everything here is plain integers: building, parsing and serializing
+quivers, their directed paths, the Cartan rows and the positive roots.
 """
 from __future__ import annotations
 

@@ -10,14 +10,14 @@ on the socle, with fixed pseudo-random values, yields the twist
 automorphism used in the corner block of the 3x3 triangular algebra.
 Labels of the morphism category embed via base change along quiver-paths.
 
-This module imports no numpy.  Elements are sparse (basis index,
-coefficient) terms, and `mult` and `apply_theta` are the algebra's one
-product and one twist.  The identity objects, the kill objects and the
-projectives read their trivial presentations off the knitted terms, so a
-phi image of one of them loads only the integer layers and `_field`; the
-other module labels take their presentations from `complexes`, which
-loads numpy.  `lifting` holds the block algebra and the partial inverse of
-the embedding, and builds its dense matrices from `products`.
+Elements are sparse (basis index, coefficient) terms, and `mult` and
+`apply_theta` are the algebra's one product and one twist.  The identity
+objects, the kill objects and the projectives read their trivial
+presentations off the knitted terms, so a phi image of one of them loads
+only the label layers and `_kernels`; the other module labels take their
+presentations from `complexes`.  `lifting` holds the block algebra and the
+partial inverse of the embedding, and builds its dense matrices from
+`products`.
 
 The rotation omega of the frozen labels (`omega_action`, `omega_orbit`,
 `omega_order`) is label arithmetic: it is defined in `morphcat` and bound
@@ -29,9 +29,9 @@ import functools
 import random
 from types import MappingProxyType
 
-from . import _field as F
+from . import _kernels as K
 from . import morphcat as mp
-from ._field import P
+from ._kernels import P
 from .dynkin import Quiver, nakayama_involution
 from .errors import GuardError, InternalCheckError
 from .morphcat import MprLabel
@@ -107,7 +107,7 @@ class PreprojAlgebra:
                             k = col[(u, a ^ 1)]
                             row[k] = row.get(k, 0) + sign * c
                 rel.append(row)
-            piv = F.rref(rel)
+            piv = K.rref(rel)
             keep = [k for k in range(len(cands)) if k not in piv]
             if not keep:
                 break
@@ -269,7 +269,8 @@ class PreprojAlgebra:
 
 def _blockwise_twist(dim: int, gram: dict[tuple[int, int], int]) -> tuple[Terms, ...] | None:
     """The columns of G^-1 G^T for the sparse Gram matrix G, solved on each
-    connected block of its nonzero entries; None if G is singular."""
+    connected block of its nonzero entries; None if G is singular (then
+    G X = 1 has no solution)."""
     root = list(range(dim))
 
     def find(x: int) -> int:
@@ -285,9 +286,10 @@ def _blockwise_twist(dim: int, gram: dict[tuple[int, int], int]) -> tuple[Terms,
     theta: list[Terms] = [()] * dim
     for idx in blocks.values():
         g = [[gram.get((r, s), 0) for s in idx] for r in idx]
-        x = F.solve(g, [list(col) for col in zip(*g)])
-        if x is None:
+        inv = K.solve(g, K.identity(len(idx)), len(idx))
+        if inv is None:
             return None
+        x = K.matmul(inv, K.transpose(g, len(idx)))
         for s, j in enumerate(idx):
             theta[j] = tuple((r, x[t][s]) for t, r in enumerate(idx) if x[t][s])
     return tuple(theta)

@@ -11,19 +11,19 @@ route to the order of the rotation omega.
 
 Elements stay sparse (basis index, coefficient) terms, multiplied by
 `PreprojAlgebra.mult`.  Every linear map of blocks (the underlying map of
-a block morphism, the hom-pair systems, local inverses, the left actions
-of basis words) is a dense matrix that `_action` reads off the algebra's
-`products`.  numpy, imported at the top with `_kernels`, does only the
-linear algebra on them: nullspaces, ranks, solves and the Fitting
-projectors.  `higgs` itself loads neither.
+a block morphism, the hom-pair systems, local inverses) is a matrix that
+`_action` reads off the algebra's `products`, and a basis word acts on a
+vector of a sum of projectives through `_left_mult`, also read off
+`products`.  `_kernels` does the linear algebra on them: nullspaces,
+ranks, solves and the Fitting projectors.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
-
-import numpy as np
+import random
+from operator import mul
 
 from . import _kernels as K
 from . import morphcat as mp
@@ -33,7 +33,7 @@ from .higgs import LambdaMorphism, PreprojAlgebra, Terms, _pairs, phi_image, pre
 from .morphcat import MprLabel
 
 
-def _action(alg: PreprojAlgebra, x, rows, cols, left: bool) -> np.ndarray:
+def _action(alg: PreprojAlgebra, x, rows, cols, left: bool) -> tuple:
     """The matrix of b -> x * b (left) or b -> b * x (right) on the span of
     the basis words `cols`, read in the basis words `rows`, for x given as
     (index, coefficient) terms: column c holds the product with b_cols[c],
@@ -44,7 +44,7 @@ def _action(alg: PreprojAlgebra, x, rows, cols, left: bool) -> np.ndarray:
         for i, a in x:
             for k, v in alg.products.get((i, j) if left else (j, i), ()):
                 out[at[k]][c] += a * v
-    return np.array(out, dtype=np.int64).reshape(len(rows), len(cols)) % K.P
+    return K.as_matrix(out)
 
 
 def _minus(x, y) -> Terms:
@@ -55,16 +55,19 @@ def _minus(x, y) -> Terms:
     return _pairs(out)
 
 
-def underlying_matrix(f: LambdaMorphism) -> np.ndarray:
+def underlying_matrix(f: LambdaMorphism) -> tuple:
     """The induced linear map on underlying spaces (source basis maps
     through right multiplication by the entries)."""
     alg = f.alg
     rows = [alg.module_indices(v) for v in f.p0]
     cols = [alg.module_indices(v) for v in f.p1]
     if not rows or not cols:
-        return np.zeros((f.target_dim(), f.source_dim()), dtype=np.int64)
-    return np.block([[_action(alg, f.entries[r][c], kr, kc, left=False) for c, kc in enumerate(cols)]
-                     for r, kr in enumerate(rows)])
+        return K.zeros(f.target_dim(), f.source_dim())
+    out = []
+    for r, kr in enumerate(rows):
+        blocks = [_action(alg, f.entries[r][c], kr, kc, left=False) for c, kc in enumerate(cols)]
+        out.extend(sum(parts, ()) for parts in zip(*blocks))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +103,12 @@ class TQAlgebra:
         return tgt, self.algebra.mult(x, y)
 
     def _check_associativity(self):
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         d = self.algebra.dim
         for b1 in self.BLOCKS:
             for b2 in self.BLOCKS:
                 for b3 in self.BLOCKS:
-                    x, y, z = (dict(enumerate(rng.integers(0, K.P, d).tolist())) for _ in range(3))
+                    x, y, z = ({i: rng.randrange(K.P) for i in range(d)} for _ in range(3))
                     xy = self.block_product(b1, x, b2, y)
                     left = self.block_product(*xy, b3, z) if xy else None
                     yz = self.block_product(b2, y, b3, z)
@@ -154,19 +157,15 @@ class TQAlgebra:
                     for t, y in enumerate(mod):
                         for k, x in alg.products.get((g, y), ()):
                             rows.setdefault((gb, g, k), {})[c + t] = x
-            eq = np.zeros((max(len(rows), 1), len(pbasis)), dtype=np.int64)
-            for n, row in enumerate(rows.values()):
-                eq[n, list(row)] = list(row.values())
-            ns = K.nullspace(eq)
-            if ns.shape[1] != 1:
+            ns = K.nullspace(rows.values(), len(pbasis))
+            if len(ns) != 1:
                 raise InternalCheckError(
-                    f"left projective at {(r, v)} has socle dimension {ns.shape[1]}"
+                    f"left projective at {(r, v)} has socle dimension {len(ns)}"
                 )
-            soc = ns[:, 0]
             weights = set()
-            for i in np.nonzero(soc % K.P)[0]:
-                b, k = pbasis[int(i)]
-                weights.add((b[0], alg.word_start(k)))
+            for (b, k), x in zip(pbasis, ns[0]):
+                if x:
+                    weights.add((b[0], alg.word_start(k)))
             if len(weights) != 1:
                 raise InternalCheckError("socle is not weight-homogeneous")
             perm[(r, v)] = weights.pop()
@@ -222,26 +221,24 @@ def _hom_pair_space(X: LambdaMorphism, Y: LambdaMorphism):
             # X.p1[c] -> Y.p0[r]: sum_cc x[cc][c] * f0[r][cc] minus
             # sum_rr f1[rr][c] * y[r][rr]
             out = alg.block_indices(X.p1[c], Y.p0[r])
-            eq = np.zeros((len(out), nvar), dtype=np.int64)
+            eq: list[dict[int, int]] = [{} for _ in out]
             for cc in range(len(X.p0)):
                 if (r, cc) in first0 and X.entries[cc][c]:
                     k, ins = first0[r, cc], alg.block_indices(X.p0[cc], Y.p0[r])
-                    eq[:, k : k + len(ins)] = _action(alg, X.entries[cc][c], out, ins, left=True)
+                    for row, arow in zip(eq, _action(alg, X.entries[cc][c], out, ins, left=True)):
+                        row.update((k + t, x) for t, x in enumerate(arow) if x)
             for rr in range(len(Y.p1)):
                 if (rr, c) in first1 and Y.entries[r][rr]:
                     k, ins = first1[rr, c], alg.block_indices(X.p1[c], Y.p1[rr])
-                    eq[:, k : k + len(ins)] = -_action(alg, Y.entries[r][rr], out, ins, left=False)
-            rows.append(eq)
-    if rows:
-        system = K.reduce_mod(np.vstack(rows))
-        basis = K.nullspace(system)
-    else:
-        basis = np.eye(nvar, dtype=np.int64)
-    return slots1, slots0, basis
+                    for row, arow in zip(eq, _action(alg, Y.entries[r][rr], out, ins, left=False)):
+                        row.update((k + t, -x) for t, x in enumerate(arow) if x)
+            rows.extend(eq)
+    # the pairs as rows: basis vectors of the kernel of the system
+    return slots1, slots0, K.nullspace(rows, nvar)
 
 
 def hom_pair_dim(X: LambdaMorphism, Y: LambdaMorphism) -> int:
-    return _hom_pair_space(X, Y)[2].shape[1]
+    return len(_hom_pair_space(X, Y)[2])
 
 
 def _pair_matrices(X, Y, slots1, slots0, vec):
@@ -253,7 +250,7 @@ def _pair_matrices(X, Y, slots1, slots0, vec):
             return None
         ent = [[{} for _ in src] for _ in tgt]
         for k, (r, c, i) in enumerate(slots, start=start):
-            ent[r][c][i] = int(vec[k])
+            ent[r][c][i] = vec[k]
         return LambdaMorphism(X.alg, src, tgt, ent)
 
     return side(slots1, 0, X.p1, Y.p1), side(slots0, len(slots1), X.p0, Y.p0)
@@ -262,20 +259,25 @@ def _pair_matrices(X, Y, slots1, slots0, vec):
 def _invertible(m: LambdaMorphism | None, n_src, n_tgt) -> bool:
     if m is None:
         return n_src == 0 and n_tgt == 0
-    U = underlying_matrix(m)
-    return U.shape[0] == U.shape[1] and K.rank(U) == U.shape[0]
+    n = m.target_dim()
+    return m.source_dim() == n and K.rank(underlying_matrix(m)) == n
+
+
+def _combination(rng: random.Random, basis) -> tuple[int, ...]:
+    """A random linear combination of the basis vectors."""
+    coeffs = [rng.randrange(K.P) for _ in basis]
+    return tuple(sum(map(mul, coeffs, col)) % K.P for col in zip(*basis))
 
 
 def is_isomorphic(X: LambdaMorphism, Y: LambdaMorphism) -> bool:
     if sorted(X.p1) != sorted(Y.p1) or sorted(X.p0) != sorted(Y.p0):
         return False
     slots1, slots0, basis = _hom_pair_space(X, Y)
-    if basis.shape[1] == 0:
+    if not basis:
         return len(X.p1) + len(X.p0) == 0
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for _ in range(24):
-        vec = K.reduce_mod(basis @ rng.integers(0, K.P, basis.shape[1]))
-        f1, f0 = _pair_matrices(X, Y, slots1, slots0, vec)
+        f1, f0 = _pair_matrices(X, Y, slots1, slots0, _combination(rng, basis))
         ok1 = _invertible(f1, len(X.p1), len(Y.p1)) if len(X.p1) or len(Y.p1) else True
         ok0 = _invertible(f0, len(X.p0), len(Y.p0)) if len(X.p0) or len(Y.p0) else True
         if ok1 and ok0:
@@ -291,12 +293,11 @@ def _local_inverse(alg: PreprojAlgebra, x: Terms, v: int) -> Terms:
     """Inverse of an element of the local endomorphism ring at v."""
     idx = alg.block_indices(v, v)
     unit = ((alg.e_index[v], 1),)
-    rhs = np.zeros(len(idx), dtype=np.int64)
-    rhs[idx.index(alg.e_index[v])] = 1
-    sol = K.solve(_action(alg, x, idx, idx, left=True), rhs)
+    rhs = [(int(k == alg.e_index[v]),) for k in idx]
+    sol = K.solve(_action(alg, x, idx, idx, left=True), rhs, len(idx))
     if sol is None:
         raise InternalCheckError("local element is not invertible")
-    out = _pairs(zip(idx, sol.tolist()))
+    out = _pairs(zip(idx, (s for s, in sol)))
     if alg.mult(x, out) != unit:
         raise InternalCheckError("local inverse failed")
     return out
@@ -338,20 +339,18 @@ def strip_identity_summands(f: LambdaMorphism):
     return LambdaMorphism(alg, p1, p0, ent), tuple(sorted(stripped))
 
 
+def _pair_endomorphism(X: LambdaMorphism, f1, f0) -> tuple:
+    """The underlying map [[U1, 0], [0, U0]] of an endomorphism pair
+    (f1, f0) of X; a side without entries (None) maps by 0."""
+    d1, d0 = X.source_dim(), X.target_dim()
+    U1 = underlying_matrix(f1) if f1 is not None else K.zeros(d1, d1)
+    U0 = underlying_matrix(f0) if f0 is not None else K.zeros(d0, d0)
+    return tuple(row + (0,) * d0 for row in U1) + tuple((0,) * d1 + row for row in U0)
+
+
 def _end_pair_algebra(X: LambdaMorphism):
     slots1, slots0, basis = _hom_pair_space(X, X)
-    n = basis.shape[1]
-    pairs = [_pair_matrices(X, X, slots1, slots0, basis[:, k]) for k in range(n)]
-    mats = []
-    d1, d0 = X.source_dim(), X.target_dim()
-    for (f1, f0) in pairs:
-        U1 = underlying_matrix(f1) if f1 is not None else np.zeros((d1, d1), dtype=np.int64)
-        U0 = underlying_matrix(f0) if f0 is not None else np.zeros((d0, d0), dtype=np.int64)
-        M = np.zeros((d1 + d0, d1 + d0), dtype=np.int64)
-        M[:d1, :d1] = U1
-        M[d1:, d1:] = U0
-        mats.append(M)
-    return mats
+    return [_pair_endomorphism(X, *_pair_matrices(X, X, slots1, slots0, vec)) for vec in basis]
 
 
 def _end_corank(X: LambdaMorphism) -> int:
@@ -359,62 +358,66 @@ def _end_corank(X: LambdaMorphism) -> int:
     trace form of the action kills exactly the radical (the working prime
     exceeds every dimension in sight)."""
     mats = _end_pair_algebra(X)
-    if not mats:
-        return 0
-    # G[a, b] = trace(A_a A_b) = sum_ij A_a[i, j] A_b[j, i]; each entry sums
-    # D^2 products below P^2 (D the matrix size), well inside int64
-    A = K.reduce_mod(np.stack(mats))
-    return K.rank(np.einsum("aij,bji->ab", A, A) % K.P)
+    # G[a, b] = trace(A_a A_b) = sum_ij A_a[i, j] A_b[j, i]: the entries of
+    # A_a against those of the transpose of A_b, each flattened
+    flat = [[x for row in A for x in row] for A in mats]
+    flat_t = [[x for col in zip(*A) for x in col] for A in mats]
+    return K.rank([[sum(map(mul, fa, fb)) for fb in flat_t] for fa in flat])
 
 
 def is_indecomposable(X: LambdaMorphism) -> bool:
     return _end_corank(X) == 1
 
 
-def _left_actions(alg: PreprojAlgebra, labels, words) -> np.ndarray:
-    """Left multiplication by each basis word on the sum of the left
-    projectives at `labels`, in row form: x @ out[t] is words[t] * x."""
-    mods = [alg.module_indices(v) for v in labels]
-    n = sum(map(len, mods))
-    out = np.zeros((len(words), n, n), dtype=np.int64)
-    for t, g in enumerate(words):
-        start = 0
-        for idx in mods:
-            end = start + len(idx)
-            out[t, start:end, start:end] = _action(alg, ((g, 1),), idx, idx, left=True).T
-            start = end
-    return out
+def _left_mult(alg: PreprojAlgebra, labels, g: int, x) -> tuple[int, ...]:
+    """Basis word g times the vector x of the sum of the left projectives at
+    `labels`, read off the nonzero products."""
+    out = [0] * len(x)
+    start = 0
+    for v in labels:
+        idx = alg.module_indices(v)
+        at = {k: start + t for t, k in enumerate(idx)}
+        for t, y in enumerate(idx):
+            c = x[start + t]
+            if c:
+                for k, a in alg.products.get((g, y), ()):
+                    out[at[k]] += c * a
+        start += len(idx)
+    return tuple(a % K.P for a in out)
 
 
 def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
     """Given an idempotent endomorphism of a sum of left projectives,
     realign its image as a sum of projectives: returns the new labels and
     the generators as underlying vectors."""
-    img = K.rref(proj_mat.T)[0]
-    img = img[np.any(img % K.P, axis=1)]
-    W = img  # rows span the image
-    if W.shape[0] == 0:
+    n = len(proj_mat)
+    piv = K.rref(K.transpose(proj_mat, n))
+    W = [K.dense(piv[c], n) for c in sorted(piv)]  # rows span the image
+    if not W:
         return (), []
     rad = [k for k, (_, w) in enumerate(alg.basis) if w]
-    JW = K.matmul(W, _left_actions(alg, labels, rad)).reshape(-1, W.shape[1])
+    JW = [_left_mult(alg, labels, g, w) for g in rad for w in W]
     # generators: weight components of the image that are new modulo the
-    # radical part (weight projections of a submodule stay inside it)
+    # radical part (weight projections of a submodule stay inside it); the
+    # span so far is kept in echelon form, so each candidate costs one
+    # reduction
     gens = []
     new_labels = []
-    current = JW.copy()
+    span = K.rref(JW)
     # the start vertex of each underlying basis word
-    starts = np.array([alg.word_start(k) for v in labels for k in alg.module_indices(v)])
+    starts = [alg.word_start(k) for v in labels for k in alg.module_indices(v)]
     for v in alg.quiver.vertices:
-        wmask = starts == v
-        proj = np.zeros_like(W)
-        proj[:, wmask] = W[:, wmask]
-        for row in proj:
-            if not np.any(row % K.P) or K.row_space_contains(current, row):
+        for w in W:
+            row = tuple(x if s == v else 0 for x, s in zip(w, starts))
+            if not any(row):
+                continue
+            before = len(span)
+            K.rref((row,), span)
+            if len(span) == before:
                 continue
             gens.append(row)
             new_labels.append(v)
-            current = np.vstack([current, row.reshape(1, -1)])
-    if K.rank(current) != K.rank(np.vstack([JW, W]) if JW.shape[0] else W):
+    if len(span) != K.rank(JW + W):
         raise InternalCheckError("generators do not span the image submodule")
     return tuple(new_labels), gens
 
@@ -427,34 +430,70 @@ def _express_in_generators(alg, labels, gens, summands, target_vec):
     keys = []
     for j, v in enumerate(labels):
         ks = alg.module_indices(v)
-        cols.extend(K.matmul(gens[j], _left_actions(alg, summands, ks)))
+        cols.extend(_left_mult(alg, summands, k, gens[j]) for k in ks)
         keys.extend((j, k) for k in ks)
-    A = np.array(cols, dtype=np.int64).T if cols else np.zeros((len(target_vec), 0), dtype=np.int64)
-    sol = K.solve(A, K.reduce_mod(target_vec))
+    sol = K.solve(K.transpose(cols, len(target_vec)), [(x,) for x in target_vec], len(cols))
     if sol is None:
         raise InternalCheckError("target does not lie in the generated submodule")
     out: list[dict[int, int]] = [{} for _ in labels]
-    for t, (j, k) in enumerate(keys):
-        out[j][k] = int(sol[t])
+    for (j, k), (x,) in zip(keys, sol):
+        out[j][k] = x
     return out
 
 
-def _charpoly_modp(M: np.ndarray) -> list[int]:
+def _charpoly_modp(M) -> list[int]:
     """Characteristic polynomial coefficients (monic, highest first) over
-    the working prime field, by Newton's identities on power-sum traces."""
-    n = M.shape[0]
-    s = [0] * (n + 1)
-    Mk = np.eye(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        Mk = K.matmul(Mk, M)
-        s[k] = int(np.trace(Mk) % K.P)
-    c = [1] + [0] * n
-    for k in range(1, n + 1):
-        acc = s[k]
-        for i in range(1, k):
-            acc += c[i] * s[k - i]
-        c[k] = (-acc * K.inv_mod(k)) % K.P
-    return c
+    the working prime field: M is brought to upper Hessenberg form H by
+    similarity, and the characteristic polynomials p_m of the leading m x m
+    blocks of H follow from p_m = (x - h_mm) p_(m-1) minus the sum over
+    i < m of h_im h_(i+1,i) ... h_(m,m-1) p_(i-1)."""
+    P = K.P
+    n = len(M)
+    H = [list(row) for row in M]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(H[m][m - 1], -1, P)
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv % P
+            if u:
+                H[i] = [(x - u * y) % P for x, y in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % P
+    # polys[m] holds p_m, lowest coefficient first
+    polys = [[1]]
+    for m in range(n):
+        p = [0] + polys[m]
+        for k, c in enumerate(polys[m]):
+            p[k] = (p[k] - H[m][m] * c) % P
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % P
+            if not t:
+                break
+            f = t * H[i][m] % P
+            for k, c in enumerate(polys[i]):
+                p[k] = (p[k] - f * c) % P
+        polys.append(p)
+    return polys[n][::-1]
+
+
+def _smallest_root(coeffs) -> int | None:
+    """The smallest root in [0, P) of the polynomial with these coefficients
+    (highest first), by Horner's rule at 0, 1, 2, ...; None if it has none."""
+    P = K.P
+    for x in range(P):
+        value = 0
+        for cf in coeffs:
+            value = (value * x + cf) % P
+        if value == 0:
+            return x
+    return None
 
 
 def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
@@ -465,43 +504,37 @@ def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
     if is_indecomposable(X):
         return [X]
     slots1, slots0, basis = _hom_pair_space(X, X)
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     d1 = X.source_dim()
-    points = np.arange(K.P, dtype=np.int64)
     for _ in range(40):
-        vec = K.reduce_mod(basis @ rng.integers(0, K.P, basis.shape[1]))
-        f1, f0 = _pair_matrices(X, X, slots1, slots0, vec)
-        U1 = underlying_matrix(f1) if f1 is not None else np.zeros((0, 0), dtype=np.int64)
-        U0 = underlying_matrix(f0) if f0 is not None else np.zeros((0, 0), dtype=np.int64)
-        M = np.zeros((U1.shape[0] + U0.shape[0],) * 2, dtype=np.int64)
-        M[:U1.shape[0], :U1.shape[0]] = U1
-        M[U1.shape[0]:, U1.shape[0]:] = U0
+        M = _pair_endomorphism(X, *_pair_matrices(X, X, slots1, slots0, _combination(rng, basis)))
         # an eigenvalue: the first root of the characteristic polynomial
-        value = np.zeros(K.P, dtype=np.int64)
-        for cf in _charpoly_modp(M):
-            value = (value * points + cf) % K.P
-        roots = np.flatnonzero(value == 0)
-        if roots.size == 0:
+        root = _smallest_root(_charpoly_modp(M))
+        if root is None:
             continue
         # Fitting projector onto ker A along im A, for A = (M - lam)^n
-        n = M.shape[0]
-        eye = np.eye(n, dtype=np.int64)
-        A = K.reduce_mod(M - int(roots[0]) * eye)
+        n = len(M)
+        eye = K.identity(n)
+        A = K.as_matrix([[x - root * e for x, e in zip(row, erow)] for row, erow in zip(M, eye)])
         for _ in range(n.bit_length()):
-            A = K.matmul(A, A)
-        ker = K.nullspace(A)
-        im = K.rref(A.T)[0][: n - ker.shape[1]].T
-        inv = K.solve(np.concatenate([ker, im], axis=1), eye)
+            A = K.matmul(A, A, n)
+        ker = K.nullspace(A, n)
+        im = sorted(K.rref(K.transpose(A, n)).items())
+        # the basis of ker A, then that of im A, as columns
+        basis_cols = [tuple(v[i] for v in ker) + tuple(row.get(i, 0) for _, row in im)
+                      for i in range(n)]
+        inv = K.solve(basis_cols, eye, n)
         if inv is None:
             raise InternalCheckError("Fitting kernel and image do not span")
-        E = K.matmul(ker, inv[: ker.shape[1]])
-        if not np.array_equal(K.matmul(E, E), E):
+        E = K.matmul(K.transpose(ker, n), inv[: len(ker)], n)
+        if K.matmul(E, E, n) != E:
             continue
-        if not np.any(E) or np.array_equal(E, eye):
+        if not any(map(any, E)) or E == eye:
             continue
         pieces = []
-        for proj in (E, (eye - E) % K.P):
-            piece = _restrict_to_image(X, proj[:d1, :d1], proj[d1:, d1:])
+        for proj in (E, K.as_matrix([[e - x for x, e in zip(row, erow)] for row, erow in zip(E, eye)])):
+            piece = _restrict_to_image(X, tuple(row[:d1] for row in proj[:d1]),
+                                       tuple(row[d1:] for row in proj[d1:]))
             pieces.extend(split_summands(piece))
         if sum(p.source_dim() for p in pieces) != X.source_dim() or sum(
             p.target_dim() for p in pieces
@@ -518,8 +551,8 @@ def _restrict_to_image(X: LambdaMorphism, proj1, proj0) -> LambdaMorphism:
     Umap = underlying_matrix(X)
     ent: list[list] = [[{} for _ in lab1] for _ in lab0]
     for c, g in enumerate(gens1):
-        img = K.matmul(Umap, g.reshape(-1, 1)).ravel()
-        if not np.any(img % K.P):
+        img = tuple(sum(map(mul, row, g)) % K.P for row in Umap)
+        if not any(img):
             continue
         for r, z in enumerate(_express_in_generators(alg, lab0, gens0, X.p0, img)):
             ent[r][c] = z
@@ -611,7 +644,7 @@ def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
     summands map through the embedding, conflation witnesses through a
     generic radical extension class of their two-term shape."""
     alg = preprojective_algebra(q)
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     pieces = [phi_image(lab) for lab in lift.labels]
     for conf in lift.unresolved:
         p1 = tuple(lab.vertex for lab in conf.quot)
@@ -622,6 +655,6 @@ def realize_lift(q: Quiver, lift: HiggsLift) -> LambdaMorphism:
                 for i in alg.block_indices(p1[c], p0[r]):
                     if not alg.basis[i][1]:
                         continue  # stay inside the radical
-                    ent[r][c][i] = int(rng.integers(1, K.P))
+                    ent[r][c][i] = rng.randrange(1, K.P)
         pieces.append(LambdaMorphism(alg, p1, p0, ent))
     return direct_sum(alg, pieces)

@@ -14,14 +14,14 @@ integers.  Its mesh check (dimension additivity of the terms P1 and P0)
 reads the terms from `stalks.presentation_terms`, which knits them from
 dim Hom(M, S_w) and dim Ext^1(M, S_w); Z(v) is (v) -> (v) and E(v) is
 (v) -> ().  So `mpr_ar_quiver` and the ice quiver built on it load no
-numpy: numpy, `_kernels` and `complexes` are imported only inside the
+matrix layer: `_kernels` and `complexes` are imported only inside the
 functions that need them.  The rotation omega of the frozen labels (kill
 -> identity -> trivial presentation -> kill at the involuted vertex) is
-label arithmetic too, so an orbit of it loads no numpy either.
+label arithmetic too, and so are the terms of `f_presentation`.
 
 An `MprObject` holds its scalar matrix as int tuples.  The identity and
 kill objects and the projectives P_v have trivial presentations, read off
-the knitted terms without numpy.  The presentation of the module
+the knitted terms.  The presentation of the module
 tauinv^k P_v for k > 0 is entry k of the memoized orbit
 `complexes.tau_inv_orbit`: the complex functor iterated on P_v and
 minimized, never a matrix representation.  Its sorted terms must equal
@@ -83,7 +83,7 @@ class MprObject:
     """
 
     def __init__(self, quiver: Quiver, p1, p0, mat):
-        from ._field import P
+        from ._kernels import P
 
         self.quiver = quiver
         self.p1 = tuple(int(v) for v in p1)
@@ -97,12 +97,9 @@ class MprObject:
 
     def as_pcpx(self):
         """The object as a `complexes.PCpx` in degrees (-1, 0)."""
-        import numpy as np
-
         from . import complexes as cx
 
-        mat = np.array(self.mat, dtype=np.int64).reshape(len(self.p0), len(self.p1))
-        return cx.PCpx(self.quiver, {-1: self.p1, 0: self.p0}, {-1: mat}).validate()
+        return cx.PCpx(self.quiver, {-1: self.p1, 0: self.p0}, {-1: self.mat}).validate()
 
     def __repr__(self) -> str:
         return f"MprObject({list(self.p1)} -> {list(self.p0)})"
@@ -458,21 +455,28 @@ def f_presentation(x: MprLabel) -> tuple[tuple[MprLabel, ...], tuple[MprLabel, .
     module family the target is the window successor and the source
     collects identity objects accounting for the mismatch between the
     successor's source term and the translated source term.
-    """
-    from . import complexes as cx
 
+    The derived inverse translate of P_v is [I0 -> I1] transported to
+    projectives, with I_w occurring dim Hom(S_w, P_v) times in I0 and
+    dim Ext^1(S_w, P_v) times in I1; both counts are knitted in integers.
+    """
     q = x.quiver
-    F = cx.tau_inv_functor(q)
+    simple = {w: stalks.label_by_dim_vector(q, tuple(int(u == w) for u in q.vertices))
+              for w in q.vertices}
+
+    def terms(v: int, count) -> tuple[int, ...]:
+        return tuple(w for w in q.vertices for _ in range(count(simple[w], IndecLabel(q, v, 0))))
+
     if x.kind in ("dzero", "done"):
         mk = "dzero" if x.kind == "dzero" else "done"
-        u1 = tuple(MprLabel(q, mk, v) for v in F.S[x.vertex])
-        u0 = tuple(MprLabel(q, mk, v) for v in F.W[x.vertex])
+        u1 = tuple(MprLabel(q, mk, v) for v in terms(x.vertex, stalks.hom_dim))
+        u0 = tuple(MprLabel(q, mk, v) for v in terms(x.vertex, stalks.ext1_dim))
         return u1, u0
     i, k = _slot(x)
     succ = window(q, i, k + 1)
     x1 = functor_C(1, x)
-    pres_m1 = Counter(s for u in x1 for s in F.S[u])
-    pres_0 = Counter(w for u in x1 for w in F.W[u])
+    pres_m1 = Counter(s for u in x1 for s in terms(u, stalks.hom_dim))
+    pres_0 = Counter(w for u in x1 for w in terms(u, stalks.ext1_dim))
     diff = Counter(functor_C(1, succ))
     diff.subtract(pres_0)
     if any(c < 0 for c in diff.values()):

@@ -12,7 +12,9 @@ Conventions, fixed package-wide:
   u ~> w") and I_v -> I_w ("strip the path v ~> w") have every defined
   matrix entry equal to 1.  Both systems compose strictly: the composite of
   two basis morphisms is the basis morphism of the composed path.
-* All matrices are exact, over the fixed prime field of `_kernels`.
+* All matrices are exact, over the fixed prime field of `_kernels`: tuples
+  of int rows in [0, P), so a representation shared through a memo cannot
+  be changed in place.
 
 The irreducible data extracted from a quiver is the orbit structure of the
 inverse translate: every indecomposable is tauinv^k applied to a projective,
@@ -26,9 +28,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import Counter
+from itertools import accumulate
 from types import MappingProxyType
-
-import numpy as np
 
 from . import _kernels as K
 from . import stalks
@@ -40,23 +41,20 @@ from .stalks import ARQuiver, IndecLabel, knit_ar_quiver, label_by_dim_vector
 from .stalks import e_exponent as orbit_lengths
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """Mark an array read-only, so that an object shared through a memo
-    raises on an in-place write instead of corrupting later results."""
-    a.setflags(write=False)
-    return a
+def _has_shape(m, rows: int, cols: int) -> bool:
+    return len(m) == rows and all(len(r) == cols for r in m)
 
 
 class Rep:
-    """A representation: dims per vertex and one read-only matrix per arrow."""
+    """A representation: dims per vertex and one matrix per arrow."""
 
     def __init__(self, quiver: Quiver, dims, maps):
         self.quiver = quiver
         self.dims = tuple(int(d) for d in dims)
         # maps[(i, j)] has shape (dims[i-1], dims[j-1]) and sends M_j -> M_i
-        self.maps = MappingProxyType({a: _read_only(K.reduce_mod(m)) for a, m in maps.items()})
+        self.maps = MappingProxyType({a: K.as_matrix(m) for a, m in maps.items()})
         for (i, j), m in self.maps.items():
-            if m.shape != (self.dims[i - 1], self.dims[j - 1]):
+            if not _has_shape(m, self.dims[i - 1], self.dims[j - 1]):
                 raise InternalCheckError(f"bad map shape at arrow {(i, j)}")
 
     def dim(self, v: int) -> int:
@@ -69,7 +67,7 @@ class Rep:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def map(self, arrow) -> np.ndarray:
+    def map(self, arrow) -> tuple:
         return self.maps[arrow]
 
     def dim_vector(self) -> tuple[int, ...]:
@@ -83,23 +81,30 @@ class Rep:
 class Morphism:
     src: Rep
     tgt: Rep
-    mats: list | tuple  # per vertex v (1-based): shape (tgt.dim(v), src.dim(v))
+    mats: tuple  # per vertex v (1-based): shape (tgt.dim(v), src.dim(v))
 
-    def mat(self, v: int) -> np.ndarray:
+    def __post_init__(self):
+        self.mats = tuple(K.as_matrix(m) for m in self.mats)
+
+    def mat(self, v: int) -> tuple:
         return self.mats[v - 1]
 
     def validate(self) -> "Morphism":
-        mats = [K.reduce_mod(m) for m in self.mats]
+        for v in self.src.quiver.vertices:
+            if not _has_shape(self.mat(v), self.tgt.dim(v), self.src.dim(v)):
+                raise InternalCheckError(f"bad matrix shape at vertex {v}")
         for (i, j) in self.src.quiver.arrows:
-            lhs = K.matmul_reduced(mats[i - 1], self.src.map((i, j)))
-            rhs = K.matmul_reduced(self.tgt.map((i, j)), mats[j - 1])
-            if not np.array_equal(lhs, rhs):
+            n = self.src.dim(j)
+            lhs = K.matmul(self.mat(i), self.src.map((i, j)), n)
+            rhs = K.matmul(self.tgt.map((i, j)), self.mat(j), n)
+            if lhs != rhs:
                 raise InternalCheckError(f"matrices do not intertwine at arrow {(i, j)}")
         return self
 
     def compose(self, other: "Morphism") -> "Morphism":
         # self after other: other: A -> B, self: B -> C
-        mats = [K.matmul(s, o) for s, o in zip(self.mats, other.mats)]
+        mats = [K.matmul(s, o, other.src.dim(v))
+                for v, s, o in zip(self.src.quiver.vertices, self.mats, other.mats)]
         return Morphism(other.src, self.tgt, mats)
 
     def total_rank(self) -> int:
@@ -107,15 +112,14 @@ class Morphism:
 
 
 def zero_rep(q: Quiver) -> Rep:
-    return Rep(q, [0] * q.rank, {a: np.zeros((0, 0), dtype=np.int64) for a in q.arrows})
+    return Rep(q, [0] * q.rank, {a: () for a in q.arrows})
 
 
 def _path_indicator_rep(q: Quiver, cond) -> Rep:
     dims = [1 if cond(v) else 0 for v in q.vertices]
     maps = {}
     for (i, j) in q.arrows:
-        di, dj = dims[i - 1], dims[j - 1]
-        maps[(i, j)] = np.ones((di, dj), dtype=np.int64)
+        maps[(i, j)] = ((1,) * dims[j - 1],) * dims[i - 1]
     return Rep(q, dims, maps)
 
 
@@ -133,14 +137,14 @@ def simple_rep(q: Quiver, i: int) -> Rep:
     return _path_indicator_rep(q, lambda v: v == i)
 
 
-def path_action(M: Rep, a: int, b: int) -> np.ndarray:
+def path_action(M: Rep, a: int, b: int) -> tuple:
     """The composite map M_b -> M_a along the directed path a ~> b."""
     path = M.quiver.path_vertices(a, b)
     if path is None:
         raise InternalCheckError(f"no path {a} ~> {b}")
-    out = np.eye(M.dim(b), dtype=np.int64)
+    out = K.identity(M.dim(b))
     for u, w in zip(reversed(path[:-1]), reversed(path[1:])):
-        out = K.matmul_reduced(M.map((u, w)), out)
+        out = K.matmul(M.map((u, w)), out, M.dim(b))
     return out
 
 
@@ -159,10 +163,10 @@ def direct_sum(reps: list[Rep]) -> tuple[Rep, list[list[int]]]:
     maps = {}
     for a in q.arrows:
         i, j = a
-        m = np.zeros((dims[i - 1], dims[j - 1]), dtype=np.int64)
+        m = [[0] * dims[j - 1] for _ in range(dims[i - 1])]
         for r, off in zip(reps, offsets):
-            blk = r.map(a)
-            m[off[i - 1] : off[i - 1] + r.dim(i), off[j - 1] : off[j - 1] + r.dim(j)] = blk
+            for t, row in enumerate(r.map(a)):
+                m[off[i - 1] + t][off[j - 1] : off[j - 1] + r.dim(j)] = row
         maps[a] = m
     return Rep(q, dims, maps), offsets
 
@@ -187,10 +191,8 @@ def injective_sum(q: Quiver, labels: tuple[int, ...]) -> tuple[Rep, tuple[tuple[
 
 
 def _all_ones_morphism(src: Rep, tgt: Rep) -> Morphism:
-    """The validated morphism whose every defined entry is 1, with read-only
-    matrices: the canonical basis morphisms are shared through memos."""
-    mats = tuple(_read_only(np.ones((tgt.dim(v), src.dim(v)), dtype=np.int64))
-                 for v in src.quiver.vertices)
+    """The validated morphism whose every defined entry is 1."""
+    mats = tuple(((1,) * src.dim(v),) * tgt.dim(v) for v in src.quiver.vertices)
     return Morphism(src, tgt, mats).validate()
 
 
@@ -216,34 +218,29 @@ def canonical_injective_morphism(q: Quiver, v0: int, w: int) -> Morphism:
 
 def hom_basis(M: Rep, N: Rep) -> list[Morphism]:
     q = M.quiver
-    sizes = [N.dim(v) * M.dim(v) for v in q.vertices]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    nvar = int(starts[-1])
+    starts = [0, *accumulate(N.dim(v) * M.dim(v) for v in q.vertices)]
     rows = []
     for (i, j) in q.arrows:
         # f_i @ M(a) = N(a) @ f_j, entries (r, c) with r < N.dim(i), c < M.dim(j)
         Ma, Na = M.map((i, j)), N.map((i, j))
         for r in range(N.dim(i)):
             for c in range(M.dim(j)):
-                row = np.zeros(nvar, dtype=np.int64)
+                row: dict[int, int] = {}
                 base_i = starts[i - 1]
                 for t in range(M.dim(i)):
-                    row[base_i + r * M.dim(i) + t] += Ma[t, c]
+                    k = base_i + r * M.dim(i) + t
+                    row[k] = row.get(k, 0) + Ma[t][c]
                 base_j = starts[j - 1]
                 for t in range(N.dim(j)):
-                    row[base_j + t * M.dim(j) + c] -= Na[r, t]
-                rows.append(row % K.P)
-    if rows:
-        sol = K.nullspace(np.array(rows, dtype=np.int64))
-    else:
-        sol = np.eye(nvar, dtype=np.int64)
+                    k = base_j + t * M.dim(j) + c
+                    row[k] = row.get(k, 0) - Na[r][t]
+                rows.append(row)
     out = []
-    for k in range(sol.shape[1]):
-        vec = sol[:, k]
+    for vec in K.nullspace(rows, starts[-1]):
         mats = []
         for v in q.vertices:
-            seg = vec[starts[v - 1] : starts[v]]
-            mats.append(seg.reshape(N.dim(v), M.dim(v)))
+            seg, m = vec[starts[v - 1] : starts[v]], M.dim(v)
+            mats.append([seg[r * m : (r + 1) * m] for r in range(N.dim(v))])
         out.append(Morphism(M, N, mats).validate())
     return out
 
@@ -267,64 +264,59 @@ def hom_dim(m, n) -> int:
 
 def kernel(f: Morphism) -> tuple[Rep, Morphism]:
     q = f.src.quiver
-    bases = [K.nullspace(f.mat(v)) for v in q.vertices]
-    dims = [b.shape[1] for b in bases]
+    null = [K.nullspace(f.mat(v), f.src.dim(v)) for v in q.vertices]
+    dims = [len(b) for b in null]
+    # per vertex, the inclusion of the kernel: its basis as columns
+    bases = [K.transpose(b, f.src.dim(v)) for v, b in zip(q.vertices, null)]
     maps = {}
     for (i, j) in q.arrows:
-        img = K.matmul(f.src.map((i, j)), bases[j - 1])
-        x = K.solve(bases[i - 1], img)
+        img = K.matmul(f.src.map((i, j)), bases[j - 1], dims[j - 1])
+        x = K.solve(bases[i - 1], img, dims[i - 1])
         if x is None:
             raise InternalCheckError("kernel is not a subrepresentation")
         maps[(i, j)] = x
     ker = Rep(q, dims, maps)
-    incl = Morphism(ker, f.src, [bases[v - 1] for v in q.vertices]).validate()
+    incl = Morphism(ker, f.src, bases).validate()
     return ker, incl
 
 
 def cokernel(f: Morphism) -> tuple[Rep, Morphism]:
     q = f.tgt.quiver
-    projs = []
-    for v in q.vertices:
-        left = K.nullspace(f.mat(v).T).T  # rows kill the image
-        projs.append(left)
-    dims = [p.shape[0] for p in projs]
+    # per vertex, rows that kill the image
+    projs = [K.nullspace(K.transpose(f.mat(v), f.src.dim(v)), f.tgt.dim(v)) for v in q.vertices]
+    dims = [len(p) for p in projs]
     maps = {}
     for (i, j) in q.arrows:
         # X with X @ proj_j = proj_i @ N(a)
-        rhs = K.matmul(projs[i - 1], f.tgt.map((i, j)))
-        xt = K.solve(projs[j - 1].T, rhs.T)
+        rhs = K.matmul(projs[i - 1], f.tgt.map((i, j)), f.tgt.dim(j))
+        xt = K.solve(K.transpose(projs[j - 1], f.tgt.dim(j)), K.transpose(rhs, f.tgt.dim(j)),
+                     dims[j - 1])
         if xt is None:
             raise InternalCheckError("cokernel maps do not descend")
-        maps[(i, j)] = xt.T
+        maps[(i, j)] = K.transpose(xt, dims[i - 1])
     cok = Rep(q, dims, maps)
     proj = Morphism(f.tgt, cok, projs).validate()
     return cok, proj
 
 
-def socle_bases(M: Rep) -> list[np.ndarray]:
-    """Per vertex, columns spanning the largest semisimple subrepresentation."""
+def socle_bases(M: Rep) -> list[tuple]:
+    """Per vertex, a basis (as rows) of the largest semisimple subrepresentation."""
     q = M.quiver
     out = []
     for v in q.vertices:
-        incoming = [M.map((i, v)) for (i, _) in q.arrows_into(v)]
-        if not incoming:
-            out.append(np.eye(M.dim(v), dtype=np.int64))
-        else:
-            out.append(K.nullspace(np.concatenate(incoming, axis=0)))
+        incoming = [row for (i, _) in q.arrows_into(v) for row in M.map((i, v))]
+        out.append(K.nullspace(incoming, M.dim(v)))
     return out
 
 
-def radical_projections(M: Rep) -> list[np.ndarray]:
+def radical_projections(M: Rep) -> list[tuple]:
     """Per vertex, a projection whose kernel is the radical subspace."""
     q = M.quiver
     out = []
     for v in q.vertices:
-        outgoing = [M.map((v, j)) for (_, j) in q.arrows_from(v)]
-        if not outgoing:
-            out.append(np.eye(M.dim(v), dtype=np.int64))
-        else:
-            img = np.concatenate(outgoing, axis=1)
-            out.append(K.nullspace(img.T).T)
+        # the columns of the outgoing maps span the radical subspace
+        image = [col for (_, j) in q.arrows_from(v) for col in K.transpose(M.map((v, j)), M.dim(j))]
+        out.append(K.nullspace(image, M.dim(v)))
     return out
 
 
@@ -337,29 +329,30 @@ def projective_cover(M: Rep) -> tuple[list[int], Morphism]:
     q = M.quiver
     projs = radical_projections(M)
     labels: list[int] = []
-    gens: list[tuple[int, np.ndarray]] = []
+    gens: list[tuple[int, tuple[int, ...]]] = []
     for v in q.vertices:
         pv = projs[v - 1]
-        t = pv.shape[0]
+        t = len(pv)
         if t == 0:
             continue
-        lift = K.solve(pv, np.eye(t, dtype=np.int64))
+        lift = K.solve(pv, K.identity(t), M.dim(v))
         if lift is None:
             raise InternalCheckError("top projection has no section")
         for c in range(t):
             labels.append(v)
-            gens.append((v, lift[:, c]))
+            gens.append((v, tuple(row[c] for row in lift)))
     if not labels:
-        return [], Morphism(zero_rep(q), M, [np.zeros((M.dim(v), 0), dtype=np.int64) for v in q.vertices])
+        return [], Morphism(zero_rep(q), M, [((),) * M.dim(v) for v in q.vertices])
     dom, offsets = projective_sum(q, tuple(labels))
-    mats = [np.zeros((M.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
+    mats = [[[0] * dom.dim(v) for _ in range(M.dim(v))] for v in q.vertices]
     for slot, (v, vec) in enumerate(gens):
         pv_rep = projective_rep(q, v)
         for u in q.vertices:
             if pv_rep.dim(u) == 0:
                 continue
             col = offsets[slot][u - 1]
-            mats[u - 1][:, col] = K.matmul(path_action(M, u, v), vec.reshape(-1, 1))[:, 0]
+            for row, (x,) in zip(mats[u - 1], K.matmul(path_action(M, u, v), [(x,) for x in vec])):
+                row[col] = x
     cover = Morphism(dom, M, mats).validate()
     # surjectivity
     for v in q.vertices:
@@ -368,7 +361,7 @@ def projective_cover(M: Rep) -> tuple[list[int], Morphism]:
     return labels, cover
 
 
-def scalar_matrix_of_projective_map(f: Morphism, src_labels: list[int], src_offsets, tgt_labels: list[int], tgt_offsets) -> np.ndarray:
+def scalar_matrix_of_projective_map(f: Morphism, src_labels: list[int], src_offsets, tgt_labels: list[int], tgt_offsets) -> tuple:
     """Express a morphism between sums of projectives in canonical basis scalars.
 
     Entry (r, c) is the coefficient of the append-path morphism
@@ -376,17 +369,16 @@ def scalar_matrix_of_projective_map(f: Morphism, src_labels: list[int], src_offs
     the source generator and asserted to reproduce the whole morphism.
     """
     q = f.src.quiver
-    out = np.zeros((len(tgt_labels), len(src_labels)), dtype=np.int64)
+    out = [[0] * len(src_labels) for _ in tgt_labels]
     for c, u in enumerate(src_labels):
         col_at_u = src_offsets[c][u - 1]
-        vec = f.mat(u)[:, col_at_u]
         for r, w in enumerate(tgt_labels):
             if q.has_path(u, w):
-                out[r, c] = vec[tgt_offsets[r][u - 1]]
-    return out
+                out[r][c] = f.mat(u)[tgt_offsets[r][u - 1]][col_at_u]
+    return K.as_matrix(out)
 
 
-def min_presentation(M: Rep) -> tuple[list[int], list[int], np.ndarray]:
+def min_presentation(M: Rep) -> tuple[list[int], list[int], tuple]:
     """Minimal projective presentation: labels of P1, labels of P0 and the
     scalar matrix of the map P1 -> P0 in canonical path-basis coordinates."""
     q = M.quiver
@@ -402,12 +394,10 @@ def min_presentation(M: Rep) -> tuple[list[int], list[int], np.ndarray]:
         off1 = projective_sum(q, tuple(labels1))[1]
         off0 = projective_sum(q, tuple(labels0))[1]
         scal = scalar_matrix_of_projective_map(d, labels1, off1, labels0, off0)
-        rebuilt = assemble_projective_map(q, labels1, labels0, scal)
-        for v in q.vertices:
-            if not np.array_equal(rebuilt.mat(v), d.mat(v)):
-                raise InternalCheckError("presentation map is not a scalar combination of path morphisms")
+        if assemble_projective_map(q, labels1, labels0, scal).mats != d.mats:
+            raise InternalCheckError("presentation map is not a scalar combination of path morphisms")
     else:
-        scal = np.zeros((len(labels0), len(labels1)), dtype=np.int64)
+        scal = K.zeros(len(labels0), len(labels1))
     return labels1, labels0, scal
 
 
@@ -416,18 +406,16 @@ def _assemble_map(make_sum, canonical, q: Quiver, src_labels, tgt_labels, scal) 
     scalars on the basis morphisms (built by `canonical`) between summands."""
     dom, off_s = make_sum(q, tuple(src_labels))
     cod, off_t = make_sum(q, tuple(tgt_labels))
-    mats = [np.zeros((cod.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
+    mats = [[[0] * dom.dim(v) for _ in range(cod.dim(v))] for v in q.vertices]
     for c, u in enumerate(src_labels):
         for r, w in enumerate(tgt_labels):
-            s = int(scal[r, c]) % K.P
+            s = scal[r][c] % K.P
             if s == 0:
                 continue
             base = canonical(q, u, w)
             for v in q.vertices:
                 if base.src.dim(v) and base.tgt.dim(v):
-                    mats[v - 1][off_t[r][v - 1], off_s[c][v - 1]] = (
-                        mats[v - 1][off_t[r][v - 1], off_s[c][v - 1]] + s
-                    ) % K.P
+                    mats[v - 1][off_t[r][v - 1]][off_s[c][v - 1]] += s
     return Morphism(dom, cod, mats).validate()
 
 
@@ -446,52 +434,51 @@ def _injective_envelope(M: Rep) -> tuple[list[int], Morphism]:
     q = M.quiver
     socs = socle_bases(M)
     labels: list[int] = []
-    funcs: list[tuple[int, np.ndarray]] = []  # (vertex, functional row)
+    funcs: list[tuple[int, tuple[int, ...]]] = []  # (vertex, functional row)
     for v in q.vertices:
         B = socs[v - 1]
-        s = B.shape[1]
-        if s == 0:
+        if not B:
             continue
         d = M.dim(v)
-        # extend the socle basis to a basis and take the dual rows
-        ext = np.concatenate([B, np.eye(d, dtype=np.int64)], axis=1)
-        _, piv = K.rref(ext)
-        cols = [int(c) for c in piv]
-        full = ext[:, cols]
-        finv = K.solve(full, np.eye(d, dtype=np.int64))
+        # extend the socle basis to a basis and take the dual rows: the
+        # pivot columns of [B | 1] are B's and the unit vectors that extend it
+        ext = [tuple(b[r] for b in B) + row for r, row in enumerate(K.identity(d))]
+        cols = sorted(K.rref(ext))
+        full = [[row[c] for c in cols] for row in ext]
+        finv = K.solve(full, K.identity(d), d)
         if finv is None:
             raise InternalCheckError("socle basis failed to extend")
-        for c in range(s):
+        for c in range(len(B)):
             labels.append(v)
             funcs.append((v, finv[c]))
     if not labels:
         cod = zero_rep(q)
-        return [], Morphism(M, cod, [np.zeros((0, M.dim(v)), dtype=np.int64) for v in q.vertices])
+        return [], Morphism(M, cod, [() for v in q.vertices])
     cod, offsets = injective_sum(q, tuple(labels))
-    mats = [np.zeros((cod.dim(v), M.dim(v)), dtype=np.int64) for v in q.vertices]
+    mats = [[(0,) * M.dim(v)] * cod.dim(v) for v in q.vertices]
     for slot, (v, phi) in enumerate(funcs):
         iv = injective_rep(q, v)
         for u in q.vertices:
             if iv.dim(u) == 0:
                 continue
-            row = K.matmul(phi.reshape(1, -1), path_action(M, v, u))
-            mats[u - 1][offsets[slot][u - 1], :] = row[0]
+            (row,) = K.matmul((phi,), path_action(M, v, u), M.dim(u))
+            mats[u - 1][offsets[slot][u - 1]] = row
     emb = Morphism(M, cod, mats).validate()
     if emb.total_rank() != M.total_dim:
         raise InternalCheckError("envelope embedding is not injective")
     return labels, emb
 
 
-def _scalar_matrix_of_injective_map(f: Morphism, src_labels, src_offsets, tgt_labels, tgt_offsets) -> np.ndarray:
+def _scalar_matrix_of_injective_map(f: Morphism, src_labels, src_offsets, tgt_labels, tgt_offsets) -> tuple:
     """Canonical-basis scalars of a morphism between sums of injectives."""
     q = f.src.quiver
-    out = np.zeros((len(tgt_labels), len(src_labels)), dtype=np.int64)
+    out = [[0] * len(src_labels) for _ in tgt_labels]
     for r, w in enumerate(tgt_labels):
         row_at_w = tgt_offsets[r][w - 1]
         for c, v in enumerate(src_labels):
             if q.has_path(v, w):
-                out[r, c] = f.mat(w)[row_at_w, src_offsets[c][w - 1]]
-    return out
+                out[r][c] = f.mat(w)[row_at_w][src_offsets[c][w - 1]]
+    return K.as_matrix(out)
 
 
 def assemble_injective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
@@ -500,7 +487,7 @@ def assemble_injective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
                          q, src_labels, tgt_labels, scal)
 
 
-def min_copresentation(M: Rep) -> tuple[list[int], Morphism, list[int], np.ndarray]:
+def min_copresentation(M: Rep) -> tuple[list[int], Morphism, list[int], tuple]:
     """Minimal injective copresentation 0 -> M -> I0 -> I1 from the two-step
     injective envelope (embed M, take the cokernel, embed again): labels of
     I0, the embedding M -> I0, labels of I1 and the path-basis scalars of
@@ -509,16 +496,14 @@ def min_copresentation(M: Rep) -> tuple[list[int], Morphism, list[int], np.ndarr
     labels0, emb = _injective_envelope(M)
     cok, proj = cokernel(emb)
     if cok.is_zero():
-        return labels0, emb, [], np.zeros((0, len(labels0)), dtype=np.int64)
+        return labels0, emb, [], ()
     labels1, emb1 = _injective_envelope(cok)
     g = emb1.compose(proj)
     off0 = injective_sum(q, tuple(labels0))[1]
     off1 = injective_sum(q, tuple(labels1))[1]
     scal = _scalar_matrix_of_injective_map(g, labels0, off0, labels1, off1)
-    rebuilt = assemble_injective_map(q, labels0, labels1, scal)
-    for v in q.vertices:
-        if not np.array_equal(rebuilt.mat(v), g.mat(v)):
-            raise InternalCheckError("copresentation map is not a scalar combination of path morphisms")
+    if assemble_injective_map(q, labels0, labels1, scal).mats != g.mats:
+        raise InternalCheckError("copresentation map is not a scalar combination of path morphisms")
     return labels0, emb, labels1, scal
 
 
@@ -614,13 +599,6 @@ def decompose(M: Rep) -> Counter:
     return Counter({items[a][0]: mult[a] for a in range(n) if mult[a]})
 
 
-def is_injective_rep(M: Rep) -> bool:
-    """Whether every summand of M is injective, i.e. ends its orbit."""
-    q = M.quiver
-    e = orbit_lengths(q)
-    return all(lab.power == e[lab.vertex] - 1 for lab in decompose(M))
-
-
 # ---------------------------------------------------------------------------
 # extensions and the Euler form
 
@@ -646,16 +624,17 @@ def _ext1_via_presentation(m, n) -> int:
     dim1 = sum(N.dim(v) for v in labels1)
     if dim1 == 0:
         return 0
-    rows0 = np.concatenate([[0], np.cumsum([N.dim(v) for v in labels0])])
-    rows1 = np.concatenate([[0], np.cumsum([N.dim(v) for v in labels1])])
-    mat = np.zeros((dim1, dim0), dtype=np.int64)
+    rows0 = [0, *accumulate(N.dim(v) for v in labels0)]
+    rows1 = [0, *accumulate(N.dim(v) for v in labels1)]
+    mat = [[0] * dim0 for _ in range(dim1)]
     for c1, u in enumerate(labels1):
         for c0, w in enumerate(labels0):
-            s = int(scal[c0, c1]) % K.P
+            s = scal[c0][c1] % K.P
             if s == 0:
                 continue
-            blk = s * path_action(N, u, w)  # N_w -> N_u along u ~> w
-            mat[rows1[c1] : rows1[c1 + 1], rows0[c0] : rows0[c0 + 1]] = blk % K.P
+            # N_w -> N_u along u ~> w
+            for t, row in enumerate(path_action(N, u, w)):
+                mat[rows1[c1] + t][rows0[c0] : rows0[c0 + 1]] = [s * x for x in row]
     return dim1 - K.rank(mat)
 
 

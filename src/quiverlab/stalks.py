@@ -4,8 +4,7 @@ and the module category as labels and dimension vectors.
 Everything in the bounded derived category of a Dynkin quiver is a sum of
 (de)suspended indecomposable modules, and every indecomposable module is
 tauinv^k of a projective.  This module works purely with such labels and
-two knitting tables, in plain integers (it imports no numpy and no matrix
-layer):
+two knitting tables, in plain integers (it imports no matrix layer):
 
 * the defect table: dimension vectors of tauinv^k P_v, continued formally
   past the module range, where the value at (v, k) equals (-1)^s times the

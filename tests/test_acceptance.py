@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 
 import quiverlab
 from quiverlab import boundary

@@ -346,7 +346,7 @@ def test_form_word_acts_like_the_input(t):
     for w in oracle_words(t):
         u = br._form_to_word(nf(w))
         assert br.project_to_weyl(u) == br.project_to_weyl(w)
-        assert np.array_equal(br.k0_action(u), br.k0_action(w))
+        assert br.k0_rows(u) == br.k0_rows(w)
         assert sum(s for _, s in u.letters) == sum(s for _, s in w.letters)
 
 
@@ -399,7 +399,7 @@ def test_star_fixed_subgroup():
 
 
 def test_k0_generator_fixture():
-    assert br.k0_action(W("A2", [1])).tolist() == [[-1, 1], [0, 1]]
+    assert br.k0_rows(W("A2", [1])) == ((-1, 1), (0, 1))
 
 
 def reflection_matrix(dtype, word):
@@ -411,7 +411,7 @@ def reflection_matrix(dtype, word):
         M = np.eye(n, dtype=np.int64)
         M[i - 1, :] -= C[i - 1, :]
         out = out @ M
-    return out
+    return tuple(map(tuple, out.tolist()))
 
 
 def test_k0_is_the_reflection_matrix_of_the_weyl_image():
@@ -422,11 +422,11 @@ def test_k0_is_the_reflection_matrix_of_the_weyl_image():
             w = random_word(dt, 12, rng)
             lift = br.canonical_lift(br.project_to_weyl(w))
             expect = reflection_matrix(dt, [i for i, _ in lift.letters])
-            assert np.array_equal(br.k0_action(w), expect)
+            assert br.k0_rows(w) == expect
 
 
 def test_k0_kills_cancelling_pairs():
-    assert np.array_equal(br.k0_action(W("A2", [1, -1])), np.eye(2, dtype=np.int64))
+    assert br.k0_rows(W("A2", [1, -1])) == ((1, 0), (0, 1))
 
 
 def test_k0_is_a_homomorphism():
@@ -435,16 +435,15 @@ def test_k0_is_a_homomorphism():
     for _ in range(8):
         a = random_word(base.dtype, 5, rng)
         b = random_word(base.dtype, 5, rng)
-        assert np.array_equal(
-            br.k0_action(a * b), br.k0_action(a) @ br.k0_action(b)
-        )
+        product = np.array(br.k0_rows(a)) @ np.array(br.k0_rows(b))
+        assert br.k0_rows(a * b) == tuple(map(tuple, product.tolist()))
 
 
 def test_k0_trivial_on_full_twist():
     for t in ("A2", "A3", "D4"):
         D = br.garside_element(t)
         n = len(D.dtype.vertices)
-        assert np.array_equal(br.k0_action(D * D), np.eye(n, dtype=np.int64))
+        assert br.k0_rows(D * D) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def test_k0_constant_on_equivalence_classes():
@@ -454,7 +453,7 @@ def test_k0_constant_on_equivalence_classes():
     for _ in range(10):
         w = random_word(base.dtype, 6, rng)
         u = rewrite(w, adj)
-        assert np.array_equal(br.k0_action(w), br.k0_action(u))
+        assert br.k0_rows(w) == br.k0_rows(u)
 
 
 # ---------------------------------------------------------------------------

@@ -184,8 +184,9 @@ def test_higgs_lift_inline_identity(capsys):
 
 def test_higgs_lift_decomposable_needs_numpy_only(capsys, monkeypatch):
     # the zero map P1 -> P1 splits into two labelled summands; importing
-    # anything beyond numpy on the way would fail here
+    # anything beyond the standard library on the way would fail here
     monkeypatch.setitem(sys.modules, "sympy", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     spec = json.dumps({"p1": [1], "p0": [1], "matrix": [[["1", 0]]]})
     out = json.loads(run_ok(capsys, ["higgs", "--type", "A1", "--lift", spec]))
     assert sorted(x["label"] for x in out["labels"]) == ["E(1)", "M(P1)"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy_kernel as NK
 from quiverlab.dynkin import build_quiver, coxeter_number, nakayama_involution
 from quiverlab import _kernels as K
 from quiverlab import complexes as cx
@@ -20,6 +21,11 @@ SMALL = ["A2", "A3", "D4"]
 # test-local oracles: constructions that no library route takes
 
 
+def arr(m, ncols: int) -> np.ndarray:
+    """A matrix of int rows with `ncols` columns as an int64 array."""
+    return np.array(m, dtype=np.int64).reshape(len(m), ncols)
+
+
 def shift_pcpx(C: cx.PCpx, s: int) -> cx.PCpx:
     """Suspension applied s times: new term at degree d is the old term at
     degree d + s; the differential picks up the sign (-1)^s."""
@@ -27,14 +33,15 @@ def shift_pcpx(C: cx.PCpx, s: int) -> cx.PCpx:
     return cx.PCpx(
         C.quiver,
         {d - s: t for d, t in C.terms.items()},
-        {d - s: sign * m for d, m in C.diffs.items()},
+        {d - s: sign * np.array(m, dtype=np.int64) for d, m in C.diffs.items()},
     )
 
 
 def compose_maps(g: cx.ChainMap, f: cx.ChainMap) -> cx.ChainMap:
     """g after f."""
     degs = set(f.src.degrees()) | set(g.tgt.degrees()) | set(f.tgt.degrees())
-    return cx.ChainMap(f.src, g.tgt, {d: K.matmul(g.comp(d), f.comp(d)) for d in degs})
+    return cx.ChainMap(f.src, g.tgt, {d: K.matmul(g.comp(d), f.comp(d), len(f.src.term(d)))
+                                      for d in degs})
 
 
 def stepwise_minimize(C: cx.PCpx) -> tuple[cx.PCpx, cx.ChainMap, cx.ChainMap]:
@@ -47,7 +54,7 @@ def stepwise_minimize(C: cx.PCpx) -> tuple[cx.PCpx, cx.ChainMap, cx.ChainMap]:
     while True:
         found = None
         for d in cur.degrees():
-            m = cur.diff(d)
+            m = arr(cur.diff(d), len(cur.term(d)))
             src_l, tgt_l = cur.term(d), cur.term(d + 1)
             for r in range(m.shape[0]):
                 for c in range(m.shape[1]):
@@ -61,7 +68,7 @@ def stepwise_minimize(C: cx.PCpx) -> tuple[cx.PCpx, cx.ChainMap, cx.ChainMap]:
         if not found:
             break
         d, r, c = found
-        m = cur.diff(d)
+        m = arr(cur.diff(d), len(cur.term(d)))
         u_inv = K.inv_mod(int(m[r, c]) % K.P)
         keep_c = [j for j in range(m.shape[1]) if j != c]
         keep_r = [i for i in range(m.shape[0]) if i != r]
@@ -72,11 +79,11 @@ def stepwise_minimize(C: cx.PCpx) -> tuple[cx.PCpx, cx.ChainMap, cx.ChainMap]:
         new_terms[d] = tuple(l for j, l in enumerate(cur.term(d)) if j != c)
         new_terms[d + 1] = tuple(l for i, l in enumerate(cur.term(d + 1)) if i != r)
         new_diffs = dict(cur.diffs)
-        new_diffs[d] = (delta - u_inv * K.matmul(gamma, beta)) % K.P
+        new_diffs[d] = (delta - u_inv * NK.matmul(gamma, beta)) % K.P
         if d - 1 in cur.diffs or cur.term(d - 1):
-            new_diffs[d - 1] = np.delete(cur.diff(d - 1), c, axis=0)
+            new_diffs[d - 1] = np.delete(arr(cur.diff(d - 1), len(cur.term(d - 1))), c, axis=0)
         if d + 1 in cur.diffs or cur.term(d + 2):
-            new_diffs[d + 1] = np.delete(cur.diff(d + 1), r, axis=1)
+            new_diffs[d + 1] = np.delete(arr(cur.diff(d + 1), len(cur.term(d + 1))), r, axis=1)
         nxt = cx.PCpx(cur.quiver, new_terms, new_diffs)
         n_src, n_tgt = len(keep_c), len(keep_r)
         iota_d = np.zeros((m.shape[1], n_src), dtype=np.int64)
@@ -126,8 +133,8 @@ def apply_map(F: cx.TauInvFunctor, f: cx.ChainMap, TA=None, TB=None) -> cx.Chain
         ns_tgt = sum(len(F.S[v]) for v in f.tgt.term(e + 1))
         nw_tgt = sum(len(F.W[v]) for v in f.tgt.term(e))
         m = np.zeros((ns_tgt + nw_tgt, ns_src + nw_src), dtype=np.int64)
-        m[:ns_tgt, :ns_src] = F._block_lift(f.src.term(e + 1), f.tgt.term(e + 1), f.comp(e + 1), 0)
-        m[ns_tgt:, ns_src:] = F._block_lift(f.src.term(e), f.tgt.term(e), f.comp(e), 1)
+        m[:ns_tgt, :ns_src] = arr(F._block_lift(f.src.term(e + 1), f.tgt.term(e + 1), f.comp(e + 1), 0), ns_src)
+        m[ns_tgt:, ns_src:] = arr(F._block_lift(f.src.term(e), f.tgt.term(e), f.comp(e), 1), nw_src)
         comps[e] = m
     return cx.ChainMap(TA, TB, comps).validate()
 
@@ -141,15 +148,15 @@ def hom_from_projective(i: int, C: cx.PCpx) -> tuple[dict[int, int], dict[int, n
     mats = {}
     for d in C.degrees():
         if keep.get(d) and keep.get(d + 1):
-            mats[d] = C.diff(d)[np.ix_(keep[d + 1], keep[d])]
+            mats[d] = arr(C.diff(d), len(C.term(d)))[np.ix_(keep[d + 1], keep[d])]
     return dims, mats
 
 
 def cochain_cohomology_dims(dims: dict[int, int], mats: dict[int, np.ndarray]) -> dict[int, int]:
     out = {}
     for d, n in dims.items():
-        r_out = K.rank(mats[d]) if d in mats else 0
-        r_in = K.rank(mats[d - 1]) if d - 1 in mats else 0
+        r_out = NK.rank(mats[d]) if d in mats else 0
+        r_in = NK.rank(mats[d - 1]) if d - 1 in mats else 0
         h = n - r_out - r_in
         assert h >= 0, "negative cohomology dimension"
         if h:
@@ -180,7 +187,7 @@ def test_shift_moves_terms_and_signs():
     C = cx.two_term(q, (1,), (2,), np.array([[5]]))
     S = shift_pcpx(C, 1)
     assert S.term(-2) == (1,) and S.term(-1) == (2,)
-    assert S.diff(-2)[0, 0] == (-5) % 32003
+    assert S.diff(-2)[0][0] == (-5) % 32003
     SS = shift_pcpx(shift_pcpx(C, 1), -1)
     assert SS.terms == C.terms and np.array_equal(SS.diff(-1), C.diff(-1))
 
@@ -205,7 +212,7 @@ def test_minimize_strips_padding(q, seed):
         q,
         {-1: C.term(-1) + (v,), 0: C.term(0) + (v,)},
         {-1: np.block([
-            [C.diff(-1), np.zeros((len(C.term(0)), 1), dtype=np.int64)],
+            [arr(C.diff(-1), len(C.term(-1))), np.zeros((len(C.term(0)), 1), dtype=np.int64)],
             [np.zeros((1, len(C.term(-1))), dtype=np.int64), np.ones((1, 1), dtype=np.int64)],
         ])},
     ).validate()
@@ -315,12 +322,13 @@ def rep_level_arrow_lifts(q):
                 labels_w, reps.injective_sum(q, tuple(labels_w))[1]))
 
     def coords_from_pu(f, slot_labels, offsets, u):
-        return np.array([int(f.mat(u)[offsets[t][u - 1], 0]) if q.has_path(v, u) else 0
+        return np.array([f.mat(u)[offsets[t][u - 1]][0] if q.has_path(v, u) else 0
                          for t, v in enumerate(slot_labels)], dtype=np.int64)
 
     def solve(cols, rhs, n):
         if n:
-            return K.solve(np.array(cols, dtype=np.int64).T, rhs)
+            x = NK.solve(np.array(cols, dtype=np.int64).T, rhs.reshape(-1, 1))
+            return None if x is None else x[:, 0]
         return np.zeros(0, dtype=np.int64) if not np.any(rhs) else None
 
     out = {}
@@ -345,7 +353,8 @@ def rep_level_arrow_lifts(q):
         mats = [np.zeros((cod.dim(v), dom.dim(v)), dtype=np.int64) for v in q.vertices]
         for k, (r, c) in enumerate(unknowns):
             X[r, c] = int(sol[k]) % P
-            mats = [(a + int(sol[k]) * m) % P for a, m in zip(mats, morphs[k].mats)]
+            mats = [(a + int(sol[k]) * arr(m, dom.dim(v))) % P
+                    for v, a, m in zip(q.vertices, mats, morphs[k].mats)]
         x_morph = reps.Morphism(dom, cod, mats).validate()
         for v in q.vertices:
             assert np.array_equal(x_morph.compose(emb_u).mat(v), target.mat(v))
@@ -354,8 +363,8 @@ def rep_level_arrow_lifts(q):
         if labels_ww:
             off_su = reps.injective_sum(q, tuple(labels_su))[1]
             off_ww = reps.injective_sum(q, tuple(labels_ww))[1]
-            rhs = reps._scalar_matrix_of_injective_map(
-                conn[w].compose(x_morph), labels_su, off_su, labels_ww, off_ww)
+            rhs = np.array(reps._scalar_matrix_of_injective_map(
+                conn[w].compose(x_morph), labels_su, off_su, labels_ww, off_ww), dtype=np.int64)
             yunknowns = [(r, c) for r in range(len(labels_ww)) for c in range(len(labels_wu))
                          if q.has_path(labels_wu[c], labels_ww[r])]
             ycols = []
@@ -363,8 +372,8 @@ def rep_level_arrow_lifts(q):
                 scal = np.zeros((len(labels_ww), len(labels_wu)), dtype=np.int64)
                 scal[r, c] = 1
                 B = reps.assemble_injective_map(q, labels_wu, labels_ww, scal)
-                ycols.append(reps._scalar_matrix_of_injective_map(
-                    B.compose(conn[u]), labels_su, off_su, labels_ww, off_ww).reshape(-1))
+                ycols.append(np.array(reps._scalar_matrix_of_injective_map(
+                    B.compose(conn[u]), labels_su, off_su, labels_ww, off_ww), dtype=np.int64).reshape(-1))
             ysol = solve(ycols, rhs.reshape(-1), len(yunknowns))
             for k, (r, c) in enumerate(yunknowns):
                 Y[r, c] = int(ysol[k]) % P
@@ -377,11 +386,11 @@ def test_arrow_lifts_match_rep_level_solve(q):
     F = cx.TauInvFunctor(q)
     G, lifts = rep_level_arrow_lifts(q)
     for i in q.vertices:
-        assert np.array_equal(F.G[i], G[i]) and F.G[i].shape == G[i].shape
+        assert F.G[i] == K.as_matrix(G[i])
     assert set(lifts) == set(F._X) == set(F._Y)
     for a, (X, Y) in lifts.items():
-        assert F._X[a].shape == X.shape and np.array_equal(F._X[a], X)
-        assert F._Y[a].shape == Y.shape and np.array_equal(F._Y[a], Y)
+        assert F._X[a] == K.as_matrix(X)
+        assert F._Y[a] == K.as_matrix(Y)
 
 
 # ---------------------------------------------------------------------------

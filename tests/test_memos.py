@@ -10,7 +10,6 @@ import itertools
 import re
 import weakref
 
-import numpy as np
 import pytest
 
 import quiverlab
@@ -34,21 +33,22 @@ def test_projective_rep_maps_are_read_only():
     P = reps.projective_rep(q, 3)
     assert P is reps.projective_rep(q, 3)
     m = P.map((2, 3))
-    assert m.shape == (1, 1)
-    with pytest.raises(ValueError):
-        m[0, 0] = 5
-    assert reps.projective_rep(q, 3).map((2, 3))[0, 0] == 1
+    assert m == ((1,),)
+    # matrices are tuples of int rows
+    with pytest.raises(TypeError):
+        m[0][0] = 5
+    assert reps.projective_rep(q, 3).map((2, 3)) == ((1,),)
 
 
 def test_canonical_morphism_matrices_are_read_only():
     q = build_quiver("D4")
     f = reps.canonical_projective_morphism(q, 1, 2)
     assert f is reps.canonical_projective_morphism(q, 1, 2)
-    with pytest.raises(ValueError):
-        f.mat(1)[0, 0] = 7
+    with pytest.raises(TypeError):
+        f.mat(1)[0][0] = 7
     g = reps.canonical_injective_morphism(q, 1, 2)
-    with pytest.raises(ValueError):
-        g.mat(2)[...] = 0
+    with pytest.raises(TypeError):
+        g.mat(2)[0] = (0,)
 
 
 def test_presentation_is_shared_and_read_only():
@@ -86,15 +86,15 @@ def test_clear_caches_empties_every_memo_and_keeps_results(capsys):
     assert capsys.readouterr().out == before
     # fresh objects after the clear, equal to the old ones
     q = build_quiver("E8")
-    assert np.array_equal(reps.projective_rep(q, 2).map((1, 2)), np.ones((1, 1)))
+    assert reps.projective_rep(q, 2).map((1, 2)) == ((1,),)
 
 
 def test_shared_objects_cannot_be_rebound():
     q = build_quiver("A3")
     with pytest.raises(TypeError):
-        reps.projective_rep(q, 3).maps[(1, 2)] = np.zeros((1, 1), dtype=np.int64)
+        reps.projective_rep(q, 3).maps[(1, 2)] = K.zeros(1, 1)
     with pytest.raises(TypeError):
-        reps.canonical_projective_morphism(q, 1, 3).mats[0] = np.zeros((1, 1), dtype=np.int64)
+        reps.canonical_projective_morphism(q, 1, 3).mats[0] = K.zeros(1, 1)
 
 
 def test_equal_quivers_share_hash_and_memo_entries():
@@ -113,13 +113,13 @@ def test_orbit_and_reachability_arrays_are_read_only():
     q = build_quiver("D5")
     R = cx._reachability(q)
     assert R is cx._reachability(q)
-    with pytest.raises(ValueError):
-        R[0, 0] = False
+    with pytest.raises(TypeError):
+        R[0][0] = False
     C = cx.tau_inv_orbit(q, 1, 2)
     assert C is cx.tau_inv_orbit(q, 1, 2) and C.diffs
     for m in C.diffs.values():
-        with pytest.raises(ValueError):
-            m[0, 0] = 1
+        with pytest.raises(TypeError):
+            m[0][0] = 1
     # the memo holds one lap past the window, no further
     last = e_exponent(q, 1) + coxeter_number(q.dtype) - 1
     cx.tau_inv_orbit(q, 1, last)
@@ -180,9 +180,8 @@ def test_memoized_algebra_functor_and_phi_arrays_are_read_only(arrays):
     got = arrays(build_quiver("D5"))
     assert got
     for m in got:
-        # numpy arrays are flagged read-only, the algebra's tables are
-        # tuples and mapping proxies
-        with pytest.raises((TypeError, ValueError)):
+        # matrices and the algebra's tables are tuples and mapping proxies
+        with pytest.raises(TypeError):
             m[...] = 0
 
 
@@ -282,9 +281,7 @@ def test_index_tables_and_path_lifts_match_a_direct_scan(t):
             with pytest.raises(InternalCheckError):
                 F.lift_path(u, w)
             continue
-        X = np.eye(len(F.S[u]), dtype=np.int64)
-        Y = np.eye(len(F.W[u]), dtype=np.int64)
+        X, Y = K.identity(len(F.S[u])), K.identity(len(F.W[u]))
         for a in zip(path, path[1:]):
-            X, Y = K.matmul(F._X[a], X), K.matmul(F._Y[a], Y)
-        for got, want in zip(F.lift_path(u, w), (X, Y)):
-            assert got.shape == want.shape and np.array_equal(got, want)
+            X, Y = K.matmul(F._X[a], X, len(F.S[u])), K.matmul(F._Y[a], Y, len(F.W[u]))
+        assert F.lift_path(u, w) == (X, Y)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy_kernel as NK
 import quiverlab
 from quiverlab.dynkin import build_quiver, nakayama_involution
 from quiverlab import morphcat as mp
@@ -12,6 +13,7 @@ from quiverlab import reps, stalks
 from quiverlab.errors import GuardError, InternalCheckError
 from quiverlab.stalks import DerivedLabel, e_exponent
 from tests.test_dynkin import quiver_strategy
+from tests.test_stalks import _oracle_quivers
 
 SMALL = ["A1", "A2", "A3", "A4", "D4"]
 
@@ -193,6 +195,38 @@ def test_a3_power_functor_fixture():
     assert (tuple(num[l] for l in u1), u0) == ((7,), ())
 
 
+@pytest.mark.parametrize("q", list(_oracle_quivers()))
+def test_f_presentation_reads_the_functor_terms_from_the_knitting(q):
+    """The identity and kill families map termwise through the derived
+    inverse translate of P_v: its terms, knitted as dim Hom(S_w, P_v) and
+    dim Ext^1(S_w, P_v) in vertex order, are the injective copresentation
+    terms S and W of the matrix functor."""
+    from quiverlab import complexes as cx
+
+    F = cx.tau_inv_functor(q)
+    for v in q.vertices:
+        for kind in ("dzero", "done"):
+            u1, u0 = mp.f_presentation(mp.MprLabel(q, kind, v))
+            assert all(lab.kind == kind for lab in u1 + u0)
+            assert (tuple(lab.vertex for lab in u1), tuple(lab.vertex for lab in u0)) == (F.S[v], F.W[v])
+
+
+def test_f_presentation_still_raises_on_the_known_labels():
+    """The known counting defect of the module family stays where
+    `KNOWN_FPRES_DEFECT` in `perfbench/run.py` expects it: the labels below
+    raise, and no other label of D4 or D5 does."""
+    known = {"D4": {11, 12, 13, 14}, "D5": {19, 20, 21, 22, 23}}
+    for t, bad in known.items():
+        q = build_quiver(t)
+        raised = set()
+        for n, lab in enumerate(mp.mpr_indecomposables(q), start=1):
+            try:
+                mp.f_presentation(lab)
+            except InternalCheckError:
+                raised.add(n)
+        assert raised == bad
+
+
 def test_a3_power_walk_labels():
     q = build_quiver("A3")
     num = mp.mpr_number(q)
@@ -231,15 +265,14 @@ def test_power_walk_composes():
 def _hom_dim_mpr_by_system(x, y) -> int:
     """Commuting squares (f1, f0) with Y.mat f1 = f0 X.mat, solved as one
     linear system over the path-basis scalars of f1 and f0."""
-    from quiverlab import _kernels as K
     from quiverlab import complexes as cx
 
     X, Y = mp.presentation(x), mp.presentation(y)
     q = X.quiver
     mask1 = cx._hom_mask(q, X.p1, Y.p1)
     mask0 = cx._hom_mask(q, X.p0, Y.p0)
-    vars1 = [(r, c) for r in range(len(Y.p1)) for c in range(len(X.p1)) if mask1[r, c]]
-    vars0 = [(r, c) for r in range(len(Y.p0)) for c in range(len(X.p0)) if mask0[r, c]]
+    vars1 = [(r, c) for r in range(len(Y.p1)) for c in range(len(X.p1)) if mask1[r][c]]
+    vars0 = [(r, c) for r in range(len(Y.p0)) for c in range(len(X.p0)) if mask0[r][c]]
     nvar = len(vars1) + len(vars0)
     rows = []
     for a in range(len(Y.p0)):
@@ -251,10 +284,10 @@ def _hom_dim_mpr_by_system(x, y) -> int:
             for k, (r, c) in enumerate(vars0):
                 if r == a:
                     row[len(vars1) + k] -= X.mat[c][b]
-            rows.append(row % K.P)
+            rows.append(row)
     if not rows:
         return nvar
-    return K.nullspace(np.array(rows, dtype=np.int64)).shape[1]
+    return NK.nullspace(np.array(rows, dtype=np.int64)).shape[1]
 
 
 def _default_and_reversed(names):

@@ -16,7 +16,6 @@ from quiverlab.reps import (
     hom_dim,
     indec_rep,
     injective_rep,
-    is_injective_rep,
     kernel,
     cokernel,
     knit_ar_quiver,
@@ -174,13 +173,6 @@ def test_ext_vanishes_from_projectives_and_into_injectives():
         for v in q.vertices:
             assert ext1_dim(projective_rep(q, v), rep) == 0
             assert ext1_dim(rep, injective_rep(q, v)) == 0
-
-
-def test_is_injective_rep():
-    q = build_quiver("A3")
-    assert is_injective_rep(injective_rep(q, 2))
-    assert not is_injective_rep(projective_rep(q, 1))
-    assert not is_injective_rep(zero_rep(q)) or True  # zero decomposes to nothing
 
 
 def test_decompose_homs_only_into_the_module(monkeypatch):
