@@ -11,7 +11,8 @@ embedded copies (`boundary`); the preprojective algebra and the
 presentation functor into it (`higgs`); the block algebra and the lift
 back to labels (`lifting`); and braid words with their normal forms
 (`braids`).  All of it is exact arithmetic on Python ints, and the package
-needs nothing beyond the standard library.
+needs nothing beyond the standard library.  The value types are named
+tuples or slotted classes, which cost next to nothing to import.
 
 The exports are lazy (PEP 562): `import quiverlab` loads no submodule.
 Reading an exported name imports the submodule that defines it, and

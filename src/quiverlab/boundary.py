@@ -20,8 +20,8 @@ category and `gamma_hom` the complexes when they are called.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
+from typing import NamedTuple
 
 from .dynkin import Quiver, coxeter_number
 from .errors import GuardError, InternalCheckError
@@ -122,8 +122,7 @@ def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> GradedDi
 # the table
 
 
-@dataclasses.dataclass(frozen=True)
-class HomTable:
+class HomTable(NamedTuple):
     quiver: Quiver
     keys: tuple[tuple[int, int], ...]  # (embedding index, vertex)
     grid: tuple[tuple[int, ...], ...]  # degree-zero dims, rows=source key

@@ -19,7 +19,6 @@ rows are plain ints.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import NamedTuple
 
@@ -29,18 +28,44 @@ from .errors import GuardError, InternalCheckError
 _REDUCED_WORDS_LIMIT = 10000  # enumerations past this many words are refused
 
 
-@dataclasses.dataclass(frozen=True)
 class BraidWord:
-    """A word in the braid generators; letters are (vertex, sign)."""
+    """A word in the braid generators; letters are (vertex, sign).
+
+    Immutable; equal and hashed as (dtype, letters) among words.  Not a
+    tuple, so `*` is only the product of words."""
+
+    __slots__ = ("dtype", "letters")
 
     dtype: DynkinType
     letters: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        verts = set(self.dtype.vertices)
-        for (i, s) in self.letters:
+    def __init__(self, dtype: DynkinType, letters: tuple[tuple[int, int], ...]):
+        verts = set(dtype.vertices)
+        for (i, s) in letters:
             if i not in verts or s not in (-1, 1):
-                raise GuardError(f"bad letter ({i}, {s}) for {self.dtype}")
+                raise GuardError(f"bad letter ({i}, {s}) for {dtype}")
+        object.__setattr__(self, "dtype", dtype)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return (self.dtype, self.letters) == (other.dtype, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.dtype, self.letters))
+
+    def __reduce__(self):
+        return BraidWord, (self.dtype, self.letters)
+
+    def __repr__(self) -> str:
+        return f"BraidWord(dtype={self.dtype!r}, letters={self.letters!r})"
 
     @staticmethod
     def from_ints(dtype: DynkinType | str, ints) -> "BraidWord":
@@ -225,8 +250,7 @@ def reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
 # Garside normal form
 
 
-@dataclasses.dataclass(frozen=True)
-class GarsideForm:
+class GarsideForm(NamedTuple):
     """Left-greedy form: a power of the Garside element followed by
     left-weighted nontrivial simple factors."""
 
@@ -360,8 +384,7 @@ def k0_rows(w: BraidWord) -> tuple[tuple[int, ...], ...]:
 # silting labels and triangular extension
 
 
-@dataclasses.dataclass(frozen=True)
-class SiltingLabel:
+class SiltingLabel(NamedTuple):
     """A silting subcategory named by its braid label, held in normal
     form."""
 

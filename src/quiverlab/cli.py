@@ -15,7 +15,6 @@ layers it uses.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -24,6 +23,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .dynkin import (
+    DynkinType,
     build_quiver,
     quiver_from_json,
     quiver_from_text,
@@ -40,16 +40,34 @@ CACHE_VERSION = 1
 CACHE_ENV = "QUIVERLAB_CACHE_DIR"
 
 
-@dataclasses.dataclass
 class JobSpec:
     """A fully parsed request: one command over one quiver source."""
 
-    command: str
-    dtype: str | None
-    arrows: tuple[tuple[int, int], ...] | None
-    fmt: str
-    options: dict
-    cache_dir: str | None = None
+    __slots__ = ("command", "dtype", "arrows", "fmt", "options", "cache_dir")
+
+    def __init__(self, command: str, dtype: str | None,
+                 arrows: tuple[tuple[int, int], ...] | None, fmt: str, options: dict,
+                 cache_dir: str | None = None):
+        self.command = command
+        self.dtype = dtype
+        self.arrows = arrows
+        self.fmt = fmt
+        self.options = options
+        self.cache_dir = cache_dir
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not JobSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"JobSpec({args})"
 
     def quiver(self):
         if self.dtype is None:
@@ -444,6 +462,9 @@ def _read_text(path: str) -> str:
 
 def _job_from_args(args) -> JobSpec:
     dtype = getattr(args, "type", None)
+    if dtype is not None:
+        # one spelling per type, for the file check and the cache key
+        dtype = str(DynkinType.parse(dtype))
     arrows = None
     if getattr(args, "file", None):
         if getattr(args, "orient", None):

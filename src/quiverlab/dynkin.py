@@ -15,9 +15,9 @@ quivers, their directed paths, the Cartan rows and the positive roots.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import re
+from typing import NamedTuple
 
 from .errors import GuardError
 
@@ -31,20 +31,32 @@ _COXETER = {
 }
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class DynkinType:
+class _DynkinFields(NamedTuple):
     letter: str
     rank: int
 
-    def __post_init__(self):
-        if self.letter not in _RANK_RANGE:
-            raise GuardError(f"unknown diagram letter {self.letter!r}; expected one of A, D, E")
-        lo, hi = _RANK_RANGE[self.letter]
-        if not lo <= self.rank <= hi:
+
+class DynkinType(_DynkinFields):
+    """A diagram letter and rank; a named tuple, so it hashes, compares and
+    orders as the tuple (letter, rank)."""
+
+    __slots__ = ()
+
+    def __new__(cls, letter: str, rank: int) -> "DynkinType":
+        if letter not in _RANK_RANGE:
+            raise GuardError(f"unknown diagram letter {letter!r}; expected one of A, D, E")
+        lo, hi = _RANK_RANGE[letter]
+        if not lo <= rank <= hi:
             raise GuardError(
-                f"rank {self.rank} out of the supported range "
-                f"{self.letter}{lo}..{self.letter}{hi}"
+                f"rank {rank} out of the supported range "
+                f"{letter}{lo}..{letter}{hi}"
             )
+        return super().__new__(cls, letter, rank)
+
+    @classmethod
+    def _make(cls, iterable) -> "DynkinType":
+        # through __new__, so `_make` and `_replace` check the fields too
+        return cls(*iterable)
 
     @staticmethod
     def parse(spec: "DynkinType | str") -> "DynkinType":
@@ -112,16 +124,39 @@ def _vertex_involution(dtype: DynkinType) -> dict[int, int]:
     return ident
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@functools.total_ordering
 class Quiver:
-    """A tree quiver: an orientation of a simply laced Dynkin diagram."""
+    """A tree quiver: an orientation of a simply laced Dynkin diagram.
+
+    Immutable; equal, ordered and hashed as (dtype, arrows) among quivers."""
+
+    __slots__ = ("dtype", "arrows", "_hash")
 
     dtype: DynkinType
     arrows: tuple[tuple[int, int], ...]  # (source, target), sorted
 
-    def __post_init__(self):
+    def __init__(self, dtype: DynkinType, arrows: tuple[tuple[int, int], ...]):
+        set_field = object.__setattr__
+        set_field(self, "dtype", dtype)
+        set_field(self, "arrows", arrows)
         # every memo lookup hashes its quiver, so hash the fields once
-        object.__setattr__(self, "_hash", hash((self.dtype, self.arrows)))
+        set_field(self, "_hash", hash((dtype, arrows)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return self._hash == other._hash and (self.dtype, self.arrows) == (other.dtype, other.arrows)
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return (self.dtype, self.arrows) < (other.dtype, other.arrows)
 
     def __hash__(self) -> int:
         return self._hash
@@ -129,6 +164,9 @@ class Quiver:
     def __reduce__(self):
         # rebuild through __init__: string hashes differ between processes
         return Quiver, (self.dtype, self.arrows)
+
+    def __repr__(self) -> str:
+        return f"Quiver(dtype={self.dtype!r}, arrows={self.arrows!r})"
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -314,7 +352,7 @@ def quiver_from_text(text: str) -> Quiver:
 
 def quiver_to_dot(q: Quiver) -> str:
     lines = ["digraph quiver {"]
-    lines.append('  label="%s";' % q.dtype)
+    lines.append(f'  label="{q.dtype}";')
     for v in q.vertices:
         shape = "box" if not q.arrows_from(v) else "circle"
         lines.append(f'  v{v} [label="{v}", shape={shape}];')

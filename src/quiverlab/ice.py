@@ -11,25 +11,23 @@ mesh, running through the reverse arrow.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
+from typing import NamedTuple
 
 from .dynkin import Quiver
 from .errors import GuardError, InternalCheckError
 from .morphcat import MprLabel, Mesh, mpr_ar_quiver, mpr_number
 
 
-@dataclasses.dataclass(frozen=True)
-class IceArrow:
+class IceArrow(NamedTuple):
     src: int
     dst: int
     origin: str   # "AR" | "mesh-reverse" | "rule2-frozen"
     frozen: bool
 
 
-@dataclasses.dataclass(frozen=True)
-class PotentialTerm:
+class PotentialTerm(NamedTuple):
     """One cycle per mesh: rho * sum_i alpha_i beta_i, stored as the
     reverse arrow and the ordered (incoming, outgoing) arrow pairs."""
 
@@ -37,8 +35,7 @@ class PotentialTerm:
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class IceQuiver:
+class IceQuiver(NamedTuple):
     quiver: Quiver
     vertices: tuple[MprLabel, ...]
     frozen: tuple[bool, ...]

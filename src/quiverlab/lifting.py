@@ -19,11 +19,11 @@ ranks, solves and the Fitting projectors.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import random
 from operator import mul
+from typing import NamedTuple
 
 from . import _kernels as K
 from . import morphcat as mp
@@ -559,8 +559,7 @@ def _restrict_to_image(X: LambdaMorphism, proj1, proj0) -> LambdaMorphism:
     return LambdaMorphism(alg, lab1, lab0, ent)
 
 
-@dataclasses.dataclass(frozen=True)
-class Conflation:
+class Conflation(NamedTuple):
     """Universal two-term witness: the object sits between the trivial
     presentations of its target summands and the kill objects of its
     source summands."""
@@ -569,8 +568,7 @@ class Conflation:
     quot: tuple[MprLabel, ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class HiggsLift:
+class HiggsLift(NamedTuple):
     labels: tuple[MprLabel, ...]
     unresolved: tuple[Conflation, ...]
 

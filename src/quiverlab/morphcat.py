@@ -33,10 +33,10 @@ oracle.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections import Counter
+from typing import NamedTuple
 
 from . import stalks
 from .dynkin import Quiver
@@ -44,8 +44,14 @@ from .errors import GuardError, InternalCheckError
 from .stalks import DerivedLabel, IndecLabel, e_exponent
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class MprLabel:
+class _MprLabelFields(NamedTuple):
+    quiver: Quiver
+    kind: str
+    vertex: int
+    power: int = 0
+
+
+class MprLabel(_MprLabelFields):
     """Indecomposable of the morphism category.
 
     kind "mod": the minimal presentation of tauinv^power P_vertex;
@@ -53,16 +59,19 @@ class MprLabel:
     object at vertex (power is 0 for the latter two).
     """
 
-    quiver: Quiver
-    kind: str
-    vertex: int
-    power: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("mod", "dzero", "done"):
-            raise GuardError(f"unknown morphism-object kind {self.kind!r}")
-        if self.kind != "mod" and self.power != 0:
+    def __new__(cls, quiver: Quiver, kind: str, vertex: int, power: int = 0) -> "MprLabel":
+        if kind not in ("mod", "dzero", "done"):
+            raise GuardError(f"unknown morphism-object kind {kind!r}")
+        if kind != "mod" and power != 0:
             raise GuardError("identity and kill objects carry no power")
+        return super().__new__(cls, quiver, kind, vertex, power)
+
+    @classmethod
+    def _make(cls, iterable) -> "MprLabel":
+        # through __new__, so `_make` and `_replace` check the fields too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         if self.kind == "mod":
@@ -275,15 +284,13 @@ def hom_dim_mpr(x, y) -> int:
 # the AR structure
 
 
-@dataclasses.dataclass(frozen=True)
-class Mesh:
+class Mesh(NamedTuple):
     target: int       # id of the translated vertex V
     tau_target: int   # id of tau V
     middles: tuple[int, ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class MprARQuiver:
+class MprARQuiver(NamedTuple):
     quiver: Quiver
     vertices: tuple[MprLabel, ...]
     arrows: tuple[tuple[int, int], ...]          # 1-based ids
@@ -392,8 +399,7 @@ def tau_mpr(x: MprLabel) -> MprLabel | None:
 # the power functor on labels
 
 
-@dataclasses.dataclass(frozen=True)
-class MprQuotientLabel:
+class MprQuotientLabel(NamedTuple):
     """State of the power-functor walk: family lineage, orbit position and
     accumulated suspension, taken in the quotient by the identity family."""
 

@@ -25,7 +25,6 @@ check on them.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from collections import Counter
 from itertools import accumulate
@@ -77,14 +76,26 @@ class Rep:
         return f"Rep{self.dims}"
 
 
-@dataclasses.dataclass
 class Morphism:
-    src: Rep
-    tgt: Rep
-    mats: tuple  # per vertex v (1-based): shape (tgt.dim(v), src.dim(v))
+    """A morphism of representations: one matrix per vertex."""
 
-    def __post_init__(self):
-        self.mats = tuple(K.as_matrix(m) for m in self.mats)
+    __slots__ = ("src", "tgt", "mats")
+
+    def __init__(self, src: Rep, tgt: Rep, mats):
+        self.src = src
+        self.tgt = tgt
+        # per vertex v (1-based): shape (tgt.dim(v), src.dim(v))
+        self.mats = tuple(K.as_matrix(m) for m in mats)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Morphism:
+            return NotImplemented
+        return (self.src, self.tgt, self.mats) == (other.src, other.tgt, other.mats)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"Morphism(src={self.src!r}, tgt={self.tgt!r}, mats={self.mats!r})"
 
     def mat(self, v: int) -> tuple:
         return self.mats[v - 1]

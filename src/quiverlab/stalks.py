@@ -28,16 +28,15 @@ inverse suspension to the second argument.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .dynkin import Quiver, coxeter_number, nakayama_involution
 from .errors import GuardError, InternalCheckError
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class IndecLabel:
+class IndecLabel(NamedTuple):
     """Label (vertex, power) for the module tauinv^power applied to P_vertex."""
 
     quiver: Quiver
@@ -50,8 +49,7 @@ class IndecLabel:
         return f"t-{self.power}P{self.vertex}"
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class DerivedLabel:
+class DerivedLabel(NamedTuple):
     """Sigma^shift tauinv^power P_vertex, with 0 <= power < e_vertex once
     normalized."""
 
@@ -322,8 +320,7 @@ def label_by_dim_vector(q: Quiver, dims) -> IndecLabel:
     return lab
 
 
-@dataclasses.dataclass(frozen=True)
-class ARQuiver:
+class ARQuiver(NamedTuple):
     quiver: Quiver
     vertices: tuple[IndecLabel, ...]
     arrows: tuple[tuple[IndecLabel, IndecLabel], ...]

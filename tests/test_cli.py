@@ -220,6 +220,26 @@ def test_file_type_contradiction(capsys, tmp_path):
     assert rc == 3 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("spelling", ["A3", "a3", " A3", "a 3"])
+def test_file_accepts_any_spelling_of_its_type(capsys, tmp_path, spelling):
+    # --type is read as a Dynkin type, not compared as a string
+    f = tmp_path / "a3.json"
+    f.write_text(json.dumps(dy.quiver_to_json(dy.build_quiver("A3"))))
+    alone = run_ok(capsys, ["quiver", "--type", spelling])
+    assert run_ok(capsys, ["quiver", "--type", spelling, "--file", str(f)]) == alone
+    assert alone == "type A 3\n1 -> 2\n2 -> 3\n"
+
+
+def test_spellings_of_a_type_share_its_cache_key():
+    def key(spelling):
+        args = cli._build_parser().parse_args(["mpr", "--type", spelling])
+        return cli.cache_key(cli._job_from_args(args))
+
+    canonical = cli.cache_key(cli.JobSpec("mpr", "A3", None, "text", {}))
+    assert {key(s) for s in ("A3", "a3", " A3", "a 3 ")} == {canonical}
+    assert key("A4") != canonical
+
+
 def test_file_with_orient_is_refused(capsys, tmp_path):
     f = tmp_path / "q.txt"
     f.write_text("type A 3\n1 -> 2\n2 -> 3\n")

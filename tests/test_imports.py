@@ -5,14 +5,14 @@ itself) imports no compute module, the label-level jobs (`ar`, `hom`,
 `stalks`, `boundary`, `morphcat` and `ice`, a `higgs --phi` job on an
 identity object, a kill object or a projective adds only `_kernels` and
 `higgs`, and a `braid` job loads only `braids`.  No module imports
-anything outside the standard library, and every command runs with numpy
-blocked.
+anything outside the standard library, nor `dataclasses`, and every
+command runs with numpy blocked and leaves `dataclasses` unloaded.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded every module.  The source checks read the package's syntax
 trees: where a module imports its layers, that it imports nothing from
-outside the standard library, and that every memo is a module-level
-function."""
+outside the standard library (and not `dataclasses`), and that every memo
+is a module-level function."""
 
 import ast
 import importlib
@@ -348,35 +348,86 @@ def test_boundary_never_imports_reps():
     assert {"quiverlab.morphcat", "quiverlab.complexes"} <= found
 
 
-def third_party_imports(source: str) -> set:
-    """Top-level packages outside the standard library and quiverlab that
-    the source imports anywhere, function bodies included."""
-    allowed = set(sys.stdlib_module_names) | {"quiverlab"}
+def top_level_imports(source: str) -> set:
+    """Top-level packages that the source imports anywhere, function bodies
+    included; relative imports are left out."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            tops = [a.name.partition(".")[0] for a in node.names]
+            found.update(a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            tops = [node.module.partition(".")[0]]
-        else:
-            continue
-        found.update(t for t in tops if t not in allowed)
+            found.add(node.module.partition(".")[0])
     return found
 
 
-def test_package_imports_only_the_standard_library():
+def third_party_imports(source: str) -> set:
+    """Top-level packages outside the standard library and quiverlab that
+    the source imports anywhere, function bodies included."""
+    return top_level_imports(source) - set(sys.stdlib_module_names) - {"quiverlab"}
+
+
+def package_sources() -> dict:
+    """The source text of every package module, by file name."""
     pkg = os.path.dirname(quiverlab.__file__)
-    found = {}
+    out = {}
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-                tops = third_party_imports(fh.read())
-            if tops:
-                found[name] = tops
+                out[name] = fh.read()
+    return out
+
+
+def test_package_imports_only_the_standard_library():
+    found = {name: tops for name, source in package_sources().items()
+             if (tops := third_party_imports(source))}
     assert found == {}
     # positive control: imports inside a function body are seen
     source = "import os\nfrom . import reps\ndef f():\n    import numpy.linalg\n    from scipy import sparse\n"
     assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_no_module_imports_dataclasses():
+    """`dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, about
+    10 ms of every fresh process; the value types are named tuples and
+    slotted classes instead."""
+    found = [name for name, source in package_sources().items()
+             if "dataclasses" in top_level_imports(source)]
+    assert found == []
+    # positive control: both import forms are seen, in function bodies too
+    assert "dataclasses" in top_level_imports("import dataclasses as dc\n")
+    assert "dataclasses" in top_level_imports("def f():\n    from dataclasses import dataclass\n")
+
+
+def test_no_job_loads_dataclasses(tmp_path):
+    """A fresh interpreter runs one job of each kind and records after each
+    whether `dataclasses` is loaded: nothing the jobs import pulls it in."""
+    lift = json.dumps({"p1": [1], "p0": [1], "matrix": [[["1", 0]]]})  # E(1) + M(P1)
+    replay = ["--cache-dir", str(tmp_path), "quiver", "--type", "A3"]
+    jobs = [
+        replay,
+        replay,
+        ["braid", "--type", "E8", "--word", "1 2 -3 8 4 1", "--format", "json"],
+        ["higgs", "--type", "A3", "--phi", "5"],  # a module label past the projectives
+        ["higgs", "--type", "A2", "--lift", lift],
+        ["mpr", "--type", "E8"],
+        ["ice", "--type", "D5"],
+        ["hom", "--type", "D6", "--table"],
+        ["ar", "--type", "E7"],
+    ]
+    got = run_python(f"""
+import contextlib, io, json, sys
+loaded = ["dataclasses" in sys.modules]
+from quiverlab import cli
+loaded.append("dataclasses" in sys.modules)
+codes = []
+for argv in {jobs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded.append("dataclasses" in sys.modules)
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+""")
+    assert got["codes"] == [0] * len(jobs)
+    assert got["loaded"] == [False] * (len(jobs) + 2)
 
 
 def _is_memo(decorator) -> bool:
