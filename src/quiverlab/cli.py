@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -79,6 +78,8 @@ class JobSpec:
 def source_digest() -> str:
     """sha256 over the names and bytes of the package's `.py` sources, so that
     a cache entry written by other code is never replayed."""
+    import hashlib  # only a job with a cache directory computes a key
+
     h = hashlib.sha256()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
@@ -103,6 +104,8 @@ def _canonical(job: JobSpec) -> dict:
 
 
 def cache_key(job: JobSpec) -> str:
+    import hashlib
+
     blob = json.dumps(_canonical(job), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -128,7 +128,9 @@ def _vertex_involution(dtype: DynkinType) -> dict[int, int]:
 class Quiver:
     """A tree quiver: an orientation of a simply laced Dynkin diagram.
 
-    Immutable; equal, ordered and hashed as (dtype, arrows) among quivers."""
+    Immutable; equal, ordered and hashed as (dtype, arrows) among quivers.
+    `build_quiver`, `opposite` and unpickling return one interned object per
+    (dtype, arrows), until `quiverlab.clear_caches` empties the memo."""
 
     __slots__ = ("dtype", "arrows", "_hash")
 
@@ -162,8 +164,9 @@ class Quiver:
         return self._hash
 
     def __reduce__(self):
-        # rebuild through __init__: string hashes differ between processes
-        return Quiver, (self.dtype, self.arrows)
+        # rebuild through the memo (string hashes differ between processes),
+        # so an unpickled quiver is the interned object
+        return _interned, (self.dtype, self.arrows)
 
     def __repr__(self) -> str:
         return f"Quiver(dtype={self.dtype!r}, arrows={self.arrows!r})"
@@ -195,11 +198,18 @@ class Quiver:
         return (u, w) in _walks(self)[1]
 
     def opposite(self) -> "Quiver":
-        return Quiver(self.dtype, tuple(sorted((j, i) for i, j in self.arrows)))
+        return _interned(self.dtype, tuple(sorted((j, i) for i, j in self.arrows)))
 
     def __str__(self) -> str:
         arr = " ".join(f"{i}->{j}" for i, j in self.arrows)
         return f"{self.dtype}[{arr}]"
+
+
+@functools.cache
+def _interned(dtype: DynkinType, arrows: tuple[tuple[int, int], ...]) -> Quiver:
+    """The one quiver per type and sorted arrows: a memo keyed by a quiver
+    then finds it by identity, without comparing fields."""
+    return Quiver(dtype, arrows)
 
 
 @functools.cache
@@ -258,7 +268,7 @@ def build_quiver(dtype: DynkinType | str, arrows=None) -> Quiver:
         for i, j in chosen:
             if i == j:
                 raise GuardError("loops are not allowed")
-    return Quiver(dtype, tuple(sorted(chosen)))
+    return _interned(dtype, tuple(sorted(chosen)))
 
 
 def nakayama_involution(q: Quiver | DynkinType | str) -> dict[int, int]:

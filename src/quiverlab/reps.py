@@ -22,6 +22,13 @@ which is how `list_indecomposables` generates them.  The labels, dimension
 vectors and translation quiver alone are knitted in integers by `stalks`
 (and re-exported here); the matrix route of this module is the independent
 check on them.
+
+The two translates take separate routes: the inverse translate from minimal
+injective copresentations (`tau_inv_rep`), the translate as the Coxeter
+functor, one reflection per vertex (`tau_rep`; Bernstein-Gelfand-Ponomarev
+1973, Auslander-Platzeck-Reiten 1979).  So the table of indecomposables and
+the translate check each other, and `ext1_dim`, which reaches the translate,
+shares no step with `_ext1_via_presentation`.
 """
 from __future__ import annotations
 
@@ -533,16 +540,36 @@ def tau_inv_rep(M: Rep) -> Rep:
 
 
 def tau_rep(M: Rep) -> Rep:
-    """The translate of a module (zero on projectives), dual construction."""
+    """The translate of a module (zero on projectives), as the Coxeter functor
+    C+ of Bernstein-Gelfand-Ponomarev: the composite of one reflection per
+    vertex, taken in topological order.  Each vertex k is then a source of
+    the current orientation, so every map at k runs into M_k; the reflection
+    puts the kernel of their sum at k and reverses the arrows at k, the new
+    maps projecting the kernel onto its coordinates.  On a path algebra C+ is
+    the translate (BGP 1973; Auslander-Platzeck-Reiten 1979), so this route
+    shares no step with `tau_inv_rep`, which builds the table of
+    indecomposables from copresentations."""
     q = M.quiver
     if M.is_zero():
         return M
-    labels1, labels0, scal = min_presentation(M)
-    if not labels1:
-        return zero_rep(q)  # M projective
-    nu_d = assemble_injective_map(q, labels1, labels0, scal)
-    result, _ = kernel(nu_d)
-    return result
+    dims = list(M.dims)
+    maps = dict(M.maps)
+    for k in q.topological_order():
+        ends = [j for (i, j) in maps if i == k]
+        blocks = [maps.pop((k, j)) for j in ends]
+        rows = [sum((m[r] for m in blocks), ()) for r in range(dims[k - 1])]
+        width = sum(dims[j - 1] for j in ends)
+        null = K.nullspace(rows, width)
+        coords = K.transpose(null, width)  # the kernel basis as columns
+        start = 0
+        for j in ends:
+            stop = start + dims[j - 1]
+            maps[(j, k)] = coords[start:stop]
+            start = stop
+        dims[k - 1] = len(null)
+    if sorted(maps) != list(q.arrows):
+        raise InternalCheckError("the reflections did not restore the orientation")
+    return Rep(q, dims, maps)
 
 
 # ---------------------------------------------------------------------------

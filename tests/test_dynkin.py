@@ -204,3 +204,4 @@ def test_unpickled_quiver_rehashes_in_its_own_process():
     fresh = build_quiver("D5", "2->1 2->3 3->4 5->3")
     assert q == fresh and hash(q) == hash(fresh)
     assert {fresh: 1}[q] == 1
+    assert q is fresh  # rebuilt through the interning memo

@@ -262,6 +262,30 @@ def test_braid_job_loads_no_numpy(t):
     assert job["modules"] == sorted(LIGHT + ["quiverlab.braids"])
 
 
+def test_jobs_without_a_cache_dir_load_no_hashlib():
+    """Only a job with a cache directory computes a key, so the quiver, ar
+    and braid jobs run without `hashlib`, and a cached job loads it."""
+    got = run_python("""
+import contextlib, io, json, sys
+from quiverlab import cli
+loaded = []
+for argv in (["quiver", "--type", "D5"], ["ar", "--type", "E8"],
+             ["braid", "--type", "E7", "--word", "1 2 -3 7"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    loaded.append([rc, "hashlib" in sys.modules])
+print(json.dumps(loaded))
+""")
+    assert got == [[0, False]] * 3
+    key = run_python("""
+import json, sys
+from quiverlab import cli
+job = cli.JobSpec("quiver", "A3", None, "text", {})
+print(json.dumps([len(cli.cache_key(job)), "hashlib" in sys.modules]))
+""")
+    assert key == [64, True]
+
+
 def test_positive_roots_load_no_numpy():
     got = run_python("""
 import json, sys

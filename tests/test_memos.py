@@ -7,6 +7,7 @@ hold in place of memoized methods match the scans they replace."""
 import gc
 import importlib
 import itertools
+import pickle
 import re
 import weakref
 
@@ -99,14 +100,28 @@ def test_shared_objects_cannot_be_rebound():
 
 def test_equal_quivers_share_hash_and_memo_entries():
     a, b = build_quiver("D5"), build_quiver("D5", "1->2 2->3 3->4 3->5")
-    assert a is not b and a == b and hash(a) == hash(b)
+    # built quivers are interned; one made directly is equal, not identical
+    c = dynkin.Quiver(a.dtype, a.arrows)
+    assert a is b and a is not c and a == c and hash(a) == hash(c)
     assert a != build_quiver("D5", "2->1 2->3 3->4 3->5")
     assert build_quiver("A3") < a  # ordering stays field by field
     reps.projective_rep.cache_clear()
     P = reps.projective_rep(a, 2)
-    assert reps.projective_rep(b, 2) is P
+    assert reps.projective_rep(c, 2) is P
     info = reps.projective_rep.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_quivers_are_interned_through_one_memo():
+    q = build_quiver("D5", "2->1 2->3 3->4 5->3")
+    assert q.opposite() is build_quiver("D5", "1->2 3->2 4->3 3->5")
+    assert q.opposite().opposite() is q
+    assert pickle.loads(pickle.dumps(q)) is q
+    assert "quiverlab.dynkin._interned" in quiverlab.memos()
+    quiverlab.clear_caches()
+    assert dynkin._interned.cache_info().currsize == 0
+    fresh = build_quiver("D5", "2->1 2->3 3->4 5->3")
+    assert fresh is not q and fresh == q and build_quiver(q.dtype, q.arrows) is fresh
 
 
 def test_orbit_and_reachability_arrays_are_read_only():

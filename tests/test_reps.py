@@ -27,10 +27,12 @@ from quiverlab.reps import (
     projective_rep,
     simple_rep,
     tau_inv_rep,
+    tau_rep,
     zero_rep,
 )
 
 from tests.test_dynkin import quiver_strategy
+from tests.test_stalks import _oracle_quivers
 
 SMALL = ["A1", "A2", "A3", "A4", "D4"]
 
@@ -157,14 +159,59 @@ def test_euler_form_computes_hom_minus_ext(q):
 
 
 def test_ext_routes_agree():
-    # translate-hom route vs minimal-presentation route, independently coded
+    # hom into the translate, whose reflections share no step with the
+    # minimal-presentation route
     from quiverlab.reps import _ext1_via_presentation
 
-    for t in ("A2", "A3", "D4"):
+    for t in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"):
         q = build_quiver(t)
         items = list_indecomposables(q)
         for (_, ra), (_, rb) in itertools.product(items, items):
             assert ext1_dim(ra, rb) == _ext1_via_presentation(ra, rb)
+
+
+def test_ext1_builds_no_presentation(monkeypatch):
+    """`ext1_dim` reaches the translate through reflections, so it stays
+    independent of `_ext1_via_presentation`."""
+    import quiverlab.reps as reps_module
+
+    q = build_quiver("D5", "2->1 2->3 4->3 3->5")
+    items = list_indecomposables(q)
+    calls = []
+    presentation = reps_module.min_presentation
+
+    def counted(M):
+        calls.append(M)
+        return presentation(M)
+
+    monkeypatch.setattr(reps_module, "min_presentation", counted)
+    total = sum(ext1_dim(ra, rb) for (_, ra), (_, rb) in itertools.product(items, items))
+    assert total > 0 and calls == []
+    # positive control: the other route is seen
+    reps_module._ext1_via_presentation(items[-1][1], items[0][1])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q", list(_oracle_quivers()))
+def test_tau_walks_the_orbit_back(q):
+    """The Coxeter functor against the table that `tau_inv_rep` knitted: it
+    kills each projective and sends (v, k) to an indecomposable isomorphic
+    to (v, k - 1)."""
+    items = list_indecomposables(q)
+    for lab, rep in items:
+        T = tau_rep(rep)
+        if lab.power == 0:
+            assert T.is_zero()
+            continue
+        prev = indec_rep(IndecLabel(q, lab.vertex, lab.power - 1))
+        assert T.dim_vector() == prev.dim_vector()
+        assert hom_dim(T, T) == 1 and hom_dim(T, prev) == 1
+    # additive: the projective summand dies, the repeated one doubles (on
+    # A1 the last indecomposable is projective too)
+    (_, P), (x, X) = items[0], items[-1]
+    total, _ = direct_sum([P, X, X])
+    want = {IndecLabel(q, x.vertex, x.power - 1): 2} if x.power else {}
+    assert decompose(tau_rep(total)) == want
 
 
 def test_ext_vanishes_from_projectives_and_into_injectives():
