@@ -24,9 +24,9 @@ import importlib
 
 _EXPORTS = {
     "boundary": "HomTable export_hom_table gamma_hom hom_table thm1_hom thm2_hom",
-    "braids": "BraidWord GarsideForm SiltingLabel WeylElement braid_equal canonical_lift "
+    "braids": "BraidWord GarsideForm WeylElement braid_equal canonical_lift "
               "garside_element garside_normal_form is_in_B_star k0_rows project_to_weyl "
-              "reduced_words star_involution triangular_extension",
+              "reduced_words star_involution",
     "dynkin": "DynkinType Quiver build_quiver coxeter_number nakayama_involution "
               "positive_roots quiver_from_json quiver_from_text quiver_to_dot quiver_to_json "
               "quiver_to_text",

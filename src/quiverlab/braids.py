@@ -378,50 +378,3 @@ def k0_rows(w: BraidWord) -> tuple[tuple[int, ...], ...]:
     ctx = _ctx_of(w)
     perm = project_to_weyl(w).perm
     return tuple(zip(*(ctx.roots[perm[ctx.simple[i]]] for i in ctx.vertices)))
-
-
-# ---------------------------------------------------------------------------
-# silting labels and triangular extension
-
-
-class SiltingLabel(NamedTuple):
-    """A silting subcategory named by its braid label, held in normal
-    form."""
-
-    form: GarsideForm
-
-    @staticmethod
-    def from_word(w: BraidWord) -> "SiltingLabel":
-        return SiltingLabel(garside_normal_form(w))
-
-    @property
-    def dtype(self) -> DynkinType:
-        return self.form.dtype
-
-
-def triangular_extension(s: SiltingLabel | BraidWord):
-    """Formal generator set of the triangular extension: three sides per
-    silting generator.  Only star-fixed labels admit one."""
-    if isinstance(s, BraidWord):
-        s = SiltingLabel.from_word(s)
-    word = _form_to_word(s.form)
-    if not is_in_B_star(word):
-        raise GuardError(
-            "label is not fixed by the star involution; no triangular extension"
-        )
-    return tuple((side, v) for side in (-1, 0, 1) for v in s.dtype.vertices)
-
-
-def _form_to_word(form: GarsideForm) -> BraidWord:
-    ctx = _context(form.dtype)
-    delta = canonical_lift(ctx.w0)
-    word = BraidWord(form.dtype, ())
-    if form.infimum >= 0:
-        for _ in range(form.infimum):
-            word = word * delta
-    else:
-        for _ in range(-form.infimum):
-            word = word * delta.inverse()
-    for f in form.factors:
-        word = word * canonical_lift(f)
-    return word

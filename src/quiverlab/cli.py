@@ -330,6 +330,7 @@ def _render_higgs(job: JobSpec) -> str:
         raise GuardError("lift matrix shape does not match p0 x p1")
     from . import lifting
 
+    lifting.require_liftable(q)  # before the algebra is built
     alg = higgs.preprojective_algebra(q)
     f = higgs.LambdaMorphism(alg, p1, p0, [
         [_entry_vector(alg, rows[r][c], p1[c], p0[r]) for c in range(len(p1))]

@@ -7,8 +7,10 @@ one arrow, modulo the mesh relations.  Its structure constants are held
 sparse: the right action of each doubled arrow on the basis words, and
 the nonzero products of pairs of basis words.  A Frobenius form supported
 on the socle, with fixed pseudo-random values, yields the twist
-automorphism used in the corner block of the 3x3 triangular algebra.
-Labels of the morphism category embed via base change along quiver-paths.
+automorphism theta; it is read only by the algebra's own checks, that the
+form is nondegenerate, that theta permutes the idempotents by the vertex
+involution and that theta is multiplicative.  Labels of the morphism
+category embed via base change along quiver-paths.
 
 Elements are sparse (basis index, coefficient) terms, and `mult` and
 `apply_theta` are the algebra's one product and one twist.  The identity

@@ -76,14 +76,15 @@ def underlying_matrix(f: LambdaMorphism) -> tuple:
 
 class TQAlgebra:
     """Cyclic 3x3 block algebra with pattern
-    [[L, 0, L'], [L, L, 0], [0, L, L]]: six copies of the loop algebra L
-    arranged so that every product leaving the pattern vanishes.  The
-    corner block L' is the twisted copy: passing through it is what makes
-    the socle-to-top permutation pick up the vertex involution once per
-    lap around the cycle, instead of closing up after three steps."""
+    [[L, 0, L], [L, L, 0], [0, L, L]]: six copies of the loop algebra L,
+    multiplied by L's own product with no twist, where every product
+    leaving the pattern vanishes.  The socle of the left projective at the
+    diagonal idempotent (r, v) has weight (r + 1 mod 3, nu(v)), nu the
+    Nakayama permutation of L, so the Nakayama permutation steps once
+    around the cycle and applies nu at every step; its order is 3 when nu
+    is trivial and 6 otherwise."""
 
     BLOCKS = ((0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2))
-    CORNER = (0, 2)
 
     def __init__(self, q: Quiver):
         self.algebra = preprojective_algebra(q)
@@ -591,17 +592,23 @@ def _phi_images(alg: PreprojAlgebra) -> list[tuple[MprLabel, LambdaMorphism]]:
 _REP_FINITE = {"A1", "A2", "A3", "A4"}
 
 
+def require_liftable(q: Quiver) -> None:
+    """Refuse a quiver whose loop algebra is not representation-finite; it
+    reads only the type, so a caller can refuse before building anything."""
+    if str(q.dtype) not in _REP_FINITE:
+        raise GuardError(
+            f"lifting needs a representation-finite loop algebra "
+            f"({sorted(_REP_FINITE)}), not {q.dtype}"
+        )
+
+
 def lift_morphism(f: LambdaMorphism) -> HiggsLift:
     """Partial inverse of the embedding: identity summands come back as
     identity-object labels, remaining indecomposable pieces are matched
     against the label table, and anything unmatched is witnessed by its
     universal conflation."""
     q = f.alg.quiver
-    if str(q.dtype) not in _REP_FINITE:
-        raise GuardError(
-            f"lifting needs a representation-finite loop algebra "
-            f"({sorted(_REP_FINITE)}), not {q.dtype}"
-        )
+    require_liftable(q)
     reduced, stripped = strip_identity_summands(f)
     labels = [MprLabel(q, "dzero", v) for v in stripped]
     unresolved = []

@@ -26,10 +26,10 @@ tauinv^k P_v for k > 0 is entry k of the memoized orbit
 `complexes.tau_inv_orbit`: the complex functor iterated on P_v and
 minimized, never a matrix representation.  Its sorted terms must equal
 the knitted ones, so each presentation built cross-checks the two
-routes.  Its basis may differ from the minimal presentation that
-`reps.min_presentation` computes for the same module (same terms, other
-scalars); the two are isomorphic, and the matrix route stays the test
-oracle.
+routes.  Its basis may differ from that of `reps.min_presentation`, the
+dual of the module's minimal injective copresentation over the opposite
+quiver (same terms, other scalars); the two are isomorphic, and the matrix
+route stays the test oracle.
 """
 from __future__ import annotations
 

@@ -28,7 +28,9 @@ injective copresentations (`tau_inv_rep`), the translate as the Coxeter
 functor, one reflection per vertex (`tau_rep`; Bernstein-Gelfand-Ponomarev
 1973, Auslander-Platzeck-Reiten 1979).  So the table of indecomposables and
 the translate check each other, and `ext1_dim`, which reaches the translate,
-shares no step with `_ext1_via_presentation`.
+shares no step with `_ext1_via_presentation`.  That route reads the minimal
+projective presentation, built as the dual of the minimal injective
+copresentation of the dual module over the opposite quiver (`dual`).
 """
 from __future__ import annotations
 
@@ -277,7 +279,7 @@ def hom_dim(m, n) -> int:
 
 
 # ---------------------------------------------------------------------------
-# kernels, cokernels, socle, radical
+# kernels, cokernels, socle
 
 
 def kernel(f: Morphism) -> tuple[Rep, Morphism]:
@@ -327,96 +329,8 @@ def socle_bases(M: Rep) -> list[tuple]:
     return out
 
 
-def radical_projections(M: Rep) -> list[tuple]:
-    """Per vertex, a projection whose kernel is the radical subspace."""
-    q = M.quiver
-    out = []
-    for v in q.vertices:
-        # the columns of the outgoing maps span the radical subspace
-        image = [col for (_, j) in q.arrows_from(v) for col in K.transpose(M.map((v, j)), M.dim(j))]
-        out.append(K.nullspace(image, M.dim(v)))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# projective covers and presentations
-
-
-def projective_cover(M: Rep) -> tuple[list[int], Morphism]:
-    """Vertex labels (with multiplicity) of P(top M) and the cover morphism."""
-    q = M.quiver
-    projs = radical_projections(M)
-    labels: list[int] = []
-    gens: list[tuple[int, tuple[int, ...]]] = []
-    for v in q.vertices:
-        pv = projs[v - 1]
-        t = len(pv)
-        if t == 0:
-            continue
-        lift = K.solve(pv, K.identity(t), M.dim(v))
-        if lift is None:
-            raise InternalCheckError("top projection has no section")
-        for c in range(t):
-            labels.append(v)
-            gens.append((v, tuple(row[c] for row in lift)))
-    if not labels:
-        return [], Morphism(zero_rep(q), M, [((),) * M.dim(v) for v in q.vertices])
-    dom, offsets = projective_sum(q, tuple(labels))
-    mats = [[[0] * dom.dim(v) for _ in range(M.dim(v))] for v in q.vertices]
-    for slot, (v, vec) in enumerate(gens):
-        pv_rep = projective_rep(q, v)
-        for u in q.vertices:
-            if pv_rep.dim(u) == 0:
-                continue
-            col = offsets[slot][u - 1]
-            for row, (x,) in zip(mats[u - 1], K.matmul(path_action(M, u, v), [(x,) for x in vec])):
-                row[col] = x
-    cover = Morphism(dom, M, mats).validate()
-    # surjectivity
-    for v in q.vertices:
-        if K.rank(cover.mat(v)) != M.dim(v):
-            raise InternalCheckError("projective cover is not surjective")
-    return labels, cover
-
-
-def scalar_matrix_of_projective_map(f: Morphism, src_labels: list[int], src_offsets, tgt_labels: list[int], tgt_offsets) -> tuple:
-    """Express a morphism between sums of projectives in canonical basis scalars.
-
-    Entry (r, c) is the coefficient of the append-path morphism
-    P_{src_labels[c]} -> P_{tgt_labels[r]}; it is read off by evaluating at
-    the source generator and asserted to reproduce the whole morphism.
-    """
-    q = f.src.quiver
-    out = [[0] * len(src_labels) for _ in tgt_labels]
-    for c, u in enumerate(src_labels):
-        col_at_u = src_offsets[c][u - 1]
-        for r, w in enumerate(tgt_labels):
-            if q.has_path(u, w):
-                out[r][c] = f.mat(u)[tgt_offsets[r][u - 1]][col_at_u]
-    return K.as_matrix(out)
-
-
-def min_presentation(M: Rep) -> tuple[list[int], list[int], tuple]:
-    """Minimal projective presentation: labels of P1, labels of P0 and the
-    scalar matrix of the map P1 -> P0 in canonical path-basis coordinates."""
-    q = M.quiver
-    labels0, cover = projective_cover(M)
-    ker, incl = kernel(cover)
-    labels1, cover1 = projective_cover(ker)
-    if not ker.is_zero():
-        # over a hereditary algebra the kernel is projective: the cover is an iso
-        if projective_sum(q, tuple(labels1))[0].total_dim != ker.total_dim:
-            raise InternalCheckError("first syzygy of a module is not projective")
-    d = incl.compose(cover1)
-    if labels1 and labels0:
-        off1 = projective_sum(q, tuple(labels1))[1]
-        off0 = projective_sum(q, tuple(labels0))[1]
-        scal = scalar_matrix_of_projective_map(d, labels1, off1, labels0, off0)
-        if assemble_projective_map(q, labels1, labels0, scal).mats != d.mats:
-            raise InternalCheckError("presentation map is not a scalar combination of path morphisms")
-    else:
-        scal = K.zeros(len(labels0), len(labels1))
-    return labels1, labels0, scal
+# maps between sums of projectives or injectives, from path-basis scalars
 
 
 def _assemble_map(make_sum, canonical, q: Quiver, src_labels, tgt_labels, scal) -> Morphism:
@@ -444,7 +358,7 @@ def assemble_projective_map(q: Quiver, src_labels, tgt_labels, scal) -> Morphism
 
 
 # ---------------------------------------------------------------------------
-# the inverse translate and its inverse
+# copresentations, presentations as their duals, and the two translates
 
 
 def _injective_envelope(M: Rep) -> tuple[list[int], Morphism]:
@@ -523,6 +437,24 @@ def min_copresentation(M: Rep) -> tuple[list[int], Morphism, list[int], tuple]:
     if assemble_injective_map(q, labels0, labels1, scal).mats != g.mats:
         raise InternalCheckError("copresentation map is not a scalar combination of path morphisms")
     return labels0, emb, labels1, scal
+
+
+def dual(M: Rep) -> Rep:
+    """The dual D M = Hom(M, k), a representation of the opposite quiver:
+    the same dims, each map transposed.  It sends the projective at v of the
+    opposite quiver to the injective at v, and transposes an all-ones basis
+    morphism into an all-ones one, so path-basis scalars carry over."""
+    return Rep(M.quiver.opposite(), M.dims,
+               {(j, i): K.transpose(m, M.dim(j)) for (i, j), m in M.maps.items()})
+
+
+def min_presentation(M: Rep) -> tuple[list[int], list[int], tuple]:
+    """Minimal projective presentation: labels of P1, labels of P0 and the
+    scalar matrix of the map P1 -> P0 in canonical path-basis coordinates.
+    It is the dual of the minimal injective copresentation of `dual(M)`:
+    the labels swap places and the scalars are transposed."""
+    labels0, _, labels1, scal = min_copresentation(dual(M))
+    return labels1, labels0, K.transpose(scal, len(labels0))
 
 
 def tau_inv_rep(M: Rep) -> Rep:

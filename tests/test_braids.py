@@ -340,11 +340,23 @@ def test_star_form_is_the_form_of_the_star_image(t):
         assert br.is_in_B_star(w) == (star == form)
 
 
+def _form_to_word(form: br.GarsideForm) -> br.BraidWord:
+    """The braid word Delta^infimum followed by the canonical lifts of the
+    factors: the element that the normal form names."""
+    delta = br.garside_element(form.dtype)
+    word = br.BraidWord(form.dtype, ())
+    for _ in range(abs(form.infimum)):
+        word = word * (delta if form.infimum > 0 else delta.inverse())
+    for f in form.factors:
+        word = word * br.canonical_lift(f)
+    return word
+
+
 @pytest.mark.parametrize("t", ORACLE_TYPES)
 def test_form_word_acts_like_the_input(t):
     # invariants of the braid group element that need no normal form
     for w in oracle_words(t):
-        u = br._form_to_word(nf(w))
+        u = _form_to_word(nf(w))
         assert br.project_to_weyl(u) == br.project_to_weyl(w)
         assert br.k0_rows(u) == br.k0_rows(w)
         assert sum(s for _, s in u.letters) == sum(s for _, s in w.letters)
@@ -471,29 +483,3 @@ def test_weyl_elements_are_root_permutations():
     assert sorted(w0.perm) == list(range(n))
     # the longest element sends every positive root to a negative one
     assert n == 24 and all(k >= n // 2 for k in w0.perm[: n // 2])
-
-
-# ---------------------------------------------------------------------------
-# silting labels
-
-
-def test_triangular_extension_counts():
-    assert len(br.triangular_extension(W("A3", []))) == 9
-    assert len(br.triangular_extension(br.garside_element("A2"))) == 6
-
-
-def test_triangular_extension_shape():
-    gens = br.triangular_extension(W("A2", []))
-    assert gens == tuple((side, v) for side in (-1, 0, 1) for v in (1, 2))
-
-
-def test_triangular_extension_guard():
-    with pytest.raises(GuardError):
-        br.triangular_extension(W("A2", [1]))
-
-
-def test_silting_label_normalizes():
-    s = br.SiltingLabel.from_word(W("A2", [1, 2, 1]))
-    t = br.SiltingLabel.from_word(W("A2", [2, 1, 2]))
-    assert s == t
-    assert s.dtype == t.dtype

@@ -360,6 +360,20 @@ def test_exit_code_bad_lift_spec(capsys, p1, p0, path, words):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("path", ["1", "9-9"])  # a valid path, a walk through a missing vertex
+def test_refused_lift_builds_no_algebra(capsys, path):
+    """The type is refused before the algebra is built, so a spec whose
+    paths are also bad gets the refusal too."""
+    from quiverlab import higgs
+
+    higgs.preprojective_algebra.cache_clear()
+    spec = json.dumps({"p1": [1], "p0": [1], "matrix": [[[path, 1]]]})
+    assert cli.main(["higgs", "--type", "E8", "--lift", spec]) == 3
+    assert capsys.readouterr().err == ("error: lifting needs a representation-finite loop "
+                                       "algebra (['A1', 'A2', 'A3', 'A4']), not E8\n")
+    assert higgs.preprojective_algebra.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize(
     "spec",
     [

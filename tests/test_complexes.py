@@ -12,7 +12,7 @@ from quiverlab.errors import InternalCheckError
 from quiverlab.stalks import DerivedLabel, normalize_label
 
 from tests.test_dynkin import quiver_strategy
-from tests.test_stalks import _oracle_quivers
+from tests.test_stalks import _opposite_quivers, _oracle_quivers
 
 SMALL = ["A2", "A3", "D4"]
 
@@ -399,15 +399,17 @@ def test_arrow_lifts_match_rep_level_solve(q):
 BRICK_ONLY = ("E7", "E8")  # `split_complex` takes about 10 s on one E8 quiver
 
 
-@pytest.mark.parametrize("q", list(_oracle_quivers()))
+@pytest.mark.parametrize("q", [*_oracle_quivers(), *_opposite_quivers()])
 def test_orbit_memo_matches_the_matrix_route(q):
     """Window entries k < e_v are two-term complexes in degrees (-1, 0) with
-    the terms of the matrix-route minimal presentation of tauinv^k P_v, and
-    their cohomology is that indecomposable: one degree-0 brick (End is the
-    field, so indecomposable) whose dimension vector is the knitted one, and
-    on the types below E7 `split_complex` names exactly its label.  Entry
-    e_v, the first past the window, is the suspended projective at the
-    involuted vertex, and every entry equals a fresh `minimize` chain."""
+    the terms of the matrix-route minimal presentation of tauinv^k P_v,
+    which are also the knitted ones, and their cohomology is that
+    indecomposable: one degree-0 brick (End is the field, so indecomposable)
+    whose dimension vector is the knitted one, and on the types below E7
+    `split_complex` names exactly its label.  Entry e_v, the first past the
+    window, is the suspended projective at the involuted vertex, and every
+    entry equals a fresh `minimize` chain.  Each type is taken in its
+    default orientation, its opposite and two seeded ones."""
     F = cx.tau_inv_functor(q)
     dims = stalks._module_window(q)[0]
     star = nakayama_involution(q)

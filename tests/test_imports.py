@@ -30,7 +30,7 @@ import quiverlab
 EXPORTS = """
 ARQuiver BraidWord Conflation DerivedLabel DynkinType GarsideForm GradedDim GuardError
 HiggsLift HomTable IceQuiver IndecLabel InternalCheckError LambdaMorphism Morphism MprLabel
-MprObject PreprojAlgebra Quiver Rep SiltingLabel TQAlgebra WeylElement boundary braid_equal
+MprObject PreprojAlgebra Quiver Rep TQAlgebra WeylElement boundary braid_equal
 braids build_ice_quiver build_quiver canonical_lift clear_caches complexes coxeter_number
 decompose derived_hom dynkin e_exponent errors euler_form export_hom_table export_ice
 ext1_dim f_power_label f_presentation gamma_hom garside_element garside_normal_form higgs
@@ -41,7 +41,7 @@ mpr_number mutable_part nakayama_involution omega_action omega_orbit omega_order
 pi2_hom positive_roots preprojective_algebra presentation project_to_weyl projective_rep
 quiver_from_json quiver_from_text quiver_to_dot quiver_to_json quiver_to_text realize_lift
 reduced_words reps simple_rep split_summands stalks star_involution tau_inv_rep tau_mpr
-thm1_hom thm2_hom tq_algebra triangular_extension window
+thm1_hom thm2_hom tq_algebra window
 """.split()
 
 LIGHT = ["quiverlab", "quiverlab.cli", "quiverlab.dynkin", "quiverlab.errors"]

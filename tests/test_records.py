@@ -72,9 +72,6 @@ CASES = {
     "GarsideForm": (lambda: _form([1, 2]), lambda: _form([2, 1]), ("dtype", "infimum", "factors"), "s1s2",
                     "GarsideForm(dtype=DynkinType(letter='A', rank=2), infimum=0, factors=(WeylElement("
                     "dtype=DynkinType(letter='A', rank=2), perm=(5, 0, 4, 2, 3, 1)),))"),
-    "SiltingLabel": (lambda: braids.SiltingLabel(_form([1], "A1")), lambda: braids.SiltingLabel(_form([-1], "A1")),
-                     ("form",), None,
-                     "SiltingLabel(form=GarsideForm(dtype=DynkinType(letter='A', rank=1), infimum=1, factors=()))"),
     "Conflation": (lambda: lifting.Conflation((mp.MprLabel(A1, "mod", 1),), (mp.MprLabel(A1, "done", 1),)),
                    lambda: lifting.Conflation((), ()), ("sub", "quot"), None,
                    f"Conflation(sub=(MprLabel(quiver={Q1}, kind='mod', vertex=1, power=0),), "

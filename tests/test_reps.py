@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverlab.dynkin import build_quiver, coxeter_number, nakayama_involution
+from quiverlab.errors import InternalCheckError
 from quiverlab.reps import (
     IndecLabel,
     decompose,
     direct_sum,
+    dual,
     ext1_dim,
     euler_form,
     hom_basis,
@@ -21,6 +23,7 @@ from quiverlab.reps import (
     knit_ar_quiver,
     label_by_dim_vector,
     list_indecomposables,
+    Rep,
     min_presentation,
     assemble_projective_map,
     orbit_lengths,
@@ -138,7 +141,35 @@ def test_min_presentation_reassembles(q):
         for r, wt in enumerate(labels0):
             for c, ws in enumerate(labels1):
                 if ws == wt:
-                    assert scal[r, c] == 0
+                    assert scal[r][c] == 0
+
+
+@pytest.mark.parametrize("q", list(_oracle_quivers()))
+def test_dual_is_an_involution_exchanging_projectives_and_injectives(q):
+    # the interned copy: the parameter was built before any test that ran
+    # `clear_caches`, which ends the interning of older quivers
+    q = q.opposite().opposite()
+    for v in q.vertices:
+        D = dual(projective_rep(q.opposite(), v))
+        I = injective_rep(q, v)
+        assert D.quiver is q
+        assert (D.dims, dict(D.maps)) == (I.dims, dict(I.maps))
+    for _, rep in list_indecomposables(q):
+        back = dual(dual(rep))
+        assert back.quiver is q
+        assert (back.dims, dict(back.maps)) == (rep.dims, dict(rep.maps))
+
+
+def test_dual_without_the_transpose_fails_on_a_non_square_map():
+    """Positive control: reversing the arrows but keeping the matrices gives
+    maps of the wrong shape, which `Rep` refuses."""
+    q = build_quiver("D4")
+    # the module of the highest root, 2-dimensional at the branch vertex
+    M = max((rep for _, rep in list_indecomposables(q)), key=lambda rep: rep.total_dim)
+    assert any(len(m) != len(m[0]) for m in M.maps.values())
+    dual(M)
+    with pytest.raises(InternalCheckError, match="bad map shape"):
+        Rep(q.opposite(), M.dims, {(j, i): m for (i, j), m in M.maps.items()})
 
 
 def test_label_by_dim_vector_rejects_decomposables():

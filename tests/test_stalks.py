@@ -266,6 +266,12 @@ def _oracle_quivers(types=ORACLE_TYPES):
             yield pytest.param(build_quiver(t, edges), id=f"{t}-seed{seed}")
 
 
+def _opposite_quivers(types=ORACLE_TYPES):
+    """Each type in the opposite of its default orientation."""
+    for t in types:
+        yield pytest.param(build_quiver(t).opposite(), id=f"{t}-opposite")
+
+
 @pytest.mark.parametrize("q", list(_oracle_quivers()))
 def test_knitted_window_matches_matrix_route(q):
     table, orbit_len = reps._indec_data(q)
