@@ -153,14 +153,15 @@ def table_keys(q: Quiver) -> tuple[tuple[int, int], ...]:
     return tuple((i, v) for i in _EMBED for v in q.vertices)
 
 
-def hom_table(q: Quiver, min_degree: int = DEFAULT_FLOOR) -> HomTable:
-    """Degree-zero hom dimensions between all embedded projectives."""
+def hom_table(q: Quiver) -> HomTable:
+    """Degree-zero hom dimensions between all embedded projectives; the
+    orbit walks stop at degree 0, the only degree the grid reports."""
     keys = table_keys(q)
     grid = []
     for (i, u) in keys:
         row = []
         for (j, v) in keys:
-            g = thm1_hom(i, IndecLabel(q, u, 0), j, IndecLabel(q, v, 0), min_degree=min_degree)
+            g = thm1_hom(i, IndecLabel(q, u, 0), j, IndecLabel(q, v, 0), min_degree=0)
             row.append(g[0])
         grid.append(tuple(row))
     return HomTable(q, keys, tuple(grid))

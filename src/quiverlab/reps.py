@@ -430,9 +430,13 @@ def min_copresentation(M: Rep) -> tuple[list[int], Morphism, list[int], tuple]:
     if cok.is_zero():
         return labels0, emb, [], ()
     labels1, emb1 = _injective_envelope(cok)
+    I1, off1 = injective_sum(q, tuple(labels1))
+    # over a hereditary algebra the cokernel is injective, so its envelope
+    # is an isomorphism
+    if I1.total_dim != cok.total_dim:
+        raise InternalCheckError("cokernel of the injective envelope is not injective")
     g = emb1.compose(proj)
     off0 = injective_sum(q, tuple(labels0))[1]
-    off1 = injective_sum(q, tuple(labels1))[1]
     scal = _scalar_matrix_of_injective_map(g, labels0, off0, labels1, off1)
     if assemble_injective_map(q, labels0, labels1, scal).mats != g.mats:
         raise InternalCheckError("copresentation map is not a scalar combination of path morphisms")
@@ -552,19 +556,29 @@ def decompose(M: Rep) -> Counter:
     The hom-dimension matrix between indecomposables, knitted by `stalks`,
     is unitriangular for the (power, topological) order, so the
     multiplicities solve a triangular linear system of hom counts into M.
+    The back substitution skips an indecomposable whose dimension vector
+    does not fit in what the summands found so far leave of M's, and stops
+    once nothing is left.
     """
     q = M.quiver
     items = list_indecomposables(q)
     H = stalks._module_hom_matrix(q)
-    hom_to_M = [hom_dim(rep, M) for _, rep in items]
+    dims = stalks._module_window(q)[0]
     n = len(items)
     mult = [0] * n
+    left = list(M.dim_vector())
     for a in range(n - 1, -1, -1):
-        acc = hom_to_M[a] - sum(H[a][b] * mult[b] for b in range(a + 1, n))
-        mult[a] = acc
+        if not any(left):
+            break
+        lab, rep = items[a]
+        if any(x > y for x, y in zip(dims[lab], left)):
+            continue
+        acc = hom_dim(rep, M) - sum(H[a][b] * mult[b] for b in range(a + 1, n))
         if acc < 0:
             raise InternalCheckError("negative multiplicity in decomposition")
-    if sum(m * rep.total_dim for m, (_, rep) in zip(mult, items)) != M.total_dim:
+        mult[a] = acc
+        left = [y - acc * x for x, y in zip(dims[lab], left)]
+    if any(left):
         raise InternalCheckError("decomposition does not add up")
     return Counter({items[a][0]: mult[a] for a in range(n) if mult[a]})
 

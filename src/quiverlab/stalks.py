@@ -4,19 +4,19 @@ and the module category as labels and dimension vectors.
 Everything in the bounded derived category of a Dynkin quiver is a sum of
 (de)suspended indecomposable modules, and every indecomposable module is
 tauinv^k of a projective.  This module works purely with such labels and
-two knitting tables, in plain integers (it imports no matrix layer):
-
-* the defect table: dimension vectors of tauinv^k P_v, continued formally
-  past the module range, where the value at (v, k) equals (-1)^s times the
-  dimension vector of the normalized stalk;
-* the hom table f^(i): dim Hom(P_i, tauinv^m P_j), same recursion because
-  Hom(P_i, -) is exact on almost-split sequences.
+one knitting table, in plain integers (it imports no matrix layer): the
+defect table of dimension vectors of tauinv^k P_v, continued formally past
+the module range, where the value at (v, k) equals (-1)^s times the
+dimension vector of the normalized stalk.  Hom(P_i, -) is exact on
+almost-split sequences, so coordinate i of the entry at (j, m) is
+dim Hom(P_i, tauinv^m P_j), and every graded hom between stalks is one
+entry of the same table.
 
 The module window of the defect table (k < e_v) is the module category:
 its labels, their dimension vectors (by Gabriel's theorem, the positive
 roots), the orbit lengths and the translation quiver `knit_ar_quiver`.
 The terms of each minimal projective presentation, `presentation_terms`,
-come from the hom table too: the mesh check of `morphcat.mpr_ar_quiver`
+come from the table too: the mesh check of `morphcat.mpr_ar_quiver`
 reads them, and every presentation that the orbit route of `complexes`
 builds must have exactly these terms.  The matrix representations behind
 the same labels live in `reps`, which serves as the independent route.
@@ -219,28 +219,6 @@ def e_exponent(q: Quiver, vertex: int | None = None):
     return exponents[vertex]
 
 
-@functools.cache
-def _hom_table(q: Quiver, i: int):
-    """f[j][m] = dim Hom(P_i, tauinv^m P_j) on the principal window, with
-    formal continuation asserted against normalization."""
-    _, exponents, star = _defect_data(q)
-    h = coxeter_number(q.dtype)
-    depth = 2 * h
-    seed = {j: (int(q.has_path(i, j)),) for j in q.vertices}
-    table = _knit(q, seed, depth)
-    for j in q.vertices:
-        for m in range(depth + 1):
-            jj, mm, ss = _normalize_raw(exponents, star, j, m, 0)
-            if table[j][m][0] != (-1) ** ss * table[jj][mm][0]:
-                raise InternalCheckError("hom table continuation is inconsistent")
-    out = {j: tuple(table[j][m][0] for m in range(depth + 1)) for j in q.vertices}
-    for j in q.vertices:
-        for m in range(exponents[j]):
-            if out[j][m] < 0:
-                raise InternalCheckError("negative hom dimension inside the module window")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the module category: the window k < e_v of the defect table
 
@@ -295,16 +273,23 @@ def presentation_terms(q: Quiver):
     of each indecomposable M, as sorted vertex tuples (p1, p0).
 
     The path algebra is hereditary, so P_w occurs dim Hom(M, S_w) times in
-    P0 and dim Ext^1(M, S_w) times in P1; both numbers are read off the
-    knitted hom table.  Checked against dim M = sum_w (P0_w - P1_w) dim P_w;
+    P0 and dim Ext^1(M, S_w) times in P1; both numbers are one lookup in
+    the defect table.  Checked against dim M = sum_w (P0_w - P1_w) dim P_w;
     read-only, since the memo shares it."""
     dims = _module_window(q)[0]
     proj = {w: dims[IndecLabel(q, w, 0)] for w in q.vertices}
     simple = {w: label_by_dim_vector(q, tuple(int(u == w) for u in q.vertices)) for w in q.vertices}
     out = {}
     for lab, d in dims.items():
-        p1 = tuple(w for w in q.vertices for _ in range(ext1_dim(lab, simple[w])))
-        p0 = tuple(w for w in q.vertices for _ in range(hom_dim(lab, simple[w])))
+        p1, p0 = [], []
+        for w in q.vertices:
+            # Hom(M, S_w) sits in degree 0 and Ext^1(M, S_w) in degree 1
+            deg, f = _hom_entry(q, lab.vertex, lab.power, 0, simple[w].vertex, simple[w].power, 0)
+            if deg == 0:
+                p0 += [w] * f
+            elif deg == 1:
+                p1 += [w] * f
+        p1, p0 = tuple(p1), tuple(p0)
         total = [sum(proj[w][u] for w in p0) - sum(proj[w][u] for w in p1) for u in range(q.rank)]
         if tuple(total) != d:
             raise InternalCheckError(f"presentation terms of {lab} miss its dimension vector")
@@ -435,6 +420,17 @@ def tau_inv(x):
 # graded hom spaces
 
 
+def _hom_entry(q: Quiver, u: int, k: int, s: int, v: int, m: int, t: int) -> tuple[int, int]:
+    """(d, dim Hom(x, Sigma^d y)) for x = Sigma^s tauinv^k P_u and
+    y = Sigma^t tauinv^m P_v, the one degree d where that hom can be nonzero.
+
+    Hom(P_u, -) is exact on almost-split sequences, so dim Hom(P_u, z) is
+    coordinate u of the defect-table entry of z."""
+    table, exponents, star = _defect_data(q)
+    w, j, r = _normalize_raw(exponents, star, v, m - k, t - s)
+    return -r, table[w][j][u - 1]
+
+
 def derived_hom(x, y) -> GradedDim:
     """Graded hom between two stalk labels: entry d is dim Hom(x, Sigma^d y).
 
@@ -444,12 +440,10 @@ def derived_hom(x, y) -> GradedDim:
     a, b = as_derived_label(x), as_derived_label(y)
     if a.quiver is not b.quiver and a.quiver != b.quiver:
         raise InternalCheckError("labels live on different quivers")
-    q = a.quiver
-    rel = normalize_label(q, b.vertex, b.power - a.power, b.shift - a.shift)
-    f = _hom_table(q, a.vertex)[rel.vertex][rel.power]
+    deg, f = _hom_entry(a.quiver, a.vertex, a.power, a.shift, b.vertex, b.power, b.shift)
     if f == 0:
         return ZERO
-    return GradedDim({-rel.shift: f})
+    return GradedDim({deg: f})
 
 
 _PI_CAP_FACTOR = 8  # hard cap on orbit walks, in Coxeter numbers
@@ -461,47 +455,29 @@ def pi2_hom(x, y, min_degree: int = 0) -> GradedDim:
 
     The contribution of step p sits in a single degree which is
     non-increasing in p, so the walk stops at the first step below the
-    floor.
+    floor.  Only step 0 is normalized; each later step moves one slot
+    along the orbit of the defect table, wrapping at the end of the window
+    to the suspended start of the involuted vertex.
     """
     a, b = as_derived_label(x), as_derived_label(y)
     q = a.quiver
+    table, exponents, star = _defect_data(q)
+    col = a.vertex - 1
+    v, k, s = _normalize_raw(exponents, star, b.vertex, b.power - a.power, b.shift - a.shift)
     cap = _PI_CAP_FACTOR * coxeter_number(q.dtype) + 8
     entries: list[tuple[int, int]] = []
-    for p in range(cap + 1):
-        rel = normalize_label(q, b.vertex, b.power + p - a.power, b.shift - a.shift)
-        deg = -rel.shift
-        if deg < min_degree:
+    for _ in range(cap + 1):
+        if -s < min_degree:
             break
-        f = _hom_table(q, a.vertex)[rel.vertex][rel.power]
+        f = table[v][k][col]
         if f:
-            entries.append((deg, f))
+            entries.append((-s, f))
+        k += 1
+        if k == exponents[v]:
+            v, k, s = star[v], 0, s + 1
     else:
         raise InternalCheckError("orbit walk failed to leave the degree window")
     return GradedDim(entries)
-
-
-def one_cluster_hom(x, y) -> int:
-    """Total degree-0 hom from x into the full two-sided tauinv orbit of y."""
-    a, b = as_derived_label(x), as_derived_label(y)
-    q = a.quiver
-    cap = _PI_CAP_FACTOR * coxeter_number(q.dtype) + 8
-    total = 0
-
-    def walk(step: int) -> int:
-        acc = 0
-        for t in range(cap + 1):
-            p = step * (t + (1 if step < 0 else 0))
-            rel = normalize_label(q, b.vertex, b.power + p - a.power, b.shift - a.shift)
-            deg = -rel.shift
-            if (step > 0 and deg < 0) or (step < 0 and deg > 0):
-                return acc
-            if deg == 0:
-                acc += _hom_table(q, a.vertex)[rel.vertex][rel.power]
-        raise InternalCheckError("orbit walk failed to leave the degree window")
-
-    total += walk(+1)   # p = 0, 1, 2, ...
-    total += walk(-1)   # p = -1, -2, ...
-    return total
 
 
 def hom_dim(m, n) -> int:

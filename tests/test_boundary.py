@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from quiverlab.boundary import (
+    DEFAULT_FLOOR,
     export_hom_table,
     gamma_hom,
     hom_table,
@@ -15,6 +16,7 @@ from quiverlab.morphcat import functor_D, mpr_indecomposables
 from quiverlab.reps import IndecLabel, list_indecomposables
 from tests.test_complexes import apply_map, compose_maps, min_presentation_pcpx
 from tests.test_morphcat import _default_and_reversed
+from tests.test_stalks import ORACLE_TYPES
 
 EMBED = (-1, 0, 1)
 FORBIDDEN = ((-1, 1), (0, -1), (1, 0))
@@ -160,6 +162,17 @@ def test_min_degree_floor():
     g = thm1_hom(-1, p, -1, p, min_degree=-1)
     assert g == {0: 1, -1: 1}
     assert thm1_hom(-1, p, -1, p, min_degree=0) == {0: 1}
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_table_walks_to_degree_zero_only(name):
+    # the table's walks stop at degree 0; the full walks to the default
+    # floor have the same degree-0 entries
+    q = build_quiver(name)
+    keys = [(i, IndecLabel(q, v, 0)) for i in EMBED for v in q.vertices]
+    grid = tuple(tuple(thm1_hom(i, x, j, y, min_degree=DEFAULT_FLOOR)[0] for j, y in keys)
+                 for i, x in keys)
+    assert hom_table(q).grid == grid
 
 
 def test_table_json_fields():

@@ -396,19 +396,16 @@ def test_arrow_lifts_match_rep_level_solve(q):
 # ---------------------------------------------------------------------------
 # the orbit memo against the matrix route
 
-BRICK_ONLY = ("E7", "E8")  # `split_complex` takes about 10 s on one E8 quiver
-
-
 @pytest.mark.parametrize("q", [*_oracle_quivers(), *_opposite_quivers()])
 def test_orbit_memo_matches_the_matrix_route(q):
     """Window entries k < e_v are two-term complexes in degrees (-1, 0) with
     the terms of the matrix-route minimal presentation of tauinv^k P_v,
     which are also the knitted ones, and their cohomology is that
     indecomposable: one degree-0 brick (End is the field, so indecomposable)
-    whose dimension vector is the knitted one, and on the types below E7
-    `split_complex` names exactly its label.  Entry e_v, the first past the
-    window, is the suspended projective at the involuted vertex, and every
-    entry equals a fresh `minimize` chain.  Each type is taken in its
+    whose dimension vector is the knitted one, and `split_complex` names
+    exactly its label.  Entry e_v, the first past the window, is the
+    suspended projective at the involuted vertex, and every entry equals a
+    fresh `minimize` chain.  Each type is taken in its
     default orientation, its opposite and two seeded ones."""
     F = cx.tau_inv_functor(q)
     dims = stalks._module_window(q)[0]
@@ -435,8 +432,7 @@ def test_orbit_memo_matches_the_matrix_route(q):
             assert list(H) == [0]
             assert H[0].dim_vector() == dims[lab]
             assert reps.hom_dim(H[0], H[0]) == 1
-            if str(q.dtype) not in BRICK_ONLY:
-                assert cx.split_complex(C) == [normalize_label(q, v, k, 0)]
+            assert cx.split_complex(C) == [normalize_label(q, v, k, 0)]
 
 
 @pytest.mark.parametrize("q", list(_oracle_quivers()))

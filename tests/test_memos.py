@@ -21,7 +21,7 @@ from quiverlab import dynkin
 from quiverlab import higgs as hg
 from quiverlab import lifting as lf
 from quiverlab import morphcat as mp
-from quiverlab import reps
+from quiverlab import reps, stalks
 from quiverlab.dynkin import DynkinType, build_quiver, coxeter_number
 from quiverlab.errors import GuardError, InternalCheckError
 from quiverlab.stalks import IndecLabel, e_exponent
@@ -72,6 +72,13 @@ def test_memos_cover_the_new_constructors():
                "complexes.tau_inv_orbit", "complexes._reachability",
                "stalks.presentation_terms"):
         assert f"quiverlab.{fn}" in names
+
+
+def test_stalks_keeps_one_table_memo_per_quiver():
+    # graded homs read the defect table; no per-vertex hom table is memoized
+    names = sorted(n for n in quiverlab.memos() if n.startswith("quiverlab.stalks."))
+    assert names == ["quiverlab.stalks._defect_data", "quiverlab.stalks._module_hom_matrix",
+                     "quiverlab.stalks._module_window", "quiverlab.stalks.presentation_terms"]
 
 
 def test_clear_caches_empties_every_memo_and_keeps_results(capsys):
@@ -172,6 +179,16 @@ def test_mpr_builds_no_matrix_translates(monkeypatch):
     calls = _counting(monkeypatch, reps, "tau_inv_rep")
     assert len(mp.mpr_ar_quiver(q).meshes) == 120
     assert calls == []
+
+
+def test_hom_table_knits_one_table(monkeypatch, capsys):
+    # every hom dimension is a coordinate of the defect table, so an E8
+    # table knits once, not once more per source vertex
+    quiverlab.clear_caches()
+    calls = _counting(monkeypatch, stalks, "_knit")
+    assert cli.main(["hom", "--type", "E8", "--table"]) == 0
+    assert capsys.readouterr().out.startswith("hom0\tD-1P1")
+    assert len(calls) == 1
 
 
 def _algebra_arrays(q):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverlab import reps
 from quiverlab.dynkin import build_quiver, coxeter_number, nakayama_involution
 from quiverlab.errors import InternalCheckError
 from quiverlab.reps import (
@@ -172,6 +173,27 @@ def test_dual_without_the_transpose_fails_on_a_non_square_map():
         Rep(q.opposite(), M.dims, {(j, i): m for (i, j), m in M.maps.items()})
 
 
+def test_copresentation_refuses_a_cokernel_that_is_not_injective(monkeypatch):
+    """Positive control: a second envelope larger than the cokernel means
+    the cokernel was not injective, which a hereditary algebra rules out."""
+    q = build_quiver("A3")
+    M = next(rep for _, rep in list_indecomposables(q) if reps.min_copresentation(rep)[2])
+    envelope = reps._injective_envelope
+    calls = []
+
+    def too_large(N):
+        labels, emb = envelope(N)
+        calls.append(N)
+        if len(calls) == 2:
+            labels = labels + labels[:1]
+        return labels, emb
+
+    monkeypatch.setattr(reps, "_injective_envelope", too_large)
+    with pytest.raises(InternalCheckError, match="cokernel of the injective envelope is not injective"):
+        reps.min_copresentation(M)
+    assert len(calls) == 2
+
+
 def test_label_by_dim_vector_rejects_decomposables():
     q = build_quiver("A2")
     from quiverlab.errors import GuardError
@@ -255,24 +277,27 @@ def test_ext_vanishes_from_projectives_and_into_injectives():
 
 def test_decompose_homs_only_into_the_module(monkeypatch):
     """The hom counts between indecomposables come from the knitted table,
-    so decomposing makes one matrix hom computation per indecomposable."""
-    import quiverlab.reps as reps_module
-
+    so decomposing makes at most one matrix hom computation per
+    indecomposable, and none into one whose dimension vector does not fit
+    in what the summands found so far leave of the module's."""
     q = build_quiver("D5")
     items = list_indecomposables(q)
     total, _ = direct_sum([items[0][1], items[7][1], items[7][1], items[-1][1]])
     calls = []
-    basis = reps_module.hom_basis
+    basis = reps.hom_basis
 
     def counted(M, N):
         calls.append((M, N))
         return basis(M, N)
 
-    monkeypatch.setattr(reps_module, "hom_basis", counted)
+    monkeypatch.setattr(reps, "hom_basis", counted)
     found = decompose(total)
     assert found == {items[0][0]: 1, items[7][0]: 2, items[-1][0]: 1}
-    assert len(calls) == len(items) == 20
     assert all(N is total for _, N in calls)
+    sources = [M for M, _ in calls]
+    assert len(sources) == len(set(map(id, sources))) < len(items) == 20
+    assert all(rep in sources for rep in (items[0][1], items[7][1], items[-1][1]))
+    assert all(all(x <= y for x, y in zip(M.dim_vector(), total.dim_vector())) for M in sources)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from quiverlab.stalks import (
     e_exponent,
     knit_ar_quiver,
     normalize_label,
-    one_cluster_hom,
     pi2_hom,
     sigma,
     tau,
@@ -181,6 +180,16 @@ def test_pi2_a1_self():
     assert g == {0: 1, -1: 1, -2: 1, -3: 1, -4: 1}
 
 
+def one_cluster_hom(x, y) -> int:
+    """Total degree-0 hom from x into the full two-sided tauinv orbit of y,
+    as one `pi2_hom` walk started 2h steps back: tau^(2h) y is Sigma^-4 y,
+    so every step before that start sits above degree 0."""
+    b = as_derived_label(y)
+    h = coxeter_number(b.quiver.dtype)
+    start = DerivedLabel(b.quiver, b.vertex, b.power - 2 * h, b.shift)
+    return pi2_hom(x, start, min_degree=0)[0]
+
+
 def test_orbit_total_hom_fixtures():
     q = build_quiver("A1")
     p = normalize_label(q, 1, 0)
@@ -307,3 +316,54 @@ def test_module_hom_matrix_matches_matrix_route(q):
     items = reps.list_indecomposables(q)
     assert list(stalks._module_window(q)[0]) == [lab for lab, _ in items]
     assert H == tuple(tuple(rep_hom(x, y) for _, y in items) for _, x in items)
+
+
+# ---------------------------------------------------------------------------
+# graded homs against a per-vertex scalar knit
+
+
+def _reference_hom_table(q, i):
+    """f[j][m] = dim Hom(P_i, tauinv^m P_j), knitted as a scalar table from
+    its own seed: dim Hom(P_i, P_j) = 1 exactly when there is a path i ~> j."""
+    depth = 2 * coxeter_number(q.dtype)
+    table = stalks._knit(q, {j: (int(q.has_path(i, j)),) for j in q.vertices}, depth)
+    return {j: [row[0] for row in rows] for j, rows in table.items()}
+
+
+def _reference_derived_hom(a, b, tables):
+    rel = normalize_label(a.quiver, b.vertex, b.power - a.power, b.shift - a.shift)
+    f = tables[a.vertex][rel.vertex][rel.power]
+    return GradedDim({-rel.shift: f})
+
+
+def _reference_pi2_hom(a, b, min_degree, tables):
+    """Every step of the orbit walk normalized from scratch."""
+    q = a.quiver
+    entries = []
+    for p in range(8 * coxeter_number(q.dtype) + 9):
+        rel = normalize_label(q, b.vertex, b.power + p - a.power, b.shift - a.shift)
+        if -rel.shift < min_degree:
+            return GradedDim(entries)
+        entries.append((-rel.shift, tables[a.vertex][rel.vertex][rel.power]))
+    raise AssertionError("orbit walk failed to leave the degree window")
+
+
+@pytest.mark.parametrize("q", [*_oracle_quivers(), *_opposite_quivers()])
+def test_graded_homs_match_a_scalar_knit_per_vertex(q):
+    """`derived_hom` and `pi2_hom` read coordinate i of the defect table
+    and step along its orbits; the reference knits one scalar table per
+    source vertex and normalizes every step of the walk."""
+    tables = {i: _reference_hom_table(q, i) for i in q.vertices}
+    window = list(stalks._module_window(q)[0])
+    for a in map(as_derived_label, window):
+        for b in (DerivedLabel(q, lab.vertex, lab.power, s) for lab in window for s in (0, 1)):
+            assert derived_hom(a, b) == _reference_derived_hom(a, b, tables)
+    # the walks start from the projectives, the last slot of each orbit and
+    # one suspended stalk, into every module label
+    last = [normalize_label(q, v, e_exponent(q, v) - 1) for v in q.vertices]
+    sources = [normalize_label(q, v, 0) for v in q.vertices] + last + [sigma(last[0])]
+    for a in sources:
+        for b in window:
+            b = as_derived_label(b)
+            for floor in (0, -3, -6):
+                assert pi2_hom(a, b, floor) == _reference_pi2_hom(a, b, floor, tables)
