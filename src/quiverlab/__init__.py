@@ -40,7 +40,7 @@ _EXPORTS = {
                 "omega_order presentation tau_mpr window",
     "reps": "Morphism Rep decompose ext1_dim euler_form hom_basis hom_dim injective_rep "
             "list_indecomposables min_presentation projective_rep simple_rep tau_inv_rep",
-    "stalks": "ARQuiver DerivedLabel GradedDim IndecLabel derived_hom e_exponent knit_ar_quiver "
+    "stalks": "ARQuiver DerivedLabel IndecLabel derived_hom e_exponent knit_ar_quiver "
               "pi2_hom",
 }
 # exported name -> the submodule that defines it

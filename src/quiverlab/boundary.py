@@ -14,6 +14,9 @@ as its connecting map.
 The two routes agree on embedded projectives; the case-map route is the
 fast one and the evolution route is the oracle.
 
+Every graded hom is a plain dict {degree: dim}, with no zero values and
+no degree below `min_degree`; the `hom` command orders the degrees.
+
 The case-map route and the table work on labels alone, so this module
 loads no matrix layer; `thm2_hom` imports the morphism
 category and `gamma_hom` the complexes when they are called.
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 from .dynkin import Quiver, coxeter_number
 from .errors import GuardError, InternalCheckError
-from .stalks import GradedDim, IndecLabel, e_exponent, pi2_hom
+from .stalks import IndecLabel, e_exponent, pi2_hom
 
 DEFAULT_FLOOR = -3
 _EMBED = (-1, 0, 1)
@@ -35,28 +38,34 @@ _EMBED = (-1, 0, 1)
 # the case-map route
 
 
-def thm1_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
+def _raised_le0(raw: dict[int, int]) -> dict[int, int]:
+    """Every entry moved up one degree, keeping degrees <= 0; `raw` walked
+    down to min_degree - 1, so the result reaches min_degree."""
+    return {d + 1: n for d, n in raw.items() if d < 0}
+
+
+def thm1_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> dict[int, int]:
     """Graded hom from the i-embedded x to the j-embedded y."""
     if i not in _EMBED or j not in _EMBED:
         raise GuardError("embedding indices must lie in {-1, 0, 1}")
     if (i, j) in ((-1, 1), (0, -1), (1, 0)):
-        return GradedDim({})
+        return {}
     if (i, j) == (1, -1):
-        raw = pi2_hom(x, y, min_degree=min_degree - 1)
-        return raw.shift(1).truncate_le0().truncate_min(min_degree)
+        return _raised_le0(pi2_hom(x, y, min_degree=min_degree - 1))
     return pi2_hom(x, y, min_degree=min_degree)
 
 
-def _pi2_over_labels(x, labels, q: Quiver, min_degree: int) -> GradedDim:
-    total = GradedDim({})
+def _pi2_over_labels(x, labels, q: Quiver, min_degree: int) -> dict[int, int]:
+    total: dict[int, int] = {}
     for lab in labels:
         if isinstance(lab, int):
             lab = IndecLabel(q, lab, 0)
-        total = total.add(pi2_hom(x, lab, min_degree=min_degree))
-    return total.truncate_min(min_degree)
+        for d, n in pi2_hom(x, lab, min_degree=min_degree).items():
+            total[d] = total.get(d, 0) + n
+    return total
 
 
-def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
+def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> dict[int, int]:
     """Graded hom from the i-embedded x to a morphism-category object Y,
     through the term-extraction functors and the cone."""
     from . import morphcat as mp
@@ -69,15 +78,14 @@ def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
         return _pi2_over_labels(x, mp.functor_C(0, obj), q, min_degree)
     if i == 0:
         return _pi2_over_labels(x, mp.functor_C(1, obj), q, min_degree)
-    raw = _pi2_over_labels(x, mp.cone(obj), q, min_degree - 1)
-    return raw.shift(1).truncate_le0().truncate_min(min_degree)
+    return _raised_le0(_pi2_over_labels(x, mp.cone(obj), q, min_degree - 1))
 
 
 # ---------------------------------------------------------------------------
 # the evolution route
 
 
-def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> GradedDim:
+def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> dict[int, int]:
     """Orbit-sum hom via evolution: at each power p = 0..h the presentation
     complex of y = tauinv^k P_v, transported along the derived inverse
     translate and reduced, is orbit entry k + p; the totalized two-column
@@ -115,7 +123,7 @@ def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> GradedDi
                 if min_degree <= dd <= 0:
                     total[dd] = total.get(dd, 0) + n
             s += 1
-    return GradedDim(total).truncate_min(min_degree)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +170,7 @@ def hom_table(q: Quiver) -> HomTable:
         row = []
         for (j, v) in keys:
             g = thm1_hom(i, IndecLabel(q, u, 0), j, IndecLabel(q, v, 0), min_degree=0)
-            row.append(g[0])
+            row.append(g.get(0, 0))
         grid.append(tuple(row))
     return HomTable(q, keys, tuple(grid))
 

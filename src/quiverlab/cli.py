@@ -233,7 +233,8 @@ def _render_hom(job: JobSpec) -> str:
     if not (1 <= i <= len(keys) and 1 <= j <= len(keys)):
         raise GuardError(f"pair indices must lie in 1..{len(keys)}")
     (ei, u), (ej, v) = keys[i - 1], keys[j - 1]
-    g = boundary.thm1_hom(ei, IndecLabel(q, u, 0), ej, IndecLabel(q, v, 0))
+    g = sorted(boundary.thm1_hom(ei, IndecLabel(q, u, 0), ej, IndecLabel(q, v, 0)).items(),
+               reverse=True)
     name = lambda e, w: f"D{e}P{w}"
     if job.fmt == "json":
         return _json_text(

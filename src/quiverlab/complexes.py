@@ -32,8 +32,8 @@ power) by `tau_inv_orbit`.  Its entries below the orbit length e_v are the
 minimal presentations of the indecomposable modules, which the morphism
 category reads instead of building them from matrix representations; the
 next h entries run one Coxeter lap, the evolution `boundary.gamma_hom`
-sums over.  Hom masks between projectives read one reachability table per
-quiver.
+sums over.  Hom masks between projectives read `Quiver.has_path`, a lookup
+in the memoized path table of `dynkin`.
 """
 from __future__ import annotations
 
@@ -47,17 +47,10 @@ from .errors import GuardError, InternalCheckError
 from .stalks import DerivedLabel, e_exponent, normalize_label
 
 
-@functools.cache
-def _reachability(q: Quiver) -> tuple[tuple[bool, ...], ...]:
-    """Table R with R[u - 1][w - 1] true exactly when `q.has_path(u, w)`."""
-    return tuple(tuple(q.has_path(u, w) for w in q.vertices) for u in q.vertices)
-
-
 def _hom_mask(q: Quiver, src_labels, tgt_labels) -> tuple[tuple[bool, ...], ...]:
     """Entry (r, c) is true when Hom(P_src[c], P_tgt[r]) is nonzero, that is
     when there is a path src[c] ~> tgt[r]."""
-    R = _reachability(q)
-    return tuple(tuple(R[u - 1][w - 1] for u in src_labels) for w in tgt_labels)
+    return tuple(tuple(q.has_path(u, w) for u in src_labels) for w in tgt_labels)
 
 
 def _masked_solve(mask, A, B, acols: int) -> tuple | None:

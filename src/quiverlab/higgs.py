@@ -20,10 +20,6 @@ only the label layers and `_kernels`; the other module labels take their
 presentations from `complexes`.  `lifting` holds the block algebra and the
 partial inverse of the embedding, and builds its dense matrices from
 `products`.
-
-The rotation omega of the frozen labels (`omega_action`, `omega_orbit`,
-`omega_order`) is label arithmetic: it is defined in `morphcat` and bound
-here by import.
 """
 from __future__ import annotations
 
@@ -37,8 +33,6 @@ from ._kernels import P
 from .dynkin import Quiver, nakayama_involution
 from .errors import GuardError, InternalCheckError
 from .morphcat import MprLabel
-# the rotation on frozen labels is label arithmetic, kept in `morphcat`
-from .morphcat import omega_action, omega_orbit, omega_order
 
 Terms = tuple[tuple[int, int], ...]
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .dynkin import Quiver
 from .errors import GuardError, InternalCheckError
-from .morphcat import MprLabel, Mesh, mpr_ar_quiver, mpr_number
+from .morphcat import MprLabel, mpr_ar_quiver, mpr_number
 
 
 class IceArrow(NamedTuple):

@@ -139,22 +139,11 @@ def _slot(label: MprLabel) -> tuple[int, int]:
     raise InternalCheckError("identity objects have no slot")
 
 
-@functools.cache
-def _simple_coords(q: Quiver) -> dict[int, tuple[int, int]]:
-    """Orbit coordinates (j, k) of each simple module S_i, whose dimension
-    vector is the unit vector e_i."""
-    out = {}
-    for i in q.vertices:
-        lab = stalks.label_by_dim_vector(q, tuple(int(v == i) for v in q.vertices))
-        out[i] = (lab.vertex, lab.power)
-    return out
-
-
 def _number_key(label: MprLabel) -> tuple[int, int]:
     q = label.quiver
     if label.kind == "dzero":
-        j, k = _simple_coords(q)[label.vertex]
-        return (2 * k + 1, j)
+        simple = stalks._module_window(q)[2][label.vertex]
+        return (2 * simple.power + 1, simple.vertex)
     i, k = _slot(label)
     return (2 * k, i)
 
@@ -338,8 +327,8 @@ def mpr_ar_quiver(q: Quiver) -> MprARQuiver:
     labels = mpr_indecomposables(q)
     num = {lab: i + 1 for i, lab in enumerate(labels)}
     dz_at: dict[tuple[int, int], MprLabel] = {}
-    for m in q.vertices:
-        dz_at[_simple_coords(q)[m]] = MprLabel(q, "dzero", m)
+    for m, simple in stalks._module_window(q)[2].items():
+        dz_at[simple.vertex, simple.power] = MprLabel(q, "dzero", m)
     arrows: set[tuple[int, int]] = set()
     tau_pairs: list[tuple[int, int]] = []
     meshes: list[Mesh] = []
@@ -467,8 +456,7 @@ def f_presentation(x: MprLabel) -> tuple[tuple[MprLabel, ...], tuple[MprLabel, .
     dim Ext^1(S_w, P_v) times in I1; both counts are knitted in integers.
     """
     q = x.quiver
-    simple = {w: stalks.label_by_dim_vector(q, tuple(int(u == w) for u in q.vertices))
-              for w in q.vertices}
+    simple = stalks._module_window(q)[2]
 
     def terms(v: int, count) -> tuple[int, ...]:
         return tuple(w for w in q.vertices for _ in range(count(simple[w], IndecLabel(q, v, 0))))

@@ -19,8 +19,8 @@ Conventions, fixed package-wide:
 The irreducible data extracted from a quiver is the orbit structure of the
 inverse translate: every indecomposable is tauinv^k applied to a projective,
 which is how `list_indecomposables` generates them.  The labels, dimension
-vectors and translation quiver alone are knitted in integers by `stalks`
-(and re-exported here); the matrix route of this module is the independent
+vectors, orbit lengths and translation quiver alone are knitted in
+integers by `stalks`; the matrix route of this module is the independent
 check on them.
 
 The two translates take separate routes: the inverse translate from minimal
@@ -43,10 +43,7 @@ from . import _kernels as K
 from . import stalks
 from .dynkin import Quiver, positive_roots
 from .errors import InternalCheckError
-# labels, orbit lengths (the exponents e_v) and the translation quiver are
-# knitted in integers
-from .stalks import ARQuiver, IndecLabel, knit_ar_quiver, label_by_dim_vector
-from .stalks import e_exponent as orbit_lengths
+from .stalks import IndecLabel
 
 
 def _has_shape(m, rows: int, cols: int) -> bool:

@@ -21,10 +21,11 @@ reads them, and every presentation that the orbit route of `complexes`
 builds must have exactly these terms.  The matrix representations behind
 the same labels live in `reps`, which serves as the independent route.
 
-Degree convention for graded hom spaces: entry d of `derived_hom(x, y)`
-is dim Hom(x, Sigma^d y); the suspension Sigma moves entries down one
-degree, so `GradedDim.shift(+1)` (entries up one degree) applies an
-inverse suspension to the second argument.
+Degree convention for graded hom spaces, which are plain dicts
+{degree: dim} without zero values: entry d of `derived_hom(x, y)` is
+dim Hom(x, Sigma^d y); the suspension Sigma moves entries down one degree,
+so raising every degree by one applies an inverse suspension to the
+second argument.
 """
 from __future__ import annotations
 
@@ -68,71 +69,6 @@ class DerivedLabel(NamedTuple):
         if self.shift != 0:
             raise InternalCheckError(f"{self} is not concentrated in degree 0")
         return IndecLabel(self.quiver, self.vertex, self.power)
-
-
-class GradedDim:
-    """A finitely supported map degree -> dimension."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries=None):
-        d = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for k, v in items:
-                v = int(v)
-                if v:
-                    d[int(k)] = d.get(int(k), 0) + v
-        self._entries = tuple(sorted(((k, v) for k, v in d.items() if v), reverse=True))
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self._entries)
-
-    def __getitem__(self, degree: int) -> int:
-        for k, v in self._entries:
-            if k == degree:
-                return v
-        return 0
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GradedDim):
-            return self._entries == other._entries
-        if isinstance(other, dict):
-            return self.to_dict() == {int(k): int(v) for k, v in other.items() if v}
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._entries)
-
-    def add(self, other: "GradedDim") -> "GradedDim":
-        return GradedDim(list(self._entries) + list(other._entries))
-
-    def shift(self, k: int) -> "GradedDim":
-        """Move every entry up by k degrees: new[d] = old[d - k]."""
-        return GradedDim([(d + k, v) for d, v in self._entries])
-
-    def truncate_le0(self) -> "GradedDim":
-        return GradedDim([(d, v) for d, v in self._entries if d <= 0])
-
-    def truncate_min(self, floor: int) -> "GradedDim":
-        return GradedDim([(d, v) for d, v in self._entries if d >= floor])
-
-    def total(self) -> int:
-        return sum(v for _, v in self._entries)
-
-    def __repr__(self) -> str:
-        if not self._entries:
-            return "{}"
-        return "{" + ", ".join(f"{d}: {v}" for d, v in self._entries) + "}"
-
-
-ZERO = GradedDim()
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +168,9 @@ def _tits_form(q: Quiver, d: Vector) -> int:
 @functools.cache
 def _module_window(q: Quiver):
     """Dimension vector of each indecomposable tauinv^k P_v (k < e_v), in the
-    order (power, topological position of the vertex), and the inverse map;
-    both read-only, since the memo shares them."""
+    order (power, topological position of the vertex), the inverse map, and
+    the label of each simple module S_w (dimension vector the unit vector
+    e_w); all read-only, since the memo shares them."""
     table, exponents, _ = _defect_data(q)
     topo = {v: i for i, v in enumerate(q.topological_order())}
     labels = sorted((IndecLabel(q, v, k) for v in q.vertices for k in range(exponents[v])),
@@ -250,7 +187,8 @@ def _module_window(q: Quiver):
     for lab, d in dims.items():
         if _tits_form(q, d) != 1:
             raise InternalCheckError(f"dimension vector of {lab} is not a root")
-    return MappingProxyType(dims), MappingProxyType(by_dims)
+    simples = {w: by_dims[tuple(int(u == w) for u in q.vertices)] for w in q.vertices}
+    return MappingProxyType(dims), MappingProxyType(by_dims), MappingProxyType(simples)
 
 
 @functools.cache
@@ -276,9 +214,8 @@ def presentation_terms(q: Quiver):
     P0 and dim Ext^1(M, S_w) times in P1; both numbers are one lookup in
     the defect table.  Checked against dim M = sum_w (P0_w - P1_w) dim P_w;
     read-only, since the memo shares it."""
-    dims = _module_window(q)[0]
+    dims, _, simple = _module_window(q)
     proj = {w: dims[IndecLabel(q, w, 0)] for w in q.vertices}
-    simple = {w: label_by_dim_vector(q, tuple(int(u == w) for u in q.vertices)) for w in q.vertices}
     out = {}
     for lab, d in dims.items():
         p1, p0 = [], []
@@ -431,7 +368,7 @@ def _hom_entry(q: Quiver, u: int, k: int, s: int, v: int, m: int, t: int) -> tup
     return -r, table[w][j][u - 1]
 
 
-def derived_hom(x, y) -> GradedDim:
+def derived_hom(x, y) -> dict[int, int]:
     """Graded hom between two stalk labels: entry d is dim Hom(x, Sigma^d y).
 
     Between normalized stalks the answer is concentrated in the single
@@ -441,15 +378,13 @@ def derived_hom(x, y) -> GradedDim:
     if a.quiver is not b.quiver and a.quiver != b.quiver:
         raise InternalCheckError("labels live on different quivers")
     deg, f = _hom_entry(a.quiver, a.vertex, a.power, a.shift, b.vertex, b.power, b.shift)
-    if f == 0:
-        return ZERO
-    return GradedDim({deg: f})
+    return {deg: f} if f else {}
 
 
 _PI_CAP_FACTOR = 8  # hard cap on orbit walks, in Coxeter numbers
 
 
-def pi2_hom(x, y, min_degree: int = 0) -> GradedDim:
+def pi2_hom(x, y, min_degree: int = 0) -> dict[int, int]:
     """Graded hom from x into the non-negative tauinv orbit of y, summed over
     all p >= 0 and truncated below min_degree.
 
@@ -465,25 +400,24 @@ def pi2_hom(x, y, min_degree: int = 0) -> GradedDim:
     col = a.vertex - 1
     v, k, s = _normalize_raw(exponents, star, b.vertex, b.power - a.power, b.shift - a.shift)
     cap = _PI_CAP_FACTOR * coxeter_number(q.dtype) + 8
-    entries: list[tuple[int, int]] = []
+    out: dict[int, int] = {}
     for _ in range(cap + 1):
         if -s < min_degree:
             break
         f = table[v][k][col]
         if f:
-            entries.append((-s, f))
+            out[-s] = out.get(-s, 0) + f
         k += 1
         if k == exponents[v]:
             v, k, s = star[v], 0, s + 1
     else:
         raise InternalCheckError("orbit walk failed to leave the degree window")
-    return GradedDim(entries)
+    return out
 
 
 def hom_dim(m, n) -> int:
     """Module-category hom dimension between stalk labels."""
-    g = derived_hom(m, n)
-    return g[0]
+    return derived_hom(m, n).get(0, 0)
 
 
 def ext1_dim(m, n) -> int:
@@ -491,5 +425,4 @@ def ext1_dim(m, n) -> int:
     a, b = as_derived_label(m), as_derived_label(n)
     if a.shift or b.shift:
         raise InternalCheckError("ext of shifted stalks: use derived_hom")
-    g = derived_hom(a, sigma(b, 1))
-    return g[0]
+    return derived_hom(a, sigma(b, 1)).get(0, 0)

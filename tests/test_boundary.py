@@ -14,9 +14,10 @@ from quiverlab.dynkin import build_quiver
 from quiverlab.errors import GuardError
 from quiverlab.morphcat import functor_D, mpr_indecomposables
 from quiverlab.reps import IndecLabel, list_indecomposables
+from quiverlab.stalks import DerivedLabel, derived_hom, e_exponent, pi2_hom
 from tests.test_complexes import apply_map, compose_maps, min_presentation_pcpx
 from tests.test_morphcat import _default_and_reversed
-from tests.test_stalks import ORACLE_TYPES
+from tests.test_stalks import ORACLE_TYPES, _opposite_quivers
 
 EMBED = (-1, 0, 1)
 FORBIDDEN = ((-1, 1), (0, -1), (1, 0))
@@ -170,7 +171,7 @@ def test_table_walks_to_degree_zero_only(name):
     # floor have the same degree-0 entries
     q = build_quiver(name)
     keys = [(i, IndecLabel(q, v, 0)) for i in EMBED for v in q.vertices]
-    grid = tuple(tuple(thm1_hom(i, x, j, y, min_degree=DEFAULT_FLOOR)[0] for j, y in keys)
+    grid = tuple(tuple(thm1_hom(i, x, j, y, min_degree=DEFAULT_FLOOR).get(0, 0) for j, y in keys)
                  for i, x in keys)
     assert hom_table(q).grid == grid
 
@@ -211,7 +212,6 @@ def _two_slot_orbit(j, y):
 def _gamma_two_slots(i, x, orbit, min_degree=-3):
     """The orbit sum over a `_two_slot_orbit` of the target."""
     from quiverlab import complexes as cx
-    from quiverlab.stalks import GradedDim
 
     X0, X1, xmap = cx.embedding_slots(i, min_presentation_pcpx(x))
     raw = [cx.two_column_dims(X0, X1, xmap, *slots) for slots in orbit]
@@ -225,7 +225,7 @@ def _gamma_two_slots(i, x, orbit, min_degree=-3):
                 if min_degree <= d - 2 * s <= 0:
                     total[d - 2 * s] = total.get(d - 2 * s, 0) + n
             s += 1
-    return GradedDim(total).truncate_min(min_degree)
+    return total
 
 
 @pytest.mark.parametrize("q", list(_default_and_reversed(["A2", "A3", "D4"])))
@@ -239,3 +239,33 @@ def test_one_complex_evolution_matches_two_slots(q):
         orbit = _two_slot_orbit(j, y)
         for i, x in itertools.product(EMBED, sources):
             assert gamma_hom(i, x, j, y) == _gamma_two_slots(i, x, orbit), (i, x, j, y)
+
+
+def _plain_graded(g, min_degree=None) -> bool:
+    """A plain dict {degree: dim} of ints, with no zero value and, when a
+    floor is given, no degree below it."""
+    return (type(g) is dict
+            and all(type(d) is int and (min_degree is None or d >= min_degree) for d in g)
+            and all(type(n) is int and n > 0 for n in g.values()))
+
+
+@pytest.mark.parametrize("q", [*(pytest.param(build_quiver(t), id=f"{t}-default") for t in ORACLE_TYPES),
+                               *_opposite_quivers()])
+def test_graded_homs_are_plain_dicts(q):
+    P = projectives(q)
+    last = [IndecLabel(q, v, e_exponent(q, v) - 1) for v in q.vertices]
+    for x, y in itertools.product(P + last, P + last):
+        for s in (-1, 0, 1, 2):
+            assert _plain_graded(derived_hom(x, DerivedLabel(q, y.vertex, y.power, s)))
+        assert _plain_graded(pi2_hom(x, y, min_degree=-4), -4)
+    # the cone term of the (1, -1) case and of thm2 at i = 1 walks one degree
+    # further; sums over several labels merge into one dict
+    objects = mpr_indecomposables(q)[::max(1, len(mpr_indecomposables(q)) // 5)]
+    for i in EMBED:
+        for floor in (0, DEFAULT_FLOOR):
+            for j, y in itertools.product(EMBED, (P[0], P[-1])):
+                assert _plain_graded(thm1_hom(i, P[0], j, y, min_degree=floor), floor)
+            for Y in objects:
+                assert _plain_graded(thm2_hom(i, P[-1], Y, min_degree=floor), floor)
+        for j in EMBED:
+            assert _plain_graded(gamma_hom(i, P[0], j, P[-1]), DEFAULT_FLOOR)

@@ -249,7 +249,7 @@ def test_tauinv_functor_walks_presentations(q):
     F = cx.tau_inv_functor(q)
     for v in q.vertices:
         C = cx.single_term(q, (v,), degree=0)
-        e = reps.orbit_lengths(q)[v]
+        e = stalks.e_exponent(q, v)
         cur = C
         for k in range(1, e):
             cur, _ = _minimized(F.apply(cur))

@@ -530,7 +530,7 @@ def test_omega_three_step_chain():
     e1 = mc.MprLabel(q, "done", 1, 0)
     chain = [e1]
     for _ in range(3):
-        chain.append(hg.omega_action(chain[-1]))
+        chain.append(mc.omega_action(chain[-1]))
     assert [str(x) for x in chain] == ["E(1)", "Z(1)", "M(P1)", "E(2)"]
 
 
@@ -542,15 +542,15 @@ def test_omega_orbit_and_order():
         star = dy.nakayama_involution(q)
         assert all(star[v] == v for v in q.vertices) == (t in trivial)
         n = 3 if t in trivial else 6
-        assert hg.omega_order(q) == n
+        assert mc.omega_order(q) == n
         frozen = {mc.MprLabel(q, kind, v) for v in q.vertices for kind in ("mod", "dzero", "done")}
         covered = set()
         for lab in sorted(frozen):
             if lab in covered:
                 continue
-            orbit = hg.omega_orbit(lab)
+            orbit = mc.omega_orbit(lab)
             assert len(set(orbit)) == len(orbit) and n % len(orbit) == 0
-            assert hg.omega_action(orbit[-1]) == orbit[0]
+            assert mc.omega_action(orbit[-1]) == orbit[0]
             # the orbits of the 3n frozen labels partition them
             assert set(orbit) <= frozen and not covered & set(orbit)
             covered |= set(orbit)
@@ -560,7 +560,7 @@ def test_omega_orbit_and_order():
 def test_omega_rejects_mutable_labels():
     q = dy.build_quiver("A2")
     with pytest.raises(GuardError):
-        hg.omega_action(mc.MprLabel(q, "mod", 1, 1))
+        mc.omega_action(mc.MprLabel(q, "mod", 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import quiverlab
 
 # `quiverlab.__all__` as the package exported it with eager imports
 EXPORTS = """
-ARQuiver BraidWord Conflation DerivedLabel DynkinType GarsideForm GradedDim GuardError
+ARQuiver BraidWord Conflation DerivedLabel DynkinType GarsideForm GuardError
 HiggsLift HomTable IceQuiver IndecLabel InternalCheckError LambdaMorphism Morphism MprLabel
 MprObject PreprojAlgebra Quiver Rep TQAlgebra WeylElement boundary braid_equal
 braids build_ice_quiver build_quiver canonical_lift clear_caches complexes coxeter_number
@@ -408,6 +408,29 @@ def test_package_imports_only_the_standard_library():
     # positive control: imports inside a function body are seen
     source = "import os\nfrom . import reps\ndef f():\n    import numpy.linalg\n    from scipy import sparse\n"
     assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def unused_sibling_imports(source: str) -> set:
+    """Names that the source imports from a sibling module (a relative
+    import, function bodies included) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_keeps_an_unused_sibling_import():
+    # a sibling import nothing reads is a re-export: each name has one home
+    found = {name: unused for name, source in package_sources().items()
+             if name != "__init__.py" and (unused := unused_sibling_imports(source))}
+    assert found == {}
+    # positive control: module imports, aliases and function-body imports are
+    # seen, and an attribute of a module does not count as a use of the name
+    source = ("from . import reps, stalks\nfrom .stalks import e_exponent as e, tau\n"
+              "def f():\n    from .dynkin import Quiver\n    return stalks.tau(e)\n")
+    assert unused_sibling_imports(source) == {"reps", "tau", "Quiver"}
 
 
 def test_no_module_imports_dataclasses():

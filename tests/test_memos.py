@@ -69,7 +69,7 @@ def test_memos_cover_the_new_constructors():
     for fn in ("reps.projective_rep", "reps.injective_rep",
                "reps.canonical_projective_morphism", "reps.canonical_injective_morphism",
                "morphcat._label_presentation", "reps._indec_data", "cli.source_digest",
-               "complexes.tau_inv_orbit", "complexes._reachability",
+               "complexes.tau_inv_orbit",
                "stalks.presentation_terms"):
         assert f"quiverlab.{fn}" in names
 
@@ -89,7 +89,7 @@ def test_clear_caches_empties_every_memo_and_keeps_results(capsys):
     quiverlab.clear_caches()
     sizes = {name: m.cache_info().currsize for name, m in quiverlab.memos().items()}
     assert sizes and not any(sizes.values()), sizes
-    assert "quiverlab.complexes.tau_inv_orbit" in sizes and "quiverlab.complexes._reachability" in sizes
+    assert "quiverlab.complexes.tau_inv_orbit" in sizes
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == before
     # fresh objects after the clear, equal to the old ones
@@ -133,8 +133,9 @@ def test_quivers_are_interned_through_one_memo():
 
 def test_orbit_and_reachability_arrays_are_read_only():
     q = build_quiver("D5")
-    R = cx._reachability(q)
-    assert R is cx._reachability(q)
+    # hom masks between projectives are reachability read off `Quiver.has_path`
+    R = cx._hom_mask(q, q.vertices, q.vertices)
+    assert R == tuple(tuple(q.has_path(u, w) for u in q.vertices) for w in q.vertices)
     with pytest.raises(TypeError):
         R[0][0] = False
     C = cx.tau_inv_orbit(q, 1, 2)

@@ -319,12 +319,14 @@ def fresh_memos():
 
 def test_mesh_check_sees_a_misplaced_identity_object(monkeypatch, fresh_memos):
     q = build_quiver("D5")
-    coords = dict(mp._simple_coords(q))
-    # move Z(1) to the slot of a module that is not simple
-    lab = next(lab for lab, d in stalks._module_window(q)[0].items() if sum(d) > 1)
-    assert (lab.vertex, lab.power) not in coords.values()
-    coords[1] = (lab.vertex, lab.power)
-    monkeypatch.setattr(mp, "_simple_coords", lambda _: coords)
+    dims, by_dims, simples = stalks._module_window(q)
+    # move Z(1) to the slot of a module that is not simple; the knitted
+    # presentation terms are read before, from the true simples
+    lab = next(lab for lab, d in dims.items() if sum(d) > 1)
+    assert lab not in simples.values()
+    moved = {**simples, 1: lab}
+    stalks.presentation_terms(q)
+    monkeypatch.setattr(stalks, "_module_window", lambda _: (dims, by_dims, moved))
     with pytest.raises(InternalCheckError, match="mesh fails dimension additivity"):
         mp.mpr_ar_quiver(q)
 
