@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from quiverlab.boundary import (
 )
 from quiverlab.dynkin import build_quiver
 from quiverlab.errors import GuardError
-from quiverlab.morphcat import functor_D, mpr_indecomposables
+from quiverlab.morphcat import functor_C, functor_D, mpr_indecomposables
 from quiverlab.reps import IndecLabel, list_indecomposables
 from quiverlab.stalks import DerivedLabel, derived_hom, e_exponent, pi2_hom
 from tests.test_complexes import apply_map, compose_maps, min_presentation_pcpx
@@ -110,6 +111,19 @@ def test_thm2_on_a_general_object():
 
     assert thm2_hom(0, x, Y) == _pi2_over_labels(x, (1,), q, -3)
     assert thm2_hom(-1, x, Y) == _pi2_over_labels(x, (2,), q, -3)
+
+
+def test_thm2_adds_the_orbit_homs_of_every_term():
+    # a term with several summands whose orbit homs share a degree: thm2
+    # adds them degree by degree
+    q = build_quiver("D4")
+    shared = 0
+    for Y, x in itertools.product(mpr_indecomposables(q), projectives(q)):
+        for i, c in ((-1, 0), (0, 1)):
+            parts = [pi2_hom(x, IndecLabel(q, v, 0), min_degree=DEFAULT_FLOOR) for v in functor_C(c, Y)]
+            assert thm2_hom(i, x, Y) == dict(sum(map(Counter, parts), Counter()))
+            shared += sum(map(len, parts)) > len(set().union(*parts))
+    assert shared
 
 
 @pytest.mark.parametrize("name", ["A1", "A2"])

@@ -82,7 +82,10 @@ def test_hom_pair(capsys):
         run_ok(capsys, ["hom", "--type", "A2", "--pair", "1", "1", "--format", "json"])
     )
     assert out["source"] == out["target"] == "D-1P1"
-    assert out["dims"] == {"0": 1, "-1": 1, "-2": 1, "-3": 1}
+    # degrees print highest first, in both formats
+    assert list(out["dims"].items()) == [("0", 1), ("-1", 1), ("-2", 1), ("-3", 1)]
+    out = run_ok(capsys, ["hom", "--type", "A2", "--pair", "1", "1"])
+    assert out == "D-1P1 -> D-1P1\n0\t1\n-1\t1\n-2\t1\n-3\t1\n"
 
 
 def test_braid_text(capsys):
