@@ -19,7 +19,10 @@ no degree below `min_degree`; the `hom` command orders the degrees.
 
 The case-map route and the table work on labels alone, so this module
 loads no matrix layer; `thm2_hom` imports the morphism
-category and `gamma_hom` the complexes when they are called.
+category and `gamma_hom` the complexes when they are called.  At i = 1
+`thm2_hom` reads the cone of the label it is given, which the morphism
+category splits once per label and process (`morphcat._label_cone`); an
+`MprObject` is split on every call.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> dict[int, int]:
         return _pi2_over_labels(x, mp.functor_C(0, obj), q, min_degree)
     if i == 0:
         return _pi2_over_labels(x, mp.functor_C(1, obj), q, min_degree)
-    return _raised_le0(_pi2_over_labels(x, mp.cone(obj), q, min_degree - 1))
+    return _raised_le0(_pi2_over_labels(x, mp.cone(Y), q, min_degree - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -515,10 +515,24 @@ def _delta_matrix(b0, b1, b01, d, xmap: ChainMap, nmap: ChainMap) -> list[list[i
 
 
 def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
-    """Cohomology dims of Tot[Hom(X0,N0)⊕Hom(X1,N1) -> Hom(X1,N0)[+1]]."""
-    b0, d0 = _hom_bases(X0, N0)
-    b1, d1 = _hom_bases(X1, N1)
-    b01, d01 = _hom_bases(X1, N0)
+    """Cohomology dims of Tot[Hom(X0,N0)⊕Hom(X1,N1) -> Hom(X1,N0)[+1]].
+
+    The slots of an embedded object are its complex or a zero complex, so
+    Hom(X1, N0) often is one of the other two hom complexes: each distinct
+    (source, target) pair of slot objects is built once per call.  Each
+    degree's differential is ranked once, for the cycles there and the
+    boundaries one degree up."""
+    homs: dict[tuple[int, int], tuple] = {}
+
+    def hom(A, B):
+        key = (id(A), id(B))
+        if key not in homs:
+            homs[key] = _hom_bases(A, B)
+        return homs[key]
+
+    b0, d0 = hom(X0, N0)
+    b1, d1 = hom(X1, N1)
+    b01, d01 = hom(X1, N0)
     degs = set(b0) | set(b1) | {d + 1 for d in b01}
     if not degs:
         return {}
@@ -542,12 +556,13 @@ def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
     for d in range(lo, hi):
         if _nonzero(K.matmul(mats[d + 1], mats[d], tot_dim(d))):
             raise InternalCheckError("totalization differential does not square to zero")
+    ranks = {d: K.rank(m) for d, m in mats.items()}
     out = {}
     for d in range(lo, hi + 1):
         n = tot_dim(d)
         if n == 0:
             continue
-        h = n - K.rank(mats[d]) - K.rank(mats.get(d - 1, ()))
+        h = n - ranks[d] - ranks.get(d - 1, 0)
         if h < 0:
             raise InternalCheckError("negative cohomology dimension in totalization")
         if h:

@@ -250,11 +250,18 @@ def functor_C(i: int, x) -> tuple[int, ...]:
 
 def cone(x) -> list[DerivedLabel]:
     """Class of the two-term complex behind the object, split into stalk
-    summands of the derived category."""
+    summands of the derived category.  The split of a label's object is
+    memoized, so each label is split once per process."""
     from . import complexes as cx
 
-    obj = presentation(x)
-    return cx.split_complex(obj.as_pcpx())
+    if isinstance(x, MprLabel):
+        return list(_label_cone(x))
+    return cx.split_complex(presentation(x).as_pcpx())
+
+
+@functools.cache
+def _label_cone(x: MprLabel) -> tuple[DerivedLabel, ...]:
+    return tuple(cone(presentation(x)))
 
 
 def hom_dim_mpr(x, y) -> int:

@@ -530,14 +530,16 @@ def _indec_data(q: Quiver):
     for lab, rep in table.items():
         if rep.dim_vector() not in roots:
             raise InternalCheckError(f"dimension vector of {lab} is not a root")
-    return table, orbit_len
+    topo = {v: i for i, v in enumerate(q.topological_order())}
+    order = sorted(table, key=lambda lab: (lab.power, topo[lab.vertex]))
+    return MappingProxyType({lab: table[lab] for lab in order}), orbit_len
 
 
 def list_indecomposables(q: Quiver) -> list[tuple[IndecLabel, Rep]]:
-    """All indecomposables as (label, representation), deterministically ordered."""
+    """All indecomposables as (label, representation), ordered by power and
+    then topologically by vertex (the order of the memoized table)."""
     table, _ = _indec_data(q)
-    topo = {v: i for i, v in enumerate(q.topological_order())}
-    return sorted(table.items(), key=lambda it: (it[0].power, topo[it[0].vertex]))
+    return list(table.items())
 
 
 def indec_rep(label: IndecLabel) -> Rep:

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .dynkin import Quiver, coxeter_number, nakayama_involution
-from .errors import GuardError, InternalCheckError
+from .errors import InternalCheckError
 
 
 class IndecLabel(NamedTuple):
@@ -232,14 +232,6 @@ def presentation_terms(q: Quiver):
             raise InternalCheckError(f"presentation terms of {lab} miss its dimension vector")
         out[lab] = (p1, p0)
     return MappingProxyType(out)
-
-
-def label_by_dim_vector(q: Quiver, dims) -> IndecLabel:
-    dims = tuple(int(d) for d in dims)
-    lab = _module_window(q)[1].get(dims)
-    if lab is None:
-        raise GuardError(f"no indecomposable with dimension vector {dims}")
-    return lab
 
 
 class ARQuiver(NamedTuple):

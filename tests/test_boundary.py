@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 
+import quiverlab
+from quiverlab import morphcat as mp
 from quiverlab.boundary import (
     DEFAULT_FLOOR,
     export_hom_table,
@@ -124,6 +126,18 @@ def test_thm2_adds_the_orbit_homs_of_every_term():
             assert thm2_hom(i, x, Y) == dict(sum(map(Counter, parts), Counter()))
             shared += sum(map(len, parts)) > len(set().union(*parts))
     assert shared
+
+
+def test_thm2_splits_each_cone_once():
+    # the i = 1 case reads the cone of the label it is given, split once
+    q = build_quiver("D5")
+    quiverlab.clear_caches()
+    calls = 0
+    for x, j, y in itertools.product(projectives(q), EMBED, projectives(q)):
+        thm2_hom(1, x, functor_D(j, y))
+        calls += 1
+    info = mp._label_cone.cache_info()
+    assert (info.misses, info.hits) == (3 * q.rank, calls - 3 * q.rank)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -451,3 +453,58 @@ def test_minimize_matches_the_stepwise_oracle(q):
                              (pi.comps, want_pi.comps)):
                 assert got.keys() == exp.keys()
                 assert all(np.array_equal(got[d], exp[d]) for d in got)
+
+
+# ---------------------------------------------------------------------------
+# two-column totalization against the unshared computation
+
+
+def unshared_two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
+    """Cohomology dims of the two-column total complex, with each of the
+    three hom complexes built on its own and two ranks taken per degree."""
+    b0, d0 = cx._hom_bases(X0, N0)
+    b1, d1 = cx._hom_bases(X1, N1)
+    b01, d01 = cx._hom_bases(X1, N0)
+    degs = set(b0) | set(b1) | {d + 1 for d in b01}
+    if not degs:
+        return {}
+    lo, hi = min(degs) - 1, max(degs) + 1
+
+    def tot_dim(d):
+        return len(b0.get(d, [])) + len(b1.get(d, [])) + len(b01.get(d - 1, []))
+
+    def tot_diff(d):
+        n0, n1, n01 = len(b0.get(d, [])), len(b1.get(d, [])), len(b01.get(d - 1, []))
+        m0, m1 = len(b0.get(d + 1, [])), len(b1.get(d + 1, []))
+        rows = [list(row) + [0] * (n1 + n01) for row in d0.get(d, K.zeros(m0, n0))]
+        rows += [[0] * n0 + list(row) + [0] * n01 for row in d1.get(d, K.zeros(m1, n1))]
+        delta = cx._delta_matrix(b0, b1, b01, d, xmap, nmap)
+        rows += [dr + [-x for x in row] for dr, row in
+                 zip(delta, d01.get(d - 1, K.zeros(len(delta), n01)))]
+        return K.as_matrix(rows)
+
+    mats = {d: tot_diff(d) for d in range(lo, hi + 1)}
+    for d in range(lo, hi):
+        assert not any(map(any, K.matmul(mats[d + 1], mats[d], tot_dim(d))))
+    out = {}
+    for d in range(lo, hi + 1):
+        n = tot_dim(d)
+        if n:
+            h = n - K.rank(mats[d]) - K.rank(mats.get(d - 1, ()))
+            assert h >= 0
+            if h:
+                out[d] = h
+    return out
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_two_column_dims_match_the_unshared_route(t):
+    """Every embedding pair (i, j), every pair of projectives and every
+    orbit power p <= h of the target, as `boundary.gamma_hom` reads them."""
+    q = build_quiver(t)
+    h = coxeter_number(q.dtype)
+    for u, v, i, j in itertools.product(q.vertices, q.vertices, (-1, 0, 1), (-1, 0, 1)):
+        X = cx.embedding_slots(i, cx.tau_inv_orbit(q, u, 0))
+        for p in range(h + 1):
+            N = cx.embedding_slots(j, cx.tau_inv_orbit(q, v, p))
+            assert cx.two_column_dims(*X, *N) == unshared_two_column_dims(*X, *N), (u, v, i, j, p)

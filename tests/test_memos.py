@@ -24,7 +24,7 @@ from quiverlab import morphcat as mp
 from quiverlab import reps, stalks
 from quiverlab.dynkin import DynkinType, build_quiver, coxeter_number
 from quiverlab.errors import GuardError, InternalCheckError
-from quiverlab.stalks import IndecLabel, e_exponent
+from quiverlab.stalks import DerivedLabel, IndecLabel, e_exponent
 from tests.test_higgs import word_end
 from tests.test_stalks import ORACLE_TYPES
 
@@ -64,11 +64,23 @@ def test_presentation_is_shared_and_read_only():
     assert all(type(row) is tuple for row in obj.mat)
 
 
+def test_cone_memo_holds_a_tuple_and_hands_out_fresh_lists():
+    q = build_quiver("A3")
+    lab = mp.MprLabel(q, "done", 2)
+    got = mp.cone(lab)
+    want = [DerivedLabel(q, 2, 0, 1)]
+    assert got == want and type(mp._label_cone(lab)) is tuple
+    # a caller that changes its list leaves the next result alone
+    got.clear()
+    assert mp.cone(lab) == want
+
+
 def test_memos_cover_the_new_constructors():
     names = set(quiverlab.memos())
     for fn in ("reps.projective_rep", "reps.injective_rep",
                "reps.canonical_projective_morphism", "reps.canonical_injective_morphism",
-               "morphcat._label_presentation", "reps._indec_data", "cli.source_digest",
+               "morphcat._label_presentation", "morphcat._label_cone", "reps._indec_data",
+               "cli.source_digest",
                "complexes.tau_inv_orbit",
                "stalks.presentation_terms"):
         assert f"quiverlab.{fn}" in names

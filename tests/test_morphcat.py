@@ -13,7 +13,7 @@ from quiverlab import reps, stalks
 from quiverlab.errors import GuardError, InternalCheckError
 from quiverlab.stalks import DerivedLabel, e_exponent
 from tests.test_dynkin import quiver_strategy
-from tests.test_stalks import _oracle_quivers
+from tests.test_stalks import ORACLE_TYPES, _oracle_quivers
 
 SMALL = ["A1", "A2", "A3", "A4", "D4"]
 
@@ -295,6 +295,13 @@ def _default_and_reversed(names):
         q = build_quiver(name)
         yield pytest.param(q, id=f"{name}-default")
         yield pytest.param(build_quiver(name, [(j, i) for i, j in q.arrows]), id=f"{name}-reversed")
+
+
+@pytest.mark.parametrize("q", list(_default_and_reversed(ORACLE_TYPES)))
+def test_cone_of_a_label_matches_a_split_of_its_object(q):
+    # the memoized split of each label against a fresh split of its object
+    for x in mp.mpr_indecomposables(q):
+        assert mp.cone(x) == mp.cone(mp.presentation(x)), x
 
 
 @pytest.mark.parametrize("q", list(_default_and_reversed(["A1", "A2", "A3", "A4", "D4"])))

