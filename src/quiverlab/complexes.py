@@ -34,6 +34,13 @@ category reads instead of building them from matrix representations; the
 next h entries run one Coxeter lap, the evolution `boundary.gamma_hom`
 sums over.  Hom masks between projectives read `Quiver.has_path`, a lookup
 in the memoized path table of `dynkin`.
+
+The hom complex between two complexes of projectives has the path basis
+too.  `_hom_bases` gives each of its differentials as the sparse image of
+each basis element, and `two_column_dims` assembles the differential of
+the evolution's two-column total complex from such images by block
+offsets, only in degrees that have a basis.  Every dimension it returns is
+a basis size less `_kernels.rank` of those images.
 """
 from __future__ import annotations
 
@@ -166,16 +173,6 @@ def identity_map(C: PCpx) -> ChainMap:
 
 def single_term(q: Quiver, labels, degree: int = 0) -> PCpx:
     return PCpx(q, {degree: tuple(labels)}, {})
-
-
-def two_term(q: Quiver, labels1, labels0, mat, low_degree: int = -1) -> PCpx:
-    """Complex [sum P over labels1] -> [sum P over labels0] in degrees
-    (low_degree, low_degree + 1)."""
-    return PCpx(
-        q,
-        {low_degree: tuple(labels1), low_degree + 1: tuple(labels0)},
-        {low_degree: mat},
-    ).validate()
 
 
 def cone(f: ChainMap) -> PCpx:
@@ -460,7 +457,10 @@ def split_complex(C: PCpx) -> list[DerivedLabel]:
 
 def _hom_bases(A: PCpx, B: PCpx):
     """Basis (a-degree, target slot, source slot) of each graded piece of
-    the hom complex, with its differential matrices."""
+    the hom complex, with its differential as the sparse image {target
+    basis index: coefficient} of each basis element, in basis order.  These
+    images are the columns of the differential's matrix; as rows they have
+    the same rank."""
     q = A.quiver
     bases: dict[int, list[tuple[int, int, int]]] = {}
     if A.is_zero() or B.is_zero():
@@ -476,52 +476,34 @@ def _hom_bases(A: PCpx, B: PCpx):
             basis.extend((e, r, c) for r in range(len(tgt)) for c in range(len(src)) if mask[r][c])
         if basis:
             bases[d] = basis
-    diffs: dict[int, tuple] = {}
+    diffs: dict[int, list[dict[int, int]]] = {}
     for d, basis in bases.items():
-        tgt_basis = bases.get(d + 1, [])
-        index = {b: i for i, b in enumerate(tgt_basis)}
-        M = [[0] * len(basis) for _ in tgt_basis]
+        index = {b: i for i, b in enumerate(bases.get(d + 1, []))}
         sgn = -1 if d % 2 == 0 else 1  # coefficient of f∘dA in D(f) = dB∘f - (-1)^d f∘dA
-        for ci, (e, r, c) in enumerate(basis):
-            for rp, row in enumerate(B.diff(e + d)):
-                if row[r]:
-                    M[index[(e, rp, c)]][ci] += row[r]
+        images = []
+        for e, r, c in basis:
+            img = {index[(e, rp, c)]: row[r] for rp, row in enumerate(B.diff(e + d)) if row[r]}
             dA = A.diff(e - 1)
             if dA:
-                for cp, x in enumerate(dA[c]):
-                    if x:
-                        M[index[(e - 1, r, cp)]][ci] += sgn * x
-        diffs[d] = K.as_matrix(M)
+                img.update((index[(e - 1, r, cp)], sgn * x % K.P) for cp, x in enumerate(dA[c]) if x)
+            images.append(img)
+        diffs[d] = images
     return bases, diffs
-
-
-def _delta_matrix(b0, b1, b01, d, xmap: ChainMap, nmap: ChainMap) -> list[list[int]]:
-    """delta(f0, f1) = f0∘x - n∘f1, from Hom^d(X0,N0)⊕Hom^d(X1,N1) to Hom^d(X1,N0)."""
-    src0, src1 = b0.get(d, []), b1.get(d, [])
-    tgt = b01.get(d, [])
-    index = {b: i for i, b in enumerate(tgt)}
-    M = [[0] * (len(src0) + len(src1)) for _ in tgt]
-    for ci, (e, r, c) in enumerate(src0):
-        xm = xmap.comp(e)
-        if xm:
-            for cp, x in enumerate(xm[c]):
-                if x:
-                    M[index[(e, r, cp)]][ci] += x
-    for ci, (e, r, c) in enumerate(src1):
-        for rp, row in enumerate(nmap.comp(e + d)):
-            if row[r]:
-                M[index[(e, rp, c)]][len(src0) + ci] -= row[r]
-    return M
 
 
 def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
     """Cohomology dims of Tot[Hom(X0,N0)⊕Hom(X1,N1) -> Hom(X1,N0)[+1]].
 
-    The slots of an embedded object are its complex or a zero complex, so
-    Hom(X1, N0) often is one of the other two hom complexes: each distinct
-    (source, target) pair of slot objects is built once per call.  Each
-    degree's differential is ranked once, for the cycles there and the
-    boundaries one degree up."""
+    Degree d of the total complex has the blocks Hom^d(X0,N0),
+    Hom^d(X1,N1) and Hom^(d-1)(X1,N0), in that order, and its differential
+    is [[d0, 0, 0], [0, d1, 0], [delta, -d01]] with delta(f0, f1) =
+    f0∘x - n∘f1.  It is built as the sparse image of each basis element,
+    with block offsets, only in the degrees that have a basis; each degree's
+    images are ranked once, for the cycles there and the boundaries one
+    degree up.  The slots of an embedded object are its complex or a zero
+    complex, so Hom(X1, N0) often is one of the other two hom complexes:
+    each distinct (source, target) pair of slot objects is built once per
+    call."""
     homs: dict[tuple[int, int], tuple] = {}
 
     def hom(A, B):
@@ -533,36 +515,43 @@ def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
     b0, d0 = hom(X0, N0)
     b1, d1 = hom(X1, N1)
     b01, d01 = hom(X1, N0)
-    degs = set(b0) | set(b1) | {d + 1 for d in b01}
-    if not degs:
-        return {}
-    lo, hi = min(degs) - 1, max(degs) + 1
+    degs = sorted(set(b0) | set(b1) | {d + 1 for d in b01})
 
-    def tot_dim(d):
-        return len(b0.get(d, [])) + len(b1.get(d, [])) + len(b01.get(d - 1, []))
+    def sizes(d):
+        return len(b0.get(d, ())), len(b1.get(d, ())), len(b01.get(d - 1, ()))
 
-    def tot_diff(d):
-        """[[d0, 0, 0], [0, d1, 0], [delta, -d01]] in the blocks of the sum."""
-        n0, n1, n01 = len(b0.get(d, [])), len(b1.get(d, [])), len(b01.get(d - 1, []))
-        m0, m1 = len(b0.get(d + 1, [])), len(b1.get(d + 1, []))
-        rows = [list(row) + [0] * (n1 + n01) for row in d0.get(d, K.zeros(m0, n0))]
-        rows += [[0] * n0 + list(row) + [0] * n01 for row in d1.get(d, K.zeros(m1, n1))]
-        delta = _delta_matrix(b0, b1, b01, d, xmap, nmap)
-        rows += [dr + [-x for x in row] for dr, row in
-                 zip(delta, d01.get(d - 1, K.zeros(len(delta), n01)))]
-        return K.as_matrix(rows)
-
-    mats = {d: tot_diff(d) for d in range(lo, hi + 1)}
-    for d in range(lo, hi):
-        if _nonzero(K.matmul(mats[d + 1], mats[d], tot_dim(d))):
-            raise InternalCheckError("totalization differential does not square to zero")
-    ranks = {d: K.rank(m) for d, m in mats.items()}
+    images: dict[int, list[dict[int, int]]] = {}
+    for d in degs:
+        m0, m1, _ = sizes(d + 1)  # block offsets in degree d + 1
+        index = {b: i for i, b in enumerate(b01.get(d, ()), start=m0 + m1)}
+        tot = []
+        for (e, r, c), img in zip(b0.get(d, ()), d0.get(d, ())):
+            img = dict(img)  # d0 f0, then f0∘x
+            xm = xmap.comps.get(e)
+            if xm:
+                img.update((index[(e, r, cp)], x) for cp, x in enumerate(xm[c]) if x)
+            tot.append(img)
+        for (e, r, c), img in zip(b1.get(d, ()), d1.get(d, ())):
+            img = {k + m0: x for k, x in img.items()}  # d1 f1, then -n∘f1
+            nm = nmap.comps.get(e + d)
+            if nm:
+                img.update((index[(e, rp, c)], -row[r] % K.P) for rp, row in enumerate(nm) if row[r])
+            tot.append(img)
+        tot.extend({k + m0 + m1: -x % K.P for k, x in g.items()} for g in d01.get(d - 1, ()))
+        images[d] = tot
+    for d, tot in images.items():
+        nxt = images.get(d + 1, ())
+        for img in tot:
+            sq: dict[int, int] = {}
+            for k, x in img.items():
+                for t, y in nxt[k].items():
+                    sq[t] = (sq.get(t, 0) + x * y) % K.P
+            if any(sq.values()):
+                raise InternalCheckError("totalization differential does not square to zero")
+    ranks = {d: K.rank(tot) for d, tot in images.items()}
     out = {}
-    for d in range(lo, hi + 1):
-        n = tot_dim(d)
-        if n == 0:
-            continue
-        h = n - ranks[d] - ranks.get(d - 1, 0)
+    for d in degs:
+        h = sum(sizes(d)) - ranks[d] - ranks.get(d - 1, 0)
         if h < 0:
             raise InternalCheckError("negative cohomology dimension in totalization")
         if h:

@@ -43,9 +43,12 @@ class IceQuiver(NamedTuple):
     potential: tuple[PotentialTerm, ...]
 
     def frozen_ids(self) -> tuple[int, ...]:
+        """The 1-based ids of the frozen vertices; public API of `IceQuiver`."""
         return tuple(i + 1 for i, f in enumerate(self.frozen) if f)
 
     def arrow_pairs(self, origin: str | None = None, frozen: bool | None = None):
+        """(source, target) of each arrow of the given origin and frozenness;
+        public API of `IceQuiver`."""
         return tuple(
             (a.src, a.dst)
             for a in self.arrows
@@ -141,6 +144,8 @@ def mutable_part(ice: IceQuiver) -> tuple[tuple[int, ...], tuple[tuple[int, int]
 
 
 def ice_from_json(data: dict) -> IceQuiver:
+    """The inverse of the JSON export, kept so that the export is shown to
+    be lossless by a round trip."""
     from .dynkin import build_quiver
 
     q = build_quiver(data["type"], [tuple(a) for a in data["quiver_arrows"]])

@@ -173,6 +173,8 @@ class TQAlgebra:
         return perm
 
     def nakayama_order(self) -> int:
+        """The order of the Nakayama permutation: the second route to the
+        order of the rotation, `morphcat.omega_order`."""
         perm = self.nakayama_permutation()
         order = 1
         for start in perm:

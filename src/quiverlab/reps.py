@@ -233,7 +233,10 @@ def canonical_injective_morphism(q: Quiver, v0: int, w: int) -> Morphism:
 # hom spaces
 
 
-def hom_basis(M: Rep, N: Rep) -> list[Morphism]:
+def _hom_system(M: Rep, N: Rep) -> tuple[list[dict[int, int]], list[int]]:
+    """The intertwining equations f_i M(a) = N(a) f_j, one sparse row per
+    entry, on the unknown entries of (f_v) for v in order; f_v fills
+    columns starts[v-1] to starts[v] row-major, so starts[-1] counts them."""
     q = M.quiver
     starts = [0, *accumulate(N.dim(v) * M.dim(v) for v in q.vertices)]
     rows = []
@@ -252,6 +255,14 @@ def hom_basis(M: Rep, N: Rep) -> list[Morphism]:
                     k = base_j + t * M.dim(j) + c
                     row[k] = row.get(k, 0) - Na[r][t]
                 rows.append(row)
+    return rows, starts
+
+
+def hom_basis(M: Rep, N: Rep) -> list[Morphism]:
+    """A basis of Hom(M, N), read off the nullspace of `_hom_system`, each
+    vector checked as a morphism."""
+    q = M.quiver
+    rows, starts = _hom_system(M, N)
     out = []
     for vec in K.nullspace(rows, starts[-1]):
         mats = []
@@ -271,8 +282,10 @@ def _as_rep(x) -> Rep:
 
 
 def hom_dim(m, n) -> int:
-    """dim Hom(M, N) between two representations (or indecomposable labels)."""
-    return len(hom_basis(_as_rep(m), _as_rep(n)))
+    """dim Hom(M, N) between two representations (or indecomposable labels):
+    the nullity of `_hom_system`."""
+    rows, starts = _hom_system(_as_rep(m), _as_rep(n))
+    return starts[-1] - K.rank(rows)
 
 
 # ---------------------------------------------------------------------------

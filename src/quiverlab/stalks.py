@@ -323,28 +323,6 @@ def sigma(x, s: int = 1) -> DerivedLabel:
     return DerivedLabel(lab.quiver, lab.vertex, lab.power, lab.shift + s)
 
 
-def tau(x):
-    """The translate, on derived labels or module labels."""
-    if isinstance(x, DerivedLabel):
-        return normalize_label(x.quiver, x.vertex, x.power - 1, x.shift)
-    if isinstance(x, IndecLabel):
-        if x.power == 0:
-            return None
-        return IndecLabel(x.quiver, x.vertex, x.power - 1)
-    raise InternalCheckError(f"cannot translate {x!r}")
-
-
-def tau_inv(x):
-    """The inverse translate, on the same labels as `tau`."""
-    if isinstance(x, DerivedLabel):
-        return normalize_label(x.quiver, x.vertex, x.power + 1, x.shift)
-    if isinstance(x, IndecLabel):
-        if x.power + 1 >= e_exponent(x.quiver, x.vertex):
-            return None
-        return IndecLabel(x.quiver, x.vertex, x.power + 1)
-    raise InternalCheckError(f"cannot translate {x!r}")
-
-
 # ---------------------------------------------------------------------------
 # graded hom spaces
 

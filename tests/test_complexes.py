@@ -169,9 +169,9 @@ def cochain_cohomology_dims(dims: dict[int, int], mats: dict[int, np.ndarray]) -
 def test_two_term_checks_hom_mask():
     q = build_quiver("A2")  # arrow 1 -> 2
     # P_1 -> P_2 exists (path 1 -> 2); P_2 -> P_1 does not
-    cx.two_term(q, (1,), (2,), np.array([[1]]))
+    cx.PCpx(q, {-1: (1,), 0: (2,)}, {-1: np.array([[1]])}).validate()
     with pytest.raises(InternalCheckError):
-        cx.two_term(q, (2,), (1,), np.array([[1]]))
+        cx.PCpx(q, {-1: (2,), 0: (1,)}, {-1: np.array([[1]])}).validate()
 
 
 def test_square_zero_enforced():
@@ -186,7 +186,7 @@ def test_square_zero_enforced():
 
 def test_shift_moves_terms_and_signs():
     q = build_quiver("A2")
-    C = cx.two_term(q, (1,), (2,), np.array([[5]]))
+    C = cx.PCpx(q, {-1: (1,), 0: (2,)}, {-1: np.array([[5]])}).validate()
     S = shift_pcpx(C, 1)
     assert S.term(-2) == (1,) and S.term(-1) == (2,)
     assert S.diff(-2)[0][0] == (-5) % 32003
@@ -459,12 +459,68 @@ def test_minimize_matches_the_stepwise_oracle(q):
 # two-column totalization against the unshared computation
 
 
+def dense_hom_bases(A: cx.PCpx, B: cx.PCpx):
+    """Basis (a-degree, target slot, source slot) of each graded piece of
+    the hom complex, with its differential as a dense matrix, one row per
+    target basis element."""
+    q = A.quiver
+    bases = {}
+    if A.is_zero() or B.is_zero():
+        return bases, {}
+    adeg, bdeg = A.degrees(), B.degrees()
+    for d in range(min(bdeg) - max(adeg), max(bdeg) - min(adeg) + 1):
+        basis = []
+        for e in adeg:
+            src, tgt = A.term(e), B.term(e + d)
+            for r in range(len(tgt)):
+                basis.extend((e, r, c) for c in range(len(src)) if q.has_path(src[c], tgt[r]))
+        if basis:
+            bases[d] = basis
+    diffs = {}
+    for d, basis in bases.items():
+        tgt_basis = bases.get(d + 1, [])
+        index = {b: i for i, b in enumerate(tgt_basis)}
+        M = [[0] * len(basis) for _ in tgt_basis]
+        sgn = -1 if d % 2 == 0 else 1  # D(f) = dB∘f - (-1)^d f∘dA
+        for ci, (e, r, c) in enumerate(basis):
+            for rp, row in enumerate(B.diff(e + d)):
+                if row[r]:
+                    M[index[(e, rp, c)]][ci] += row[r]
+            dA = A.diff(e - 1)
+            if dA:
+                for cp, x in enumerate(dA[c]):
+                    if x:
+                        M[index[(e - 1, r, cp)]][ci] += sgn * x
+        diffs[d] = K.as_matrix(M)
+    return bases, diffs
+
+
+def dense_delta_matrix(b0, b1, b01, d, xmap, nmap) -> list[list[int]]:
+    """delta(f0, f1) = f0∘x - n∘f1, from Hom^d(X0,N0)⊕Hom^d(X1,N1) to
+    Hom^d(X1,N0), dense."""
+    src0, src1 = b0.get(d, []), b1.get(d, [])
+    index = {b: i for i, b in enumerate(b01.get(d, []))}
+    M = [[0] * (len(src0) + len(src1)) for _ in index]
+    for ci, (e, r, c) in enumerate(src0):
+        for cp, x in enumerate(xmap.comp(e)[c]):
+            if x:
+                M[index[(e, r, cp)]][ci] += x
+    for ci, (e, r, c) in enumerate(src1):
+        for rp, row in enumerate(nmap.comp(e + d)):
+            if row[r]:
+                M[index[(e, rp, c)]][len(src0) + ci] -= row[r]
+    return M
+
+
 def unshared_two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
     """Cohomology dims of the two-column total complex, with each of the
-    three hom complexes built on its own and two ranks taken per degree."""
-    b0, d0 = cx._hom_bases(X0, N0)
-    b1, d1 = cx._hom_bases(X1, N1)
-    b01, d01 = cx._hom_bases(X1, N0)
+    three hom complexes built on its own as dense matrices, every total
+    differential padded to full width in every degree from one below the
+    lowest basis to one above the highest, and two ranks taken per
+    degree."""
+    b0, d0 = dense_hom_bases(X0, N0)
+    b1, d1 = dense_hom_bases(X1, N1)
+    b01, d01 = dense_hom_bases(X1, N0)
     degs = set(b0) | set(b1) | {d + 1 for d in b01}
     if not degs:
         return {}
@@ -478,7 +534,7 @@ def unshared_two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
         m0, m1 = len(b0.get(d + 1, [])), len(b1.get(d + 1, []))
         rows = [list(row) + [0] * (n1 + n01) for row in d0.get(d, K.zeros(m0, n0))]
         rows += [[0] * n0 + list(row) + [0] * n01 for row in d1.get(d, K.zeros(m1, n1))]
-        delta = cx._delta_matrix(b0, b1, b01, d, xmap, nmap)
+        delta = dense_delta_matrix(b0, b1, b01, d, xmap, nmap)
         rows += [dr + [-x for x in row] for dr, row in
                  zip(delta, d01.get(d - 1, K.zeros(len(delta), n01)))]
         return K.as_matrix(rows)
@@ -508,3 +564,15 @@ def test_two_column_dims_match_the_unshared_route(t):
         for p in range(h + 1):
             N = cx.embedding_slots(j, cx.tau_inv_orbit(q, v, p))
             assert cx.two_column_dims(*X, *N) == unshared_two_column_dims(*X, *N), (u, v, i, j, p)
+
+
+def test_two_column_dims_check_that_the_total_differential_squares_to_zero():
+    # positive control: x is the identity of C = [P1 -> P2] in degree -1
+    # only, so it is no chain map, and f0∘(x∘dC - dC∘x) survives in D∘D
+    q = build_quiver("A2")
+    C = cx.PCpx(q, {-1: (1,), 0: (2,)}, {-1: ((1,),)}).validate()
+    x = cx.ChainMap(C, C, {-1: ((1,),)})
+    N = cx.embedding_slots(0, cx.single_term(q, (2,), 0))
+    with pytest.raises(InternalCheckError, match="^totalization differential does not square to zero$"):
+        cx.two_column_dims(C, C, x, *N)
+    assert cx.two_column_dims(C, C, cx.identity_map(C), *N) == {}

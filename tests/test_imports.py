@@ -11,8 +11,9 @@ command runs with numpy blocked and leaves `dataclasses` unloaded.
 Each check runs in a fresh interpreter, since the test process has long
 since loaded every module.  The source checks read the package's syntax
 trees: where a module imports its layers, that it imports nothing from
-outside the standard library (and not `dataclasses`), and that every memo
-is a module-level function."""
+outside the standard library (and not `dataclasses`), that every memo
+is a module-level function, and that every definition is called, exported
+or kept for a reason named in `UNCALLED_BY_DESIGN`."""
 
 import ast
 import importlib
@@ -517,3 +518,65 @@ def test_no_method_is_memoized():
     for name in (*quiverlab._SUBMODULES, "cli"):
         importlib.import_module(f"quiverlab.{name}")
     assert {f"quiverlab.{name}" for name in found} == set(quiverlab.memos())
+
+
+# definitions that nothing in the package calls, each kept for the reason given
+UNCALLED_BY_DESIGN = {
+    "morphcat.functor_D": "the crosscheck benchmark compares thm2_hom on its images with thm1_hom",
+    "ice.ice_from_json": "the inverse of the JSON export, for the lossless round trip",
+    "ice.IceQuiver.frozen_ids": "public API of the exported IceQuiver",
+    "ice.IceQuiver.arrow_pairs": "public API of the exported IceQuiver",
+    "lifting.TQAlgebra.nakayama_order": "the second route to morphcat.omega_order",
+    "reps._ext1_via_presentation": "the second route to ext1_dim",
+    "braids.BraidWord.inverse": "the group inverse of the exported BraidWord",
+}
+
+
+def uncalled_definitions(sources: dict, exported: set) -> set:
+    """`<module>.<name>` of each top-level function or class, and of each
+    public method, whose name no module reads (as a name or an attribute)
+    outside the definition itself, and which is not exported.  Dunder
+    methods are called by the interpreter and are left out."""
+    trees = {name[:-3]: ast.parse(source) for name, source in sources.items()}
+    defs = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((mod, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend((mod, f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+
+    def reads(tree, skip) -> set:
+        out, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+        return out
+
+    found = set()
+    for mod, qual, node in defs:
+        name = qual.rpartition(".")[2]
+        if name.startswith("__") or name in exported:
+            continue
+        if not any(name in reads(tree, node if other == mod else None) for other, tree in trees.items()):
+            found.add(f"{mod}.{qual}")
+    return found
+
+
+def test_no_definition_that_nothing_calls():
+    found = uncalled_definitions(package_sources(), set(quiverlab.__all__))
+    assert found == set(UNCALLED_BY_DESIGN)
+    # positive control: a function or a method read only inside itself is
+    # flagged; a called one, an exported one and a dunder method are not
+    source = ("def dead(n):\n    return dead(n - 1)\n"
+              "class C:\n    def m(self):\n        return self.m()\n    def __len__(self):\n        return 0\n"
+              "def used():\n    return 1\n"
+              "def main():\n    return used() + len(C())\n")
+    assert uncalled_definitions({"x.py": source}, {"main"}) == {"x.dead", "x.C.m"}

@@ -35,7 +35,7 @@ from quiverlab.reps import (
 from quiverlab.stalks import e_exponent, knit_ar_quiver
 
 from tests.test_dynkin import quiver_strategy
-from tests.test_stalks import _oracle_quivers
+from tests.test_stalks import _oracle_quivers, _opposite_quivers
 
 SMALL = ["A1", "A2", "A3", "A4", "D4"]
 
@@ -291,13 +291,13 @@ def test_decompose_homs_only_into_the_module(monkeypatch):
     items = list_indecomposables(q)
     total, _ = direct_sum([items[0][1], items[7][1], items[7][1], items[-1][1]])
     calls = []
-    basis = reps.hom_basis
+    system = reps._hom_system
 
     def counted(M, N):
         calls.append((M, N))
-        return basis(M, N)
+        return system(M, N)
 
-    monkeypatch.setattr(reps, "hom_basis", counted)
+    monkeypatch.setattr(reps, "_hom_system", counted)
     found = decompose(total)
     assert found == {items[0][0]: 1, items[7][0]: 2, items[-1][0]: 1}
     assert all(N is total for _, N in calls)
@@ -305,6 +305,21 @@ def test_decompose_homs_only_into_the_module(monkeypatch):
     assert len(sources) == len(set(map(id, sources))) < len(items) == 20
     assert all(rep in sources for rep in (items[0][1], items[7][1], items[-1][1]))
     assert all(all(x <= y for x, y in zip(M.dim_vector(), total.dim_vector())) for M in sources)
+    # the nullity count agrees with a validated basis on the sum
+    assert all(hom_dim(M, total) == len(hom_basis(M, total)) for M in sources)
+
+
+NULLITY_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5"]
+
+
+@pytest.mark.parametrize("q", [pytest.param(build_quiver(t), id=f"{t}-default") for t in NULLITY_TYPES]
+                         + list(_opposite_quivers(NULLITY_TYPES)))
+def test_hom_dim_is_the_size_of_a_validated_basis(q):
+    # `hom_dim` counts the nullity of the intertwining equations; `hom_basis`
+    # builds and validates one morphism per nullspace vector
+    items = [rep for _, rep in list_indecomposables(q)]
+    for M, N in itertools.product(items, items):
+        assert hom_dim(M, N) == len(hom_basis(M, N))
 
 
 # ---------------------------------------------------------------------------
