@@ -10,15 +10,18 @@ artifacts are replayed byte for byte.
 A cache hit needs only the job and the stored entry, so this module loads
 nothing at import time beyond the standard library, `errors` and `dynkin`
 (the parsers and serializers of quivers).  Each renderer imports the
-layers it uses.
+layers it uses.  The command line is read from one table by a small
+parser, not by argparse, whose import and parser objects (with `gettext`
+and `locale`) cost about 8 ms of every fresh process.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .dynkin import (
@@ -114,9 +117,8 @@ def run(job: JobSpec, out=None) -> int:
     out = sys.stdout if out is None else out
     path = None
     if job.cache_dir:
-        key = cache_key(job)
-        path = os.path.join(job.cache_dir, key + ".json")
-        stored = _read_entry(path)
+        path = os.path.join(job.cache_dir, cache_key(job) + ".json")
+        stored = _read_entry(job, path)
         if stored is not None:
             out.write(stored)
             return 0
@@ -147,15 +149,17 @@ def _write_entry(job: JobSpec, path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_entry(path: str) -> str | None:
-    """The output stored at `path`, or None on a miss.  An unreadable or
-    malformed entry is a miss too: the caller recomputes and rewrites it."""
+def _read_entry(job: JobSpec, path: str) -> str | None:
+    """The output stored at `path` for `job`, or None on a miss.  An
+    unreadable or malformed entry, or one stored for another job, is a miss
+    too: the caller recomputes and rewrites it."""
     try:
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not isinstance(stored, dict) or stored.get("version") != CACHE_VERSION:
+    if (not isinstance(stored, dict) or stored.get("version") != CACHE_VERSION
+            or stored.get("job") != _canonical(job)):
         return None
     output = stored.get("output")
     return output if isinstance(output, str) else None
@@ -394,65 +398,224 @@ _RENDERERS = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line
+#
+# One table describes it.  An option maps to (kind, metavar, help): the kind
+# is `str` or `int` for one value, "pair" for two ints, "flag" for a switch,
+# or a tuple of choices whose first member is the default.  A command maps to
+# its help line, its options in usage order and its groups; exactly one
+# option of each group must be given, so a group of one is a required option.
+# `_parse_args` reads a command line as argparse would read this table
+# (unique prefixes, `--option=value`, which tokens count as values, the last
+# of a repeated option wins), without importing or building argparse.
+
+_SOURCE = {
+    "--type": (str, "TYPE", "Dynkin type, e.g. A3"),
+    "--orient": (str, "ORIENT", "arrow list like '1->2 2->3' (default: small to large)"),
+    "--file": (str, "FILE", "read the quiver from a file (text or JSON form)"),
+}
 
 
-def _add_source_args(sub):
-    sub.add_argument("--type", help="Dynkin type, e.g. A3")
-    sub.add_argument("--orient", help="arrow list like '1->2 2->3' (default: small to large)")
-    sub.add_argument("--file", help="read the quiver from a file (text or JSON form)")
+def _format(*choices: str) -> dict:
+    return {"--format": (choices, None, f"output format (default: {choices[0]})")}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="quiverlab",
-        description="Combinatorial structures attached to a simply laced Dynkin quiver.",
-    )
-    ap.add_argument("--cache-dir", help=f"cache artifacts here (or ${CACHE_ENV})")
-    cmds = ap.add_subparsers(dest="command", required=True)
+_COMMANDS = {
+    "quiver": ("the quiver itself", {**_SOURCE, **_format("text", "json", "dot")}, ()),
+    "ar": ("translation quiver of the module category",
+           {**_SOURCE, **_format("text", "json", "dot")}, ()),
+    "mpr": ("translation quiver of the projective-morphism category",
+            {**_SOURCE, **_format("text", "json", "dot")}, ()),
+    "ice": ("decorated quiver with frozen part and potential",
+            {**_SOURCE, **_format("dot", "json")}, ()),
+    "hom": ("graded hom tables over the embedded projectives", {
+        **_SOURCE,
+        "--table": ("flag", None, "degree-zero grid over all slots"),
+        "--pair": ("pair", "I J", "full graded dims for one slot pair (1-based)"),
+        **_format("tsv", "json"),
+    }, (("--table", "--pair"),)),
+    "higgs": ("projective presentations over the loop algebra", {
+        **_SOURCE,
+        "--phi": (int, "N", "presentation image of the numbered label"),
+        "--lift": (str, "SPEC",
+                   "JSON {p1,p0,matrix} (inline, or @file); entries are [path, coeff] lists"),
+        "--omega-orbit": (int, "N", "rotation orbit of the numbered frozen label"),
+        **_format("json"),
+    }, (("--phi", "--lift", "--omega-orbit"),)),
+    "braid": ("normal form, star image, membership, K0 matrix", {
+        "--type": _SOURCE["--type"],
+        "--word": (str, "WORD", "letters like '1 2 -1' (negative = inverse)"),
+        "--star": ("flag", None, "operate on the star image instead"),
+        **_format("text", "json"),
+    }, (("--type",), ("--word",))),
+}
+# the options before the command, in the same shape
+_TOP = ("Combinatorial structures attached to a simply laced Dynkin quiver.",
+        {"--cache-dir": (str, "DIR", f"cache artifacts here (or ${CACHE_ENV})")}, ())
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse takes these as values
 
-    p = cmds.add_parser("quiver", help="the quiver itself")
-    _add_source_args(p)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    p = cmds.add_parser("ar", help="translation quiver of the module category")
-    _add_source_args(p)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+def _spelling(name: str, spec: tuple) -> str:
+    kind, metavar, _ = spec
+    if isinstance(kind, tuple):
+        metavar = "{" + ",".join(kind) + "}"
+    return f"{name} {metavar}" if metavar else name
 
-    p = cmds.add_parser("mpr", help="translation quiver of the projective-morphism category")
-    _add_source_args(p)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    p = cmds.add_parser("ice", help="decorated quiver with frozen part and potential")
-    _add_source_args(p)
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
+def _usage(command: str | None) -> str:
+    _, options, groups = _TOP if command is None else _COMMANDS[command]
+    words = ["usage: quiverlab", "[-h]"] if command is None else ["usage: quiverlab", command, "[-h]"]
+    for name, spec in options.items():
+        group = next((g for g in groups if name in g), ())
+        if not group:
+            words.append(f"[{_spelling(name, spec)}]")
+        elif len(group) == 1:
+            words.append(_spelling(name, spec))
+        elif name == group[0]:
+            words.append("(" + " | ".join(_spelling(n, options[n]) for n in group) + ")")
+    if command is None:
+        words.append("{" + ",".join(_COMMANDS) + "} ...")
+    return " ".join(words)
 
-    p = cmds.add_parser("hom", help="graded hom tables over the embedded projectives")
-    _add_source_args(p)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--table", action="store_true", help="degree-zero grid over all slots")
-    mode.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"),
-                      help="full graded dims for one slot pair (1-based)")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
-    p = cmds.add_parser("higgs", help="projective presentations over the loop algebra")
-    _add_source_args(p)
-    op = p.add_mutually_exclusive_group(required=True)
-    op.add_argument("--phi", type=int, metavar="N",
-                    help="presentation image of the numbered label")
-    op.add_argument("--lift", metavar="SPEC",
-                    help="JSON {p1,p0,matrix} (inline, or @file); entries are [path, coeff] lists")
-    op.add_argument("--omega-orbit", type=int, metavar="N",
-                    help="rotation orbit of the numbered frozen label")
-    p.add_argument("--format", choices=("json",), default="json")
+def _help(command: str | None) -> str:
+    about, options, _ = _TOP if command is None else _COMMANDS[command]
+    sections = [("options", [("-h, --help", "show this help and exit")]
+                 + [(_spelling(name, spec), spec[2]) for name, spec in options.items()])]
+    if command is None:
+        sections.insert(0, ("commands", [(c, h) for c, (h, _, _) in _COMMANDS.items()]))
+    width = max(len(left) for _, rows in sections for left, _ in rows)
+    lines = [_usage(command), "", about]
+    for title, rows in sections:
+        lines += ["", f"{title}:"] + [f"  {left:<{width}}  {text}" for left, text in rows]
+    return "\n".join(lines) + "\n"
 
-    p = cmds.add_parser("braid", help="normal form, star image, membership, K0 matrix")
-    p.add_argument("--type", required=True, help="Dynkin type, e.g. A3")
-    p.add_argument("--word", required=True, help="letters like '1 2 -1' (negative = inverse)")
-    p.add_argument("--star", action="store_true", help="operate on the star image instead")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    return ap
+def _fail(command: str | None, message: str):
+    sys.stderr.write(f"{_usage(command)}\nquiverlab: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str, names: tuple, command: str | None):
+    """How argparse reads `token` against the option `names`: None for a
+    value, else (option, the value attached by '=' or None), where the
+    option is '' when none matches."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token[1] != "-":  # only -h is short; what follows it is attached
+        if token.startswith("-h"):
+            return "-h", token[2:]
+    else:
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            _fail(command, f"ambiguous option: {token!r} could match {', '.join(found)}")
+        if found:
+            return found[0], tail if eq else None
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _scan(argv: list, command: str | None) -> tuple[dict, list, int]:
+    """Take the options of `command` (None: the top level) from `argv`, left
+    to right.  Returns the option values, the tokens no option took, and the
+    index at which the top level meets its command."""
+    _, options, groups = _TOP if command is None else _COMMANDS[command]
+    names = (*_HELP, *options)
+    kind_of = {name: spec[0] for name, spec in options.items()}
+    kinds = []  # every token is read before any is taken, as in argparse
+    for k, token in enumerate(argv):
+        if token == "--":  # what follows is values only; "--" itself is none
+            kinds += ["--"] + [None] * (len(argv) - k - 1)
+            break
+        kinds.append(_option(token, names, command))
+    given: dict = {}
+    extras = []
+    i = 0
+    while i < len(argv):
+        if not isinstance(kinds[i], tuple):
+            if command is None:
+                break
+            extras.append(argv[i])
+            i += 1
+            continue
+        name, attached = kinds[i]
+        i += 1
+        if not name:
+            extras.append(argv[i - 1])
+            continue
+        n = 0 if name in _HELP or kind_of[name] == "flag" else 2 if kind_of[name] == "pair" else 1
+        if attached is None and i + n <= len(argv) and all(k is None for k in kinds[i:i + n]):
+            raw = argv[i:i + n]
+            i += n
+        elif attached is not None and (n == 1 or name == "-h" and attached and not attached.strip("h")):
+            raw = [attached]  # argparse reads "-hh" as -h given twice
+        else:
+            _fail(command, f"argument {name}: expected {('no argument', 'one argument', '2 arguments')[n]}")
+        if name in _HELP:
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        kind = kind_of[name]
+        if kind == "flag":
+            value = True
+        elif kind is str:
+            value = raw[0]
+        elif isinstance(kind, tuple):
+            value = raw[0]
+            if value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _fail(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        else:
+            value = []
+            for token in raw:
+                try:
+                    value.append(int(token))
+                except ValueError:
+                    _fail(command, f"argument {name}: invalid int value: {token!r}")
+            if kind is int:
+                value = value[0]
+        clash = [other for group in groups if name in group for other in group
+                 if other != name and other in given]
+        if clash:
+            _fail(command, f"argument {name}: not allowed with argument {clash[0]}")
+        given[name] = value
+    return given, extras, i
+
+
+def _parse_args(argv=None) -> SimpleNamespace:
+    """Read a command line against the table: the command, `cache_dir`, and
+    each option of the command under its name without dashes (`omega_orbit`),
+    defaulted when absent.  A usage error prints the usage and one error
+    line on stderr and exits 2; -h or --help prints help and exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    top, extras, i = _scan(argv, None)
+    if i == len(argv):
+        _fail(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    given, more, _ = _scan(argv[i + 1:], command)
+    _, options, groups = _COMMANDS[command]
+    missing = [group[0] for group in groups if len(group) == 1 and group[0] not in given]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    for group in groups:
+        if not any(name in given for name in group):
+            _fail(command, f"one of the arguments {' '.join(group)} is required")
+    if extras or more:
+        _fail(None, "unrecognized arguments: " + ", ".join(map(repr, extras + more)))
+    args = SimpleNamespace(command=command, cache_dir=top.get("--cache-dir"))
+    for name, (kind, _, _) in options.items():
+        default = False if kind == "flag" else kind[0] if isinstance(kind, tuple) else None
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return args
 
 
 def _read_text(path: str) -> str:
@@ -521,7 +684,7 @@ def _job_from_args(args) -> JobSpec:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return run(_job_from_args(args))
     except GuardError as exc:

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface: rendering, file input,
-the artifact cache, and exit codes."""
+the artifact cache, exit codes, help and usage errors, and the table
+parser against the argparse parser it replaced."""
 
+import argparse
 import contextlib
+import functools
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -16,6 +20,7 @@ from quiverlab import boundary
 from quiverlab import cli
 from quiverlab import dynkin as dy
 from quiverlab import morphcat as mc
+from quiverlab.errors import GuardError
 from tests.test_morphcat import A3_ARROWS, A3_LABELS, A3_TAU
 
 
@@ -235,7 +240,7 @@ def test_file_accepts_any_spelling_of_its_type(capsys, tmp_path, spelling):
 
 def test_spellings_of_a_type_share_its_cache_key():
     def key(spelling):
-        args = cli._build_parser().parse_args(["mpr", "--type", spelling])
+        args = cli._parse_args(["mpr", "--type", spelling])
         return cli.cache_key(cli._job_from_args(args))
 
     canonical = cli.cache_key(cli.JobSpec("mpr", "A3", None, "text", {}))
@@ -292,6 +297,21 @@ def test_cache_key_covers_the_source_digest(monkeypatch):
     old = cli.cache_key(job)
     monkeypatch.setattr(cli, "source_digest", lambda: "1" * 64)
     assert cli.cache_key(job) != old
+
+
+def test_entry_of_another_job_is_a_miss(capsys, tmp_path):
+    # an entry saved under another job's key is recomputed and rewritten,
+    # never replayed as this job's output
+    a2 = ["--cache-dir", str(tmp_path), "quiver", "--type", "A2"]
+    a3 = ["--cache-dir", str(tmp_path), "quiver", "--type", "A3"]
+    run_ok(capsys, a2)
+    (entry,) = tmp_path.iterdir()
+    job = cli.JobSpec("quiver", "A3", None, "text", {}, str(tmp_path))
+    other = tmp_path / (cli.cache_key(job) + ".json")
+    shutil.copyfile(entry, other)
+    assert run_ok(capsys, a3) == "type A 3\n1 -> 2\n2 -> 3\n"
+    assert json.loads(other.read_text())["job"] == cli._canonical(job)
+    assert json.loads(other.read_text())["output"] == "type A 3\n1 -> 2\n2 -> 3\n"
 
 
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
@@ -448,7 +468,7 @@ def test_fuzz_json_inputs_exit_cleanly(tmp_path, monkeypatch, rank, lift, spec, 
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # usage errors
             rc = exc.code
     assert rc in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
@@ -485,7 +505,7 @@ def test_fuzz_argv_text_exits_cleanly(tmp_path, monkeypatch, rank, word, orient,
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 rc = cli.main(argv)
-            except SystemExit as exc:  # argparse usage errors
+            except SystemExit as exc:  # usage errors
                 rc = exc.code
         assert rc in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
@@ -497,6 +517,267 @@ def test_exit_code_usage():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the command line: help, usage errors, and parity with argparse
+
+
+def run_module(argv):
+    """Exit code, stdout and stderr of `python -m quiverlab.cli` in a fresh
+    interpreter on the package under test, with no cache directory set."""
+    env = dict(os.environ)
+    env.pop(cli.CACHE_ENV, None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-m", "quiverlab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_names_every_command_and_option(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("usage: quiverlab ")
+    about, options, _ = cli._TOP if command is None else cli._COMMANDS[command]
+    names = [about, "-h, --help", *options, *(h for _, _, h in options.values())]
+    if command is None:
+        names += [f"  {c} " for c in cli._COMMANDS]
+        names += [h for h, _, _ in cli._COMMANDS.values()]
+    assert [n for n in names if n not in out.out] == []
+
+
+USAGE_ERRORS = {
+    "unknown command": ["frobnicate", "--type", "A2"],
+    "unknown option": ["quiver", "--type", "A2", "--bogus"],
+    "missing value": ["quiver", "--type"],
+    "bad int": ["higgs", "--type", "A2", "--phi", "x"],
+    "bad choice": ["ice", "--type", "A2", "--format", "text"],
+    "both of an exclusive group": ["hom", "--type", "A2", "--table", "--pair", "1", "2"],
+    "neither of a required group": ["higgs", "--type", "A2"],
+    "braid without --word": ["braid", "--type", "A2"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_prints_usage_and_one_error_line(argv):
+    proc = run_module(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: quiverlab ")
+    assert error.startswith("quiverlab: error: ")
+
+
+@functools.cache
+def argparse_reference():
+    """The argparse parser that read the command line before the table: the
+    reference `cli._parse_args` must agree with."""
+    def add_source_args(sub):
+        sub.add_argument("--type", help="Dynkin type, e.g. A3")
+        sub.add_argument("--orient", help="arrow list like '1->2 2->3' (default: small to large)")
+        sub.add_argument("--file", help="read the quiver from a file (text or JSON form)")
+
+    ap = argparse.ArgumentParser(
+        prog="quiverlab",
+        description="Combinatorial structures attached to a simply laced Dynkin quiver.",
+    )
+    ap.add_argument("--cache-dir", help=f"cache artifacts here (or ${cli.CACHE_ENV})")
+    cmds = ap.add_subparsers(dest="command", required=True)
+
+    p = cmds.add_parser("quiver", help="the quiver itself")
+    add_source_args(p)
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+
+    p = cmds.add_parser("ar", help="translation quiver of the module category")
+    add_source_args(p)
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+
+    p = cmds.add_parser("mpr", help="translation quiver of the projective-morphism category")
+    add_source_args(p)
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+
+    p = cmds.add_parser("ice", help="decorated quiver with frozen part and potential")
+    add_source_args(p)
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+
+    p = cmds.add_parser("hom", help="graded hom tables over the embedded projectives")
+    add_source_args(p)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--table", action="store_true", help="degree-zero grid over all slots")
+    mode.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"),
+                      help="full graded dims for one slot pair (1-based)")
+    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+
+    p = cmds.add_parser("higgs", help="projective presentations over the loop algebra")
+    add_source_args(p)
+    op = p.add_mutually_exclusive_group(required=True)
+    op.add_argument("--phi", type=int, metavar="N",
+                    help="presentation image of the numbered label")
+    op.add_argument("--lift", metavar="SPEC",
+                    help="JSON {p1,p0,matrix} (inline, or @file); entries are [path, coeff] lists")
+    op.add_argument("--omega-orbit", type=int, metavar="N",
+                    help="rotation orbit of the numbered frozen label")
+    p.add_argument("--format", choices=("json",), default="json")
+
+    p = cmds.add_parser("braid", help="normal form, star image, membership, K0 matrix")
+    p.add_argument("--type", required=True, help="Dynkin type, e.g. A3")
+    p.add_argument("--word", required=True, help="letters like '1 2 -1' (negative = inverse)")
+    p.add_argument("--star", action="store_true", help="operate on the star image instead")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+    return ap
+
+
+def outcome(parse, argv):
+    """What `argv` comes to: ("exit", code) for a usage error or help, else
+    the job `_job_from_args` builds, or ("refused", message) if it refuses."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code), out.getvalue(), err.getvalue()
+    try:
+        return cli._job_from_args(args), "", ""
+    except GuardError as exc:
+        return ("refused", str(exc)), "", ""
+
+
+# each option as the argparse reference declares it, with values to draw
+# (None: a flag); QFILE stands for a readable quiver file
+_OPTION_VALUES = {
+    "--type": ["A1", "A2", "a 3", " D4", "E6", "Q9", ""],
+    "--orient": ["2->1", "1->2 2->3", "x", "-1"],
+    "--file": ["QFILE", "nofile"],
+    "--format": ["text", "json", "dot", "tsv", "Text"],
+    "--table": None,
+    "--pair": ["1", "2", "-1", "+3", " 4", "x", "1.0"],
+    "--phi": ["1", "5", "-2", "x", " 3"],
+    "--omega-orbit": ["1", "7", "٣", "0x1"],
+    "--lift": ['{"p1": [1], "p0": [1], "matrix": [[["1", 1]]]}', "[1]", "@nofile", "-x y"],
+    "--word": ["1 2 -1", "1,2", "-1", "x", ""],
+    "--star": None,
+}
+_COMMAND_OPTIONS = {
+    "quiver": ["--type", "--orient", "--file", "--format"],
+    "ar": ["--type", "--orient", "--file", "--format"],
+    "mpr": ["--type", "--orient", "--file", "--format"],
+    "ice": ["--type", "--orient", "--file", "--format"],
+    "hom": ["--type", "--orient", "--file", "--table", "--pair", "--format"],
+    "higgs": ["--type", "--orient", "--file", "--phi", "--lift", "--omega-orbit", "--format"],
+    "braid": ["--type", "--word", "--star", "--format"],
+}
+
+# drawn three times as often, so that more argv meet their required groups
+_REQUIRED = {"hom": ["--table", "--pair"], "higgs": ["--phi", "--lift", "--omega-orbit"],
+             "braid": ["--type", "--word"]}
+
+
+def _given_option(name):
+    """One option on the command line: its name or a prefix of it, then its
+    value(s), separate or attached by '='."""
+    spelling = st.just(name) | st.integers(4, len(name) - 1).map(lambda k: name[:k])
+    values = _OPTION_VALUES[name]
+    if values is None:
+        return spelling.map(lambda s: [s])
+    if name == "--pair":
+        return st.tuples(spelling, st.sampled_from(values), st.sampled_from(values)).map(list)
+    return st.tuples(spelling, st.sampled_from(values), st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+
+
+# tokens that name no option, name an option of another command, are
+# ambiguous, or are values in the wrong place
+_NOISE = [
+    "--t", "--f", "--p", "--o", "--s", "--omega", "--cache-dir", "--c", "-h", "--help", "--he", "-hh",
+    "-hx", "-h=h", "-h=", "--help=x", "--bogus", "-t", "--", "-", "", "stray", "-1", "-2.5", "-x y", "-x",
+    "-5\n", "--table=x", "--pair=1", "--=x", "--word", "--phi",
+]
+# repeated members weight a draw: about a third of the argv carry noise,
+# and half start with no option
+_noise = st.sampled_from([[]] * 2 * len(_NOISE) + [[t] for t in _NOISE])
+_ODD_STARTS = [
+    ["--cache-dir", "D"], ["--cache-dir=D"], ["--cache", "D"], ["--c", "D"], ["--cache-dir"],
+    ["--cache-dir", "D", "--cache-dir", "E"], ["--bogus"], ["-h"], ["D"], ["--"],
+]
+_before = st.sampled_from([[]] * len(_ODD_STARTS) + _ODD_STARTS)
+
+
+def _after(command):
+    """Options of the command, with at most one noise token among them."""
+    names = _COMMAND_OPTIONS.get(command, ["--type"]) + 2 * _REQUIRED.get(command, [])
+    options = st.lists(st.one_of(*map(_given_option, names)), max_size=4)
+    return st.tuples(options, _noise, st.integers(0, 4)).map(
+        lambda t: [x for item in t[0][:t[2]] + [t[1]] + t[0][t[2]:] for x in item])
+
+
+_argv = st.tuples(_before, st.one_of(
+    st.tuples(st.sampled_from([command]), _after(command))
+    for command in [*_COMMAND_OPTIONS, "frobnicate", "-h"]
+)).map(lambda t: [*t[0], t[1][0], *t[1][1]])
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv)
+def test_parser_agrees_with_argparse(tmp_path, monkeypatch, argv):
+    """Every argv either builds the same job through `_job_from_args` on both
+    parsers, is refused with the same message, or exits with the same code:
+    2 for a usage error, 0 for help.  An exit 2 prints the usage and one
+    error line."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("type A 2\n2 -> 1\n")
+    argv = [str(qfile) if t == "QFILE" else t for t in argv]
+    want, _, _ = outcome(argparse_reference().parse_args, argv)
+    got, out, err = outcome(cli._parse_args, argv)
+    assert got == want, argv
+    if got == ("exit", 2):
+        assert out == "" and len(err.splitlines()) == 2
+        assert err.startswith("usage: quiverlab ") and "\nquiverlab: error: " in err
+
+
+def test_parser_agrees_with_argparse_on_every_noise_token(tmp_path, monkeypatch):
+    """Each noise token in each of a few places, on top of the sampled argv."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    contexts = [
+        lambda t: [t, "quiver", "--type", "A2"],
+        lambda t: ["quiver", t, "A2"],
+        lambda t: ["quiver", "--type", "A2", t],
+        lambda t: ["quiver", "--type", t],
+        lambda t: ["quiver", "--format", t],
+        lambda t: ["hom", "--type", "A2", t, "json"],
+        lambda t: ["hom", "--type", "A2", "--pair", "1", t],
+        lambda t: ["braid", "--word", "1", t, "A2"],
+    ]
+    for t in _NOISE:
+        for context in contexts:
+            argv = context(t)
+            want, _, _ = outcome(argparse_reference().parse_args, argv)
+            assert outcome(cli._parse_args, argv)[0] == want, argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["braid", "--type=--", "--word", "1"], 3),  # argparse: the type [], refused
+    (["braid", "--type", "A2", "--word=--"], 3),  # argparse: the word [], a traceback
+    (["higgs", "--type", "A2", "--phi=--"], 2),  # argparse: the label [], a traceback
+    (["quiver", "--type", "A2", "--format=--"], 2),  # argparse: the format [], rendered as json
+])
+def test_an_attached_double_dash_is_a_value(capsys, argv, code):
+    """The one argv that the table parser reads otherwise than argparse
+    (3.11), which takes an attached `--` as an empty list: here it is the
+    string `--`, which no option accepts."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(("error: ", "quiverlab: error: "))
 
 
 def test_exit_code_internal_failure(capsys, monkeypatch):

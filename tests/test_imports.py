@@ -5,15 +5,16 @@ itself) imports no compute module, the label-level jobs (`ar`, `hom`,
 `stalks`, `boundary`, `morphcat` and `ice`, a `higgs --phi` job on an
 identity object, a kill object or a projective adds only `_kernels` and
 `higgs`, and a `braid` job loads only `braids`.  No module imports
-anything outside the standard library, nor `dataclasses`, and every
-command runs with numpy blocked and leaves `dataclasses` unloaded.
+anything outside the standard library, nor `dataclasses` or `argparse`,
+and every command runs with numpy blocked and leaves `dataclasses`,
+`argparse`, `gettext` and `locale` unloaded.
 
 Each check runs in a fresh interpreter, since the test process has long
 since loaded every module.  The source checks read the package's syntax
 trees: where a module imports its layers, that it imports nothing from
-outside the standard library (and not `dataclasses`), that every memo
-is a module-level function, and that every definition is called, exported
-or kept for a reason named in `UNCALLED_BY_DESIGN`."""
+outside the standard library (and not `dataclasses` or `argparse`),
+that every memo is a module-level function, and that every definition
+is called, exported or kept for a reason named in `UNCALLED_BY_DESIGN`."""
 
 import ast
 import importlib
@@ -446,9 +447,24 @@ def test_no_module_imports_dataclasses():
     assert "dataclasses" in top_level_imports("def f():\n    from dataclasses import dataclass\n")
 
 
+def test_no_module_imports_argparse():
+    """Building and running argparse cost about 8 ms of every fresh process;
+    `cli` reads its command line from one table instead."""
+    found = [name for name, source in package_sources().items()
+             if "argparse" in top_level_imports(source)]
+    assert found == []
+    # positive control: both import forms are seen, in function bodies too
+    assert "argparse" in top_level_imports("import argparse as ap\n")
+    assert "argparse" in top_level_imports("def f():\n    from argparse import ArgumentParser\n")
+
+
+SLOW_IMPORTS = ["dataclasses", "argparse", "gettext", "locale"]
+
+
 def test_no_job_loads_dataclasses(tmp_path):
-    """A fresh interpreter runs one job of each kind and records after each
-    whether `dataclasses` is loaded: nothing the jobs import pulls it in."""
+    """A fresh interpreter runs one job of each kind, a usage error and a
+    help request, and records after each which of `dataclasses`, `argparse`,
+    `gettext` and `locale` are loaded: nothing the jobs import pulls them in."""
     lift = json.dumps({"p1": [1], "p0": [1], "matrix": [[["1", 0]]]})  # E(1) + M(P1)
     replay = ["--cache-dir", str(tmp_path), "quiver", "--type", "A3"]
     jobs = [
@@ -461,21 +477,27 @@ def test_no_job_loads_dataclasses(tmp_path):
         ["ice", "--type", "D5"],
         ["hom", "--type", "D6", "--table"],
         ["ar", "--type", "E7"],
+        ["hom", "--type", "A2", "--pair", "1", "x"],  # a usage error
+        ["higgs", "--help"],
     ]
     got = run_python(f"""
 import contextlib, io, json, sys
-loaded = ["dataclasses" in sys.modules]
+slow = {SLOW_IMPORTS!r}
+loaded = [[m for m in slow if m in sys.modules]]
 from quiverlab import cli
-loaded.append("dataclasses" in sys.modules)
+loaded.append([m for m in slow if m in sys.modules])
 codes = []
 for argv in {jobs!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(argv))
-    loaded.append("dataclasses" in sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    loaded.append([m for m in slow if m in sys.modules])
 print(json.dumps({{"codes": codes, "loaded": loaded}}))
 """)
-    assert got["codes"] == [0] * len(jobs)
-    assert got["loaded"] == [False] * (len(jobs) + 2)
+    assert got["codes"] == [0] * (len(jobs) - 2) + [2, 0]
+    assert got["loaded"] == [[]] * (len(jobs) + 2)
 
 
 def _is_memo(decorator) -> bool:
