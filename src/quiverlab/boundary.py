@@ -20,9 +20,9 @@ no degree below `min_degree`; the `hom` command orders the degrees.
 The case-map route and the table work on labels alone, so this module
 loads no matrix layer; `thm2_hom` imports the morphism
 category and `gamma_hom` the complexes when they are called.  At i = 1
-`thm2_hom` reads the cone of the label it is given, which the morphism
-category splits once per label and process (`morphcat._label_cone`); an
-`MprObject` is split on every call.
+`thm2_hom` reads the cone of the label it is given, which `morphcat.cone`
+writes down by label arithmetic, with no complex split; an `MprObject` is
+split as a matrix on every call.
 """
 from __future__ import annotations
 

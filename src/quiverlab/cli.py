@@ -12,14 +12,15 @@ nothing at import time beyond the standard library, `errors` and `dynkin`
 (the parsers and serializers of quivers).  Each renderer imports the
 layers it uses.  The command line is read from one table by a small
 parser, not by argparse, whose import and parser objects (with `gettext`
-and `locale`) cost about 8 ms of every fresh process.
+and `locale`) cost about 8 ms of every fresh process.  Keys are BLAKE2b
+digests from the built-in `_blake2` module, not from `hashlib`, whose
+import loads the OpenSSL binding (about 2.6 ms of every cached job).
 """
 from __future__ import annotations
 
 import functools
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -73,13 +74,22 @@ class JobSpec:
         return build_quiver(self.dtype, list(self.arrows) if self.arrows is not None else None)
 
 
+def _blake2b():
+    """A fresh 32-byte BLAKE2b hash.  CPython's `hashlib.blake2b` is the
+    `_blake2` type, but importing `hashlib` loads OpenSSL.  Only a job with a
+    cache directory computes a key."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # an interpreter whose hashlib has BLAKE2b elsewhere
+        from hashlib import blake2b
+    return blake2b(digest_size=32)
+
+
 @functools.cache
 def source_digest() -> str:
-    """sha256 over the names and bytes of the package's `.py` sources, so that
-    a cache entry written by other code is never replayed."""
-    import hashlib  # only a job with a cache directory computes a key
-
-    h = hashlib.sha256()
+    """BLAKE2b over the names and bytes of the package's `.py` sources, so
+    that a cache entry written by other code is never replayed."""
+    h = _blake2b()
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
@@ -103,10 +113,10 @@ def _canonical(job: JobSpec) -> dict:
 
 
 def cache_key(job: JobSpec) -> str:
-    import hashlib
-
-    blob = json.dumps(_canonical(job), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """64 hex digits of BLAKE2b over the canonical job."""
+    h = _blake2b()
+    h.update(json.dumps(_canonical(job), sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    return h.hexdigest()
 
 
 def run(job: JobSpec, out=None) -> int:
@@ -443,7 +453,17 @@ _COMMANDS = {
 _TOP = ("Combinatorial structures attached to a simply laced Dynkin quiver.",
         {"--cache-dir": (str, "DIR", f"cache artifacts here (or ${CACHE_ENV})")}, ())
 _HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse takes these as values
+
+
+def _negative_number(token: str) -> bool:
+    r"""Whether argparse takes `token`, which starts with '-', as a value:
+    whether it matches '^-\d+$|^-\d*\.\d+$', where '$' also passes one
+    trailing newline and '\d' is any Unicode decimal digit."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = body.partition(".")
+    if not dot:
+        return body.isdecimal()
+    return (not whole or whole.isdecimal()) and frac.isdecimal()
 
 
 def _spelling(name: str, spec: tuple) -> str:
@@ -507,7 +527,7 @@ def _option(token: str, names: tuple, command: str | None):
             _fail(command, f"ambiguous option: {token!r} could match {', '.join(found)}")
         if found:
             return found[0], tail if eq else None
-    if _NEGATIVE.match(token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None
     return "", None
 

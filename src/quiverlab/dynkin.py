@@ -16,7 +16,6 @@ quivers, their directed paths, the Cartan rows and the positive roots.
 from __future__ import annotations
 
 import functools
-import re
 from typing import NamedTuple
 
 from .errors import GuardError
@@ -62,10 +61,11 @@ class DynkinType(_DynkinFields):
     def parse(spec: "DynkinType | str") -> "DynkinType":
         if isinstance(spec, DynkinType):
             return spec
-        m = re.fullmatch(r"\s*([ADEade])\s*(\d+)\s*", str(spec))
-        if not m:
+        text = str(spec).strip()
+        digits = text[1:].lstrip()
+        if text[:1] not in ("A", "D", "E", "a", "d", "e") or not digits.isdecimal():
             raise GuardError(f"cannot parse Dynkin type from {spec!r} (expected e.g. 'A3')")
-        return DynkinType(m.group(1).upper(), int(m.group(2)))
+        return DynkinType(text[0].upper(), int(digits))
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
@@ -234,14 +234,24 @@ def _walks(q: Quiver) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int,
     return tuple(order), paths
 
 
+def _arrow(text: str) -> tuple[int, int] | None:
+    """The arrow spelled `i->j`, with optional whitespace around the arrow
+    and decimal digits of any script, as `int` reads them; None otherwise."""
+    source, sep, target = text.partition("->")
+    source, target = source.rstrip(), target.lstrip()
+    if not (sep and source.isdecimal() and target.isdecimal()):
+        return None
+    return int(source), int(target)
+
+
 def _parse_arrows(spec) -> list[tuple[int, int]]:
     if isinstance(spec, str):
         out = []
         for tok in spec.replace(",", " ").split():
-            m = re.fullmatch(r"(\d+)\s*->\s*(\d+)", tok)
-            if not m:
+            arrow = _arrow(tok)
+            if arrow is None:
                 raise GuardError(f"cannot parse arrow {tok!r} (expected e.g. '1->2')")
-            out.append((int(m.group(1)), int(m.group(2))))
+            out.append(arrow)
         return out
     return [(int(i), int(j)) for i, j in spec]
 
@@ -351,10 +361,10 @@ def quiver_from_text(text: str) -> Quiver:
                 raise GuardError(f"bad type header {line!r} (expected 'type A 3')")
             dtype = DynkinType.parse(parts[1] + parts[2])
             continue
-        m = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
-        if not m:
+        arrow = _arrow(line)
+        if arrow is None:
             raise GuardError(f"cannot parse quiver line {line!r}")
-        arrows.append((int(m.group(1)), int(m.group(2))))
+        arrows.append(arrow)
     if dtype is None:
         raise GuardError("quiver text is missing its 'type' header")
     return build_quiver(dtype, arrows or None)

@@ -305,11 +305,24 @@ def normalize_label(q: Quiver, vertex: int, power: int, shift: int = 0) -> Deriv
 
 
 def as_derived_label(x) -> DerivedLabel:
+    v, k, s = _stalk(x)  # refuses a non-label before its quiver is read
+    return DerivedLabel(x.quiver, v, k, s)
+
+
+def _stalk(x) -> tuple[int, int, int]:
+    """(vertex, power, shift) of the normalized stalk label `x`, an
+    `IndecLabel` or a `DerivedLabel`; a label already in the window is read
+    as it stands, with no label built."""
     if isinstance(x, DerivedLabel):
-        return normalize_label(x.quiver, x.vertex, x.power, x.shift)
-    if isinstance(x, IndecLabel):
-        return normalize_label(x.quiver, x.vertex, x.power, 0)
-    raise InternalCheckError(f"cannot interpret {x!r} as a derived stalk label")
+        v, k, s = x.vertex, x.power, x.shift
+    elif isinstance(x, IndecLabel):
+        v, k, s = x.vertex, x.power, 0
+    else:
+        raise InternalCheckError(f"cannot interpret {x!r} as a derived stalk label")
+    _, exponents, star = _defect_data(x.quiver)
+    if 0 <= k < exponents[v]:
+        return v, k, s
+    return _normalize_raw(exponents, star, v, k, s)
 
 
 def sigma(x, s: int = 1) -> DerivedLabel:
@@ -339,10 +352,10 @@ def derived_hom(x, y) -> dict[int, int]:
     Between normalized stalks the answer is concentrated in the single
     degree determined by the relative suspension.
     """
-    a, b = as_derived_label(x), as_derived_label(y)
-    if a.quiver is not b.quiver and a.quiver != b.quiver:
+    (u, k, s), (v, m, t) = _stalk(x), _stalk(y)
+    if x.quiver is not y.quiver and x.quiver != y.quiver:
         raise InternalCheckError("labels live on different quivers")
-    deg, f = _hom_entry(a.quiver, a.vertex, a.power, a.shift, b.vertex, b.power, b.shift)
+    deg, f = _hom_entry(x.quiver, u, k, s, v, m, t)
     return {deg: f} if f else {}
 
 
@@ -359,11 +372,11 @@ def pi2_hom(x, y, min_degree: int = 0) -> dict[int, int]:
     along the orbit of the defect table, wrapping at the end of the window
     to the suspended start of the involuted vertex.
     """
-    a, b = as_derived_label(x), as_derived_label(y)
-    q = a.quiver
+    (u, i, r), (w, j, t) = _stalk(x), _stalk(y)
+    q = x.quiver
     table, exponents, star = _defect_data(q)
-    col = a.vertex - 1
-    v, k, s = _normalize_raw(exponents, star, b.vertex, b.power - a.power, b.shift - a.shift)
+    col = u - 1
+    v, k, s = _normalize_raw(exponents, star, w, j - i, t - r)
     cap = _PI_CAP_FACTOR * coxeter_number(q.dtype) + 8
     out: dict[int, int] = {}
     for _ in range(cap + 1):

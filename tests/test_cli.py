@@ -696,7 +696,7 @@ def _given_option(name):
 _NOISE = [
     "--t", "--f", "--p", "--o", "--s", "--omega", "--cache-dir", "--c", "-h", "--help", "--he", "-hh",
     "-hx", "-h=h", "-h=", "--help=x", "--bogus", "-t", "--", "-", "", "stray", "-1", "-2.5", "-x y", "-x",
-    "-5\n", "--table=x", "--pair=1", "--=x", "--word", "--phi",
+    "-5\n", "-5\n\n", "-.5", "-5.", "-\u0663", "--table=x", "--pair=1", "--=x", "--word", "--phi",
 ]
 # repeated members weight a draw: about a third of the argv carry noise,
 # and half start with no option

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from quiverlab.dynkin import (
     DynkinType,
+    _parse_arrows,
     build_quiver,
     coxeter_number,
     nakayama_involution,
@@ -169,6 +171,166 @@ def test_text_parser_details():
         quiver_from_text("1 -> 2\n")  # missing header
     with pytest.raises(GuardError):
         quiver_from_text("type A 2\n1 => 2\n")
+
+
+# ---------------------------------------------------------------------------
+# the string parsers against the regular expressions they replaced
+
+
+def regex_parse(spec):
+    if isinstance(spec, DynkinType):
+        return spec
+    m = re.fullmatch(r"\s*([ADEade])\s*(\d+)\s*", str(spec))
+    if not m:
+        raise GuardError(f"cannot parse Dynkin type from {spec!r} (expected e.g. 'A3')")
+    return DynkinType(m.group(1).upper(), int(m.group(2)))
+
+
+def regex_parse_arrows(spec):
+    out = []
+    for tok in spec.replace(",", " ").split():
+        m = re.fullmatch(r"(\d+)\s*->\s*(\d+)", tok)
+        if not m:
+            raise GuardError(f"cannot parse arrow {tok!r} (expected e.g. '1->2')")
+        out.append((int(m.group(1)), int(m.group(2))))
+    return out
+
+
+def regex_quiver_from_text(text):
+    dtype = None
+    arrows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("type"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise GuardError(f"bad type header {line!r} (expected 'type A 3')")
+            dtype = regex_parse(parts[1] + parts[2])
+            continue
+        m = re.fullmatch(r"(\d+)\s*->\s*(\d+)", line)
+        if not m:
+            raise GuardError(f"cannot parse quiver line {line!r}")
+        arrows.append((int(m.group(1)), int(m.group(2))))
+    if dtype is None:
+        raise GuardError("quiver text is missing its 'type' header")
+    return build_quiver(dtype, arrows or None)
+
+
+def parsed(parse, text):
+    """The value `parse` gives, or the type and text of what it raises."""
+    try:
+        return "value", parse(text)
+    except Exception as exc:  # noqa: BLE001 - the error text is compared
+        return type(exc).__name__, str(exc)
+
+
+# the zero of each script's decimal digits: ASCII, Arabic-Indic, Devanagari,
+# fullwidth and mathematical bold; all are `\d`, and `int` reads them
+ZEROS = (0x30, 0x660, 0x966, 0xFF10, 0x1D7CE)
+# `\s` and `str.isspace` characters, line ends among them, and near misses
+SPACES = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028",
+          "\u3000")
+NOISE = ("\xb3", "\xbd", "-", ">", "->", "=>", "--", ",", "#", ".", "+", "_", "B", "x", "type")
+
+
+@st.composite
+def numerals(draw):
+    """A decimal numeral in mixed scripts, now and then with a superscript
+    digit in it, which is a digit but no decimal, so `int` refuses it."""
+    n = draw(st.integers(1, 8) | st.integers(0, 12) | st.integers(0, 10**6))
+    digits = draw(st.sampled_from(("", "0", "00"))) + str(n)
+    text = "".join(chr(draw(st.sampled_from(ZEROS)) + int(d)) for d in digits)
+    if draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + "\xb3" + text[k:]
+    return text
+
+
+spaces = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
+# whitespace that ends no line for `str.splitlines`
+inline = st.lists(st.sampled_from((" ", "\t", "\xa0", "\u2003", "\u3000")), max_size=2).map("".join)
+noise = st.lists(st.sampled_from(SPACES + NOISE + ("A", "d", "1", "\uff12")), max_size=6).map("".join)
+
+
+@st.composite
+def type_spellings(draw):
+    letter = draw(st.sampled_from("ADEadeBx"))
+    parts = [draw(spaces), letter, draw(spaces), draw(numerals()), draw(spaces)]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(parts)))
+        parts.insert(k, draw(noise))
+    return "".join(parts) + draw(st.sampled_from(("", "\n", "\n\n")))
+
+
+@st.composite
+def arrow_spellings(draw):
+    """`i->j` with whitespace of any kind around the arrow (which splits
+    the token in an orientation string), or noise in its place."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(noise)
+    sep = draw(st.sampled_from(("->", "->", "-->", "=>", "- >")))
+    return draw(numerals()) + draw(spaces) + sep + draw(spaces) + draw(numerals())
+
+
+@st.composite
+def orientation_strings(draw):
+    tokens = draw(st.lists(arrow_spellings(), max_size=4))
+    seps = draw(st.lists(st.sampled_from((" ", ",", ", ", "\t", "\n", "\u3000", ",,")),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return draw(spaces) + "".join(t + s for t, s in zip(tokens, seps)) + draw(spaces)
+
+
+@st.composite
+def quiver_texts(draw):
+    """Quiver text of a small type: a header, then each edge in a drawn
+    orientation with Unicode digits, blank lines, comments and noise lines,
+    under every line end `str.splitlines` knows."""
+    dtype = DynkinType.parse(draw(st.sampled_from(["A1", "A2", "A3", "D4"])))
+    lines = ["type" + draw(inline) + " " + dtype.letter + " " + draw(inline)
+             + chr(draw(st.sampled_from(ZEROS)) + dtype.rank)]
+    for i, j in dtype.edges:
+        if draw(st.booleans()):
+            i, j = j, i
+        lines.append(draw(inline) + chr(draw(st.sampled_from(ZEROS)) + i) + draw(inline)
+                     + "->" + draw(inline) + str(j) + draw(inline))
+    extra = draw(st.lists(st.one_of(arrow_spellings(), noise, st.just("# note"),
+                                    type_spellings().map(lambda t: "type " + t)), max_size=2))
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r", "\x85", "\u2028", " # c\n")),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(type_spellings(), noise))
+def test_type_parser_agrees_with_its_regex(text):
+    assert parsed(DynkinType.parse, text) == parsed(regex_parse, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orientation_strings())
+def test_arrow_parser_agrees_with_its_regex(text):
+    assert parsed(_parse_arrows, text) == parsed(regex_parse_arrows, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quiver_texts())
+def test_text_parser_agrees_with_its_regex(text):
+    assert parsed(quiver_from_text, text) == parsed(regex_quiver_from_text, text)
+
+
+def test_parsers_read_unicode_digits_and_one_trailing_newline():
+    assert DynkinType.parse(" d\u3000\u0665\n") == DynkinType("D", 5)
+    assert _parse_arrows("\uff11->\u0968, 3->2") == [(1, 2), (3, 2)]
+    q = quiver_from_text("type A \u0663\r\n1 \t-> 2\x853->\xa02\u2028")
+    assert set(q.arrows) == {(1, 2), (3, 2)}
+    with pytest.raises(GuardError, match="cannot parse Dynkin type"):
+        DynkinType.parse("A\xb3")  # a superscript is a digit, not a decimal
+    with pytest.raises(GuardError, match="cannot parse arrow"):
+        _parse_arrows("1->2->3")
 
 
 def test_cartan_matrix_symmetric_with_twos():

@@ -295,28 +295,56 @@ def test_braid_job_loads_no_numpy(t):
     assert job["modules"] == sorted(LIGHT + ["quiverlab.braids"])
 
 
-def test_jobs_without_a_cache_dir_load_no_hashlib():
-    """Only a job with a cache directory computes a key, so the quiver, ar
-    and braid jobs run without `hashlib`, and a cached job loads it."""
-    got = run_python("""
+def test_cached_jobs_load_no_hashlib(tmp_path):
+    """Cache keys are BLAKE2b digests from the built-in `_blake2`, so a job
+    with a cache directory, cold or replayed, loads neither `hashlib` nor its
+    OpenSSL binding `_hashlib`."""
+    got = run_python(f"""
 import contextlib, io, json, sys
 from quiverlab import cli
-loaded = []
+runs = []
 for argv in (["quiver", "--type", "D5"], ["ar", "--type", "E8"],
              ["braid", "--type", "E7", "--word", "1 2 -3 7"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(argv)
-    loaded.append([rc, "hashlib" in sys.modules])
-print(json.dumps(loaded))
+    for _ in ("cold", "replay"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = cli.main(["--cache-dir", {str(tmp_path)!r}, *argv])
+        runs.append([rc, out.getvalue()])
+key = cli.cache_key(cli.JobSpec("quiver", "A3", None, "text", {{}}))
+print(json.dumps({{"runs": runs, "key": key,
+                  "loaded": sorted({{"hashlib", "_hashlib"}} & set(sys.modules))}}))
 """)
-    assert got == [[0, False]] * 3
-    key = run_python("""
+    assert got["loaded"] == []
+    cold, replay = got["runs"][0::2], got["runs"][1::2]
+    assert cold == replay and all(rc == 0 for rc, _ in cold)
+    assert len(os.listdir(tmp_path)) == 3
+    assert len(got["key"]) == 64 and set(got["key"]) <= set("0123456789abcdef")
+
+
+def test_cache_key_without_blake2_module_falls_back_to_hashlib():
+    """Where `_blake2` cannot be imported, the key comes from
+    `hashlib.blake2b` and is the same.  CPython's `hashlib` binds its
+    `blake2b` from `_blake2` too, so the module is blocked only after
+    `hashlib` has loaded, and the fallback's calls are counted."""
+    code = """
 import json, sys
+{block}
 from quiverlab import cli
-job = cli.JobSpec("quiver", "A3", None, "text", {})
-print(json.dumps([len(cli.cache_key(job)), "hashlib" in sys.modules]))
-""")
-    assert key == [64, True]
+key = cli.cache_key(cli.JobSpec("mpr", "D4", ((1, 3), (2, 3), (4, 3)), "json", {{}}))
+print(json.dumps([key, cli.source_digest(), calls]))
+"""
+    built_in = run_python(code.format(block="calls = None"))
+    fallback = run_python(code.format(block="""
+import hashlib
+calls = 0
+def blake2b(*args, **kwargs):
+    global calls
+    calls += 1
+    return real(*args, **kwargs)
+real, hashlib.blake2b = hashlib.blake2b, blake2b
+sys.modules["_blake2"] = None
+"""))
+    assert fallback[2] == 2  # the source digest and the key
+    assert fallback[:2] == built_in[:2]
 
 
 def test_positive_roots_load_no_numpy():

@@ -121,6 +121,22 @@ def test_orbit_sum_hom_nonpositive_from_projectives(q):
             assert g.get(0, 0) >= derived_hom(src, normalize_label(q, v, 0)).get(0, 0)
 
 
+@settings(max_examples=15, deadline=None)
+@given(quiver_strategy(SMALL + ["D5"]), st.data())
+def test_homs_of_labels_outside_the_window(q, data):
+    """A label of any power is read through its normalized form."""
+    h = coxeter_number(q.dtype)
+    label = st.builds(IndecLabel, st.just(q), st.sampled_from(q.vertices), st.integers(-h, 2 * h))
+    label |= st.builds(DerivedLabel, st.just(q), st.sampled_from(q.vertices),
+                       st.integers(-h, 2 * h), st.integers(-2, 2))
+    for _ in range(10):
+        x, y = data.draw(label), data.draw(label)
+        a, b = as_derived_label(x), as_derived_label(y)
+        assert 0 <= a.power < e_exponent(q, a.vertex)
+        assert derived_hom(x, y) == derived_hom(a, b)
+        assert pi2_hom(x, y, min_degree=-4) == pi2_hom(a, b, min_degree=-4)
+
+
 def test_pi2_a1_self():
     q = build_quiver("A1")
     p = normalize_label(q, 1, 0)
