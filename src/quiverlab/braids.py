@@ -227,7 +227,8 @@ def canonical_lift(w: WeylElement) -> BraidWord:
 
 
 def reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
-    """All reduced words of a Weyl element (small elements only)."""
+    """All reduced words of a Weyl element (small elements only); the
+    enumeration stops as soon as it passes `_REDUCED_WORDS_LIMIT` words."""
     ctx = _ctx_of(w)
     if ctx.length(w) > 12:
         raise GuardError("reduced-word enumeration capped at length 12")
@@ -236,13 +237,13 @@ def reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
     def rec(cur, acc):
         if cur == ctx.identity:
             out.append(tuple(acc))
+            if len(out) > _REDUCED_WORDS_LIMIT:
+                raise GuardError("too many reduced words")
             return
         for i in ctx.left_descents(cur):
             rec(ctx.mul(ctx.gens[i], cur), acc + [i])
 
     rec(w, [])
-    if len(out) > _REDUCED_WORDS_LIMIT:
-        raise GuardError("too many reduced words")
     return sorted(out)
 
 

@@ -4,8 +4,9 @@ from block morphisms back to morphism-category labels.
 The lift is the partial inverse of the presentation functor
 `higgs.phi_image`: identity summands split off as identity-object labels,
 the rest splits into indecomposable pieces by Fitting projectors of random
-endomorphisms, each piece is matched against the phi image of every
-label, and a piece that matches no label is witnessed by a universal
+endomorphisms, each piece is matched against the phi image of the one
+label whose knitted terms (`morphcat._terms`) are the piece's sorted
+terms, and a piece that matches no label is witnessed by a universal
 two-term conflation.  The block algebra's Nakayama permutation is the
 independent route to the order of the rotation omega.
 
@@ -590,22 +591,22 @@ def require_liftable(q: Quiver) -> None:
 
 def lift_morphism(f: LambdaMorphism) -> HiggsLift:
     """Partial inverse of the embedding: identity summands come back as
-    identity-object labels, remaining indecomposable pieces are matched
-    against the label table, and anything unmatched is witnessed by its
-    universal conflation."""
+    identity-object labels, each remaining indecomposable piece is matched
+    against the one label with its terms, and anything unmatched is
+    witnessed by its universal conflation."""
     q = f.alg.quiver
     require_liftable(q)
     reduced, stripped = strip_identity_summands(f)
     labels = [MprLabel(q, "dzero", v) for v in stripped]
     unresolved = []
-    images = [(lab, phi_image(lab)) for lab in mp.mpr_indecomposables(q)]
+    # `is_isomorphic` refuses a mismatch of terms, and no two labels share
+    # their terms, so a piece can match only the label keyed by its own
+    by_terms = {mp._terms(lab): lab for lab in mp.mpr_indecomposables(q)}
+    if len(by_terms) != len(mp.mpr_indecomposables(q)):
+        raise InternalCheckError("two labels share their terms")
     for piece in split_summands(reduced):
-        match = None
-        for lab, img in images:
-            if is_isomorphic(piece, img):
-                match = lab
-                break
-        if match is not None:
+        match = by_terms.get((tuple(sorted(piece.p1)), tuple(sorted(piece.p0))))
+        if match is not None and is_isomorphic(piece, phi_image(match)):
             labels.append(match)
         else:
             unresolved.append(

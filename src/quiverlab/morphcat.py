@@ -421,10 +421,12 @@ class MprQuotientLabel(NamedTuple):
 
 
 def f_power_label(x, p: int) -> MprQuotientLabel:
-    """Iterate the power functor p times on a label, in the quotient by the
+    """Apply the power functor p times to a label, in the quotient by the
     identity family.  The module lineage crosses into the kill lineage at
-    the window edge without picking up a suspension; the other two lineages
-    wrap within themselves, suspending once per full window."""
+    the window edge without picking up a suspension; past that crossing,
+    and in the other two lineages, the walk is the tauinv orbit of stalk
+    labels, suspending once per full window, so it is normalized in
+    closed form."""
     if isinstance(x, MprLabel):
         state = MprQuotientLabel(x.quiver, x.kind, x.vertex, x.power, 0)
     elif isinstance(x, MprQuotientLabel):
@@ -433,21 +435,12 @@ def f_power_label(x, p: int) -> MprQuotientLabel:
         raise GuardError(f"cannot walk {x!r}")
     if p < 0:
         raise GuardError("the power functor walk runs forward only")
-    q = state.quiver
-    star = stalks._defect_data(q)[2]
-    fam, v, k, s = state.family, state.vertex, state.power, state.shift
-    for _ in range(p):
-        if fam == "mod":
-            if k + 1 < e_exponent(q, v):
-                k += 1
-            else:
-                fam, v, k = "done", star[v], 0
-        else:
-            if k + 1 < e_exponent(q, v):
-                k += 1
-            else:
-                v, k, s = star[v], 0, s + 1
-    return MprQuotientLabel(q, fam, v, k, s)
+    q, fam, v, k, s = state
+    _, exponents, star = stalks._defect_data(q)
+    k += p
+    if fam == "mod" and k >= exponents[v]:
+        fam, v, k = "done", star[v], k - exponents[v]
+    return MprQuotientLabel(q, fam, *stalks._normalize_raw(exponents, star, v, k, s))
 
 
 def f_presentation(x: MprLabel) -> tuple[tuple[MprLabel, ...], tuple[MprLabel, ...]]:

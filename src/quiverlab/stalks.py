@@ -7,8 +7,12 @@ tauinv^k of a projective.  This module works purely with such labels and
 one knitting table, in plain integers (it imports no matrix layer): the
 defect table of dimension vectors of tauinv^k P_v, continued formally past
 the module range, where the value at (v, k) equals (-1)^s times the
-dimension vector of the normalized stalk.  Hom(P_i, -) is exact on
-almost-split sequences, so coordinate i of the entry at (j, m) is
+dimension vector of the normalized stalk.  Normalizing is closed form: the
+orbit of P_v runs e_v steps to Sigma P_{v*} and e_{v*} more to
+Sigma^2 P_v, and e_v + e_{v*} is the Coxeter number h (tau^{-h} = Sigma^2,
+Happel), so one division by h and at most one crossing of the window edge
+put any label in the window.  Hom(P_i, -) is exact on almost-split
+sequences, so coordinate i of the entry at (j, m) is
 dim Hom(P_i, tauinv^m P_j), and every graded hom between stalks is one
 entry of the same table.
 
@@ -120,21 +124,14 @@ def _defect_data(q: Quiver):
 
 
 def _normalize_raw(exponents: dict[int, int], star: dict[int, int], v: int, k: int, s: int):
-    guard = 0
-    while k >= exponents[v]:
-        k -= exponents[v]
-        v = star[v]
-        s += 1
-        guard += 1
-        if guard > 10_000:
-            raise InternalCheckError("normalization loop runaway")
-    while k < 0:
-        v = star[v]
-        k += exponents[v]
-        s -= 1
-        guard += 1
-        if guard > 10_000:
-            raise InternalCheckError("normalization loop runaway")
+    """(vertex, power, shift) of Sigma^s tauinv^k P_v with the power in the
+    window: a lap of h = e_v + e_{v*} steps is Sigma^2, and a power past
+    the window edge e_v is the suspended stalk at v*."""
+    e = exponents[v]
+    laps, k = divmod(k, e + exponents[star[v]])
+    s += 2 * laps
+    if k >= e:
+        return star[v], k - e, s + 1
     return v, k, s
 
 
@@ -311,8 +308,7 @@ def as_derived_label(x) -> DerivedLabel:
 
 def _stalk(x) -> tuple[int, int, int]:
     """(vertex, power, shift) of the normalized stalk label `x`, an
-    `IndecLabel` or a `DerivedLabel`; a label already in the window is read
-    as it stands, with no label built."""
+    `IndecLabel` or a `DerivedLabel` of any power, with no label built."""
     if isinstance(x, DerivedLabel):
         v, k, s = x.vertex, x.power, x.shift
     elif isinstance(x, IndecLabel):
@@ -320,8 +316,6 @@ def _stalk(x) -> tuple[int, int, int]:
     else:
         raise InternalCheckError(f"cannot interpret {x!r} as a derived stalk label")
     _, exponents, star = _defect_data(x.quiver)
-    if 0 <= k < exponents[v]:
-        return v, k, s
     return _normalize_raw(exponents, star, v, k, s)
 
 
@@ -359,37 +353,29 @@ def derived_hom(x, y) -> dict[int, int]:
     return {deg: f} if f else {}
 
 
-_PI_CAP_FACTOR = 8  # hard cap on orbit walks, in Coxeter numbers
-
-
 def pi2_hom(x, y, min_degree: int = 0) -> dict[int, int]:
     """Graded hom from x into the non-negative tauinv orbit of y, summed over
     all p >= 0 and truncated below min_degree.
 
-    The contribution of step p sits in a single degree which is
-    non-increasing in p, so the walk stops at the first step below the
-    floor.  Only step 0 is normalized; each later step moves one slot
-    along the orbit of the defect table, wrapping at the end of the window
-    to the suspended start of the involuted vertex.
+    Step p is the normalized stalk tauinv^p y relative to x, and its
+    contribution sits in the single degree minus its shift.  Step 0 is
+    normalized in closed form; each later step moves one slot along the
+    orbit of the defect table, wrapping at the end of the window to the
+    suspended start of the involuted vertex.  The shift grows by one at
+    every window edge, so the walk ends at the first step below the floor.
     """
     (u, i, r), (w, j, t) = _stalk(x), _stalk(y)
-    q = x.quiver
-    table, exponents, star = _defect_data(q)
+    table, exponents, star = _defect_data(x.quiver)
     col = u - 1
     v, k, s = _normalize_raw(exponents, star, w, j - i, t - r)
-    cap = _PI_CAP_FACTOR * coxeter_number(q.dtype) + 8
     out: dict[int, int] = {}
-    for _ in range(cap + 1):
-        if -s < min_degree:
-            break
+    while -s >= min_degree:
         f = table[v][k][col]
         if f:
             out[-s] = out.get(-s, 0) + f
         k += 1
         if k == exponents[v]:
             v, k, s = star[v], 0, s + 1
-    else:
-        raise InternalCheckError("orbit walk failed to leave the degree window")
     return out
 
 

@@ -293,3 +293,16 @@ def test_graded_homs_are_plain_dicts(q):
                 assert _plain_graded(thm2_hom(i, P[-1], Y, min_degree=floor), floor)
         for j in EMBED:
             assert _plain_graded(gamma_hom(i, P[0], j, P[-1]), DEFAULT_FLOOR)
+
+
+@pytest.mark.parametrize("name", ["A3", "E8"])
+def test_case_map_matches_evolution_at_deep_floors(name):
+    """The case map walks orbits down to the floor; the evolution route
+    sums one lap and repeats it two degrees down per lap."""
+    q = build_quiver(name)
+    P = projectives(q)
+    pairs = itertools.product(P, P) if name == "A3" else [(P[0], P[1]), (P[-1], P[0])]
+    for x, y in pairs:
+        for i, j in itertools.product(EMBED, EMBED):
+            for floor in (-20, -40):
+                assert thm1_hom(i, x, j, y, min_degree=floor) == gamma_hom(i, x, j, y, min_degree=floor)

@@ -122,6 +122,26 @@ def test_reduced_words_length_cap():
         br.reduced_words(w0)
 
 
+def test_reduced_word_limit_stops_the_enumeration(monkeypatch):
+    """Past the limit the enumeration stops: each word costs at most one
+    product per letter, so the 768 words of the A4 longest element are
+    never all listed."""
+    w0 = br.project_to_weyl(br.garside_element("A4"))
+    assert len(br.reduced_words(w0)) == 768
+    products = []
+    mul = br._WeylContext.mul
+
+    def counted(self, a, b):
+        products.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(br, "_REDUCED_WORDS_LIMIT", 5)
+    monkeypatch.setattr(br._WeylContext, "mul", counted)
+    with pytest.raises(GuardError, match="too many reduced words"):
+        br.reduced_words(w0)
+    assert 0 < len(products) <= 6 * 10
+
+
 def test_matsumoto_lifts():
     # every reduced word of a Weyl element lifts to the same braid
     rng = random.Random(5)

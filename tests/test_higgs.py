@@ -764,6 +764,34 @@ def test_lift_splits_an_a4_direct_sum():
     assert lf.is_isomorphic(f, lf.realize_lift(f.alg.quiver, lift))
 
 
+def test_lift_builds_one_phi_image_per_matched_piece(monkeypatch):
+    """Each piece is compared with the phi image of the one label that has
+    its terms, never with the images of the others."""
+    f = a4_sum()
+    built = []
+
+    def counted(lab):
+        built.append(str(lab))
+        return hg.phi_image(lab)
+
+    monkeypatch.setattr(lf, "phi_image", counted)
+    lift = lf.lift_morphism(f)
+    # Z(1) splits off as an identity summand and needs no image
+    assert sorted(built) == sorted(name for name in A4_SUM if name != "Z(1)")
+    assert sorted(str(l) for l in lift.labels) == sorted(A4_SUM)
+    # no A2 label has the terms (2) -> (1) of the simple at vertex 1
+    built.clear()
+    alg = alg_for("A2")
+    lift = lf.lift_morphism(hg.LambdaMorphism(alg, (2,), (1,), [[alg.walk((2, 1))]]))
+    assert len(lift.unresolved) == 1 and built == []
+
+
+def test_lift_refuses_labels_that_share_terms(monkeypatch):
+    monkeypatch.setattr(mc, "_terms", lambda lab: ((), (lab.vertex,)))
+    with pytest.raises(InternalCheckError, match="share their terms"):
+        lf.lift_morphism(a4_sum())
+
+
 def test_end_corank_matches_traces_of_products():
     """The trace form from one contraction has the rank of the one built
     from a matrix product per pair of endomorphisms."""

@@ -643,35 +643,51 @@ def uncalled_definitions(sources: dict, exported: set) -> set:
             if isinstance(node, ast.ClassDef):
                 defs.extend((mod, f"{node.name}.{sub.name}", sub) for sub in node.body
                             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+    tracked = {node for _, _, node in defs}
 
-    def nodes(tree, skip):
-        stack = [tree]
+    def walk(tree) -> dict:
+        """Every read of one module, keyed, each with the set of tracked
+        definitions that enclose it: ("read", name) for a name or an
+        attribute, ("name", name) for a bare name, ("attr", base, name) for
+        `base.name`, ("from", module, name) for a package import, and
+        ("alias", module) for the names bound to a package module."""
+        out = {}
+        stack = [(tree, frozenset())]
         while stack:
-            node = stack.pop()
-            if node is not skip:
-                yield node
-                stack.extend(ast.iter_child_nodes(node))
-
-    def reads(tree, skip) -> set:
-        return {node.id if isinstance(node, ast.Name) else node.attr
-                for node in nodes(tree, skip) if isinstance(node, (ast.Name, ast.Attribute))}
-
-    def reads_of(mod: str, other: str, tree, skip) -> set:
-        """The top-level names of `mod` that module `other` reads."""
-        out, aliases = set(), set()
-        for node in nodes(tree, skip):
-            if isinstance(node, ast.ImportFrom) and (base := _package_module(node)) is not None:
-                if base == mod:
-                    out.update(a.name for a in node.names)
-                elif base == "":
-                    aliases.update(a.asname or a.name for a in node.names if a.name == mod)
-        for node in nodes(tree, skip):
-            if isinstance(node, ast.Name) and other == mod:
-                out.add(node.id)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in aliases):
-                out.add(node.attr)
+            node, inside = stack.pop()
+            if node in tracked:
+                inside = inside | {node}
+            keys = []
+            if isinstance(node, ast.Name):
+                keys = [("read", node.id), ("name", node.id)]
+            elif isinstance(node, ast.Attribute):
+                keys = [("read", node.attr)]
+                if isinstance(node.value, ast.Name):
+                    keys.append(("attr", node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (base := _package_module(node)) is not None:
+                for a in node.names:
+                    out.setdefault(("from", base, a.name), []).append(inside)
+                    if base == "":
+                        out.setdefault(("alias", a.name), []).append((a.asname or a.name, inside))
+            for key in keys:
+                out.setdefault(key, []).append(inside)
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
         return out
+
+    walks = {mod: walk(tree) for mod, tree in trees.items()}
+
+    def read_outside(node, walk, key) -> bool:
+        return any(node not in inside for inside in walk.get(key, ()))
+
+    def reads_of(mod: str, name: str, node, walk, other: str) -> bool:
+        """Whether module `other` reads the top-level name `mod.name`
+        outside the definition `node`."""
+        if read_outside(node, walk, ("from", mod, name)):
+            return True
+        if other == mod and read_outside(node, walk, ("name", name)):
+            return True
+        aliases = {alias for alias, inside in walk.get(("alias", mod), ()) if node not in inside}
+        return any(read_outside(node, walk, ("attr", alias, name)) for alias in aliases)
 
     found = set()
     for mod, qual, node in defs:
@@ -679,11 +695,9 @@ def uncalled_definitions(sources: dict, exported: set) -> set:
         if name.startswith("__") or name in exported:
             continue
         if method:
-            read = any(name in reads(tree, node if other == mod else None)
-                       for other, tree in trees.items())
+            read = any(read_outside(node, walk, ("read", name)) for walk in walks.values())
         else:
-            read = any(name in reads_of(mod, other, tree, node if other == mod else None)
-                       for other, tree in trees.items())
+            read = any(reads_of(mod, name, node, walk, other) for other, walk in walks.items())
         if not read:
             found.add(f"{mod}.{qual}")
     return found

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import numpy_kernel as NK
 import quiverlab
-from quiverlab.dynkin import build_quiver, nakayama_involution
+from quiverlab.dynkin import build_quiver, coxeter_number, nakayama_involution
 from quiverlab import morphcat as mp
 from quiverlab import reps, stalks
 from quiverlab.errors import GuardError, InternalCheckError
 from quiverlab.stalks import DerivedLabel, e_exponent
 from tests.test_dynkin import quiver_strategy
-from tests.test_stalks import ORACLE_TYPES, _oracle_quivers
+from tests.test_stalks import ORACLE_TYPES, _opposite_quivers, _oracle_quivers
 
 SMALL = ["A1", "A2", "A3", "A4", "D4"]
 
@@ -295,6 +295,50 @@ def _default_and_reversed(names):
         q = build_quiver(name)
         yield pytest.param(q, id=f"{name}-default")
         yield pytest.param(build_quiver(name, [(j, i) for i, j in q.arrows]), id=f"{name}-reversed")
+
+
+def _stepwise_power_walk(x: mp.MprLabel, p: int) -> mp.MprQuotientLabel:
+    """The power functor applied one step at a time: each lineage moves one
+    slot per step, the module lineage crossing into the kill lineage at the
+    window edge and the other two wrapping to the suspended start."""
+    q = x.quiver
+    _, exponents, star = stalks._defect_data(q)
+    fam, v, k, s = x.kind, x.vertex, x.power, 0
+    for _ in range(p):
+        if k + 1 < exponents[v]:
+            k += 1
+        elif fam == "mod":
+            fam, v, k = "done", star[v], 0
+        else:
+            v, k, s = star[v], 0, s + 1
+    return mp.MprQuotientLabel(q, fam, v, k, s)
+
+
+@pytest.mark.parametrize("q", list(_default_and_reversed(ORACLE_TYPES)))
+def test_power_walk_matches_the_stepwise_walk(q):
+    h = coxeter_number(q.dtype)
+    for x in mp.mpr_indecomposables(q):
+        for p in range(3 * h):
+            assert mp.f_power_label(x, p) == _stepwise_power_walk(x, p)
+
+
+@pytest.mark.parametrize("name", ["A3", "E8"])
+def test_power_walk_repeats_after_a_full_lap(name):
+    """Past the window edge, h more steps suspend twice (tauinv^h = Sigma^2),
+    so a power of a million reads off a power below 2h."""
+    q = build_quiver(name)
+    h = coxeter_number(q.dtype)
+    laps, rest = divmod(10**6, h)
+    for x in mp.mpr_indecomposables(q):
+        base = mp.f_power_label(x, h + rest)
+        assert mp.f_power_label(x, 10**6 + h) == base._replace(shift=base.shift + 2 * laps)
+
+
+@pytest.mark.parametrize("q", [*_oracle_quivers(), *_opposite_quivers()])
+def test_no_two_labels_share_their_terms(q):
+    """The lift keys labels by their knitted terms (p1, p0)."""
+    labels = mp.mpr_indecomposables(q)
+    assert len({mp._terms(lab) for lab in labels}) == len(labels)
 
 
 @pytest.mark.parametrize("q", list(_default_and_reversed(ORACLE_TYPES)))

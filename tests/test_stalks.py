@@ -327,3 +327,69 @@ def test_graded_homs_match_a_scalar_knit_per_vertex(q):
             b = as_derived_label(b)
             for floor in (0, -3, -6):
                 assert pi2_hom(a, b, floor) == _reference_pi2_hom(a, b, floor, tables)
+
+
+# ---------------------------------------------------------------------------
+# closed-form normalization against the stepwise walk
+
+
+def _stepwise_normalize(exponents, star, v, k, s):
+    """The orbit walked one window at a time: the oracle for the closed
+    form of `stalks._normalize_raw`."""
+    while k >= exponents[v]:
+        k -= exponents[v]
+        v = star[v]
+        s += 1
+    while k < 0:
+        v = star[v]
+        k += exponents[v]
+        s -= 1
+    return v, k, s
+
+
+@pytest.mark.parametrize("q", [*(pytest.param(build_quiver(t), id=f"{t}-default") for t in ORACLE_TYPES),
+                               *_opposite_quivers()])
+def test_closed_form_normalization_matches_the_stepwise_walk(q):
+    h = coxeter_number(q.dtype)
+    _, exponents, star = stalks._defect_data(q)
+    for v in q.vertices:
+        for k in range(-4 * h, 4 * h):
+            for s in (-2, 0, 3):
+                want = _stepwise_normalize(exponents, star, v, k, s)
+                assert stalks._normalize_raw(exponents, star, v, k, s) == want
+
+
+@pytest.mark.parametrize("name", ["A3", "E8"])
+def test_a_huge_power_normalizes_by_whole_laps(name):
+    """tauinv^h = Sigma^2, so a power of a million is its residue mod h
+    suspended twice per lap; the stepwise walk agrees."""
+    q = build_quiver(name)
+    h = coxeter_number(q.dtype)
+    _, exponents, star = stalks._defect_data(q)
+    for v in q.vertices:
+        for k in (10**6, -(10**6), 10**6 + h // 2):
+            laps, rest = divmod(k, h)
+            assert normalize_label(q, v, k) == sigma(normalize_label(q, v, rest), 2 * laps)
+            assert sigma(DerivedLabel(q, v, k, 0), 3) == normalize_label(q, v, k, 3)
+    want = _stepwise_normalize(exponents, star, 1, 10**6, 0)
+    assert normalize_label(q, 1, 10**6) == DerivedLabel(q, *want)
+
+
+@pytest.mark.parametrize("name", ["A3", "E8"])
+def test_deep_floors_truncate_and_repeat_every_two_degrees(name):
+    """A walk to floor -40 or -20 holds the shallower walk on their shared
+    degrees, and below the first lap it repeats with period 2
+    (tauinv^h = Sigma^2).  The reference walk checks the shallow floor."""
+    q = build_quiver(name)
+    tables = {i: _reference_hom_table(q, i) for i in q.vertices}
+    window = [as_derived_label(lab) for lab in stalks._module_window(q)[0]]
+    for a in window[: 2 * q.rank] + [sigma(window[-1])]:
+        for b in window:
+            walks = {floor: pi2_hom(a, b, floor) for floor in (-10, -20, -40)}
+            assert walks[-10] == _reference_pi2_hom(a, b, -10, tables)
+            for upper, lower in ((-10, -20), (-20, -40)):
+                assert {d: n for d, n in walks[lower].items() if d >= upper} == walks[upper]
+            deep = walks[-40]
+            assert min(deep) == -40
+            for d in range(-40, -10):
+                assert deep.get(d, 0) == deep.get(d + 2, 0)
