@@ -103,7 +103,6 @@ def _canonical(job: JobSpec) -> dict:
     # cache_dir deliberately excluded: it locates the cache, it is not input
     return {
         "version": CACHE_VERSION,
-        "code": source_digest(),
         "command": job.command,
         "type": job.dtype,
         "arrows": sorted(list(a) for a in job.arrows) if job.arrows is not None else None,
@@ -113,7 +112,8 @@ def _canonical(job: JobSpec) -> dict:
 
 
 def cache_key(job: JobSpec) -> str:
-    """64 hex digits of BLAKE2b over the canonical job."""
+    """64 hex digits of BLAKE2b over the canonical job.  The entry, not the
+    key, holds the source digest, so each job has one entry on disk."""
     h = _blake2b()
     h.update(json.dumps(_canonical(job), sort_keys=True, separators=(",", ":")).encode("utf-8"))
     return h.hexdigest()
@@ -144,7 +144,7 @@ def _write_entry(job: JobSpec, path: str, text: str) -> None:
     import tempfile
 
     os.makedirs(job.cache_dir, exist_ok=True)
-    payload = {"version": CACHE_VERSION, "job": _canonical(job), "output": text}
+    payload = {"version": CACHE_VERSION, "code": source_digest(), "job": _canonical(job), "output": text}
     fd, tmp = tempfile.mkstemp(dir=job.cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -157,15 +157,15 @@ def _write_entry(job: JobSpec, path: str, text: str) -> None:
 
 def _read_entry(job: JobSpec, path: str) -> str | None:
     """The output stored at `path` for `job`, or None on a miss.  An
-    unreadable or malformed entry, or one stored for another job, is a miss
-    too: the caller recomputes and rewrites it."""
+    unreadable or malformed entry, or one stored for another job or code,
+    is a miss too: the caller recomputes and rewrites it."""
     try:
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
     except (OSError, ValueError):
         return None
     if (not isinstance(stored, dict) or stored.get("version") != CACHE_VERSION
-            or stored.get("job") != _canonical(job)):
+            or stored.get("code") != source_digest() or stored.get("job") != _canonical(job)):
         return None
     output = stored.get("output")
     return output if isinstance(output, str) else None

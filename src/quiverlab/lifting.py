@@ -14,9 +14,14 @@ Elements stay sparse (basis index, coefficient) terms, multiplied by
 `PreprojAlgebra.mult`.  Every linear map of blocks (the underlying map of
 a block morphism, the hom-pair systems, local inverses) is a matrix that
 `_action` reads off the algebra's `products`, and a basis word acts on a
-vector of a sum of projectives through `_left_mult`, also read off
-`products`.  `_kernels` does the linear algebra on them: nullspaces,
-ranks, solves and the Fitting projectors.
+vector of a sum of projectives through `_left_mult`.  `_kernels` does the
+linear algebra: nullspaces, ranks, solves and the Fitting projectors.
+
+The algebra is graded with its idempotents in degree 0, so by Nakayama's
+lemma the lift decides everything (the radical of End(X), eigenvalues,
+invertibility, new generators) on the *top* of a map (`_top`), its m x m
+degree-0 scalars for m summands, and builds the n x n underlying map only
+for the Fitting projector.
 """
 from __future__ import annotations
 
@@ -259,11 +264,22 @@ def _pair_matrices(X, Y, slots1, slots0, vec):
     return side(slots1, 0, X.p1, Y.p1), side(slots0, len(slots1), X.p0, Y.p0)
 
 
-def _invertible(m: LambdaMorphism | None, n_src, n_tgt) -> bool:
-    if m is None:
-        return n_src == 0 and n_tgt == 0
-    n = m.target_dim()
-    return m.source_dim() == n and K.rank(underlying_matrix(m)) == n
+def _top(X: LambdaMorphism, Y: LambdaMorphism, slots1, slots0, vec) -> list[list[int]]:
+    """The top of the pair (f1, f0) with the flat coefficient vector vec:
+    T1 (Y.p1 x X.p1) and T0 (Y.p0 x X.p0) as one block-diagonal matrix.
+    T1[r][c] is the coefficient of the idempotent word of X.p1[c] in
+    f1[r][c] (present only when Y.p1[r] = X.p1[c]), and T0 likewise.  The
+    top of a composite is the product of the tops."""
+    e = X.alg.e_index
+    n1, m1 = len(X.p1), len(Y.p1)
+    T = [[0] * (n1 + len(X.p0)) for _ in range(m1 + len(Y.p0))]
+    for k, (r, c, i) in enumerate(slots1):
+        if i == e[X.p1[c]]:
+            T[r][c] = vec[k]
+    for k, (r, c, i) in enumerate(slots0, start=len(slots1)):
+        if i == e[X.p0[c]]:
+            T[m1 + r][n1 + c] = vec[k]
+    return T
 
 
 def _combination(rng: random.Random, basis) -> tuple[int, ...]:
@@ -273,19 +289,19 @@ def _combination(rng: random.Random, basis) -> tuple[int, ...]:
 
 
 def is_isomorphic(X: LambdaMorphism, Y: LambdaMorphism) -> bool:
+    """Whether one of 24 random hom pairs is invertible.  A map between sums
+    of projectives with the same terms is an isomorphism exactly when its
+    top is one (Nakayama), and T1 and T0 are square, so a pair is invertible
+    when its top has full rank: rank T1 = |p1| and rank T0 = |p0|."""
     if sorted(X.p1) != sorted(Y.p1) or sorted(X.p0) != sorted(Y.p0):
         return False
     slots1, slots0, basis = _hom_pair_space(X, Y)
+    m = len(X.p1) + len(X.p0)
     if not basis:
-        return len(X.p1) + len(X.p0) == 0
+        return m == 0
     rng = random.Random(0)
-    for _ in range(24):
-        f1, f0 = _pair_matrices(X, Y, slots1, slots0, _combination(rng, basis))
-        ok1 = _invertible(f1, len(X.p1), len(Y.p1)) if len(X.p1) or len(Y.p1) else True
-        ok0 = _invertible(f0, len(X.p0), len(Y.p0)) if len(X.p0) or len(Y.p0) else True
-        if ok1 and ok0:
-            return True
-    return False
+    return any(K.rank(_top(X, Y, slots1, slots0, _combination(rng, basis))) == m
+               for _ in range(24))
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +367,20 @@ def _pair_endomorphism(X: LambdaMorphism, f1, f0) -> tuple:
     return tuple(row + (0,) * d0 for row in U1) + tuple((0,) * d1 + row for row in U0)
 
 
-def _end_pair_algebra(X: LambdaMorphism):
-    slots1, slots0, basis = _hom_pair_space(X, X)
-    return [_pair_endomorphism(X, *_pair_matrices(X, X, slots1, slots0, vec)) for vec in basis]
-
-
 def _end_corank(X: LambdaMorphism) -> int:
     """Dimension of the semisimple quotient of the endomorphism ring: the
-    trace form of the action kills exactly the radical (the working prime
-    exceeds every dimension in sight)."""
-    mats = _end_pair_algebra(X)
+    rank of the trace form tr(T(a) T(b)) of the tops over a basis of
+    End(X).  The endomorphisms with zero top form a nil ideal, so they lie
+    in the radical, and the form kills exactly the radical because each
+    simple factor of End/rad occurs in the top between 1 and m times, below
+    the working prime.  The trace form of the underlying maps weights each
+    vertex by dim P_v, also below the prime, and has the same rank."""
+    slots1, slots0, basis = _hom_pair_space(X, X)
+    tops = [_top(X, X, slots1, slots0, vec) for vec in basis]
     # G[a, b] = trace(A_a A_b) = sum_ij A_a[i, j] A_b[j, i]: the entries of
     # A_a against those of the transpose of A_b, each flattened
-    flat = [[x for row in A for x in row] for A in mats]
-    flat_t = [[x for col in zip(*A) for x in col] for A in mats]
+    flat = [[x for row in A for x in row] for A in tops]
+    flat_t = [[x for col in zip(*A) for x in col] for A in tops]
     return K.rank([[sum(map(mul, fa, fb)) for fb in flat_t] for fa in flat])
 
 
@@ -392,35 +408,38 @@ def _left_mult(alg: PreprojAlgebra, labels, g: int, x) -> tuple[int, ...]:
 def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
     """Given an idempotent endomorphism of a sum of left projectives,
     realign its image as a sum of projectives: returns the new labels and
-    the generators as underlying vectors."""
+    the generators as underlying vectors.
+
+    The generators are the weight components of the image (weight
+    projections of a submodule stay inside it) whose top, their coordinates
+    at the summands' idempotent words, is new modulo the tops of the
+    generators already chosen.  The image is a summand, so its radical is
+    its intersection with rad P: the image vectors with zero top."""
     n = len(proj_mat)
     piv = K.rref(K.transpose(proj_mat, n))
     W = [K.dense(piv[c], n) for c in sorted(piv)]  # rows span the image
     if not W:
         return (), []
-    rad = [k for k, (_, w) in enumerate(alg.basis) if w]
-    JW = [_left_mult(alg, labels, g, w) for g in rad for w in W]
-    # generators: weight components of the image that are new modulo the
-    # radical part (weight projections of a submodule stay inside it); the
-    # span so far is kept in echelon form, so each candidate costs one
-    # reduction
+    words = [(v, k) for v in labels for k in alg.module_indices(v)]
+    # the start vertex of each underlying basis word, and the idempotent words
+    starts = [alg.word_start(k) for _, k in words]
+    tops = [t for t, (v, k) in enumerate(words) if k == alg.e_index[v]]
     gens = []
     new_labels = []
-    span = K.rref(JW)
-    # the start vertex of each underlying basis word
-    starts = [alg.word_start(k) for v in labels for k in alg.module_indices(v)]
+    # the tops so far in echelon form, so each candidate costs one reduction
+    span: dict[int, dict[int, int]] = {}
     for v in alg.quiver.vertices:
         for w in W:
             row = tuple(x if s == v else 0 for x, s in zip(w, starts))
             if not any(row):
                 continue
             before = len(span)
-            K.rref((row,), span)
+            K.rref(([row[t] for t in tops],), span)
             if len(span) == before:
                 continue
             gens.append(row)
             new_labels.append(v)
-    if len(span) != K.rank(JW + W):
+    if len(gens) != K.rank([[w[t] for t in tops] for w in W]):
         raise InternalCheckError("generators do not span the image submodule")
     return tuple(new_labels), gens
 
@@ -446,44 +465,17 @@ def _express_in_generators(alg, labels, gens, summands, target_vec):
 
 def _charpoly_modp(M) -> list[int]:
     """Characteristic polynomial coefficients (monic, highest first) over
-    the working prime field: M is brought to upper Hessenberg form H by
-    similarity, and the characteristic polynomials p_m of the leading m x m
-    blocks of H follow from p_m = (x - h_mm) p_(m-1) minus the sum over
-    i < m of h_im h_(i+1,i) ... h_(m,m-1) p_(i-1)."""
-    P = K.P
+    the working prime field, by the Faddeev-LeVerrier recurrence
+    c_k = -tr(B_k) / k with B_1 = M and B_(k+1) = M (B_k + c_k).  The
+    divisions need k < P: M is a top, m x m for m projective summands, and
+    m is far below the working prime."""
     n = len(M)
-    H = [list(row) for row in M]
-    for m in range(1, n - 1):
-        i = next((i for i in range(m, n) if H[i][m - 1]), None)
-        if i is None:
-            continue
-        if i != m:
-            H[i], H[m] = H[m], H[i]
-            for row in H:
-                row[i], row[m] = row[m], row[i]
-        inv = pow(H[m][m - 1], -1, P)
-        for i in range(m + 1, n):
-            u = H[i][m - 1] * inv % P
-            if u:
-                H[i] = [(x - u * y) % P for x, y in zip(H[i], H[m])]
-                for row in H:
-                    row[m] = (row[m] + u * row[i]) % P
-    # polys[m] holds p_m, lowest coefficient first
-    polys = [[1]]
-    for m in range(n):
-        p = [0] + polys[m]
-        for k, c in enumerate(polys[m]):
-            p[k] = (p[k] - H[m][m] * c) % P
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * H[i + 1][i] % P
-            if not t:
-                break
-            f = t * H[i][m] % P
-            for k, c in enumerate(polys[i]):
-                p[k] = (p[k] - f * c) % P
-        polys.append(p)
-    return polys[n][::-1]
+    coeffs, B = [1], M
+    for k in range(1, n + 1):
+        c = -sum(B[i][i] for i in range(n)) * pow(k, -1, K.P) % K.P
+        coeffs.append(c)
+        B = K.matmul(M, [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(B)])
+    return coeffs
 
 
 def _smallest_root(coeffs) -> int | None:
@@ -501,7 +493,11 @@ def _smallest_root(coeffs) -> int | None:
 
 def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
     """Fitting decomposition via eigen-projectors of random endomorphism
-    pairs, recursing until every piece has local endomorphism ring."""
+    pairs, recursing until every piece has local endomorphism ring.  The
+    eigenvalue is the smallest root of the characteristic polynomial of the
+    top.  The underlying map M has the same roots, as its characteristic
+    polynomial is the product over v of those of the top's blocks at v,
+    each to the power dim P_v."""
     if len(X.p1) + len(X.p0) == 0:
         return []
     if is_indecomposable(X):
@@ -510,11 +506,11 @@ def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
     rng = random.Random(0)
     d1 = X.source_dim()
     for _ in range(40):
-        M = _pair_endomorphism(X, *_pair_matrices(X, X, slots1, slots0, _combination(rng, basis)))
-        # an eigenvalue: the first root of the characteristic polynomial
-        root = _smallest_root(_charpoly_modp(M))
+        vec = _combination(rng, basis)
+        root = _smallest_root(_charpoly_modp(_top(X, X, slots1, slots0, vec)))
         if root is None:
             continue
+        M = _pair_endomorphism(X, *_pair_matrices(X, X, slots1, slots0, vec))
         # Fitting projector onto ker A along im A, for A = (M - lam)^n
         n = len(M)
         eye = K.identity(n)

@@ -437,6 +437,9 @@ def f_power_label(x, p: int) -> MprQuotientLabel:
         raise GuardError("the power functor walk runs forward only")
     q, fam, v, k, s = state
     _, exponents, star = stalks._defect_data(q)
+    # every state this walk returns passes the check, so a walk can resume
+    if fam not in ("mod", "dzero", "done") or v not in exponents or not 0 <= k < exponents[v]:
+        raise GuardError(f"not a state of the power functor walk: {fam!r}, vertex {v}, power {k}")
     k += p
     if fam == "mod" and k >= exponents[v]:
         fam, v, k = "done", star[v], k - exponents[v]

@@ -291,12 +291,22 @@ def test_cache_key_separates_orientations_and_formats():
     assert len({cli.cache_key(x) for x in (a, b, c)}) == 3
 
 
-def test_cache_key_covers_the_source_digest(monkeypatch):
-    job = cli.JobSpec("mpr", "A3", None, "json", {}, None)
-    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
-    old = cli.cache_key(job)
-    monkeypatch.setattr(cli, "source_digest", lambda: "1" * 64)
-    assert cli.cache_key(job) != old
+def test_entry_of_other_code_is_a_miss_rewritten_in_place(capsys, tmp_path, monkeypatch):
+    """Each job has one entry: the key leaves the source digest out and the
+    entry stores it, so an entry written under digest A is a miss under
+    digest B, never replayed, and its rewrite replaces the file."""
+    argv = ["--cache-dir", str(tmp_path), "quiver", "--type", "A2"]
+    monkeypatch.setattr(cli, "source_digest", lambda: "a" * 64)
+    want = run_ok(capsys, argv)
+    (entry,) = tmp_path.iterdir()
+    # a marked output shows any replay: digest A replays it
+    entry.write_text(json.dumps({**json.loads(entry.read_text()), "output": "stale\n"}))
+    assert run_ok(capsys, argv) == "stale\n"
+    monkeypatch.setattr(cli, "source_digest", lambda: "b" * 64)
+    assert run_ok(capsys, argv) == want
+    assert list(tmp_path.iterdir()) == [entry]
+    assert json.loads(entry.read_text())["code"] == "b" * 64
+    assert run_ok(capsys, argv) == want
 
 
 def test_entry_of_another_job_is_a_miss(capsys, tmp_path):

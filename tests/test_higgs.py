@@ -8,6 +8,7 @@ import functools
 import io
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -759,7 +760,9 @@ def a4_sum() -> hg.LambdaMorphism:
 def test_lift_splits_an_a4_direct_sum():
     f = a4_sum()
     lift = lf.lift_morphism(f)
-    assert sorted(str(l) for l in lift.labels) == sorted(A4_SUM)
+    # identity summands first, then the pieces in the order they split off
+    assert [str(l) for l in lift.labels] == [
+        "Z(1)", "E(2)", "M(t-3P1)", "M(t-2P1)", "M(P1)", "M(t-1P2)"]
     assert lift.unresolved == ()
     assert lf.is_isomorphic(f, lf.realize_lift(f.alg.quiver, lift))
 
@@ -792,12 +795,20 @@ def test_lift_refuses_labels_that_share_terms(monkeypatch):
         lf.lift_morphism(a4_sum())
 
 
+def full_pair_endomorphisms(X: hg.LambdaMorphism):
+    """The underlying maps of a basis of End(X), built in full from the hom
+    pairs: the reference route for everything the lift reads on the top."""
+    slots1, slots0, basis = lf._hom_pair_space(X, X)
+    return [lf._pair_endomorphism(X, *lf._pair_matrices(X, X, slots1, slots0, vec))
+            for vec in basis]
+
+
 def test_end_corank_matches_traces_of_products():
-    """The trace form from one contraction has the rank of the one built
-    from a matrix product per pair of endomorphisms."""
+    """The trace form of the tops has the rank of the dense trace form of
+    the underlying maps, one matrix product per pair of endomorphisms."""
     phis = [hg.phi_image(l) for l in mc.mpr_indecomposables(dy.build_quiver("A3"))]
     for X in [a4_sum(), *phis]:
-        mats = lf._end_pair_algebra(X)
+        mats = full_pair_endomorphisms(X)
         G = np.zeros((len(mats), len(mats)), dtype=np.int64)
         for a, A in enumerate(mats):
             for b, B in enumerate(mats):
@@ -820,15 +831,74 @@ def newton_charpoly(M) -> list[int]:
 
 
 def test_charpoly_matches_newton_identities():
-    """The Hessenberg recurrence against the power traces, on the pair
-    endomorphisms of the A4 sum and on random matrices with zero blocks."""
+    """The Faddeev-LeVerrier recurrence against the power traces, on the
+    tops of a basis of End of the A4 sum and on random matrices with zero
+    blocks, up to 16 x 16."""
     rng = np.random.default_rng(17)
-    mats = lf._end_pair_algebra(a4_sum())[:3]
-    for n in range(8):
+    X = a4_sum()
+    slots1, slots0, basis = lf._hom_pair_space(X, X)
+    mats = [lf._top(X, X, slots1, slots0, vec) for vec in basis]
+    for n in [*range(8), 12, 16]:
         A = rng.integers(0, K.P, (n, n)) * (rng.random((n, n)) < 0.4)
         mats.append(K.as_matrix(A))
     for A in mats:
         assert lf._charpoly_modp(A) == newton_charpoly(A)
+
+
+def _top_objects():
+    """`a4_sum` and every A3 and A4 phi image."""
+    yield a4_sum()
+    for t in ("A3", "A4"):
+        yield from (hg.phi_image(l) for l in mc.mpr_indecomposables(dy.build_quiver(t)))
+
+
+def _poly_mul(f, g) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % K.P
+    return out
+
+
+def test_charpoly_of_the_underlying_map_factors_through_the_top():
+    """charpoly(M) is the product over v of charpoly(T1_v)^dim P_v times
+    charpoly(T0_v)^dim P_v, T1_v and T0_v the blocks of the top at the
+    summands labelled v: so M and its top share their eigenvalues."""
+    rng = random.Random(5)
+    for X in _top_objects():
+        labels = [(0, v) for v in X.p1] + [(1, v) for v in X.p0]
+        slots1, slots0, basis = lf._hom_pair_space(X, X)
+        for _ in range(3):
+            vec = lf._combination(rng, basis)
+            T = lf._top(X, X, slots1, slots0, vec)
+            M = lf._pair_endomorphism(X, *lf._pair_matrices(X, X, slots1, slots0, vec))
+            want = [1]
+            for side, v in sorted(set(labels)):
+                idx = [i for i, lab in enumerate(labels) if lab == (side, v)]
+                block = newton_charpoly([[T[i][j] for j in idx] for i in idx])
+                for _ in X.alg.module_indices(v):
+                    want = _poly_mul(want, block)
+            assert newton_charpoly(M) == want, X
+            assert lf._smallest_root(lf._charpoly_modp(T)) == lf._smallest_root(want)
+
+
+def test_top_invertibility_is_full_rank_invertibility():
+    """On the draws of `is_isomorphic` and on each basis endomorphism, the
+    top has full rank exactly when both underlying maps do (Nakayama)."""
+    seen = set()
+    for X in _top_objects():
+        slots1, slots0, basis = lf._hom_pair_space(X, X)
+        draws = random.Random(0)
+        vecs = [lf._combination(draws, basis) for _ in range(24)] + list(basis)
+        m = len(X.p1) + len(X.p0)
+        for vec in vecs:
+            by_top = K.rank(lf._top(X, X, slots1, slots0, vec)) == m
+            full = all(f is None or K.rank(lf.underlying_matrix(f)) == f.source_dim()
+                       for f in lf._pair_matrices(X, X, slots1, slots0, vec))
+            assert by_top == full, X
+            seen.add(full)
+        assert lf.is_isomorphic(X, X)
+    assert seen == {True, False}
 
 
 def test_block_linear_maps_come_from_action_matrices(monkeypatch):
@@ -868,6 +938,56 @@ def test_block_linear_maps_come_from_action_matrices(monkeypatch):
     inv = lf._local_inverse(alg, tuple(x.items()), 1)
     assert len(actions) == 1 and len(products) == 1
     assert mult(alg, x, inv) == ((alg.e_index[1], 1),)
+
+
+def _doubled_walks(q, u: int, w: int, longest: int = 5) -> list[str]:
+    """The vertex walks u ~> w of at most `longest` steps in the doubled
+    quiver, as the command line spells them."""
+    near = {v: [b for a, b in q.arrows if a == v] + [a for a, b in q.arrows if b == v]
+            for v in q.vertices}
+    walks, frontier = [], [(u,)]
+    for _ in range(longest + 1):
+        walks += ["-".join(map(str, p)) for p in frontier if p[-1] == w]
+        frontier = [p + (x,) for p in frontier for x in near[p[-1]]]
+    return walks
+
+
+def _random_lift_spec(rng: random.Random):
+    """A well-formed `--lift` job on A2-A4 in a random orientation: 0-3
+    terms per side, and entries of 0-2 [walk, coefficient] terms with walks
+    of length at most 5 and coefficients in [-3, 3]."""
+    n = rng.randint(2, 4)
+    arrows = [(i, i + 1) if rng.random() < 0.5 else (i + 1, i) for i in range(1, n)]
+    q = dy.build_quiver(f"A{n}", arrows)
+    p1 = [rng.randint(1, n) for _ in range(rng.randint(0, 3))]
+    p0 = [rng.randint(1, n) for _ in range(rng.randint(0, 3))]
+    matrix = [[[[rng.choice(walks), rng.randint(-3, 3)] for _ in range(rng.randint(0, 2))]
+               if (walks := _doubled_walks(q, u, w)) else [] for u in p1] for w in p0]
+    argv = ["higgs", "--type", f"A{n}", "--orient", " ".join(f"{a}->{b}" for a, b in arrows),
+            "--lift", json.dumps({"p1": p1, "p0": p0, "matrix": matrix})]
+    return q, p1, p0, argv
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lift_accounts_for_every_term(capsys, seed):
+    """Whatever a well-formed spec is, its lift exits 0, and the terms of
+    its labels (identity summands included) and of its unresolved
+    conflations (quot gives p1, sub gives p0) are the spec's terms."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        q, p1, p0, argv = _random_lift_spec(rng)
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        by_name = {str(lab): lab for lab in mc.mpr_indecomposables(q)}
+        got1, got0 = [], []
+        for item in out["labels"]:
+            t1, t0 = mc._terms(mc.label_by_number(q, item["id"]))
+            got1 += t1
+            got0 += t0
+        for conf in out["unresolved"]:
+            got1 += [by_name[name].vertex for name in conf["quot"]]
+            got0 += [by_name[name].vertex for name in conf["sub"]]
+        assert (sorted(got1), sorted(got0)) == (sorted(p1), sorted(p0)), argv
 
 
 def test_lift_guard_outside_small_rank():

@@ -322,6 +322,27 @@ def test_power_walk_matches_the_stepwise_walk(q):
             assert mp.f_power_label(x, p) == _stepwise_power_walk(x, p)
 
 
+@pytest.mark.parametrize("q", list(_default_and_reversed(["A3", "D5", "E6"])))
+def test_resumed_power_walk_matches_the_stepwise_walk(q):
+    """Every state the walk returns is one it accepts: a walk resumed from
+    any of its states lands where the stepwise walk does."""
+    h = coxeter_number(q.dtype)
+    for x in mp.mpr_indecomposables(q):
+        for a in range(2 * h):
+            mid = mp.f_power_label(x, a)
+            for b in (0, 1, h + 1):
+                assert mp.f_power_label(mid, b) == _stepwise_power_walk(x, a + b)
+
+
+@pytest.mark.parametrize("family, vertex, power", [
+    ("mod", 1, 99), ("mod", 1, -5), ("mod", 9, 0),  # past the window, before it, no vertex
+    ("dzero", 2, 4), ("done", 3, -1), ("free", 1, 0)])
+def test_power_walk_refuses_states_outside_the_window(family, vertex, power):
+    q = build_quiver("A3")
+    with pytest.raises(GuardError, match="not a state of the power functor walk"):
+        mp.f_power_label(mp.MprQuotientLabel(q, family, vertex, power, 0), 1)
+
+
 @pytest.mark.parametrize("name", ["A3", "E8"])
 def test_power_walk_repeats_after_a_full_lap(name):
     """Past the window edge, h more steps suspend twice (tauinv^h = Sigma^2),
