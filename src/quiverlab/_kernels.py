@@ -86,11 +86,6 @@ def transpose(a, ncols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*a)) if a else ((),) * ncols
 
 
-def dense(row: dict, ncols: int) -> tuple[int, ...]:
-    """A sparse row as a dense one of length `ncols`."""
-    return tuple(row.get(c, 0) for c in range(ncols))
-
-
 def rank(a) -> int:
     return len(rref(a))
 

@@ -19,10 +19,10 @@ no degree below `min_degree`; the `hom` command orders the degrees.
 
 The case-map route and the table work on labels alone, so this module
 loads no matrix layer; `thm2_hom` imports the morphism
-category and `gamma_hom` the complexes when they are called.  At i = 1
-`thm2_hom` reads the cone of the label it is given, which `morphcat.cone`
-writes down by label arithmetic, with no complex split; an `MprObject` is
-split as a matrix on every call.
+category and `gamma_hom` the complexes when they are called.  On a label
+`thm2_hom` reads the knitted terms and the cone by label arithmetic, so it
+builds no presentation and splits no complex; an `MprObject` is split as
+a matrix on every call.
 """
 from __future__ import annotations
 
@@ -75,12 +75,14 @@ def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> dict[int, int]:
 
     if i not in _EMBED:
         raise GuardError("embedding index must lie in {-1, 0, 1}")
-    obj = mp.presentation(Y)
-    q = obj.quiver
+    if isinstance(Y, mp.MprLabel):
+        q, (p1, p0) = Y.quiver, mp._terms(Y)
+    else:
+        q, p1, p0 = mp.presentation(Y).quiver, mp.functor_C(1, Y), mp.functor_C(0, Y)
     if i == -1:
-        return _pi2_over_labels(x, mp.functor_C(0, obj), q, min_degree)
+        return _pi2_over_labels(x, p0, q, min_degree)
     if i == 0:
-        return _pi2_over_labels(x, mp.functor_C(1, obj), q, min_degree)
+        return _pi2_over_labels(x, p1, q, min_degree)
     return _raised_le0(_pi2_over_labels(x, mp.cone(Y), q, min_degree - 1))
 
 

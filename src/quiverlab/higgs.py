@@ -224,9 +224,6 @@ class PreprojAlgebra:
 
     # -- elements -----------------------------------------------------------
 
-    def unit(self, v: int) -> dict[int, int]:
-        return {self.e_index[v]: 1}
-
     def walk(self, verts) -> dict[int, int]:
         """Product of the doubled arrows along a vertex walk; on a tree each
         step names at most one doubled arrow."""

@@ -3,25 +3,25 @@ from block morphisms back to morphism-category labels.
 
 The lift is the partial inverse of the presentation functor
 `higgs.phi_image`: identity summands split off as identity-object labels,
-the rest splits into indecomposable pieces by Fitting projectors of random
-endomorphisms, each piece is matched against the phi image of the one
-label whose knitted terms (`morphcat._terms`) are the piece's sorted
-terms, and a piece that matches no label is witnessed by a universal
-two-term conflation.  The block algebra's Nakayama permutation is the
-independent route to the order of the rotation omega.
+the rest splits into indecomposable pieces by idempotents of End(X), each
+piece is matched against the phi image of the one label whose knitted
+terms (`morphcat._terms`) are the piece's sorted terms, and a piece that
+matches no label is witnessed by a universal two-term conflation.  The
+labels come in numbering order, whatever the random draws.  The block
+algebra's Nakayama permutation is the independent route to the order of
+the rotation omega.
 
 Elements stay sparse (basis index, coefficient) terms, multiplied by
-`PreprojAlgebra.mult`.  Every linear map of blocks (the underlying map of
-a block morphism, the hom-pair systems, local inverses) is a matrix that
-`_action` reads off the algebra's `products`, and a basis word acts on a
-vector of a sum of projectives through `_left_mult`.  `_kernels` does the
-linear algebra: nullspaces, ranks, solves and the Fitting projectors.
+`PreprojAlgebra.mult`, and a map between sums of projectives is a
+`LambdaMorphism`: maps compose entry by entry through `mult`, and a map
+with invertible top is inverted by a finite series.  The hom-pair systems
+are matrices that `_action` reads off the algebra's `products`, and
+`_kernels` does the linear algebra on them and on the tops.
 
 The algebra is graded with its idempotents in degree 0, so by Nakayama's
 lemma the lift decides everything (the radical of End(X), eigenvalues,
-invertibility, new generators) on the *top* of a map (`_top`), its m x m
-degree-0 scalars for m summands, and builds the n x n underlying map only
-for the Fitting projector.
+idempotents, invertibility) on the *top* of a map (`_top`), its m x m
+degree-0 scalars for m summands; no underlying map of a module is built.
 """
 from __future__ import annotations
 
@@ -58,21 +58,6 @@ def _minus(x, y) -> Terms:
     for k, c in y:
         out[k] = out.get(k, 0) - c
     return _pairs(out)
-
-
-def underlying_matrix(f: LambdaMorphism) -> tuple:
-    """The induced linear map on underlying spaces (source basis maps
-    through right multiplication by the entries)."""
-    alg = f.alg
-    rows = [alg.module_indices(v) for v in f.p0]
-    cols = [alg.module_indices(v) for v in f.p1]
-    if not rows or not cols:
-        return K.zeros(f.target_dim(), f.source_dim())
-    out = []
-    for r, kr in enumerate(rows):
-        blocks = [_action(alg, f.entries[r][c], kr, kc, left=False) for c, kc in enumerate(cols)]
-        out.extend(sum(parts, ()) for parts in zip(*blocks))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +235,9 @@ def hom_pair_dim(X: LambdaMorphism, Y: LambdaMorphism) -> int:
 
 
 def _pair_matrices(X, Y, slots1, slots0, vec):
-    """The pair (f1, f0) with the flat coefficient vector vec; a side with no
-    entries is None."""
+    """The pair (f1, f0) with the flat coefficient vector vec."""
 
     def side(slots, start, src, tgt):
-        if not src or not tgt:
-            return None
         ent = [[{} for _ in src] for _ in tgt]
         for k, (r, c, i) in enumerate(slots, start=start):
             ent[r][c][i] = vec[k]
@@ -305,21 +287,75 @@ def is_isomorphic(X: LambdaMorphism, Y: LambdaMorphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# maps between sums of projectives
+
+
+def _compose(f: LambdaMorphism, g: LambdaMorphism) -> LambdaMorphism:
+    """g after f: entry (r, c) is the sum over k of f[k][c] * g[r][k], one
+    `mult` per pair of nonzero entries."""
+    alg = f.alg
+    ent: list[list[dict[int, int]]] = [[{} for _ in f.p1] for _ in g.p0]
+    for r, grow in enumerate(g.entries):
+        for k, y in enumerate(grow):
+            if not y:
+                continue
+            for c, x in enumerate(f.entries[k]):
+                if x:
+                    out = ent[r][c]
+                    for i, a in alg.mult(x, y):
+                        out[i] = out.get(i, 0) + a
+    return LambdaMorphism(alg, f.p1, g.p0, ent)
+
+
+def _linear(*parts) -> LambdaMorphism:
+    """The sum of c * f over the parts (c, f), maps with the same terms."""
+    f = parts[0][1]
+    ent: list[list[dict[int, int]]] = [[{} for _ in f.p1] for _ in f.p0]
+    for c, g in parts:
+        for row, grow in zip(ent, g.entries):
+            for out, x in zip(row, grow):
+                for i, a in x:
+                    out[i] = out.get(i, 0) + c * a
+    return LambdaMorphism(f.alg, f.p1, f.p0, ent)
+
+
+def _scalars(alg: PreprojAlgebra, p1, p0, T) -> LambdaMorphism:
+    """The degree-0 map p1 -> p0 with top T: T[r][c] times the idempotent
+    of p1[c], which must be p0[r] wherever T[r][c] is nonzero."""
+    return LambdaMorphism(alg, p1, p0, [[{alg.e_index[v]: t} for v, t in zip(p1, row)] for row in T])
+
+
+def _degree0(f: LambdaMorphism) -> list[list[int]]:
+    """The top of f: the coefficient of the idempotent word of p1[c] in
+    entry (r, c), which only the path space p1[c] -> p1[c] holds."""
+    e = f.alg.e_index
+    return [[dict(x).get(e[v], 0) for v, x in zip(f.p1, row)] for row in f.entries]
+
+
+def _inverse(U: LambdaMorphism) -> LambdaMorphism:
+    """The inverse of U = S + N, S its degree-0 part: S is invertible when
+    the top is, and N S^-1 has entries in the radical, so it is nilpotent
+    and U^-1 = S^-1 sum_k (-N S^-1)^k is a finite series."""
+    alg, m = U.alg, len(U.p0)
+    T = _degree0(U)
+    Tinv = K.solve(T, K.identity(m), m) if len(U.p1) == m else None
+    if Tinv is None:
+        raise InternalCheckError("a map with a singular top has no inverse")
+    S, Sinv = _scalars(alg, U.p1, U.p0, T), _scalars(alg, U.p0, U.p1, Tinv)
+    R = _compose(Sinv, _linear((1, S), (-1, U)))
+    one = _scalars(alg, U.p0, U.p0, K.identity(m))
+    total = term = one
+    while any(map(any, term.entries)):
+        term = _compose(term, R)
+        total = _linear((1, total), (1, term))
+    inv = _compose(total, Sinv)
+    if _compose(inv, U).entries != one.entries:
+        raise InternalCheckError("U U^-1 is not the identity")
+    return inv
+
+
+# ---------------------------------------------------------------------------
 # reduction, splitting, lifting
-
-
-def _local_inverse(alg: PreprojAlgebra, x: Terms, v: int) -> Terms:
-    """Inverse of an element of the local endomorphism ring at v."""
-    idx = alg.block_indices(v, v)
-    unit = ((alg.e_index[v], 1),)
-    rhs = [(int(k == alg.e_index[v]),) for k in idx]
-    sol = K.solve(_action(alg, x, idx, idx, left=True), rhs, len(idx))
-    if sol is None:
-        raise InternalCheckError("local element is not invertible")
-    out = _pairs(zip(idx, (s for s, in sol)))
-    if alg.mult(x, out) != unit:
-        raise InternalCheckError("local inverse failed")
-    return out
 
 
 def strip_identity_summands(f: LambdaMorphism):
@@ -336,7 +372,7 @@ def strip_identity_summands(f: LambdaMorphism):
             break
         r0, c0 = pivot
         v = p1[c0]
-        minv = _local_inverse(alg, ent[r0][c0], v)
+        ((minv,),) = _inverse(LambdaMorphism(alg, (v,), (v,), [[ent[r0][c0]]])).entries
         # clear the pivot row via source column operations
         for c in range(len(p1)):
             if c == c0 or not ent[r0][c]:
@@ -358,24 +394,14 @@ def strip_identity_summands(f: LambdaMorphism):
     return LambdaMorphism(alg, p1, p0, ent), tuple(sorted(stripped))
 
 
-def _pair_endomorphism(X: LambdaMorphism, f1, f0) -> tuple:
-    """The underlying map [[U1, 0], [0, U0]] of an endomorphism pair
-    (f1, f0) of X; a side without entries (None) maps by 0."""
-    d1, d0 = X.source_dim(), X.target_dim()
-    U1 = underlying_matrix(f1) if f1 is not None else K.zeros(d1, d1)
-    U0 = underlying_matrix(f0) if f0 is not None else K.zeros(d0, d0)
-    return tuple(row + (0,) * d0 for row in U1) + tuple((0,) * d1 + row for row in U0)
-
-
-def _end_corank(X: LambdaMorphism) -> int:
-    """Dimension of the semisimple quotient of the endomorphism ring: the
-    rank of the trace form tr(T(a) T(b)) of the tops over a basis of
-    End(X).  The endomorphisms with zero top form a nil ideal, so they lie
-    in the radical, and the form kills exactly the radical because each
-    simple factor of End/rad occurs in the top between 1 and m times, below
-    the working prime.  The trace form of the underlying maps weights each
-    vertex by dim P_v, also below the prime, and has the same rank."""
-    slots1, slots0, basis = _hom_pair_space(X, X)
+def _end_corank(X: LambdaMorphism, space) -> int:
+    """Dimension of the semisimple quotient of the endomorphism ring, given
+    the hom-pair space of X with itself: the rank of the trace form
+    tr(T(a) T(b)) of the tops over a basis of End(X).  The endomorphisms
+    with zero top form a nil ideal, so they lie in the radical, and the form
+    kills exactly the radical because each simple factor of End/rad occurs
+    in the top between 1 and m times, below the working prime."""
+    slots1, slots0, basis = space
     tops = [_top(X, X, slots1, slots0, vec) for vec in basis]
     # G[a, b] = trace(A_a A_b) = sum_ij A_a[i, j] A_b[j, i]: the entries of
     # A_a against those of the transpose of A_b, each flattened
@@ -385,82 +411,7 @@ def _end_corank(X: LambdaMorphism) -> int:
 
 
 def is_indecomposable(X: LambdaMorphism) -> bool:
-    return _end_corank(X) == 1
-
-
-def _left_mult(alg: PreprojAlgebra, labels, g: int, x) -> tuple[int, ...]:
-    """Basis word g times the vector x of the sum of the left projectives at
-    `labels`, read off the nonzero products."""
-    out = [0] * len(x)
-    start = 0
-    for v in labels:
-        idx = alg.module_indices(v)
-        at = {k: start + t for t, k in enumerate(idx)}
-        for t, y in enumerate(idx):
-            c = x[start + t]
-            if c:
-                for k, a in alg.products.get((g, y), ()):
-                    out[at[k]] += c * a
-        start += len(idx)
-    return tuple(a % K.P for a in out)
-
-
-def _split_projective_submodule(alg: PreprojAlgebra, labels, proj_mat):
-    """Given an idempotent endomorphism of a sum of left projectives,
-    realign its image as a sum of projectives: returns the new labels and
-    the generators as underlying vectors.
-
-    The generators are the weight components of the image (weight
-    projections of a submodule stay inside it) whose top, their coordinates
-    at the summands' idempotent words, is new modulo the tops of the
-    generators already chosen.  The image is a summand, so its radical is
-    its intersection with rad P: the image vectors with zero top."""
-    n = len(proj_mat)
-    piv = K.rref(K.transpose(proj_mat, n))
-    W = [K.dense(piv[c], n) for c in sorted(piv)]  # rows span the image
-    if not W:
-        return (), []
-    words = [(v, k) for v in labels for k in alg.module_indices(v)]
-    # the start vertex of each underlying basis word, and the idempotent words
-    starts = [alg.word_start(k) for _, k in words]
-    tops = [t for t, (v, k) in enumerate(words) if k == alg.e_index[v]]
-    gens = []
-    new_labels = []
-    # the tops so far in echelon form, so each candidate costs one reduction
-    span: dict[int, dict[int, int]] = {}
-    for v in alg.quiver.vertices:
-        for w in W:
-            row = tuple(x if s == v else 0 for x, s in zip(w, starts))
-            if not any(row):
-                continue
-            before = len(span)
-            K.rref(([row[t] for t in tops],), span)
-            if len(span) == before:
-                continue
-            gens.append(row)
-            new_labels.append(v)
-    if len(gens) != K.rank([[w[t] for t in tops] for w in W]):
-        raise InternalCheckError("generators do not span the image submodule")
-    return tuple(new_labels), gens
-
-
-def _express_in_generators(alg, labels, gens, summands, target_vec):
-    """Solve target = sum_j z_j . gen_j in the sum of the left projectives
-    at `summands`, with z_j in the left projective at labels[j]; returns
-    the per-generator algebra coefficients as sparse maps."""
-    cols = []
-    keys = []
-    for j, v in enumerate(labels):
-        ks = alg.module_indices(v)
-        cols.extend(_left_mult(alg, summands, k, gens[j]) for k in ks)
-        keys.extend((j, k) for k in ks)
-    sol = K.solve(K.transpose(cols, len(target_vec)), [(x,) for x in target_vec], len(cols))
-    if sol is None:
-        raise InternalCheckError("target does not lie in the generated submodule")
-    out: list[dict[int, int]] = [{} for _ in labels]
-    for (j, k), (x,) in zip(keys, sol):
-        out[j][k] = x
-    return out
+    return _end_corank(X, _hom_pair_space(X, X)) == 1
 
 
 def _charpoly_modp(M) -> list[int]:
@@ -491,30 +442,73 @@ def _smallest_root(coeffs) -> int | None:
     return None
 
 
+def _new_basis(e: LambdaMorphism) -> tuple[LambdaMorphism, int]:
+    """For an idempotent endomorphism e of a sum of projectives: the
+    automorphism U = [e e_j | (1 - e) e_j'] of the sum, for the summands j
+    whose columns of the top E of e are independent (the pivot columns of
+    its echelon form) and j' likewise for 1 - E, and the number of the
+    former.  The columns of its top are bases of the images of E and
+    1 - E, so the top is invertible."""
+    f = _linear((1, _scalars(e.alg, e.p1, e.p0, K.identity(len(e.p0)))), (-1, e))
+    J = sorted(K.rref(_degree0(e)))
+    cols = [(e, j) for j in J] + [(f, j) for j in sorted(K.rref(_degree0(f)))]
+    return LambdaMorphism(e.alg, [e.p1[j] for _, j in cols], e.p0,
+                          [[g.entries[r][j] for g, j in cols] for r in range(len(e.p0))]), len(J)
+
+
+def _split_along(X: LambdaMorphism, space, E) -> list[LambdaMorphism]:
+    """The two pieces of X cut out by an idempotent endomorphism with top E.
+    One solve over the tops of the basis of End(X) gives an endomorphism e
+    with top E, idempotent modulo the radical, and e <- 3e^2 - 2e^3 makes it
+    idempotent (e^2 - e lies in ever higher powers of the nilpotent
+    radical).  X maps the image of e1 into that of e0, and the image of
+    1 - e1 into that of 1 - e0, so in the bases U1 of P1 and U0 of P0 that
+    e splits (`_new_basis`), U0^-1 X U1 is block diagonal."""
+    slots1, slots0, basis = space
+    tops = [[x for row in _top(X, X, slots1, slots0, vec) for x in row] for vec in basis]
+    sol = K.solve(K.transpose(tops, len(E) ** 2), [(x,) for row in E for x in row], len(basis))
+    if sol is None:
+        raise InternalCheckError("no endomorphism has the projector as its top")
+    coeffs = [c for c, in sol]
+    e = _pair_matrices(X, X, slots1, slots0,
+                       tuple(sum(map(mul, coeffs, col)) % K.P for col in zip(*basis)))
+    while True:
+        sq = [_compose(f, f) for f in e]
+        if [f.entries for f in sq] == [f.entries for f in e]:
+            break
+        e = [_linear((3, s), (-2, _compose(f, s))) for f, s in zip(e, sq)]
+    (U1, k1), (U0, k0) = map(_new_basis, e)
+    Y = _compose(_compose(U1, X), _inverse(U0))
+    if any(x for r, row in enumerate(Y.entries) for c, x in enumerate(row) if (r < k0) != (c < k1)):
+        raise InternalCheckError("an off-diagonal block of the split is nonzero")
+    return [LambdaMorphism(X.alg, Y.p1[a:b], Y.p0[c:d], [row[a:b] for row in Y.entries[c:d]])
+            for a, b, c, d in ((0, k1, 0, k0), (k1, None, k0, None))]
+
+
 def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
-    """Fitting decomposition via eigen-projectors of random endomorphism
-    pairs, recursing until every piece has local endomorphism ring.  The
-    eigenvalue is the smallest root of the characteristic polynomial of the
-    top.  The underlying map M has the same roots, as its characteristic
-    polynomial is the product over v of those of the top's blocks at v,
-    each to the power dim P_v."""
+    """Splitting by idempotents of End(X), recursing until every piece has
+    local endomorphism ring.  The eigenvalue of a random endomorphism is
+    the smallest root of the characteristic polynomial of its top T, and E
+    is the projector of T onto its generalized eigenspace; `_split_along`
+    lifts E to an idempotent of End(X) and splits X along it.  The
+    underlying map has the same roots, as its characteristic polynomial is
+    the product over v of those of the top's blocks at v, each to the power
+    dim P_v, so the skips are those of its Fitting projector."""
     if len(X.p1) + len(X.p0) == 0:
         return []
-    if is_indecomposable(X):
+    space = slots1, slots0, basis = _hom_pair_space(X, X)
+    if _end_corank(X, space) == 1:
         return [X]
-    slots1, slots0, basis = _hom_pair_space(X, X)
     rng = random.Random(0)
-    d1 = X.source_dim()
     for _ in range(40):
-        vec = _combination(rng, basis)
-        root = _smallest_root(_charpoly_modp(_top(X, X, slots1, slots0, vec)))
+        T = _top(X, X, slots1, slots0, _combination(rng, basis))
+        root = _smallest_root(_charpoly_modp(T))
         if root is None:
             continue
-        M = _pair_endomorphism(X, *_pair_matrices(X, X, slots1, slots0, vec))
-        # Fitting projector onto ker A along im A, for A = (M - lam)^n
-        n = len(M)
+        # the projector onto ker A along im A, for A = (T - lam)^n
+        n = len(T)
         eye = K.identity(n)
-        A = K.as_matrix([[x - root * e for x, e in zip(row, erow)] for row, erow in zip(M, eye)])
+        A = K.as_matrix([[x - root * e for x, e in zip(row, erow)] for row, erow in zip(T, eye)])
         for _ in range(n.bit_length()):
             A = K.matmul(A, A, n)
         ker = K.nullspace(A, n)
@@ -530,32 +524,13 @@ def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
             continue
         if not any(map(any, E)) or E == eye:
             continue
-        pieces = []
-        for proj in (E, K.as_matrix([[e - x for x, e in zip(row, erow)] for row, erow in zip(E, eye)])):
-            piece = _restrict_to_image(X, tuple(row[:d1] for row in proj[:d1]),
-                                       tuple(row[d1:] for row in proj[d1:]))
-            pieces.extend(split_summands(piece))
+        pieces = [p for piece in _split_along(X, space, E) for p in split_summands(piece)]
         if sum(p.source_dim() for p in pieces) != X.source_dim() or sum(
             p.target_dim() for p in pieces
         ) != X.target_dim():
             raise InternalCheckError("split lost dimensions")
         return pieces
     raise InternalCheckError("no splitting endomorphism found for a decomposable object")
-
-
-def _restrict_to_image(X: LambdaMorphism, proj1, proj0) -> LambdaMorphism:
-    alg = X.alg
-    lab1, gens1 = _split_projective_submodule(alg, X.p1, proj1)
-    lab0, gens0 = _split_projective_submodule(alg, X.p0, proj0)
-    Umap = underlying_matrix(X)
-    ent: list[list] = [[{} for _ in lab1] for _ in lab0]
-    for c, g in enumerate(gens1):
-        img = tuple(sum(map(mul, row, g)) % K.P for row in Umap)
-        if not any(img):
-            continue
-        for r, z in enumerate(_express_in_generators(alg, lab0, gens0, X.p0, img)):
-            ent[r][c] = z
-    return LambdaMorphism(alg, lab1, lab0, ent)
 
 
 class Conflation(NamedTuple):
@@ -589,7 +564,9 @@ def lift_morphism(f: LambdaMorphism) -> HiggsLift:
     """Partial inverse of the embedding: identity summands come back as
     identity-object labels, each remaining indecomposable piece is matched
     against the one label with its terms, and anything unmatched is
-    witnessed by its universal conflation."""
+    witnessed by its universal conflation.  The labels come in numbering
+    order and the conflations by their sorted terms, so the lift depends
+    only on the isomorphism class of f."""
     q = f.alg.quiver
     require_liftable(q)
     reduced, stripped = strip_identity_summands(f)
@@ -597,21 +574,22 @@ def lift_morphism(f: LambdaMorphism) -> HiggsLift:
     unresolved = []
     # `is_isomorphic` refuses a mismatch of terms, and no two labels share
     # their terms, so a piece can match only the label keyed by its own
-    by_terms = {mp._terms(lab): lab for lab in mp.mpr_indecomposables(q)}
-    if len(by_terms) != len(mp.mpr_indecomposables(q)):
+    numbering = mp.mpr_indecomposables(q)
+    by_terms = {mp._terms(lab): lab for lab in numbering}
+    if len(by_terms) != len(numbering):
         raise InternalCheckError("two labels share their terms")
     for piece in split_summands(reduced):
-        match = by_terms.get((tuple(sorted(piece.p1)), tuple(sorted(piece.p0))))
+        p1, p0 = sorted(piece.p1), sorted(piece.p0)
+        match = by_terms.get((tuple(p1), tuple(p0)))
         if match is not None and is_isomorphic(piece, phi_image(match)):
             labels.append(match)
         else:
-            unresolved.append(
-                Conflation(
-                    sub=tuple(MprLabel(q, "mod", v, 0) for v in piece.p0),
-                    quot=tuple(MprLabel(q, "done", v) for v in piece.p1),
-                )
-            )
-    return HiggsLift(tuple(labels), tuple(unresolved))
+            unresolved.append((p0, p1))
+    labels.sort(key=numbering.index)
+    return HiggsLift(tuple(labels), tuple(
+        Conflation(sub=tuple(MprLabel(q, "mod", v, 0) for v in p0),
+                   quot=tuple(MprLabel(q, "done", v) for v in p1))
+        for p0, p1 in sorted(unresolved)))
 
 
 def direct_sum(alg: PreprojAlgebra, pieces) -> LambdaMorphism:

@@ -197,7 +197,10 @@ def _terms(x: MprLabel) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (x.vertex,), (x.vertex,)
     if x.kind == "done":
         return (x.vertex,), ()
-    return stalks.presentation_terms(x.quiver)[x.module_label()]
+    terms = stalks.presentation_terms(x.quiver).get(x.module_label())
+    if terms is None:
+        raise InternalCheckError(f"{x.module_label()} is not a valid indecomposable label")
+    return terms
 
 
 @functools.cache

@@ -212,6 +212,26 @@ print(json.dumps({"raised": raised,
                                "quiverlab.morphcat", "quiverlab.stalks"]}
 
 
+def test_thm2_on_labels_builds_no_presentation():
+    # every D5 label against every projective in every embedding, in one
+    # fresh process: the terms are the knitted ones and the cone is label
+    # arithmetic, so neither complexes nor representations load
+    got = run_python("""
+import json, sys
+import quiverlab
+from quiverlab.stalks import IndecLabel
+q = quiverlab.build_quiver("D5")
+total = 0
+for Y in quiverlab.mpr_indecomposables(q):
+    for v in q.vertices:
+        for i in (-1, 0, 1):
+            total += sum(quiverlab.thm2_hom(i, IndecLabel(q, v, 0), Y).values())
+print(json.dumps({"total": total > 0,
+                  "loaded": sorted({"quiverlab.complexes", "quiverlab.reps"} & set(sys.modules))}))
+""")
+    assert got == {"total": True, "loaded": []}
+
+
 def test_phi_image_of_a_trivial_presentation_loads_no_numpy():
     got = run_python("""
 import json, sys

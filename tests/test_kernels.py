@@ -25,12 +25,17 @@ def as_array(rows) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
 
 
+def dense_row(row: dict, ncols: int) -> tuple[int, ...]:
+    """A sparse row of `rref` as a dense one of length `ncols`."""
+    return tuple(row.get(c, 0) for c in range(ncols))
+
+
 def dense_rref(a) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """The int kernel's RREF as the oracle shows it: pivot rows in pivot
     order, then zero rows, and the pivot columns."""
     n = len(a[0])
     piv = K.rref(a)
-    rows = [K.dense(piv[c], n) for c in sorted(piv)]
+    rows = [dense_row(piv[c], n) for c in sorted(piv)]
     return tuple(rows) + K.zeros(len(a) - len(rows), n), sorted(piv)
 
 
@@ -58,7 +63,7 @@ def test_rref_shape_and_pivots(a):
         assert all(row.get(c, 0) == 0 for c in piv if c != col)
         assert all(0 < x < K.P for x in row.values())
     # the row space is preserved
-    rows = [K.dense(row, n) for row in piv.values()]
+    rows = [dense_row(row, n) for row in piv.values()]
     assert K.rank(list(a) + rows) == K.rank(a) == K.rank(rows) == len(piv)
 
 
