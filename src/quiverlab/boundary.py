@@ -8,9 +8,10 @@ tensor algebra of the two-object line with the quiver.  The evolution
 transports one complex, the presentation of the target module, along the
 derived inverse translate, minimized at each power; those complexes are
 read from the memoized orbit `complexes.tau_inv_orbit`, so each is built
-once per process however many calls need it.  The target slots are read
-off each by the embedding, so the identity embedding keeps the identity
-as its connecting map.
+once per process however many calls need it.  The slots of an embedded
+object are that complex or zero, so every block of the totalization is
+the one hom complex between the two presentations, and the identity
+embedding contributes the identity as its connecting map.
 The two routes agree on embedded projectives; the case-map route is the
 fast one and the evolution route is the oracle.
 
@@ -93,9 +94,10 @@ def thm2_hom(i: int, x, Y, min_degree: int = DEFAULT_FLOOR) -> dict[int, int]:
 def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> dict[int, int]:
     """Orbit-sum hom via evolution: at each power p = 0..h the presentation
     complex of y = tauinv^k P_v, transported along the derived inverse
-    translate and reduced, is orbit entry k + p; the totalized two-column
-    hom complex between the slots of the two embedded objects contributes
-    its cohomology, and power h must repeat power 0 two degrees down."""
+    translate and reduced, is orbit entry k + p; the two-column hom
+    complex of the i-embedded x and the j-embedded entry, totalized from
+    the one hom complex between the two presentations, contributes its
+    cohomology, and power h must repeat power 0 two degrees down."""
     from . import complexes as cx
 
     q = x.quiver if isinstance(x, IndecLabel) else y.quiver
@@ -108,12 +110,11 @@ def gamma_hom(i: int, x, j: int, y, min_degree: int = DEFAULT_FLOOR) -> dict[int
             raise InternalCheckError(f"{z} is not a valid indecomposable label")
         return cx.tau_inv_orbit(q, z.vertex, z.power + p)
 
-    X0, X1, xmap = cx.embedding_slots(i, orbit_entry(x))
+    X = orbit_entry(x)
     h = coxeter_number(q.dtype)
     # One full orbit lap suffices: the h-th power of the evolution is the
     # double suspension, so later laps repeat the first one two degrees down.
-    raw = [cx.two_column_dims(X0, X1, xmap, *cx.embedding_slots(j, orbit_entry(y, p)))
-           for p in range(h + 1)]
+    raw = [cx.two_column_dims(i, X, j, orbit_entry(y, p)) for p in range(h + 1)]
     if raw[h] != {d - 2: n for d, n in raw[0].items()}:
         raise InternalCheckError("orbit evolution is not double-suspension periodic")
     total: dict[int, int] = {}

@@ -37,10 +37,14 @@ in the memoized path table of `dynkin`.
 
 The hom complex between two complexes of projectives has the path basis
 too.  `_hom_bases` gives each of its differentials as the sparse image of
-each basis element, and `two_column_dims` assembles the differential of
-the evolution's two-column total complex from such images by block
-offsets, only in degrees that have a basis.  Every dimension it returns is
-a basis size less `_kernels.rank` of those images.
+each basis element.  Every slot of an embedded object is its presentation
+complex or zero, and its connecting map the identity or zero, so each
+block of the evolution's two-column total complex is the one hom complex
+H between the two presentations.  `two_column_dims` builds H once, places
+it in the blocks the embedding indices select, and adds the identity
+parts of the connecting maps by basis index, only in degrees that have a
+basis.  Every dimension it returns is a basis size less `_kernels.rank`
+of those images.
 """
 from __future__ import annotations
 
@@ -162,10 +166,6 @@ class ChainMap:
             if lhs != rhs:
                 raise InternalCheckError(f"chain map does not commute with differentials at degree {d}")
         return self
-
-
-def identity_map(C: PCpx) -> ChainMap:
-    return ChainMap(C, C, {d: K.identity(len(C.term(d))) for d in C.degrees()})
 
 
 def single_term(q: Quiver, labels, degree: int = 0) -> PCpx:
@@ -439,30 +439,25 @@ def _hom_bases(A: PCpx, B: PCpx):
     the hom complex, with its differential as the sparse image {target
     basis index: coefficient} of each basis element, in basis order.  These
     images are the columns of the differential's matrix; as rows they have
-    the same rank."""
-    q = A.quiver
+    the same rank.  The differentials are read from `PCpx.diffs`, so a
+    vanishing one costs nothing."""
+    has_path = A.quiver.has_path
     bases: dict[int, list[tuple[int, int, int]]] = {}
-    if A.is_zero() or B.is_zero():
-        return bases, {}
-    adeg, bdeg = A.degrees(), B.degrees()
-    for d in range(min(bdeg) - max(adeg), max(bdeg) - min(adeg) + 1):
-        basis = []
-        for e in adeg:
-            src, tgt = A.term(e), B.term(e + d)
-            if not src or not tgt:
-                continue
-            mask = _hom_mask(q, src, tgt)
-            basis.extend((e, r, c) for r in range(len(tgt)) for c in range(len(src)) if mask[r][c])
-        if basis:
-            bases[d] = basis
+    for e in A.degrees():
+        src = A.terms[e]
+        for eb in B.degrees():
+            basis = [(e, r, c) for r, w in enumerate(B.terms[eb])
+                     for c, u in enumerate(src) if has_path(u, w)]
+            if basis:
+                bases.setdefault(eb - e, []).extend(basis)
     diffs: dict[int, list[dict[int, int]]] = {}
     for d, basis in bases.items():
-        index = {b: i for i, b in enumerate(bases.get(d + 1, []))}
+        index = {b: k for k, b in enumerate(bases.get(d + 1, ()))}
         sgn = -1 if d % 2 == 0 else 1  # coefficient of f∘dA in D(f) = dB∘f - (-1)^d f∘dA
         images = []
         for e, r, c in basis:
-            img = {index[(e, rp, c)]: row[r] for rp, row in enumerate(B.diff(e + d)) if row[r]}
-            dA = A.diff(e - 1)
+            dB, dA = B.diffs.get(e + d), A.diffs.get(e - 1)
+            img = {index[(e, rp, c)]: row[r] for rp, row in enumerate(dB) if row[r]} if dB else {}
             if dA:
                 img.update((index[(e - 1, r, cp)], sgn * x % K.P) for cp, x in enumerate(dA[c]) if x)
             images.append(img)
@@ -470,53 +465,51 @@ def _hom_bases(A: PCpx, B: PCpx):
     return bases, diffs
 
 
-def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
-    """Cohomology dims of Tot[Hom(X0,N0)⊕Hom(X1,N1) -> Hom(X1,N0)[+1]].
+def two_column_dims(i: int, X: PCpx, j: int, N: PCpx) -> dict[int, int]:
+    """Cohomology dims of Tot[Hom(X0,N0)⊕Hom(X1,N1) -> Hom(X1,N0)[+1]] for
+    the i-embedded object with presentation complex X and the j-embedded
+    object with presentation complex N.
 
-    Degree d of the total complex has the blocks Hom^d(X0,N0),
-    Hom^d(X1,N1) and Hom^(d-1)(X1,N0), in that order, and its differential
-    is [[d0, 0, 0], [0, d1, 0], [delta, -d01]] with delta(f0, f1) =
-    f0∘x - n∘f1.  It is built as the sparse image of each basis element,
-    with block offsets, only in the degrees that have a basis; each degree's
-    images are ranked once, for the cycles there and the boundaries one
-    degree up.  The slots of an embedded object are its complex or a zero
-    complex, so Hom(X1, N0) often is one of the other two hom complexes:
-    each distinct (source, target) pair of slot objects is built once per
-    call."""
-    homs: dict[tuple[int, int], tuple] = {}
-
-    def hom(A, B):
-        key = (id(A), id(B))
-        if key not in homs:
-            homs[key] = _hom_bases(A, B)
-        return homs[key]
-
-    b0, d0 = hom(X0, N0)
-    b1, d1 = hom(X1, N1)
-    b01, d01 = hom(X1, N0)
-    degs = sorted(set(b0) | set(b1) | {d + 1 for d in b01})
+    The slots of the i-embedded object are (X, 0) for i = -1, (X, X) for
+    i = 0 and (0, X) for i = 1, with the identity as connecting map x when
+    i = 0 and zero otherwise; likewise (N0, N1, n) for j.  So every nonzero
+    block is the one hom complex H = Hom(X, N), built once: Hom(X0,N0) when
+    i, j ∈ {-1, 0}, Hom(X1,N1) when i, j ∈ {0, 1} and Hom(X1,N0) when
+    i ∈ {0, 1} and j ∈ {-1, 0}.  Degree d of the total complex has these
+    blocks in that order, the last one as H^(d-1), and its differential is
+    [[d0, 0, 0], [0, d1, 0], [delta, -d01]] with delta(f0, f1) =
+    f0∘x - n∘f1, whose identity parts are +1 (i = 0) and -1 (j = 0) between
+    equal basis indices.  It is built as the sparse image of each basis
+    element, with block offsets, only in the degrees that have a basis;
+    each degree's images are ranked once, for the cycles there and the
+    boundaries one degree up."""
+    if i not in (-1, 0, 1) or j not in (-1, 0, 1):
+        raise GuardError("embedding index must lie in {-1, 0, 1}")
+    bases, diffs = _hom_bases(X, N)
+    if not bases:
+        return {}
+    on0, on1, on01 = i < 1 and j < 1, i > -1 and j > -1, i > -1 and j < 1
 
     def sizes(d):
-        return len(b0.get(d, ())), len(b1.get(d, ())), len(b01.get(d - 1, ()))
+        n = len(bases.get(d, ()))
+        return n * on0, n * on1, len(bases.get(d - 1, ())) * on01
 
+    degs = sorted({d for d in bases if on0 or on1} | {d + 1 for d in bases if on01})
     images: dict[int, list[dict[int, int]]] = {}
     for d in degs:
         m0, m1, _ = sizes(d + 1)  # block offsets in degree d + 1
-        index = {b: i for i, b in enumerate(b01.get(d, ()), start=m0 + m1)}
         tot = []
-        for (e, r, c), img in zip(b0.get(d, ()), d0.get(d, ())):
-            img = dict(img)  # d0 f0, then f0∘x
-            xm = xmap.comps.get(e)
-            if xm:
-                img.update((index[(e, r, cp)], x) for cp, x in enumerate(xm[c]) if x)
-            tot.append(img)
-        for (e, r, c), img in zip(b1.get(d, ()), d1.get(d, ())):
-            img = {k + m0: x for k, x in img.items()}  # d1 f1, then -n∘f1
-            nm = nmap.comps.get(e + d)
-            if nm:
-                img.update((index[(e, rp, c)], -row[r] % K.P) for rp, row in enumerate(nm) if row[r])
-            tot.append(img)
-        tot.extend({k + m0 + m1: -x % K.P for k, x in g.items()} for g in d01.get(d - 1, ()))
+        if on0:  # d0 f0, then f0∘x
+            tot.extend({**img, m0 + m1 + k: 1} if i == 0 else img
+                       for k, img in enumerate(diffs.get(d, ())))
+        if on1:  # d1 f1, then -n∘f1
+            for k, img in enumerate(diffs.get(d, ())):
+                img = {m0 + t: x for t, x in img.items()}
+                if j == 0:
+                    img[m0 + m1 + k] = K.P - 1
+                tot.append(img)
+        if on01:
+            tot.extend({m0 + m1 + t: -x % K.P for t, x in img.items()} for img in diffs.get(d - 1, ()))
         images[d] = tot
     for d, tot in images.items():
         nxt = images.get(d + 1, ())
@@ -536,16 +529,3 @@ def two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
         if h:
             out[d] = h
     return out
-
-
-def embedding_slots(j: int, C: PCpx):
-    """Slots (N0, N1, connecting map) of the j-embedded object with
-    presentation complex C."""
-    Z = PCpx(C.quiver, {}, {})
-    if j == -1:
-        return C, Z, ChainMap(Z, C, {})
-    if j == 0:
-        return C, C, identity_map(C)
-    if j == 1:
-        return Z, C, ChainMap(C, Z, {})
-    raise GuardError("embedding index must lie in {-1, 0, 1}")

@@ -394,15 +394,13 @@ def strip_identity_summands(f: LambdaMorphism):
     return LambdaMorphism(alg, p1, p0, ent), tuple(sorted(stripped))
 
 
-def _end_corank(X: LambdaMorphism, space) -> int:
-    """Dimension of the semisimple quotient of the endomorphism ring, given
-    the hom-pair space of X with itself: the rank of the trace form
-    tr(T(a) T(b)) of the tops over a basis of End(X).  The endomorphisms
-    with zero top form a nil ideal, so they lie in the radical, and the form
-    kills exactly the radical because each simple factor of End/rad occurs
-    in the top between 1 and m times, below the working prime."""
-    slots1, slots0, basis = space
-    tops = [_top(X, X, slots1, slots0, vec) for vec in basis]
+def _end_corank(tops) -> int:
+    """Dimension of the semisimple quotient of the endomorphism ring of X,
+    given the tops of a basis of End(X): the rank of the trace form
+    tr(T(a) T(b)) of those tops.  The endomorphisms with zero top form a
+    nil ideal, so they lie in the radical, and the form kills exactly the
+    radical because each simple factor of End/rad occurs in the top
+    between 1 and m times, below the working prime."""
     # G[a, b] = trace(A_a A_b) = sum_ij A_a[i, j] A_b[j, i]: the entries of
     # A_a against those of the transpose of A_b, each flattened
     flat = [[x for row in A for x in row] for A in tops]
@@ -411,7 +409,8 @@ def _end_corank(X: LambdaMorphism, space) -> int:
 
 
 def is_indecomposable(X: LambdaMorphism) -> bool:
-    return _end_corank(X, _hom_pair_space(X, X)) == 1
+    slots1, slots0, basis = _hom_pair_space(X, X)
+    return _end_corank([_top(X, X, slots1, slots0, vec) for vec in basis]) == 1
 
 
 def _charpoly_modp(M) -> list[int]:
@@ -456,17 +455,18 @@ def _new_basis(e: LambdaMorphism) -> tuple[LambdaMorphism, int]:
                           [[g.entries[r][j] for g, j in cols] for r in range(len(e.p0))]), len(J)
 
 
-def _split_along(X: LambdaMorphism, space, E) -> list[LambdaMorphism]:
+def _split_along(X: LambdaMorphism, space, tops, E) -> list[LambdaMorphism]:
     """The two pieces of X cut out by an idempotent endomorphism with top E.
-    One solve over the tops of the basis of End(X) gives an endomorphism e
-    with top E, idempotent modulo the radical, and e <- 3e^2 - 2e^3 makes it
-    idempotent (e^2 - e lies in ever higher powers of the nilpotent
-    radical).  X maps the image of e1 into that of e0, and the image of
-    1 - e1 into that of 1 - e0, so in the bases U1 of P1 and U0 of P0 that
-    e splits (`_new_basis`), U0^-1 X U1 is block diagonal."""
+    One solve over `tops`, those of the basis of End(X), gives an
+    endomorphism e with top E, idempotent modulo the radical, and
+    e <- 3e^2 - 2e^3 makes it idempotent (e^2 - e lies in ever higher
+    powers of the nilpotent radical).  X maps the image of e1 into that of
+    e0, and the image of 1 - e1 into that of 1 - e0, so in the bases U1 of
+    P1 and U0 of P0 that e splits (`_new_basis`), U0^-1 X U1 is block
+    diagonal."""
     slots1, slots0, basis = space
-    tops = [[x for row in _top(X, X, slots1, slots0, vec) for x in row] for vec in basis]
-    sol = K.solve(K.transpose(tops, len(E) ** 2), [(x,) for row in E for x in row], len(basis))
+    flat = [[x for row in T for x in row] for T in tops]
+    sol = K.solve(K.transpose(flat, len(E) ** 2), [(x,) for row in E for x in row], len(basis))
     if sol is None:
         raise InternalCheckError("no endomorphism has the projector as its top")
     coeffs = [c for c, in sol]
@@ -497,7 +497,8 @@ def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
     if len(X.p1) + len(X.p0) == 0:
         return []
     space = slots1, slots0, basis = _hom_pair_space(X, X)
-    if _end_corank(X, space) == 1:
+    tops = [_top(X, X, slots1, slots0, vec) for vec in basis]
+    if _end_corank(tops) == 1:
         return [X]
     rng = random.Random(0)
     for _ in range(40):
@@ -524,7 +525,7 @@ def split_summands(X: LambdaMorphism) -> list[LambdaMorphism]:
             continue
         if not any(map(any, E)) or E == eye:
             continue
-        pieces = [p for piece in _split_along(X, space, E) for p in split_summands(piece)]
+        pieces = [p for piece in _split_along(X, space, tops, E) for p in split_summands(piece)]
         if sum(p.source_dim() for p in pieces) != X.source_dim() or sum(
             p.target_dim() for p in pieces
         ) != X.target_dim():

@@ -17,7 +17,13 @@ from quiverlab.errors import GuardError
 from quiverlab.morphcat import functor_C, functor_D, mpr_indecomposables
 from quiverlab.reps import IndecLabel, list_indecomposables
 from quiverlab.stalks import DerivedLabel, derived_hom, e_exponent, pi2_hom
-from tests.test_complexes import apply_map, compose_maps, min_presentation_pcpx
+from tests.test_complexes import (
+    apply_map,
+    compose_maps,
+    embedding_slots,
+    min_presentation_pcpx,
+    unshared_two_column_dims,
+)
 from tests.test_morphcat import _default_and_reversed
 from tests.test_stalks import ORACLE_TYPES, _opposite_quivers
 
@@ -93,6 +99,9 @@ def test_embedding_index_guard():
         thm1_hom(2, p, 0, p)
     with pytest.raises(GuardError):
         thm2_hom(-2, p, mpr_indecomposables(q)[0])
+    for i, j in ((2, 0), (0, -2)):
+        with pytest.raises(GuardError):
+            gamma_hom(i, p, j, p)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2"])
@@ -139,9 +148,14 @@ def test_thm2_on_labels_splits_no_complex(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["A1", "A2"])
-def test_evolution_oracle_matches_case_map(name):
-    q = build_quiver(name)
+EVOLUTION_TYPES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"]
+
+
+@pytest.mark.parametrize("q", [*(pytest.param(build_quiver(t), id=t) for t in EVOLUTION_TYPES),
+                               *_opposite_quivers(EVOLUTION_TYPES)])
+def test_evolution_oracle_matches_case_map(q):
+    """Every embedding pair, including the three that the case map sends to
+    zero, and every pair of projectives."""
     for i, j in itertools.product(EMBED, EMBED):
         for x, y in itertools.product(projectives(q), projectives(q)):
             assert gamma_hom(i, x, j, y) == thm1_hom(i, x, j, y)
@@ -222,7 +236,7 @@ def _two_slot_orbit(j, y):
     from quiverlab.dynkin import coxeter_number
 
     q = y.quiver
-    N0, N1, nmap = cx.embedding_slots(j, min_presentation_pcpx(y))
+    N0, N1, nmap = embedding_slots(j, min_presentation_pcpx(y))
     T = cx.tau_inv_functor(q)
     out = []
     for _ in range(coxeter_number(q.dtype) + 1):
@@ -236,9 +250,10 @@ def _two_slot_orbit(j, y):
 
 
 def _gamma_two_slots(i, x, orbit, min_degree=-3):
-    """The orbit sum over a `_two_slot_orbit` of the target."""
-    X0, X1, xmap = cx.embedding_slots(i, min_presentation_pcpx(x))
-    raw = [cx.two_column_dims(X0, X1, xmap, *slots) for slots in orbit]
+    """The orbit sum over a `_two_slot_orbit` of the target, totalized by
+    the dense oracle, which takes any connecting maps."""
+    X0, X1, xmap = embedding_slots(i, min_presentation_pcpx(x))
+    raw = [unshared_two_column_dims(X0, X1, xmap, *slots) for slots in orbit]
     h = len(orbit) - 1
     assert raw[h] == {d - 2: n for d, n in raw[0].items()}
     total = {}

@@ -3,15 +3,18 @@ enumeration, the left-greedy normal form, the star involution, the class
 lattice action, and labels for triangular extensions."""
 
 import random
+from operator import mul
 
 import numpy as np
 import pytest
 
 import quiverlab
 from quiverlab import braids as br
-from quiverlab.dynkin import DynkinType
+from quiverlab import stalks
+from quiverlab.dynkin import DynkinType, nakayama_involution
 from quiverlab.errors import GuardError
-from tests.test_stalks import ORACLE_TYPES
+from quiverlab.stalks import IndecLabel
+from tests.test_stalks import ORACLE_TYPES, _opposite_quivers, _oracle_quivers
 
 W = br.BraidWord.from_ints
 nf = br.garside_normal_form
@@ -503,3 +506,37 @@ def test_weyl_elements_are_root_permutations():
     assert sorted(w0.perm) == list(range(n))
     # the longest element sends every positive root to a negative one
     assert n == 24 and all(k >= n // 2 for k in w0.perm[: n // 2])
+
+
+# ---------------------------------------------------------------------------
+# the Coxeter word against the inverse translate of the module window
+
+
+def coxeter_mismatches(q, word) -> int:
+    """The slots of the module window at which k0_rows of the braid word
+    `word` does not send dim tauinv^m P_v to dim tauinv^(m+1) P_v.  Past the
+    last module of an orbit, tauinv^(e_v) P_v is the projective at the
+    involuted vertex suspended once, whose class is minus its dimension
+    vector."""
+    M = br.k0_rows(W(q.dtype, word))
+    dims = stalks._module_window(q)[0]
+    star = nakayama_involution(q)
+    bad = 0
+    for lab, d in dims.items():
+        want = dims.get(IndecLabel(q, lab.vertex, lab.power + 1))
+        if want is None:
+            want = tuple(-x for x in dims[IndecLabel(q, star[lab.vertex], 0)])
+        bad += tuple(sum(map(mul, row, d)) for row in M) != want
+    return bad
+
+
+@pytest.mark.parametrize("q", [*_oracle_quivers(), *_opposite_quivers()])
+def test_coxeter_word_acts_as_the_inverse_translate_on_classes(q):
+    """The braid word of the topological order (every arrow from an earlier
+    letter to a later one) acts on the class lattice as tauinv, the Coxeter
+    transformation of an admissible order (Bernstein-Gelfand-Ponomarev).
+    The reversed word is the positive control: it fails on every type but
+    A1, whose word has one letter."""
+    order = q.topological_order()
+    assert coxeter_mismatches(q, order) == 0
+    assert (coxeter_mismatches(q, order[::-1]) > 0) == (len(order) > 1)

@@ -23,6 +23,21 @@ SMALL = ["A2", "A3", "D4"]
 # test-local oracles: constructions that no library route takes
 
 
+def identity_map(C: cx.PCpx) -> cx.ChainMap:
+    return cx.ChainMap(C, C, {d: K.identity(len(C.term(d))) for d in C.degrees()})
+
+
+def embedding_slots(j: int, C: cx.PCpx):
+    """Slots (N0, N1, connecting map) of the j-embedded object with
+    presentation complex C."""
+    Z = cx.PCpx(C.quiver, {}, {})
+    if j == -1:
+        return C, Z, cx.ChainMap(Z, C, {})
+    if j == 0:
+        return C, C, identity_map(C)
+    return Z, C, cx.ChainMap(C, Z, {})
+
+
 def arr(m, ncols: int) -> np.ndarray:
     """A matrix of int rows with `ncols` columns as an int64 array."""
     return np.array(m, dtype=np.int64).reshape(len(m), ncols)
@@ -77,8 +92,8 @@ def stepwise_minimize(C: cx.PCpx) -> tuple[cx.PCpx, cx.ChainMap, cx.ChainMap]:
     complex and its two step transports as validated chain maps, and
     composes them into the running iota and pi."""
     cur = C
-    iota = cx.identity_map(C)
-    pi = cx.identity_map(C)
+    iota = identity_map(C)
+    pi = identity_map(C)
     while True:
         found = None
         for d in cur.degrees():
@@ -223,7 +238,7 @@ def test_shift_moves_terms_and_signs():
 def test_cone_of_identity_is_contractible():
     q = build_quiver("A3")
     C = min_presentation_pcpx(reps.indec_rep(reps.IndecLabel(q, 1, 1)))
-    mini, _, _ = cx.minimize(cone(cx.identity_map(C)))
+    mini, _, _ = cx.minimize(cone(identity_map(C)))
     assert mini.is_zero()
 
 
@@ -581,23 +596,32 @@ def unshared_two_column_dims(X0, X1, xmap, N0, N1, nmap) -> dict[int, int]:
 @pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
 def test_two_column_dims_match_the_unshared_route(t):
     """Every embedding pair (i, j), every pair of projectives and every
-    orbit power p <= h of the target, as `boundary.gamma_hom` reads them."""
+    orbit power p <= h of the target, as `boundary.gamma_hom` reads them;
+    the oracle totalizes the embedded objects' slots and connecting maps."""
     q = build_quiver(t)
     h = coxeter_number(q.dtype)
     for u, v, i, j in itertools.product(q.vertices, q.vertices, (-1, 0, 1), (-1, 0, 1)):
-        X = cx.embedding_slots(i, cx.tau_inv_orbit(q, u, 0))
+        X = cx.tau_inv_orbit(q, u, 0)
         for p in range(h + 1):
-            N = cx.embedding_slots(j, cx.tau_inv_orbit(q, v, p))
-            assert cx.two_column_dims(*X, *N) == unshared_two_column_dims(*X, *N), (u, v, i, j, p)
+            N = cx.tau_inv_orbit(q, v, p)
+            want = unshared_two_column_dims(*embedding_slots(i, X), *embedding_slots(j, N))
+            assert cx.two_column_dims(i, X, j, N) == want, (u, v, i, j, p)
 
 
 def test_two_column_dims_check_that_the_total_differential_squares_to_zero():
-    # positive control: x is the identity of C = [P1 -> P2] in degree -1
-    # only, so it is no chain map, and f0∘(x∘dC - dC∘x) survives in D∘D
-    q = build_quiver("A2")
-    C = cx.PCpx(q, {-1: (1,), 0: (2,)}, {-1: ((1,),)}).validate()
-    x = cx.ChainMap(C, C, {-1: ((1,),)})
-    N = cx.embedding_slots(0, cx.single_term(q, (2,), 0))
-    with pytest.raises(InternalCheckError, match="^totalization differential does not square to zero$"):
-        cx.two_column_dims(C, C, x, *N)
-    assert cx.two_column_dims(C, C, cx.identity_map(C), *N) == {}
+    # positive control: A3 [P1 -> P2 -> P3] with unit scalars along the path
+    # is no complex, so f∘dC∘dC survives in D∘D for f: P3 -> P3 in H
+    q = build_quiver("A3")
+    terms = {0: (1,), 1: (2,), 2: (3,)}
+    bad = cx.PCpx(q, terms, {0: ((1,),), 1: ((1,),)})
+    good = cx.PCpx(q, terms, {0: ((1,),)}).validate()
+    N = cx.single_term(q, (3,), 0)
+    for i, j in itertools.product((-1, 0, 1), (-1, 0, 1)):
+        if (i, j) == (-1, 1):  # no block: nothing to check
+            assert cx.two_column_dims(i, bad, j, N) == {}
+            continue
+        msg = "^totalization differential does not square to zero$"
+        with pytest.raises(InternalCheckError, match=msg):
+            cx.two_column_dims(i, bad, j, N)
+        want = unshared_two_column_dims(*embedding_slots(i, good), *embedding_slots(j, N))
+        assert cx.two_column_dims(i, good, j, N) == want
